@@ -55,6 +55,28 @@ storeLe(std::uint8_t *p, int size, std::uint64_t v)
         p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
+/** Reads 8 bytes at @p p as one big-endian value. */
+inline std::uint64_t
+loadBe64(const std::uint8_t *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
+}
+
+/** Writes @p v big-endian into the 8 bytes at @p p. */
+inline void
+storeBe64(std::uint8_t *p, std::uint64_t v)
+{
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    std::memcpy(p, &v, 8);
+}
+
 /**
  * True if the signed difference @p delta fits in @p bytes bytes, i.e. can
  * be represented as a sign-extended @p bytes-byte two's-complement value.

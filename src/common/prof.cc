@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
+#include <vector>
 
 #include "common/env.h"
 #include "common/json.h"
@@ -214,32 +215,50 @@ writeReport(const std::string &path)
 void
 reportTopN(std::FILE *out, int n)
 {
-    std::array<Bucket, kBuckets> buckets = snapshot();
-    std::sort(buckets.begin(), buckets.end(),
-              [](const Bucket &a, const Bucket &b) {
-                  if (a.ns != b.ns)
-                      return a.ns > b.ns;
-                  if (a.comp != b.comp)
-                      return a.comp < b.comp;
-                  return a.phase < b.phase;
-              });
-    std::int64_t total = 0;
-    for (const Bucket &b : buckets)
-        total += b.ns;
-    if (total <= 0)
+    // loop/cycle is each run's inclusive wall time: the whole every
+    // share is taken of, so it is not ranked itself. What no other
+    // bucket holds is the loop's own overhead, ranked as "unattributed"
+    // (the same remainder as perfbench's gpu.unattributed_s).
+    struct Row
+    {
+        const char *comp;
+        const char *phase;
+        std::int64_t ns;
+        std::uint64_t calls;
+    };
+    std::vector<Row> rows;
+    std::int64_t loop = 0;
+    std::int64_t attributed = 0;
+    for (const Bucket &b : snapshot()) {
+        if (b.comp == Comp::Loop && b.phase == Phase::Cycle) {
+            loop = b.ns;
+            continue;
+        }
+        attributed += b.ns;
+        rows.push_back({compName(b.comp), phaseName(b.phase), b.ns, b.calls});
+    }
+    if (loop <= 0)
         return;
-    std::fprintf(out, "caba: profile top %d (of %.3fs attributed):\n", n,
-                 static_cast<double>(total) * 1e-9);
-    for (int i = 0; i < n && i < static_cast<int>(buckets.size()); ++i) {
-        const Bucket &b = buckets[i];
-        if (b.ns <= 0)
+    rows.push_back({"unattributed", "", loop - attributed, 0});
+    // Stable: ties keep the fixed (component, phase) order, the
+    // unattributed row last.
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const Row &a, const Row &b) { return a.ns > b.ns; });
+    std::fprintf(out,
+                 "caba: profile top %d (shares of %.3fs in loop/cycle):\n", n,
+                 static_cast<double>(loop) * 1e-9);
+    for (int i = 0; i < n && i < static_cast<int>(rows.size()); ++i) {
+        const Row &r = rows[static_cast<std::size_t>(i)];
+        if (r.ns <= 0)
             break;
-        std::fprintf(out, "  %-10s %-8s %9.3fs %5.1f%%  %llu calls\n",
-                     compName(b.comp), phaseName(b.phase),
-                     static_cast<double>(b.ns) * 1e-9,
-                     100.0 * static_cast<double>(b.ns) /
-                         static_cast<double>(total),
-                     static_cast<unsigned long long>(b.calls));
+        std::fprintf(out, "  %-12s %-8s %9.3fs %5.1f%%", r.comp, r.phase,
+                     static_cast<double>(r.ns) * 1e-9,
+                     100.0 * static_cast<double>(r.ns) /
+                         static_cast<double>(loop));
+        if (r.phase[0] != '\0')
+            std::fprintf(out, "  %llu calls",
+                         static_cast<unsigned long long>(r.calls));
+        std::fputc('\n', out);
     }
 }
 

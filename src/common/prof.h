@@ -117,7 +117,11 @@ void resetForTest();
  */
 bool writeReport(const std::string &path);
 
-/** Prints the top-@p n buckets by wall time to @p out. */
+/**
+ * Prints the top-@p n buckets by wall time to @p out, each as a share of
+ * loop/cycle (the runs' inclusive wall time, so not ranked itself), with
+ * an "unattributed" row for loop/cycle minus every other bucket.
+ */
 void reportTopN(std::FILE *out, int n);
 
 } // namespace prof

@@ -1,7 +1,8 @@
 #include "compress/bdi.h"
 
-#include <array>
 #include <cstring>
+#include <initializer_list>
+#include <type_traits>
 
 #include "common/bitops.h"
 #include "common/log.h"
@@ -10,220 +11,266 @@ namespace caba {
 
 namespace {
 
-/** Base-delta encodings tried in order of decreasing savings. */
-constexpr std::array<BdiEncoding, 6> kBaseDeltaOrder = {
-    BdiEncoding::B8D1, BdiEncoding::B4D1, BdiEncoding::B8D2,
-    BdiEncoding::B2D1, BdiEncoding::B4D2, BdiEncoding::B8D4,
+/**
+ * One base-delta encoding with its word and delta widths fixed at
+ * compile time. Words are unsigned and differences wrap at the word
+ * width (the adder that reconstructs values truncates to the word size,
+ * so a delta that wraps the signed boundary is still exact).
+ */
+template <BdiEncoding kEnc>
+struct BaseDelta
+{
+    static constexpr int kWordBytes = bdiWordSize(kEnc);
+    static constexpr int kDeltaBytes = bdiDeltaSize(kEnc);
+    static constexpr int kWords = kLineSize / kWordBytes;
+    static constexpr int kMaskBytes = kWords / 8;
+    static constexpr int kDeltaAt = 1 + kMaskBytes + kWordBytes;
+    static constexpr int kSize = bdiEncodedSize(kEnc);
+    static_assert(kDeltaBytes < kWordBytes && kWords <= 64);
+    static_assert(kSize == kDeltaAt + kWords * kDeltaBytes);
+    static_assert(kSize < kLineSize, "an encoding must save bytes");
+
+    using Word = std::conditional_t<
+        kWordBytes == 8, std::uint64_t,
+        std::conditional_t<kWordBytes == 4, std::uint32_t, std::uint16_t>>;
+
+    /** Offset that maps the signed delta range onto [0, kRange). */
+    static constexpr Word kHalf = static_cast<Word>(
+        Word{1} << (8 * kDeltaBytes - 1));
+    static constexpr Word kRange = static_cast<Word>(
+        Word{1} << (8 * kDeltaBytes));
+
+    static Word
+    word(const std::uint8_t *line, int i)
+    {
+        return static_cast<Word>(loadLe(line + i * kWordBytes, kWordBytes));
+    }
+
+    /** True if @p d, read as a signed word, fits a signed delta. */
+    static bool
+    fits(Word d)
+    {
+        return static_cast<Word>(d + kHalf) < kRange;
+    }
+
+    /**
+     * The first non-zero word is the explicit base; an implicit zero
+     * base covers small immediates (paper Section 4.1.1). A line with
+     * no non-zero word has no explicit base (returns 0).
+     */
+    static Word
+    base(const std::uint8_t *line)
+    {
+        Word b = 0;
+        for (int i = 0; i < kWords && b == 0; ++i)
+            b = word(line, i);
+        return b;
+    }
+
+    /**
+     * Writes the encoding of @p line to @p out and returns its size, or
+     * returns 0 when some word is within a delta of neither base.
+     */
+    static int
+    encode(const std::uint8_t *line, std::uint8_t *out)
+    {
+        const Word b = base(line);
+        const bool have_base = b != 0;
+        for (int i = 0; i < kWords; ++i) {
+            const Word v = word(line, i);
+            if (!(have_base && fits(static_cast<Word>(v - b))) && !fits(v))
+                return 0;
+        }
+        std::uint64_t use_base = 0;
+        for (int i = 0; i < kWords; ++i) {
+            const Word v = word(line, i);
+            const Word d = static_cast<Word>(v - b);
+            const bool from_base = have_base && fits(d);
+            use_base |= std::uint64_t{from_base} << i;
+            storeLe(out + kDeltaAt + i * kDeltaBytes, kDeltaBytes,
+                    from_base ? d : v);
+        }
+        out[0] = static_cast<std::uint8_t>(kEnc);
+        storeLe(out + 1, kMaskBytes, use_base);
+        storeLe(out + 1 + kMaskBytes, kWordBytes, b);
+        return kSize;
+    }
+
+    /** Masked vector add of the deltas to the selected bases. */
+    static void
+    decode(const std::uint8_t *p, std::uint8_t *out)
+    {
+        const std::uint64_t use_base = loadLe(p + 1, kMaskBytes);
+        const Word b = static_cast<Word>(loadLe(p + 1 + kMaskBytes,
+                                                kWordBytes));
+        for (int i = 0; i < kWords; ++i) {
+            const auto d = static_cast<Word>(signExtend(
+                loadLe(p + kDeltaAt + i * kDeltaBytes, kDeltaBytes),
+                kDeltaBytes));
+            const Word v = static_cast<Word>(
+                d + ((use_base >> i & 1) ? b : Word{0}));
+            storeLe(out + i * kWordBytes, kWordBytes, v);
+        }
+    }
 };
 
-bool
-lineIsZero(const std::uint8_t *line)
+constexpr bool
+increasingSize(std::initializer_list<BdiEncoding> encs)
 {
-    std::uint64_t acc = 0;
-    for (int i = 0; i < kLineSize; i += 8)
-        acc |= loadLe(line + i, 8);
-    return acc == 0;
+    int prev = 0;
+    for (BdiEncoding enc : encs) {
+        if (bdiEncodedSize(enc) < prev)
+            return false;
+        prev = bdiEncodedSize(enc);
+    }
+    return true;
 }
 
-bool
-lineIsRepeated8(const std::uint8_t *line)
-{
-    // Byte-periodic with period 8 == every aligned 8-byte word equals
-    // the first one (kLineSize is a multiple of 8).
-    const std::uint64_t first = loadLe(line, 8);
-    std::uint64_t diff = 0;
-    for (int i = 8; i < kLineSize; i += 8)
-        diff |= loadLe(line + i, 8) ^ first;
-    return diff == 0;
-}
-
-} // namespace
-
+/**
+ * Size of the first of @p kEncs whose kernel fits, or 0. Listed in
+ * increasing compressed size, the first fit is the smallest encoding;
+ * on a size tie the one listed first wins.
+ */
+template <BdiEncoding... kEncs>
 int
-bdiWordSize(BdiEncoding enc)
+firstFit(const std::uint8_t *line, std::uint8_t *out)
+{
+    static_assert(increasingSize({kEncs...}),
+                  "base-delta kernels must be tried in increasing size");
+    int size = 0;
+    (void)(((size = BaseDelta<kEncs>::encode(line, out)) != 0) || ...);
+    return size;
+}
+
+/** Runs the kernel of base-delta encoding @p enc alone. */
+int
+encodeAs(BdiEncoding enc, const std::uint8_t *line, std::uint8_t *out)
 {
     switch (enc) {
       case BdiEncoding::B8D1:
+        return BaseDelta<BdiEncoding::B8D1>::encode(line, out);
       case BdiEncoding::B8D2:
+        return BaseDelta<BdiEncoding::B8D2>::encode(line, out);
       case BdiEncoding::B8D4:
-        return 8;
+        return BaseDelta<BdiEncoding::B8D4>::encode(line, out);
       case BdiEncoding::B4D1:
+        return BaseDelta<BdiEncoding::B4D1>::encode(line, out);
       case BdiEncoding::B4D2:
-        return 4;
+        return BaseDelta<BdiEncoding::B4D2>::encode(line, out);
       case BdiEncoding::B2D1:
-        return 2;
+        return BaseDelta<BdiEncoding::B2D1>::encode(line, out);
       default:
         CABA_PANIC("word size queried for non base-delta encoding");
     }
 }
 
-int
-bdiDeltaSize(BdiEncoding enc)
-{
-    switch (enc) {
-      case BdiEncoding::B8D1:
-      case BdiEncoding::B4D1:
-      case BdiEncoding::B2D1:
-        return 1;
-      case BdiEncoding::B8D2:
-      case BdiEncoding::B4D2:
-        return 2;
-      case BdiEncoding::B8D4:
-        return 4;
-      default:
-        CABA_PANIC("delta size queried for non base-delta encoding");
-    }
-}
+} // namespace
 
 bool
 BdiCodec::tryEncode(const std::uint8_t *line, BdiEncoding enc,
                     CompressedLine *out) const
 {
-    const int word_b = bdiWordSize(enc);
-    const int delta_b = bdiDeltaSize(enc);
-    const int n = kLineSize / word_b;
-    const int mask_b = n / 8;
-
-    // Pick the first non-zero element as the explicit base; an implicit
-    // zero base covers small immediates (paper Section 4.1.1).
-    std::uint64_t base = 0;
-    bool have_base = false;
-    std::array<std::uint64_t, 64> vals{};
-    for (int i = 0; i < n; ++i) {
-        vals[i] = loadLe(line + i * word_b, word_b);
-        if (!have_base && vals[i] != 0) {
-            base = vals[i];
-            have_base = true;
-        }
-    }
-
-    // Deltas are word-width modular differences (the adder that
-    // reconstructs values truncates to the word size, so a delta that
-    // wraps the signed boundary is still exact).
-    const std::uint64_t word_mask =
-        word_b == 8 ? ~std::uint64_t{0}
-                    : ((std::uint64_t{1} << (8 * word_b)) - 1);
-    // Fixed-trip, branch-free accumulation (SIMD-friendly: a misfit
-    // element clears `ok` instead of early-exiting the loop).
-    std::array<std::int64_t, 64> delta{};
-    std::uint64_t use_base_mask = 0;
-    bool ok = true;
-    for (int i = 0; i < n; ++i) {
-        const std::int64_t d_base =
-            signExtend((vals[i] - base) & word_mask, word_b);
-        const std::int64_t d_zero = signExtend(vals[i], word_b);
-        const bool base_fits = have_base && fitsSigned(d_base, delta_b);
-        const bool zero_fits = fitsSigned(d_zero, delta_b);
-        delta[i] = base_fits ? d_base : d_zero;
-        use_base_mask |= base_fits ? std::uint64_t{1} << i : 0;
-        ok = ok && (base_fits || zero_fits);
-    }
-    if (!ok)
+    std::uint8_t scratch[kScratchBytes];
+    const int size = encodeAs(enc, line, scratch);
+    if (size == 0)
         return false;
-
-    const int total = 1 + mask_b + word_b + n * delta_b;
-    if (total >= kLineSize)
-        return false;
-
-    out->encoding = static_cast<int>(enc);
-    out->bytes.assign(static_cast<std::size_t>(total), 0);
-    std::uint8_t *p = out->bytes.data();
-    p[0] = static_cast<std::uint8_t>(enc);
-    storeLe(p + 1, mask_b, use_base_mask);
-    storeLe(p + 1 + mask_b, word_b, base);
-    for (int i = 0; i < n; ++i) {
-        storeLe(p + 1 + mask_b + word_b + i * delta_b, delta_b,
-                static_cast<std::uint64_t>(delta[i]));
-    }
+    *out = LineView{scratch, size, static_cast<int>(enc)}.toLine();
     return true;
+}
+
+LineView
+BdiCodec::encode(const std::uint8_t *line, std::uint8_t *scratch) const
+{
+    // One pass finds both the all-zero and the repeated-8-byte line.
+    const std::uint64_t first = loadLe(line, 8);
+    std::uint64_t any = first;
+    std::uint64_t diff = 0;
+    for (int i = 8; i < kLineSize; i += 8) {
+        const std::uint64_t w = loadLe(line + i, 8);
+        any |= w;
+        diff |= w ^ first;
+    }
+    if (any == 0) {
+        scratch[0] = static_cast<std::uint8_t>(BdiEncoding::Zeros);
+        return {scratch, 1, static_cast<int>(BdiEncoding::Zeros)};
+    }
+    if (diff == 0) {
+        scratch[0] = static_cast<std::uint8_t>(BdiEncoding::Repeat);
+        std::memcpy(scratch + 1, line, 8);
+        return {scratch, 9, static_cast<int>(BdiEncoding::Repeat)};
+    }
+
+    const int size =
+        preferred_ != BdiEncoding::Uncompressed
+            ? encodeAs(preferred_, line, scratch)
+            : firstFit<BdiEncoding::B8D1, BdiEncoding::B4D1,
+                       BdiEncoding::B8D2, BdiEncoding::B4D2,
+                       BdiEncoding::B2D1, BdiEncoding::B8D4>(line, scratch);
+    if (size > 0)
+        return {scratch, size, scratch[0]};
+    return {line, kLineSize, static_cast<int>(BdiEncoding::Uncompressed)};
 }
 
 CompressedLine
 BdiCodec::compress(const std::uint8_t *line) const
 {
-    CompressedLine cl;
-    if (lineIsZero(line)) {
-        cl.encoding = static_cast<int>(BdiEncoding::Zeros);
-        cl.bytes = {static_cast<std::uint8_t>(BdiEncoding::Zeros)};
-        return cl;
-    }
-    if (lineIsRepeated8(line)) {
-        cl.encoding = static_cast<int>(BdiEncoding::Repeat);
-        cl.bytes.assign(9, 0);
-        cl.bytes[0] = static_cast<std::uint8_t>(BdiEncoding::Repeat);
-        std::memcpy(cl.bytes.data() + 1, line, 8);
-        return cl;
-    }
-
-    if (preferred_ != BdiEncoding::Uncompressed) {
-        if (tryEncode(line, preferred_, &cl))
-            return cl;
-    } else {
-        CompressedLine best;
-        for (BdiEncoding enc : kBaseDeltaOrder) {
-            CompressedLine cand;
-            if (tryEncode(line, enc, &cand) &&
-                (best.bytes.empty() || cand.size() < best.size())) {
-                best = std::move(cand);
-            }
-        }
-        if (!best.bytes.empty())
-            return best;
-    }
-
-    cl.encoding = static_cast<int>(BdiEncoding::Uncompressed);
-    cl.bytes.assign(kLineSize, 0);
-    std::memcpy(cl.bytes.data(), line, kLineSize);
-    return cl;
+    std::uint8_t scratch[kScratchBytes];
+    return encode(line, scratch).toLine();
 }
 
 void
-BdiCodec::decompress(const CompressedLine &cl, std::uint8_t *out) const
+BdiCodec::decode(const LineView &in, std::uint8_t *out) const
 {
-    const auto enc = static_cast<BdiEncoding>(cl.encoding);
-    const std::uint8_t *p = cl.bytes.data();
+    const auto enc = static_cast<BdiEncoding>(in.encoding);
     switch (enc) {
       case BdiEncoding::Zeros:
         std::memset(out, 0, kLineSize);
         return;
       case BdiEncoding::Repeat:
         for (int i = 0; i < kLineSize; i += 8)
-            std::memcpy(out + i, p + 1, 8);
+            std::memcpy(out + i, in.data + 1, 8);
         return;
       case BdiEncoding::Uncompressed:
-        CABA_CHECK(cl.size() == kLineSize, "bad uncompressed BDI line");
-        std::memcpy(out, p, kLineSize);
+        CABA_CHECK(in.size == kLineSize, "bad uncompressed BDI line");
+        std::memcpy(out, in.data, kLineSize);
         return;
       default:
         break;
     }
-
-    const int word_b = bdiWordSize(enc);
-    const int delta_b = bdiDeltaSize(enc);
-    const int n = kLineSize / word_b;
-    const int mask_b = n / 8;
-    CABA_CHECK(cl.size() == 1 + mask_b + word_b + n * delta_b,
+    CABA_CHECK(in.size == bdiEncodedSize(enc),
                "BDI compressed size mismatch");
-
-    const std::uint64_t use_base_mask = loadLe(p + 1, mask_b);
-    const std::int64_t base = signExtend(loadLe(p + 1 + mask_b, word_b),
-                                         word_b);
-    for (int i = 0; i < n; ++i) {
-        const std::int64_t d = signExtend(
-            loadLe(p + 1 + mask_b + word_b + i * delta_b, delta_b), delta_b);
-        const std::int64_t v = (use_base_mask >> i & 1) ? base + d : d;
-        storeLe(out + i * word_b, word_b, static_cast<std::uint64_t>(v));
+    switch (enc) {
+      case BdiEncoding::B8D1:
+        return BaseDelta<BdiEncoding::B8D1>::decode(in.data, out);
+      case BdiEncoding::B8D2:
+        return BaseDelta<BdiEncoding::B8D2>::decode(in.data, out);
+      case BdiEncoding::B8D4:
+        return BaseDelta<BdiEncoding::B8D4>::decode(in.data, out);
+      case BdiEncoding::B4D1:
+        return BaseDelta<BdiEncoding::B4D1>::decode(in.data, out);
+      case BdiEncoding::B4D2:
+        return BaseDelta<BdiEncoding::B4D2>::decode(in.data, out);
+      case BdiEncoding::B2D1:
+        return BaseDelta<BdiEncoding::B2D1>::decode(in.data, out);
+      default:
+        CABA_PANIC("word size queried for non base-delta encoding");
     }
 }
 
+void
+BdiCodec::decompress(const CompressedLine &cl, std::uint8_t *out) const
+{
+    decode(LineView::of(cl), out);
+}
+
 SubroutineCost
-BdiCodec::decompressCost(const CompressedLine &cl) const
+BdiCodec::decodeCost(int encoding)
 {
     // Paper Section 4.1.2: load compressed words into assist-warp
     // registers, masked vector add of deltas to bases, store the expanded
     // line back to the cache. One 32-wide ALU op covers 32 deltas; 8-byte
     // words need only 8 lanes but still one issue slot.
-    const auto enc = static_cast<BdiEncoding>(cl.encoding);
+    const auto enc = static_cast<BdiEncoding>(encoding);
     switch (enc) {
       case BdiEncoding::Zeros:
         return {1, 1};          // splat zero + store line
@@ -233,12 +280,18 @@ BdiCodec::decompressCost(const CompressedLine &cl) const
         return {0, 0};          // never deployed
       default: {
         const int n = kLineSize / bdiWordSize(enc);
-        const int add_ops = divCeil(n, kWarpSize);
+        const int add_ops = static_cast<int>(divCeil(n, kWarpSize));
         // load compressed line (1), unpack deltas (1), masked add(s),
         // store uncompressed line (1 wide store).
         return {1 + add_ops, 2};
       }
     }
+}
+
+SubroutineCost
+BdiCodec::decompressCost(const CompressedLine &cl) const
+{
+    return decodeCost(cl.encoding);
 }
 
 SubroutineCost

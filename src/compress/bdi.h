@@ -8,11 +8,12 @@
 #ifndef CABA_COMPRESS_BDI_H
 #define CABA_COMPRESS_BDI_H
 
+#include "common/log.h"
 #include "compress/codec.h"
 
 namespace caba {
 
-/** BDI encodings, ordered roughly by compressed size. */
+/** BDI encodings; the id is also the compressed line's metadata byte. */
 enum class BdiEncoding : int {
     Zeros = 0,      ///< Line is all zero bytes.
     Repeat = 1,     ///< One 8-byte value repeated across the line.
@@ -27,10 +28,53 @@ enum class BdiEncoding : int {
 };
 
 /** Word size in bytes for a base-delta encoding. */
-int bdiWordSize(BdiEncoding enc);
+constexpr int
+bdiWordSize(BdiEncoding enc)
+{
+    switch (enc) {
+      case BdiEncoding::B8D1:
+      case BdiEncoding::B8D2:
+      case BdiEncoding::B8D4:
+        return 8;
+      case BdiEncoding::B4D1:
+      case BdiEncoding::B4D2:
+        return 4;
+      case BdiEncoding::B2D1:
+        return 2;
+      default:
+        CABA_PANIC("word size queried for non base-delta encoding");
+    }
+}
 
 /** Delta size in bytes for a base-delta encoding. */
-int bdiDeltaSize(BdiEncoding enc);
+constexpr int
+bdiDeltaSize(BdiEncoding enc)
+{
+    switch (enc) {
+      case BdiEncoding::B8D1:
+      case BdiEncoding::B4D1:
+      case BdiEncoding::B2D1:
+        return 1;
+      case BdiEncoding::B8D2:
+      case BdiEncoding::B4D2:
+        return 2;
+      case BdiEncoding::B8D4:
+        return 4;
+      default:
+        CABA_PANIC("delta size queried for non base-delta encoding");
+    }
+}
+
+/**
+ * Compressed size of a base-delta encoding: metadata byte, one
+ * base-select bit per word, the base, one delta per word.
+ */
+constexpr int
+bdiEncodedSize(BdiEncoding enc)
+{
+    const int words = kLineSize / bdiWordSize(enc);
+    return 1 + words / 8 + bdiWordSize(enc) + words * bdiDeltaSize(enc);
+}
 
 /**
  * BDI codec.
@@ -69,6 +113,21 @@ class BdiCodec final : public Codec
     /** Attempts exactly one base-delta encoding; internal + test hook. */
     bool tryEncode(const std::uint8_t *line, BdiEncoding enc,
                    CompressedLine *out) const;
+
+    /** Bytes of scratch encode() may write. */
+    static constexpr int kScratchBytes = kLineSize;
+
+    /**
+     * compress() without the allocation: builds the image in @p scratch,
+     * or points at @p line itself when it stays uncompressed.
+     */
+    LineView encode(const std::uint8_t *line, std::uint8_t *scratch) const;
+
+    /** decompress() from a view of the compressed bytes. */
+    void decode(const LineView &in, std::uint8_t *out) const;
+
+    /** decompressCost() of a line with encoding @p encoding. */
+    static SubroutineCost decodeCost(int encoding);
 
   private:
     BdiEncoding preferred_ = BdiEncoding::Uncompressed;

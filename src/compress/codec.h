@@ -1,7 +1,7 @@
 /**
  * @file
  * Abstract interface for cache-line compression algorithms (paper
- * Section 4.1). A codec is a pure function pair over 64-byte lines plus a
+ * Section 4.1). A codec is a pure function pair over cache lines plus a
  * cost model: hardware latencies (for the HW-BDI baselines) and an
  * assist-warp instruction budget (for the CABA designs, Section 4.1.2).
  */
@@ -17,7 +17,7 @@
 namespace caba {
 
 /**
- * A compressed image of one 64-byte cache line. @c bytes holds the full
+ * A compressed image of one cache line. @c bytes holds the full
  * self-describing representation (encoding metadata at the head of the
  * line, per paper Section 4.1.3), so decompress() needs no side channel.
  */
@@ -44,6 +44,37 @@ struct CompressedLine
 };
 
 /**
+ * A compressed image no CompressedLine owns: the bytes of one, or a
+ * codec's stack scratch (or the input line itself, for a verbatim copy)
+ * before compress() hands it out.
+ */
+struct LineView
+{
+    const std::uint8_t *data = nullptr;
+    int size = 0;
+    int encoding = 0;
+
+    static LineView
+    of(const CompressedLine &cl)
+    {
+        return {cl.bytes.data(), cl.size(), cl.encoding};
+    }
+
+    /**
+     * The one heap copy: a CompressedLine whose bytes.capacity() equals
+     * its size(), which the compression model's memo footprint counts.
+     */
+    CompressedLine
+    toLine() const
+    {
+        CompressedLine cl;
+        cl.bytes.assign(data, data + size);
+        cl.encoding = encoding;
+        return cl;
+    }
+};
+
+/**
  * Instruction budget of one assist-warp subroutine invocation; used by the
  * CABA timing model to synthesize the subroutine issued into the pipeline.
  */
@@ -63,12 +94,12 @@ class Codec
     virtual std::string name() const = 0;
 
     /**
-     * Compresses a 64-byte line. Falls back to a verbatim copy when no
-     * encoding shrinks the line (result.isUncompressed() == true).
+     * Compresses a kLineSize-byte line. Falls back to a verbatim copy
+     * when no encoding shrinks the line (result.isUncompressed() == true).
      */
     virtual CompressedLine compress(const std::uint8_t *line) const = 0;
 
-    /** Expands @p cl into the 64-byte buffer @p out. */
+    /** Expands @p cl into the kLineSize-byte buffer @p out. */
     virtual void decompress(const CompressedLine &cl,
                             std::uint8_t *out) const = 0;
 

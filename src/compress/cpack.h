@@ -42,6 +42,29 @@ class CpackCodec final : public Codec
     SubroutineCost decompressCost(const CompressedLine &cl) const override;
     SubroutineCost compressCost() const override;
 
+    /**
+     * Bytes of scratch encode() may write: the worst-case image
+     * (metadata byte, then 32 unmatched words of 2 + 32 bits) plus the
+     * bitstream's 8-byte window slack.
+     */
+    static constexpr int kScratchBytes =
+        1 + (kLineSize / 4 * 34 + 7) / 8 + 8;
+
+    /** Smallest image of any line: metadata byte plus 32 2-bit codes. */
+    static constexpr int kMinBytes = 1 + (kLineSize / 4 * 2 + 7) / 8;
+
+    /**
+     * compress() without the allocation: builds the image in @p scratch,
+     * or points at @p line itself when it stays uncompressed.
+     */
+    LineView encode(const std::uint8_t *line, std::uint8_t *scratch) const;
+
+    /** decompress() from a view of the compressed bytes. */
+    void decode(const LineView &in, std::uint8_t *out) const;
+
+    /** decompressCost() of a line with encoding @p encoding. */
+    static SubroutineCost decodeCost(int encoding);
+
     /** Dictionary entries (words). */
     static constexpr int kDictEntries = 16;
 };

@@ -42,6 +42,32 @@ class FpcCodec final : public Codec
 
     SubroutineCost decompressCost(const CompressedLine &cl) const override;
     SubroutineCost compressCost() const override;
+
+    /**
+     * Bytes of scratch encode() may write: the worst-case image
+     * (metadata byte, then 32 raw words of 3 + 32 bits) plus the
+     * bitstream's 8-byte window slack.
+     */
+    static constexpr int kScratchBytes =
+        1 + (kLineSize / 4 * 35 + 7) / 8 + 8;
+
+    /**
+     * Smallest image of any line: metadata byte plus four zero runs of
+     * eight words, 6 bits each.
+     */
+    static constexpr int kMinBytes = 1 + (kLineSize / 4 / 8 * 6 + 7) / 8;
+
+    /**
+     * compress() without the allocation: builds the image in @p scratch,
+     * or points at @p line itself when it stays uncompressed.
+     */
+    LineView encode(const std::uint8_t *line, std::uint8_t *scratch) const;
+
+    /** decompress() from a view of the compressed bytes. */
+    void decode(const LineView &in, std::uint8_t *out) const;
+
+    /** decompressCost() of a line with encoding @p encoding. */
+    static SubroutineCost decodeCost(int encoding);
 };
 
 } // namespace caba

@@ -18,6 +18,21 @@ const BestOfAllCodec kBest;
 constexpr Algorithm kConcrete[] = {Algorithm::Bdi, Algorithm::Fpc,
                                    Algorithm::CPack};
 
+/** Calls @p fn with the concrete codec behind a BestOfAll encoding. */
+template <typename Fn>
+auto
+withInner(int folded_encoding, Fn &&fn)
+{
+    switch (BestOfAllCodec::innerAlgorithm(folded_encoding)) {
+      case Algorithm::Bdi: return fn(kBdi);
+      case Algorithm::Fpc: return fn(kFpc);
+      case Algorithm::CPack: return fn(kCpack);
+      case Algorithm::None:
+      case Algorithm::BestOfAll: break;
+    }
+    CABA_PANIC("no codec behind this BestOfAll encoding");
+}
+
 } // namespace
 
 const char *
@@ -61,26 +76,39 @@ BestOfAllCodec::innerEncoding(int folded_encoding)
 CompressedLine
 BestOfAllCodec::compress(const std::uint8_t *line) const
 {
-    CompressedLine best;
+    // Each codec builds its image on the stack; only the winner, the
+    // earliest of BDI, FPC and C-Pack on a size tie, is copied out. So a
+    // codec whose smallest image cannot beat the best so far is skipped.
+    std::uint8_t bdi[BdiCodec::kScratchBytes];
+    std::uint8_t fpc[FpcCodec::kScratchBytes];
+    std::uint8_t cpack[CpackCodec::kScratchBytes];
+    LineView best = kBdi.encode(line, bdi);
     Algorithm best_algo = Algorithm::Bdi;
-    for (Algorithm algo : kConcrete) {
-        CompressedLine cand = getCodec(algo).compress(line);
-        if (best.bytes.empty() || cand.size() < best.size()) {
-            best = std::move(cand);
-            best_algo = algo;
+    if (best.size > FpcCodec::kMinBytes) {
+        const LineView by_fpc = kFpc.encode(line, fpc);
+        if (by_fpc.size < best.size) {
+            best = by_fpc;
+            best_algo = Algorithm::Fpc;
         }
     }
-    best.encoding = static_cast<int>(best_algo) * 256 + best.encoding;
-    return best;
+    if (best.size > CpackCodec::kMinBytes) {
+        const LineView by_cpack = kCpack.encode(line, cpack);
+        if (by_cpack.size < best.size) {
+            best = by_cpack;
+            best_algo = Algorithm::CPack;
+        }
+    }
+    best.encoding += static_cast<int>(best_algo) * 256;
+    return best.toLine();
 }
 
 void
 BestOfAllCodec::decompress(const CompressedLine &cl, std::uint8_t *out) const
 {
-    CompressedLine inner;
-    inner.bytes = cl.bytes;
-    inner.encoding = innerEncoding(cl.encoding);
-    getCodec(innerAlgorithm(cl.encoding)).decompress(inner, out);
+    const LineView inner{cl.bytes.data(), cl.size(),
+                         innerEncoding(cl.encoding)};
+    withInner(cl.encoding,
+              [&](const auto &codec) { codec.decode(inner, out); });
 }
 
 int
@@ -98,10 +126,10 @@ BestOfAllCodec::hwCompressLatency() const
 SubroutineCost
 BestOfAllCodec::decompressCost(const CompressedLine &cl) const
 {
-    CompressedLine inner;
-    inner.bytes = cl.bytes;
-    inner.encoding = innerEncoding(cl.encoding);
-    return getCodec(innerAlgorithm(cl.encoding)).decompressCost(inner);
+    const int inner = innerEncoding(cl.encoding);
+    return withInner(cl.encoding, [inner](const auto &codec) {
+        return codec.decodeCost(inner);
+    });
 }
 
 SubroutineCost

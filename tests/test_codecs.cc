@@ -158,8 +158,10 @@ TEST(Fpc, ZeroLineCollapsesToRuns)
 {
     std::uint8_t line[kLineSize] = {};
     const CompressedLine cl = getCodec(Algorithm::Fpc).compress(line);
-    // 32 zero words = four runs of 8: 4 * 6 bits -> 3 bytes + metadata.
-    EXPECT_LE(cl.size(), 4);
+    // 32 zero words = four runs of 8: 4 * 6 bits -> 3 bytes + metadata,
+    // the smallest image FPC can build (BestOfAll relies on the bound).
+    EXPECT_EQ(cl.size(), 4);
+    EXPECT_EQ(FpcCodec::kMinBytes, 4);
 }
 
 TEST(Fpc, SmallIntsUseNarrowPatterns)
@@ -197,6 +199,16 @@ TEST(Fpc, RepeatedBytesPattern)
     EXPECT_LT(cl.size(), 50);   // 11 bits per word
     fpc.decompress(cl, out);
     EXPECT_EQ(std::memcmp(line, out, kLineSize), 0);
+}
+
+TEST(CPack, ZeroLineIsAllZzzzCodes)
+{
+    std::uint8_t line[kLineSize] = {};
+    const CompressedLine cl = getCodec(Algorithm::CPack).compress(line);
+    // 32 2-bit zzzz codes -> 8 bytes + metadata, the smallest image
+    // C-Pack can build (BestOfAll relies on the bound).
+    EXPECT_EQ(cl.size(), 9);
+    EXPECT_EQ(CpackCodec::kMinBytes, 9);
 }
 
 TEST(CPack, DictionaryHitsShrinkRepetitions)

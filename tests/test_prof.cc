@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/prof.h"
 #include "gpu/gpu_system.h"
@@ -183,6 +185,64 @@ TEST_F(ProfTest, WriteReportEmitsCabaProfV1Schema)
     const minijson::Value *self = doc.find("self_profile");
     ASSERT_NE(self, nullptr);
     std::remove(path.c_str());
+}
+
+/** reportTopN's rows as {name, share}; the phase joins the name. */
+std::vector<std::pair<std::string, std::string>>
+topNRows(int n)
+{
+    std::FILE *f = std::tmpfile();
+    EXPECT_NE(f, nullptr);
+    prof::reportTopN(f, n);
+    std::rewind(f);
+    std::string text;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, f) != nullptr)
+        text += buf;
+    std::fclose(f);
+
+    std::istringstream lines(text);
+    std::string line;
+    std::getline(lines, line);
+    EXPECT_NE(line.find("shares of 1.000s in loop/cycle"), std::string::npos)
+        << line;
+    std::vector<std::pair<std::string, std::string>> rows;
+    while (std::getline(lines, line)) {
+        std::istringstream in(line);
+        std::vector<std::string> tok;
+        for (std::string t; in >> t;)
+            tok.push_back(t);
+        if (tok.size() >= 3 && tok[0] == "unattributed")
+            rows.emplace_back(tok[0], tok[2]);  // no phase, no calls
+        else if (tok.size() >= 4)
+            rows.emplace_back(tok[0] + "/" + tok[1], tok[3]);
+        else
+            ADD_FAILURE() << "unparsed row: " << line;
+    }
+    return rows;
+}
+
+TEST_F(ProfTest, TopNSharesAreOfLoopCycleWithUnattributedRow)
+{
+    // loop/cycle is inclusive: 1 s, of which the component buckets hold
+    // 0.85 s. Shares are of the 1 s, loop/cycle is not a row, and the
+    // 0.15 s nothing else holds is the unattributed row.
+    prof::Recorder r;
+    r.add(prof::Comp::Loop, prof::Phase::Cycle, 1'000'000'000);
+    r.add(prof::Comp::Sm, prof::Phase::Cycle, 500'000'000);
+    r.add(prof::Comp::Partition, prof::Phase::Cycle, 300'000'000);
+    r.add(prof::Comp::Loop, prof::Phase::Jump, 50'000'000);
+    r.flush();
+
+    const auto rows = topNRows(8);
+    const std::vector<std::pair<std::string, std::string>> want = {
+        {"sm/cycle", "50.0%"},
+        {"partition/cycle", "30.0%"},
+        {"unattributed", "15.0%"},
+        {"loop/jump", "5.0%"},
+    };
+    EXPECT_EQ(rows, want);
+    EXPECT_EQ(topNRows(2).size(), 2u);
 }
 
 TEST_F(ProfTest, ProfiledRunPopulatesBuckets)

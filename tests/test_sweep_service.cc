@@ -18,8 +18,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -31,13 +34,54 @@
 namespace caba {
 namespace {
 
+/**
+ * A directory of this process's own for its sockets, removed at exit.
+ * ctest runs each case in a process of its own, so a counter alone
+ * would give concurrent cases the same socket path, and a listener
+ * unlinks whatever already sits at its path.
+ */
+class SocketDir
+{
+  public:
+    SocketDir()
+    {
+        std::string tmpl =
+            (std::filesystem::temp_directory_path() / "caba_sweepd_XXXXXX")
+                .string();
+        if (::mkdtemp(tmpl.data()) != nullptr)
+            path_ = tmpl;
+    }
+
+    ~SocketDir()
+    {
+        std::error_code ec;
+        if (!path_.empty())
+            std::filesystem::remove_all(path_, ec);
+    }
+
+    SocketDir(const SocketDir &) = delete;
+    SocketDir &operator=(const SocketDir &) = delete;
+
+    static const std::string &
+    path()
+    {
+        static const SocketDir dir;
+        EXPECT_FALSE(dir.path_.empty()) << "mkdtemp failed";
+        return dir.path_;
+    }
+
+  private:
+    std::string path_;
+};
+
 /** A running service on its own UDS path, torn down with the test. */
 class ServiceFixture
 {
   public:
     explicit ServiceFixture(SweepServiceConfig cfg = {})
     {
-        cfg.address = "test_sweepd_" + std::to_string(next_id_++) + ".sock";
+        cfg.address = SocketDir::path() + "/test_sweepd_" +
+                      std::to_string(next_id_++) + ".sock";
         address_ = cfg.address;
         service_ = std::make_unique<SweepService>(cfg);
         std::string error;
@@ -266,6 +310,13 @@ TEST(SweepServiceTest, MalformedRequestsGetErrorsAndTheServerSurvives)
     EXPECT_TRUE(good.ok) << good.code << ": " << good.message;
     EXPECT_TRUE(fx.service().running());
     EXPECT_GE(fx.service().stats().get("requests_bad"), 3u);
+    // The server counts a completion only after it has written the
+    // reply this client already holds, so give it up to 10 s to do so.
+    for (int waited_ms = 0;
+         fx.service().stats().get("requests_completed") == 0 &&
+         waited_ms < 10000;
+         ++waited_ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_GE(fx.service().stats().get("requests_completed"), 1u);
 }
 
