@@ -5,17 +5,16 @@
  * experiment still emits its own caba-bench-v1 document, byte-identical
  * to the standalone binary's output.
  *
- * Parsing lives in harness/bench_cli.h (shared with the tests and, for
- * option validation, the sweep service); this file is only the glue:
- * usage text, selection against the registry, and the run loop. Unlike
- * the old binaries — which silently ignored unrecognized argv tokens —
- * every unknown flag is a hard error with usage on stderr.
+ * Parsing lives in harness/bench_cli.h (shared with the tests); this
+ * file is only the glue: usage text, selection against the registry,
+ * and the run loop. Unlike the old binaries — which silently ignored
+ * unrecognized argv tokens — every unknown flag is a hard error with
+ * usage on stderr.
  *
  * The in-process cell cache is always on: experiments sharing (app,
  * design, options) cells (Figures 7/8/9 run the same sweep) simulate
  * each cell once per process. Set CABA_CACHE_DIR to persist cells
- * across runs. caba_sweepd serves the same experiments from a
- * long-running process over a socket (see tools/sweepd/).
+ * across runs: a warm repeat of a sweep simulates nothing.
  */
 #include <cstdio>
 #include <cstdlib>

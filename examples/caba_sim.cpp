@@ -15,7 +15,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/env.h"
 #include "common/table.h"
 #include "harness/runner.h"
 
@@ -41,8 +40,7 @@ usage()
         "  --memoize       enable Section 7.1 memoization assist warps\n"
         "  --prefetch      enable Section 7.2 prefetch assist warps\n"
         "  --stats         dump every raw counter\n"
-        "  --list          list the application pool and exit\n"
-        "  --help-env      list every CABA_* environment variable and exit\n");
+        "  --list          list the application pool and exit\n");
     std::exit(1);
 }
 
@@ -99,9 +97,6 @@ main(int argc, char **argv)
                           a.in_compression ? "yes" : "no"});
             }
             std::printf("%s", t.render().c_str());
-            return 0;
-        } else if (arg == "--help-env") {
-            env::printHelp(stdout);
             return 0;
         } else {
             usage();

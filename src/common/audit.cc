@@ -1,13 +1,13 @@
 #include "common/audit.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
+#include <climits>
 #include <sstream>
 #include <vector>
 
 #include "common/env.h"
 #include "common/log.h"
+#include "common/parse.h"
 
 namespace caba {
 
@@ -42,15 +42,12 @@ AuditConfig::applySpec(AuditConfig base, const char *spec)
         base.level = AuditLevel::Periodic;
         return base;
     }
-    bool numeric = true;
-    for (const char c : s)
-        numeric = numeric && std::isdigit(static_cast<unsigned char>(c));
-    if (numeric) {
-        base.level = AuditLevel::Periodic;
-        base.period = std::strtoull(s.c_str(), nullptr, 10);
-        CABA_CHECK(base.period > 0, "CABA_AUDIT period must be positive");
-    }
-    return base;    // unknown spec: keep the configured level
+    long period = 0;
+    if (!parse::boundedInt(s, 1, LONG_MAX, &period))
+        env::reject("CABA_AUDIT", spec, "off|end|full|<period-cycles>");
+    base.level = AuditLevel::Periodic;
+    base.period = static_cast<Cycle>(period);
+    return base;
 }
 
 AuditConfig

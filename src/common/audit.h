@@ -60,7 +60,8 @@ struct AuditConfig
     static AuditConfig resolve(AuditConfig base);
 
     /** Applies one override spec ("off", "end", "full", "<N>") to
-     *  @p base. Exposed for tests; unknown specs leave @p base alone. */
+     *  @p base. Exposed for tests; a null or empty spec leaves @p base
+     *  alone, and any other unknown spec is fatal. */
     static AuditConfig applySpec(AuditConfig base, const char *spec);
 };
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/log.h"
+#include "common/parse.h"
 
 namespace caba {
 namespace env {
@@ -15,13 +16,13 @@ namespace {
  * nothing else: snapshotting, raw(), typed accessors and --help-env all
  * derive from this table. Keep rows in the order users should read
  * them. */
-constexpr std::array<Var, 12> kVars{{
+constexpr std::array<Var, 9> kVars{{
     {"CABA_SCALE", Type::Real, "1.0",
-     "Workload loop-trip multiplier, applied on top of any --scale flag; "
-     "non-positive or unset keeps the configured scale."},
+     "Workload loop-trip multiplier, finite and positive, applied on top "
+     "of any --scale flag."},
     {"CABA_JOBS", Type::Int, "hardware concurrency",
-     "Sweep worker threads (1 = serial); ExperimentOptions::jobs wins "
-     "when positive."},
+     "Sweep worker threads, a positive integer (1 = serial); "
+     "ExperimentOptions::jobs wins when positive."},
     {"CABA_AUDIT", Type::Str, "end",
      "Self-consistency audit level: off|end|full|<period-cycles>."},
     {"CABA_TRACE", Type::Str, "(unset: tracing off)",
@@ -35,8 +36,9 @@ constexpr std::array<Var, 12> kVars{{
      "(the CI determinism smoke job byte-diffs both modes)."},
     {"CABA_EVENT_DRIVEN", Type::Int, "1",
      "Event-driven run loop: components sleep until their nextWork() "
-     "hint or incoming traffic. 0 forces the legacy walk-everything "
-     "loop (CI byte-diffs both; results are bit-identical)."},
+     "hint or incoming traffic. 1 or 0; 0 forces the legacy "
+     "walk-everything loop (CI byte-diffs both; results are "
+     "bit-identical)."},
     {"CABA_CACHE_DIR", Type::Str, "(unset: cell cache off)",
      "Content-addressed RunResult cache directory for sweep cells "
      "(harness/cell_cache.h). Hits are byte-identical to recomputation; "
@@ -47,15 +49,6 @@ constexpr std::array<Var, 12> kVars{{
      "component class and phase, writes caba-prof-v1 JSON at exit plus "
      "a top-N table on stderr. Simulation results are bit-identical "
      "profiler on/off."},
-    {"CABA_SWEEPD_SOCKET", Type::Str, "caba_sweepd.sock",
-     "caba_sweepd/caba_sweep listen/connect address: a Unix-domain "
-     "socket path, or tcp:HOST:PORT for multi-machine use."},
-    {"CABA_SWEEPD_QUEUE", Type::Int, "64",
-     "caba_sweepd admission-queue bound; requests beyond it are "
-     "rejected immediately with a queue_full error (backpressure)."},
-    {"CABA_SWEEPD_TIMEOUT_MS", Type::Int, "0",
-     "caba_sweepd default per-request deadline in milliseconds "
-     "(0 = none); a request's own timeout_ms field overrides."},
 }};
 
 std::size_t
@@ -100,38 +93,38 @@ flagSet(const char *name)
     return raw(name) != nullptr;
 }
 
-int
-intOr(const char *name, int fallback)
+void
+reject(const char *name, const char *value, const std::string &what)
 {
-    const char *v = raw(name);
-    return v ? std::atoi(v) : fallback;
+    const std::string msg =
+        std::string(name) + "='" + value + "' is not " + what;
+    CABA_FATAL(msg.c_str());
 }
 
 int
-positiveIntOr(const char *name, int fallback)
+intOr(const char *name, int min, int max, int fallback)
 {
     const char *v = raw(name);
-    if (!v)
+    if (v == nullptr || *v == '\0')
         return fallback;
-    const int parsed = std::atoi(v);
-    return parsed > 0 ? parsed : fallback;
-}
-
-const char *
-strOr(const char *name, const char *fallback)
-{
-    const char *v = raw(name);
-    return v != nullptr ? v : fallback;
+    long n = 0;
+    if (!parse::boundedInt(v, min, max, &n))
+        reject(name, v,
+               "an integer in [" + std::to_string(min) + ", " +
+                   std::to_string(max) + "]");
+    return static_cast<int>(n);
 }
 
 double
 positiveRealOr(const char *name, double fallback)
 {
     const char *v = raw(name);
-    if (!v)
+    if (v == nullptr || *v == '\0')
         return fallback;
-    const double parsed = std::atof(v);
-    return parsed > 0.0 ? parsed : fallback;
+    double d = 0.0;
+    if (!parse::finitePositiveReal(v, &d))
+        reject(name, v, "a finite positive number");
+    return d;
 }
 
 void

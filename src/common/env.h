@@ -3,9 +3,14 @@
  * Central registry for every environment variable the simulator reads.
  * Determinism contract: the environment is part of a run's inputs, so
  * all access goes through this one translation unit — every variable
- * carries a type, default and doc string, and `caba_cli --help-env`
+ * carries a type, default and doc string, and `caba_bench --help-env`
  * prints the registry. caba-lint (tools/lint/) flags any direct getenv
  * call outside src/common/env.cc.
+ *
+ * Unset or empty means the default. A numeric variable or CABA_AUDIT
+ * set to anything that does not parse, or parses out of range, stops
+ * the process with a message naming the variable and its value: a typo
+ * must not silently run a different experiment.
  *
  * raw() reads the live environment: the sweep tests re-point CABA_JOBS
  * between Sweep constructions. Consumers that run on worker threads
@@ -17,6 +22,7 @@
 #define CABA_COMMON_ENV_H
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 namespace caba {
@@ -52,16 +58,17 @@ const char *raw(const char *name);
 /** True when the variable is present in the environment (Flag vars). */
 bool flagSet(const char *name);
 
-/** Parsed integer (any value, including 0), or @p fallback when unset. */
-int intOr(const char *name, int fallback);
+/** Stops the process: variable @p name holds @p value, which is not
+ *  @p what (e.g. "a finite positive number"). */
+[[noreturn]] void reject(const char *name, const char *value,
+                         const std::string &what);
 
-/** Parsed positive integer, or @p fallback when unset/non-positive. */
-int positiveIntOr(const char *name, int fallback);
+/** Parsed integer in [@p min, @p max], or @p fallback when unset or
+ *  empty; any other value is fatal. */
+int intOr(const char *name, int min, int max, int fallback);
 
-/** Raw string value, or @p fallback when unset. */
-const char *strOr(const char *name, const char *fallback);
-
-/** Parsed positive real, or @p fallback when unset/non-positive. */
+/** Parsed finite positive real, or @p fallback when unset or empty;
+ *  any other value is fatal. */
 double positiveRealOr(const char *name, double fallback);
 
 /** Prints the registry (name, type, default, doc) to @p out. */

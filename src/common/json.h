@@ -1,12 +1,11 @@
 /**
  * @file
  * Minimal JSON writer used for the machine-readable run exports
- * (bench `--json` files), the Chrome trace-event sink, and the sweep
- * service's protocol documents. Emission only — parsing lives in
- * common/json_parse.h (tests carry their own tiny parser). Output is
- * deterministic: keys are written in call order, doubles with "%.17g"
- * (shortest round-trippable form), so two runs producing bit-identical
- * values produce byte-identical JSON.
+ * (bench `--json` files), the Chrome trace-event sink, the profiler
+ * document and the caba-lint report. Emission only — parsing lives in
+ * common/json_parse.h. Output is deterministic: keys are written in
+ * call order, doubles with "%.17g" (shortest round-trippable form), so
+ * two runs producing bit-identical values produce byte-identical JSON.
  */
 #ifndef CABA_COMMON_JSON_H
 #define CABA_COMMON_JSON_H

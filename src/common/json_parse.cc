@@ -123,8 +123,8 @@ class Parser
                 fail("expected ':' after object key");
                 break;
             }
-            // A duplicate key means the request author's intent is
-            // ambiguous — reject rather than let last-writer win.
+            // A duplicate key means the author's intent is ambiguous —
+            // reject rather than let last-writer win.
             if (v.object.count(key) != 0) {
                 fail("duplicate object key \"" + key + "\"");
                 break;
@@ -208,7 +208,7 @@ class Parser
                     else
                         fail("bad \\u escape");
                 }
-                // ASCII only: request fields are identifiers and paths;
+                // ASCII only: the writer never emits higher escapes;
                 // anything higher is replaced, never mis-decoded.
                 s += code < 0x80 ? static_cast<char>(code) : '?';
                 break;

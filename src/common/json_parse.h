@@ -1,16 +1,15 @@
 /**
  * @file
- * Strict recursive-descent JSON parser for the sweep service's request
- * documents (harness/sweep_service.h). Until the service existed the
- * simulator only ever wrote JSON (common/json.h) and the tests carried
- * their own parser (tests/mini_json.h); caba_sweepd accepts JSON over a
- * socket, so parsing is now a library concern.
+ * Strict recursive-descent JSON parser: the reading half of
+ * common/json.h. caba-lint reads its committed baseline with it, and the
+ * tests use it to check that bench `--json` exports, profiler documents
+ * and Chrome trace files are well-formed and carry the expected
+ * structure.
  *
- * Strictness over speed, exactly like the test parser: trailing
- * garbage, unbalanced nesting, bad escapes and duplicate-key objects
- * are all parse errors — a malformed request must be rejected, never
- * half-understood. Object members are kept in a std::map, so iteration
- * order is deterministic.
+ * Strictness over speed: trailing garbage, unbalanced nesting, bad
+ * escapes and duplicate-key objects are all parse errors — a malformed
+ * document must be rejected, never half-understood. Object members are
+ * kept in a std::map, so iteration order is deterministic.
  */
 #ifndef CABA_COMMON_JSON_PARSE_H
 #define CABA_COMMON_JSON_PARSE_H

@@ -1,13 +1,13 @@
 /**
  * @file
- * Strict numeric parsing shared by the caba_bench CLI and the sweep
- * service's request validation. These exist because the lenient
- * strtod/strtol idiom has bitten twice: strtod accepts "nan"/"inf"
- * (and `x <= 0` is false for NaN, so a sign check does not reject it),
- * and strtol saturates huge values to LONG_MAX which then truncates
- * silently through an int cast. Every helper here demands the whole
- * token parse, rejects non-finite values, and range-checks before any
- * narrowing.
+ * Strict numeric parsing shared by the caba_bench and caba-lint CLIs,
+ * the numeric env knobs (common/env.h) and the CABA_AUDIT period.
+ * These exist because the lenient strtod/strtol idiom has bitten
+ * twice: strtod accepts "nan"/"inf" (and `x <= 0` is false for NaN, so
+ * a sign check does not reject it), and strtol saturates huge values to
+ * LONG_MAX which then truncates silently through an int cast. Every
+ * helper here demands the whole token parse, rejects non-finite values,
+ * and range-checks before any narrowing.
  */
 #ifndef CABA_COMMON_PARSE_H
 #define CABA_COMMON_PARSE_H

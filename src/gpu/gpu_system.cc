@@ -36,7 +36,7 @@ noFastForwardEnv()
 bool
 eventDrivenEnvOn()
 {
-    static const bool on = env::intOr("CABA_EVENT_DRIVEN", 1) != 0;
+    static const bool on = env::intOr("CABA_EVENT_DRIVEN", 0, 1, 1) != 0;
     return on;
 }
 

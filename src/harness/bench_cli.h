@@ -1,8 +1,7 @@
 /**
  * @file
  * Argument parsing for the caba_bench CLI, as a library so it is
- * unit-testable (tests/test_cli.cc) and so the sweep service validates
- * request options with exactly the same rules the CLI enforces.
+ * unit-testable (tests/test_cli.cc).
  *
  * Grammar notes that exist because they were once bugs:
  *  - Bare `--json` NEVER consumes the following token. It used to

@@ -48,12 +48,11 @@ ExperimentRegistry::all() const
     return out;
 }
 
-namespace {
-
 void
-runExperimentInto(const Experiment &e, const ExperimentOptions &opts,
-                  BenchJson &json)
+runExperiment(const Experiment &e, const ExperimentOptions &opts,
+              const std::string &json_path)
 {
+    BenchJson json(e.name, json_path);
     if (e.body) {
         e.body(opts, json);
     } else {
@@ -65,25 +64,7 @@ runExperimentInto(const Experiment &e, const ExperimentOptions &opts,
         e.emit(sweep, json);
         json.addSweep(sweep);
     }
-}
-
-} // namespace
-
-void
-runExperiment(const Experiment &e, const ExperimentOptions &opts,
-              const std::string &json_path)
-{
-    BenchJson json(e.name, json_path);
-    runExperimentInto(e, opts, json);
     json.write();
-}
-
-std::string
-runExperimentCaptured(const Experiment &e, const ExperimentOptions &opts)
-{
-    BenchJson json = BenchJson::capturing(e.name);
-    runExperimentInto(e, opts, json);
-    return json.document();
 }
 
 namespace detail {

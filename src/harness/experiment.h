@@ -99,15 +99,6 @@ class ExperimentRegistry
 void runExperiment(const Experiment &e, const ExperimentOptions &opts,
                    const std::string &json_path);
 
-/**
- * Runs one experiment and returns its caba-bench-v1 document as a
- * string instead of a file — byte-identical to what runExperiment
- * writes for the same inputs (the sweep service serves this over the
- * socket). Human-readable tables still go to stdout.
- */
-std::string runExperimentCaptured(const Experiment &e,
-                                  const ExperimentOptions &opts);
-
 namespace detail {
 
 /** Static-initializer hook used by CABA_REGISTER_EXPERIMENT. */

@@ -118,14 +118,6 @@ BenchJson::BenchJson(std::string bench, std::string path)
 {
 }
 
-BenchJson
-BenchJson::capturing(std::string bench)
-{
-    BenchJson j(std::move(bench), std::string());
-    j.capture_ = true;
-    return j;
-}
-
 void
 BenchJson::addCell(const std::string &app, const std::string &design,
                    const RunResult &r)

@@ -47,12 +47,7 @@ class BenchJson
     /** @p path empty = disabled: every method becomes a no-op. */
     BenchJson(std::string bench, std::string path);
 
-    /** A path-less collector: document() renders the same bytes write()
-     *  would put in a file. The sweep service serves these over the
-     *  socket, so a served sweep is byte-identical to a --json file. */
-    static BenchJson capturing(std::string bench);
-
-    bool enabled() const { return capture_ || !path_.empty(); }
+    bool enabled() const { return !path_.empty(); }
 
     /** Appends one simulation cell. */
     void addCell(const std::string &app, const std::string &design,
@@ -70,18 +65,16 @@ class BenchJson
     void field(const std::string &key, int value);
     void endRow();
 
-    /** The full caba-bench-v1 document (exactly the bytes write()
-     *  stores, trailing newline included). */
-    std::string document() const;
-
     /** Writes the document (creates parent directories). No-op when
-     *  disabled or capturing. Reports the path on stderr. */
+     *  disabled. Reports the path on stderr. */
     void write() const;
 
   private:
+    /** The full caba-bench-v1 document, trailing newline included. */
+    std::string document() const;
+
     std::string bench_;
     std::string path_;
-    bool capture_ = false;
     std::vector<std::string> cells_;
     std::vector<std::string> rows_;
     std::unique_ptr<JsonWriter> row_;

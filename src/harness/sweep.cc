@@ -1,6 +1,7 @@
 #include "harness/sweep.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <utility>
 
@@ -14,7 +15,7 @@ namespace caba {
 int
 sweepJobsFromEnv(int fallback)
 {
-    return env::positiveIntOr("CABA_JOBS", fallback);
+    return env::intOr("CABA_JOBS", 1, INT_MAX, fallback);
 }
 
 Sweep::Sweep(const std::vector<AppDescriptor> &apps,

@@ -25,8 +25,9 @@
 namespace caba {
 
 /**
- * Reads CABA_JOBS from the environment (default @p fallback; values < 1
- * are ignored). Read once per sweep, not per cell.
+ * Reads CABA_JOBS from the environment (default @p fallback; a value
+ * that is not a positive integer is fatal). Read once per sweep, not
+ * per cell.
  */
 int sweepJobsFromEnv(int fallback);
 
@@ -55,9 +56,9 @@ class Sweep
 
     /**
      * Builds a sweep directly from precomputed cells without running
-     * anything (tests, and service responses assembled from cached
-     * results). App/design name order is first-appearance order;
-     * duplicate (app, design) pairs panic.
+     * anything (tests use it for results no simulation produces, such
+     * as a zero-cycle base cell). App/design name order is
+     * first-appearance order; duplicate (app, design) pairs panic.
      */
     explicit Sweep(std::vector<NamedCell> cells);
 

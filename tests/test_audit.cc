@@ -164,13 +164,15 @@ TEST(Audit, SpecParsing)
     EXPECT_EQ(n.level, AuditLevel::Periodic);
     EXPECT_EQ(n.period, 4096u);
 
-    // Unknown or empty specs leave the configured level alone.
-    EXPECT_EQ(AuditConfig::applySpec(base, "bogus").level,
-              AuditLevel::EndOfRun);
+    // Unset or empty specs leave the configured level alone; a typo
+    // stops the run instead of silently keeping it.
     EXPECT_EQ(AuditConfig::applySpec(base, "").level,
               AuditLevel::EndOfRun);
     EXPECT_EQ(AuditConfig::applySpec(base, nullptr).level,
               AuditLevel::EndOfRun);
+    EXPECT_DEATH(AuditConfig::applySpec(base, "bogus"), "CABA_AUDIT='bogus'");
+    EXPECT_DEATH(AuditConfig::applySpec(base, "ful"), "CABA_AUDIT='ful'");
+    EXPECT_DEATH(AuditConfig::applySpec(base, "00"), "CABA_AUDIT='00'");
 }
 
 TEST(Audit, LifecycleCountsBalanceOnCleanRun)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the caba_bench CLI grammar (harness/bench_cli.h) and
- * the strict numeric parsers behind it (common/parse.h). The first two
- * test groups are regression tests for shipped bugs:
+ * Unit tests for the caba_bench CLI grammar (harness/bench_cli.h), the
+ * strict numeric parsers behind it (common/parse.h) and the numeric env
+ * knobs that share them (common/env.h). The first two test groups are
+ * regression tests for shipped bugs:
  *
  *  - bare `--json` used to greedily consume the next non-dash token as
  *    an output path, eating the experiment name;
@@ -13,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/parse.h"
 #include "harness/bench_cli.h"
 
@@ -258,6 +261,95 @@ TEST(ParseTest, IntInRange)
         parse::intInRange(std::to_string(static_cast<long long>(INT_MAX) + 1),
                           0, &n));
     EXPECT_FALSE(parse::intInRange("-1", 0, &n));
+}
+
+// --- Numeric env knobs through the same parsers ----------------------------
+//
+// The accessors are called directly: CABA_SCALE is cached in a static at
+// its call site, so reading it through runner.cc would not see a value
+// set here. Each read uses the range its call site uses.
+
+double
+readScale()
+{
+    return env::positiveRealOr("CABA_SCALE", 1.0);
+}
+
+int
+readJobs()
+{
+    return env::intOr("CABA_JOBS", 1, INT_MAX, 3);
+}
+
+int
+readEventDriven()
+{
+    return env::intOr("CABA_EVENT_DRIVEN", 0, 1, 1);
+}
+
+class EnvKnobTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override { TearDown(); }
+    void
+    TearDown() override
+    {
+        ::unsetenv("CABA_SCALE");
+        ::unsetenv("CABA_JOBS");
+        ::unsetenv("CABA_EVENT_DRIVEN");
+    }
+};
+
+TEST_F(EnvKnobTest, UnsetOrEmptyMeansTheDefault)
+{
+    EXPECT_DOUBLE_EQ(readScale(), 1.0);
+    EXPECT_EQ(readJobs(), 3);
+    EXPECT_EQ(readEventDriven(), 1);
+    ::setenv("CABA_SCALE", "", 1);
+    ::setenv("CABA_JOBS", "", 1);
+    ::setenv("CABA_EVENT_DRIVEN", "", 1);
+    EXPECT_DOUBLE_EQ(readScale(), 1.0);
+    EXPECT_EQ(readJobs(), 3);
+    EXPECT_EQ(readEventDriven(), 1);
+}
+
+TEST_F(EnvKnobTest, WellFormedValuesParse)
+{
+    ::setenv("CABA_SCALE", "0.25", 1);
+    ::setenv("CABA_JOBS", "8", 1);
+    ::setenv("CABA_EVENT_DRIVEN", "0", 1);
+    EXPECT_DOUBLE_EQ(readScale(), 0.25);
+    EXPECT_EQ(readJobs(), 8);
+    EXPECT_EQ(readEventDriven(), 0);
+}
+
+TEST_F(EnvKnobTest, MalformedValuesAreFatalAndNameTheVariable)
+{
+    const struct
+    {
+        const char *name;
+        const char *value;
+        void (*read)();
+    } cases[] = {
+        {"CABA_SCALE", "0.02x", [] { readScale(); }},
+        {"CABA_SCALE", "0", [] { readScale(); }},
+        {"CABA_SCALE", "nan", [] { readScale(); }},
+        {"CABA_JOBS", "abc", [] { readJobs(); }},
+        {"CABA_JOBS", "0", [] { readJobs(); }},
+        {"CABA_EVENT_DRIVEN", "yes", [] { readEventDriven(); }},
+        {"CABA_EVENT_DRIVEN", "2", [] { readEventDriven(); }},
+    };
+    for (const auto &c : cases) {
+        const std::string expected =
+            std::string(c.name) + "='" + c.value + "'";
+        EXPECT_DEATH(
+            {
+                ::setenv(c.name, c.value, 1);
+                c.read();
+            },
+            expected.c_str())
+            << c.name << "=" << c.value;
+    }
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
  * Machine-readable export tests: the JsonWriter building blocks, the
+ * strict parser that reads them back (common/json_parse.h), the
  * --json flag parsing, the caba-bench-v1 document schema (golden
  * structure a downstream plotting script can rely on), and the
  * determinism promise — a parallel sweep writes a byte-identical file
@@ -15,10 +16,10 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/json_parse.h"
 #include "compress/design.h"
 #include "harness/json_export.h"
 #include "harness/sweep.h"
-#include "mini_json.h"
 #include "workloads/app.h"
 
 namespace caba {
@@ -63,12 +64,75 @@ TEST(JsonWriterTest, DoublesRoundTripAndStayFinite)
         .value(1.0 / 0.0)
         .value(0.0 / 0.0)
         .endArray();
-    minijson::Value v;
-    ASSERT_TRUE(minijson::parse(w.str(), &v));
+    json::Value v;
+    ASSERT_TRUE(json::parse(w.str(), &v));
     ASSERT_EQ(v.array.size(), 3u);
     EXPECT_EQ(v.array[0].number, 0.1); // %.17g round-trips exactly
     EXPECT_TRUE(v.array[1].isNull()); // inf clamps to null
     EXPECT_TRUE(v.array[2].isNull()); // nan clamps to null
+}
+
+TEST(JsonParse, WriterDocumentRoundTrips)
+{
+    JsonWriter w;
+    w.beginObject()
+        .kv("s", std::string("a\"b\\c\nd\x01"))
+        .kv("i", std::int64_t{-42})
+        .kv("u", std::uint64_t{1234567890123})
+        .kv("d", 0.1)
+        .kv("t", true)
+        .kv("f", false)
+        .kv("n", 0.0 / 0.0)
+        .key("a")
+        .beginArray()
+        .value(1)
+        .beginObject()
+        .endObject()
+        .beginArray()
+        .endArray()
+        .endArray()
+        .endObject();
+    json::Value v;
+    std::string error;
+    ASSERT_TRUE(json::parse(w.str(), &v, &error)) << error;
+    ASSERT_TRUE(v.isObject());
+    EXPECT_EQ(v.find("s")->string, "a\"b\\c\nd\x01");
+    EXPECT_EQ(v.find("i")->number, -42.0);
+    EXPECT_EQ(v.find("u")->number, 1234567890123.0);
+    EXPECT_EQ(v.find("d")->number, 0.1);
+    EXPECT_TRUE(v.find("t")->isBool() && v.find("t")->boolean);
+    EXPECT_TRUE(v.find("f")->isBool() && !v.find("f")->boolean);
+    EXPECT_TRUE(v.find("n")->isNull());
+    EXPECT_EQ(v.find("missing"), nullptr);
+    const json::Value *a = v.find("a");
+    ASSERT_TRUE(a != nullptr && a->isArray());
+    ASSERT_EQ(a->array.size(), 3u);
+    EXPECT_EQ(a->array[0].number, 1.0);
+    EXPECT_TRUE(a->array[1].isObject() && a->array[1].object.empty());
+    EXPECT_TRUE(a->array[2].isArray() && a->array[2].array.empty());
+}
+
+TEST(JsonParse, MalformedDocumentsFailWithAReason)
+{
+    const struct
+    {
+        const char *text;
+        const char *reason;
+    } cases[] = {
+        {"{\"a\":1} x", "trailing garbage"},
+        {"{\"a\":[1}", "expected ',' or ']'"},
+        {"[[1]", "expected ',' or ']'"},
+        {"\"a\\qb\"", "bad escape"},
+        {"[tru]", "bad literal"},
+        {"{\"a\":1,\"a\":2}", "duplicate object key \"a\""},
+    };
+    for (const auto &c : cases) {
+        json::Value v;
+        std::string error;
+        EXPECT_FALSE(json::parse(c.text, &v, &error)) << c.text;
+        EXPECT_NE(error.find(c.reason), std::string::npos)
+            << c.text << " -> " << error;
+    }
 }
 
 TEST(JsonOutPathTest, FlagForms)
@@ -109,13 +173,13 @@ TEST(BenchJsonTest, RowsOnlyDocument)
     json.endRow();
     json.write();
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(readFile(path), &doc));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(path), &doc));
     EXPECT_EQ(doc.find("schema")->string, "caba-bench-v1");
     EXPECT_EQ(doc.find("bench")->string, "rows_bench");
     EXPECT_TRUE(doc.find("cells")->array.empty());
     ASSERT_EQ(doc.find("rows")->array.size(), 1u);
-    const minijson::Value &row = doc.find("rows")->array[0];
+    const json::Value &row = doc.find("rows")->array[0];
     EXPECT_EQ(row.find("app")->string, "MM");
     EXPECT_EQ(row.find("frac")->number, 0.25);
     EXPECT_EQ(row.find("warps")->number, 48.0);
@@ -134,15 +198,15 @@ TEST(BenchJsonTest, CellSchemaIsStable)
     json.addCell("PVC", "CABA-BDI", r);
     json.write();
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(readFile(path), &doc));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(path), &doc));
     EXPECT_EQ(doc.find("schema")->string, "caba-bench-v1");
     ASSERT_EQ(doc.find("cells")->array.size(), 1u);
 
-    const minijson::Value &cell = doc.find("cells")->array[0];
+    const json::Value &cell = doc.find("cells")->array[0];
     EXPECT_EQ(cell.find("app")->string, "PVC");
     EXPECT_EQ(cell.find("design")->string, "CABA-BDI");
-    const minijson::Value *res = cell.find("result");
+    const json::Value *res = cell.find("result");
     ASSERT_NE(res, nullptr);
     for (const char *k : {"cycles", "instructions", "ipc",
                           "bw_utilization", "compression_ratio",
@@ -163,12 +227,12 @@ TEST(BenchJsonTest, CellSchemaIsStable)
 
     // Stats/gauges partition: every counter in one object, every gauge
     // in the other, values matching the in-memory StatSet.
-    const minijson::Value *stats = res->find("stats");
-    const minijson::Value *gauges = res->find("gauges");
+    const json::Value *stats = res->find("stats");
+    const json::Value *gauges = res->find("gauges");
     ASSERT_NE(stats, nullptr);
     ASSERT_NE(gauges, nullptr);
     for (const auto &[k, v] : r.stats.all()) {
-        const minijson::Value *home =
+        const json::Value *home =
             r.stats.isGauge(k) ? gauges->find(k) : stats->find(k);
         ASSERT_NE(home, nullptr) << k;
         EXPECT_EQ(static_cast<std::uint64_t>(home->number), v) << k;
@@ -177,14 +241,14 @@ TEST(BenchJsonTest, CellSchemaIsStable)
 
     // Distributions: objects with count/sum/min/max/mean/buckets, and
     // the assist-warp latency histogram must exist on a CABA run.
-    const minijson::Value *dists = res->find("distributions");
+    const json::Value *dists = res->find("distributions");
     ASSERT_NE(dists, nullptr);
-    const minijson::Value *lat = dists->find("awc_latency");
+    const json::Value *lat = dists->find("awc_latency");
     ASSERT_NE(lat, nullptr) << "assist-warp latency histogram missing";
     EXPECT_GT(lat->find("count")->number, 0.0);
     ASSERT_TRUE(lat->find("buckets")->isArray());
     double bucket_total = 0.0;
-    for (const minijson::Value &b : lat->find("buckets")->array) {
+    for (const json::Value &b : lat->find("buckets")->array) {
         ASSERT_EQ(b.array.size(), 2u); // [bucket_low, count] pairs
         bucket_total += b.array[1].number;
     }
@@ -192,11 +256,11 @@ TEST(BenchJsonTest, CellSchemaIsStable)
 
     // Timeline: [cycle, instructions, dram_bursts] triples ending at
     // the final cycle, cumulative and non-decreasing.
-    const minijson::Value *timeline = res->find("timeline");
+    const json::Value *timeline = res->find("timeline");
     ASSERT_NE(timeline, nullptr);
     ASSERT_FALSE(timeline->array.empty());
     double prev_c = 0, prev_i = 0;
-    for (const minijson::Value &s : timeline->array) {
+    for (const json::Value &s : timeline->array) {
         ASSERT_EQ(s.array.size(), 3u);
         EXPECT_GE(s.array[0].number, prev_c);
         EXPECT_GE(s.array[1].number, prev_i);
@@ -237,8 +301,8 @@ TEST(BenchJsonTest, ParallelSweepWritesByteIdenticalJson)
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b) << "worker count leaked into the JSON export";
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(a, &doc));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(a, &doc));
     EXPECT_EQ(doc.find("cells")->array.size(),
               apps.size() * designs.size());
     std::remove(serial.c_str());

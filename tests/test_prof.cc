@@ -16,10 +16,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_parse.h"
 #include "common/prof.h"
 #include "gpu/gpu_system.h"
 #include "harness/runner.h"
-#include "mini_json.h"
 
 namespace caba {
 namespace {
@@ -150,23 +150,23 @@ TEST_F(ProfTest, WriteReportEmitsCabaProfV1Schema)
     const std::string path = testing::TempDir() + "caba_prof_schema.json";
     ASSERT_TRUE(prof::writeReport(path));
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(readFile(path), &doc));
-    const minijson::Value *schema = doc.find("schema");
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(path), &doc));
+    const json::Value *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
     EXPECT_EQ(schema->string, "caba-prof-v1");
 
-    const minijson::Value *entries = doc.find("entries");
+    const json::Value *entries = doc.find("entries");
     ASSERT_NE(entries, nullptr);
     ASSERT_TRUE(entries->isArray());
     // Every bucket always present, fixed (component, phase) order.
     ASSERT_EQ(entries->array.size(),
               static_cast<std::size_t>(prof::kBuckets));
     for (int i = 0; i < prof::kBuckets; ++i) {
-        const minijson::Value &e =
+        const json::Value &e =
             entries->array[static_cast<std::size_t>(i)];
-        const minijson::Value *comp = e.find("component");
-        const minijson::Value *phase = e.find("phase");
+        const json::Value *comp = e.find("component");
+        const json::Value *phase = e.find("phase");
         ASSERT_NE(comp, nullptr) << i;
         ASSERT_NE(phase, nullptr) << i;
         EXPECT_EQ(comp->string,
@@ -182,7 +182,7 @@ TEST_F(ProfTest, WriteReportEmitsCabaProfV1Schema)
     EXPECT_EQ(entries->array[part_catch_up].find("ns")->number, 7.0);
     EXPECT_EQ(entries->array[part_catch_up].find("calls")->number, 1.0);
 
-    const minijson::Value *self = doc.find("self_profile");
+    const json::Value *self = doc.find("self_profile");
     ASSERT_NE(self, nullptr);
     std::remove(path.c_str());
 }

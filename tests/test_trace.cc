@@ -13,10 +13,10 @@
 #include <sstream>
 #include <string>
 
+#include "common/json_parse.h"
 #include "common/trace.h"
 #include "compress/design.h"
 #include "harness/runner.h"
-#include "mini_json.h"
 #include "workloads/app.h"
 
 namespace caba {
@@ -98,13 +98,13 @@ TEST_F(TraceTest, EmptySessionWritesValidJson)
     trace::start(path);
     trace::stop();
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(readFile(path), &doc));
-    const minijson::Value *events = doc.find("traceEvents");
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(path), &doc));
+    const json::Value *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->isArray());
     // Only metadata (process names + the closing placeholder).
-    for (const minijson::Value &ev : events->array)
+    for (const json::Value &ev : events->array)
         EXPECT_EQ(ev.find("ph")->string, "M");
     std::remove(path.c_str());
 }
@@ -116,22 +116,22 @@ TEST_F(TraceTest, TracedRunProducesAllCategories)
     runApp(findApp("PVC"), DesignConfig::caba(), smallOpts());
     trace::stop();
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(readFile(path), &doc));
-    const minijson::Value *events = doc.find("traceEvents");
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(path), &doc));
+    const json::Value *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->isArray());
 
     std::set<std::string> cats;
     double last_ts = 0.0;
     std::size_t timed = 0;
-    for (const minijson::Value &ev : events->array) {
-        const minijson::Value *ph = ev.find("ph");
+    for (const json::Value &ev : events->array) {
+        const json::Value *ph = ev.find("ph");
         ASSERT_NE(ph, nullptr);
         if (ph->string == "M")
             continue; // metadata has no timestamp
-        const minijson::Value *cat = ev.find("cat");
-        const minijson::Value *ts = ev.find("ts");
+        const json::Value *cat = ev.find("cat");
+        const json::Value *ts = ev.find("ts");
         ASSERT_NE(cat, nullptr);
         ASSERT_NE(ts, nullptr);
         cats.insert(cat->string);
@@ -157,11 +157,11 @@ TEST_F(TraceTest, SlotSpansCoverTheTaxonomy)
     runApp(findApp("PVC"), DesignConfig::caba(), smallOpts());
     trace::stop();
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(readFile(path), &doc));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(path), &doc));
     std::set<std::string> names;
     std::size_t spans = 0;
-    for (const minijson::Value &ev : doc.find("traceEvents")->array) {
+    for (const json::Value &ev : doc.find("traceEvents")->array) {
         if (ev.find("ph")->string != "X")
             continue;
         EXPECT_EQ(ev.find("cat")->string, "slots");
@@ -185,16 +185,16 @@ TEST_F(TraceTest, CounterTracksEmitOnTimelineCadence)
     runApp(findApp("PVC"), DesignConfig::caba(), smallOpts());
     trace::stop();
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(readFile(path), &doc));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(path), &doc));
     std::set<std::string> names;
-    for (const minijson::Value &ev : doc.find("traceEvents")->array) {
+    for (const json::Value &ev : doc.find("traceEvents")->array) {
         if (ev.find("ph")->string != "C")
             continue;
         EXPECT_EQ(ev.find("cat")->string, "counter");
         EXPECT_EQ(ev.find("pid")->number,
                   static_cast<double>(trace::kPidCounter));
-        const minijson::Value *args = ev.find("args");
+        const json::Value *args = ev.find("args");
         ASSERT_NE(args, nullptr);
         ASSERT_NE(args->find("value"), nullptr);
         names.insert(ev.find("name")->string);
@@ -212,10 +212,10 @@ TEST_F(TraceTest, CategoryFilterDropsOtherCategories)
     runApp(findApp("PVC"), DesignConfig::caba(), smallOpts());
     trace::stop();
 
-    minijson::Value doc;
-    ASSERT_TRUE(minijson::parse(readFile(path), &doc));
+    json::Value doc;
+    ASSERT_TRUE(json::parse(readFile(path), &doc));
     std::size_t dram = 0;
-    for (const minijson::Value &ev : doc.find("traceEvents")->array) {
+    for (const json::Value &ev : doc.find("traceEvents")->array) {
         if (ev.find("ph")->string == "M")
             continue;
         EXPECT_EQ(ev.find("cat")->string, "dram");

@@ -113,7 +113,7 @@ buildIncludeGraph(const std::vector<SourceFile> &files)
             e.include = inc;
             // Resolution candidates, in preprocessor-like order:
             // relative to the including file, then the src/ include
-            // root, then the repo root (tests/mini_json.h style).
+            // root, then the repo root.
             const std::string candidates[] = {
                 normalize(dirOf(f.path) + "/" + inc),
                 "src/" + inc,

@@ -72,33 +72,6 @@ matchParen(const std::vector<Token> &t, std::size_t open)
     return std::string::npos;
 }
 
-/**
- * Collects the names of `lint: stat-producer` annotated wrapper
- * functions: the identifier immediately before the first '(' on the
- * annotated line or the two lines below it (covers the repo's
- * return-type-on-its-own-line definition style).
- */
-void
-collectProducerWrappers(const LexedFile &f, std::set<std::string> &wrappers)
-{
-    const auto it = f.annotations.find("stat-producer");
-    if (it == f.annotations.end())
-        return;
-    for (const int line : it->second) {
-        const Token *prev_ident = nullptr;
-        for (std::size_t i = 0; i < f.tokens.size(); ++i) {
-            const Token &tok = f.tokens[i];
-            if (tok.line < line || tok.line > line + 2)
-                continue;
-            if (tok.punct("(") && prev_ident != nullptr) {
-                wrappers.insert(prev_ident->text);
-                break;
-            }
-            prev_ident = tok.kind == Token::Ident ? &tok : nullptr;
-        }
-    }
-}
-
 /** Adds the members of every all-string brace list in @p f to
  *  @p produced: name tables like kSlotStatNames are registered at
  *  runtime via a loop, so their literals are legitimate stat names. */
@@ -137,8 +110,7 @@ collectNameTables(const LexedFile &f, std::set<std::string> &produced)
 }
 
 void
-indexFile(const SourceFile &src, const LexedFile &f,
-          const std::set<std::string> &wrappers, IdentIndex &index)
+indexFile(const SourceFile &src, const LexedFile &f, IdentIndex &index)
 {
     const std::string &path = src.path;
     const bool is_registry = path == kEnvRegistryPath;
@@ -180,13 +152,6 @@ indexFile(const SourceFile &src, const LexedFile &f,
                         break;
                 }
             }
-        }
-
-        // -- producer wrappers (bare or qualified calls) --
-        if (tok.kind == Token::Ident && wrappers.count(tok.text) != 0 &&
-            i + 2 < t.size() && t[i + 1].punct("(") &&
-            t[i + 2].kind == Token::String) {
-            index.stat_produced.insert(t[i + 2].text);
         }
 
         // -- merge prefixes --
@@ -242,17 +207,10 @@ buildIndex(const std::vector<SourceFile> &files,
 {
     IdentIndex index;
     index.merge_prefixes.insert(std::string());
-
-    // Pass 1: wrapper names, so pass 2 can attribute their call sites
-    // regardless of file order.
-    std::set<std::string> wrappers;
-    for (const LexedFile &f : lexed)
-        collectProducerWrappers(f, wrappers);
-
     for (std::size_t i = 0; i < files.size(); ++i) {
         if (files[i].path == kEnvRegistryPath)
             index.has_env_registry = true;
-        indexFile(files[i], lexed[i], wrappers, index);
+        indexFile(files[i], lexed[i], index);
     }
     return index;
 }

@@ -56,9 +56,8 @@ struct IdentIndex
     std::vector<NameUse> env_uses;
 
     /** Stat names registered by produce sites: literal first arguments
-     *  of add/set/setCounter/dist calls anywhere, literal members of
-     *  all-string brace arrays in src/ (name tables indexed at runtime),
-     *  and literal first arguments of `lint: stat-producer` wrappers. */
+     *  of add/set/setCounter/dist calls anywhere, and literal members of
+     *  all-string brace arrays in src/ (name tables indexed at runtime). */
     std::set<std::string> stat_produced;
 
     /** Literal mergePrefixed/merge_prefixed prefixes (plus ""). */

@@ -52,8 +52,6 @@ struct LexedFile
      *                      environment variable name
      *   stat-external      stat-drift: a stat name read that is
      *                      deliberately never produced (negative tests)
-     *   stat-producer      stat-drift: marks a wrapper function whose
-     *                      literal first argument registers a stat name
      *   manual-lock        lock-discipline: a naked mutex lock/unlock
      *                      that cannot be a scoped guard
      */

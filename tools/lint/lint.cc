@@ -13,8 +13,8 @@
 #include <sstream>
 
 #include "common/json.h"
+#include "common/json_parse.h"
 #include "lint.h"
-#include "tests/mini_json.h"
 
 namespace caba {
 namespace lint {
@@ -190,20 +190,20 @@ bool
 parseBaseline(const std::string &json_text, std::vector<Finding> *out,
               std::string *error)
 {
-    minijson::Value doc;
-    if (!minijson::parse(json_text, &doc) || !doc.isObject()) {
+    json::Value doc;
+    if (!json::parse(json_text, &doc) || !doc.isObject()) {
         *error = "baseline is not valid JSON";
         return false;
     }
-    const minijson::Value *findings = doc.find("findings");
+    const json::Value *findings = doc.find("findings");
     if (!findings || !findings->isArray()) {
         *error = "baseline lacks a \"findings\" array";
         return false;
     }
-    for (const minijson::Value &v : findings->array) {
-        const minijson::Value *rule = v.find("rule");
-        const minijson::Value *file = v.find("file");
-        const minijson::Value *message = v.find("message");
+    for (const json::Value &v : findings->array) {
+        const json::Value *rule = v.find("rule");
+        const json::Value *file = v.find("file");
+        const json::Value *message = v.find("message");
         if (!rule || !rule->isString() || !file || !file->isString() ||
             !message || !message->isString()) {
             *error = "baseline entry lacks rule/file/message strings";
@@ -213,7 +213,7 @@ parseBaseline(const std::string &json_text, std::vector<Finding> *out,
         f.rule = rule->string;
         f.file = file->string;
         f.message = message->string;
-        const minijson::Value *line = v.find("line");
+        const json::Value *line = v.find("line");
         if (line && line->isNumber())
             f.line = static_cast<int>(line->number);
         out->push_back(std::move(f));

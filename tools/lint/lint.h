@@ -13,7 +13,7 @@
  *                     std::chrono::*_clock::now and pointer-value
  *                     comparisons in sort predicates are banned outside
  *                     a whitelist (common/rng.h, common/self_profile.*,
- *                     common/trace.cc, harness/sweep_service.cc).
+ *                     common/prof.cc, common/trace.cc).
  *  - iteration-order  range-for over a variable declared as
  *                     std::unordered_map/set anywhere in the scanned
  *                     tree is flagged in src/ unless the line (or the

@@ -9,6 +9,7 @@
  *   caba-lint --rule layering --rule include-cycle --dot=includes.dot
  */
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -71,8 +72,8 @@ main(int argc, char **argv)
     std::string json_path;
     std::string dot_path;
     caba::lint::Options opts;
-    opts.jobs = caba::env::positiveIntOr("CABA_JOBS",
-                                         caba::ThreadPool::defaultWorkers());
+    opts.jobs = caba::env::intOr("CABA_JOBS", 1, INT_MAX,
+                                 caba::ThreadPool::defaultWorkers());
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

@@ -35,10 +35,9 @@ inSrc(const std::string &path)
 
 /** Files allowed to touch wall clocks / entropy: the seeded RNG itself,
  *  the stderr-only self-profiler, the in-loop profiler (host-time
- *  attribution that never reads simulation state), the trace sink
+ *  attribution that never reads simulation state), and the trace sink
  *  (whose timestamps are simulated cycles; the whitelist covers its
- *  atexit machinery), and the sweep service (request deadlines and
- *  per-request wall time — never simulation state). */
+ *  atexit machinery). */
 bool
 determinismWhitelisted(const std::string &path)
 {
@@ -48,7 +47,6 @@ determinismWhitelisted(const std::string &path)
         "src/common/self_profile.cc",
         "src/common/prof.cc",
         "src/common/trace.cc",
-        "src/harness/sweep_service.cc",
     };
     return allow.count(path) != 0;
 }
@@ -291,8 +289,8 @@ ruleDeterminism(const LexedFile &f, const std::string &path,
             add(out, "determinism", path, t[i].line,
                 "std::chrono::" + t[i].text +
                     "::now() — wall-clock reads are banned outside "
-                    "the determinism whitelist (profilers and the "
-                    "sweep service)");
+                    "the determinism whitelist (the RNG, the "
+                    "profilers and the trace sink)");
             continue;
         }
         if (isSortFn(t[i].text) && calls && !member) {
