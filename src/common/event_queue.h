@@ -1,22 +1,22 @@
 /**
  * @file
- * Wake-time tracker for the event-driven run loop: a binary min-heap
- * over a fixed id space [0, n) where each id carries one authoritative
- * wake cycle. schedule() overwrites the id's wake time and pushes a new
- * heap entry; superseded entries stay in the heap and are discarded
- * lazily when they surface (the classic lazy-deletion calendar queue —
- * cheaper than decrease-key for the few dozen components a GpuSystem
- * clocks, and trivially exercisable in isolation by tests).
+ * Wake-time tracker for the event-driven run loop: a flat array over a
+ * fixed id space [0, n) where each id carries one authoritative wake
+ * cycle. schedule() overwrites the id's wake time; minTime() is a
+ * linear min over the array. A GpuSystem clocks a few dozen
+ * components, and most of them reschedule every cycle they run, so a
+ * single pass over one cache line or two beats keeping a priority
+ * queue in step with those writes.
  *
- * GpuSystem uses it to answer one question in O(1) amortized time:
- * "what is the earliest cycle any sleeping component wants to run?" —
- * the quiescence jump target. Per-id due checks read the flat array.
+ * GpuSystem uses it to answer "what is the earliest cycle any sleeping
+ * component wants to run?" (the quiescence jump target) and, per id,
+ * "is this component due now?".
  */
 #ifndef CABA_COMMON_EVENT_QUEUE_H
 #define CABA_COMMON_EVENT_QUEUE_H
 
+#include <algorithm>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "common/component.h"
@@ -25,7 +25,7 @@
 
 namespace caba {
 
-/** Min-heap of (wake cycle, component id) with lazy stale deletion. */
+/** Per-id wake times with a linear-scan minimum. */
 class EventQueue
 {
   public:
@@ -37,7 +37,6 @@ class EventQueue
     {
         CABA_CHECK(ids >= 0, "negative id space");
         when_.assign(static_cast<std::size_t>(ids), kNoWork);
-        heap_.clear();
     }
 
     int size() const { return static_cast<int>(when_.size()); }
@@ -55,82 +54,35 @@ class EventQueue
     /**
      * (Re)schedules @p id to wake at @p at, superseding any earlier
      * schedule — later, earlier, or equal are all fine. kNoWork parks
-     * the id without a heap entry.
+     * the id.
      */
     void
     schedule(int id, Cycle at)
     {
         when_[static_cast<std::size_t>(id)] = at;
-        if (at != kNoWork)
-            heap_.push_back({at, id});
-        siftUp(heap_.size());
     }
 
-    /**
-     * Earliest authoritative wake time over all ids (kNoWork when every
-     * id is parked). Pops superseded entries as a side effect.
-     */
+    /** Earliest wake time over all ids (kNoWork when all are parked). */
     Cycle
-    minTime()
+    minTime() const
     {
-        while (!heap_.empty()) {
-            const Entry &top = heap_.front();
-            if (when_[static_cast<std::size_t>(top.id)] == top.at)
-                return top.at;
-            popTop();
-        }
-        return kNoWork;
+        Cycle m = kNoWork;
+        for (const Cycle t : when_)
+            m = std::min(m, t);
+        return m;
     }
 
-    /** Live heap entries, stale ones included (tests/introspection). */
-    std::size_t heapEntries() const { return heap_.size(); }
+    /** Ids with a wake time, i.e. not parked (trace counter track). */
+    std::size_t
+    scheduled() const
+    {
+        return static_cast<std::size_t>(
+            std::count_if(when_.begin(), when_.end(),
+                          [](Cycle t) { return t != kNoWork; }));
+    }
 
   private:
-    struct Entry
-    {
-        Cycle at;
-        int id;
-    };
-
-    void
-    siftUp(std::size_t n)
-    {
-        if (n == 0)
-            return;
-        std::size_t i = n - 1;
-        while (i > 0) {
-            const std::size_t parent = (i - 1) / 2;
-            if (heap_[parent].at <= heap_[i].at)
-                break;
-            std::swap(heap_[parent], heap_[i]);
-            i = parent;
-        }
-    }
-
-    void
-    popTop()
-    {
-        heap_.front() = heap_.back();
-        heap_.pop_back();
-        std::size_t i = 0;
-        const std::size_t n = heap_.size();
-        while (true) {
-            const std::size_t l = 2 * i + 1;
-            const std::size_t r = l + 1;
-            std::size_t smallest = i;
-            if (l < n && heap_[l].at < heap_[smallest].at)
-                smallest = l;
-            if (r < n && heap_[r].at < heap_[smallest].at)
-                smallest = r;
-            if (smallest == i)
-                return;
-            std::swap(heap_[i], heap_[smallest]);
-            i = smallest;
-        }
-    }
-
     std::vector<Cycle> when_;   ///< Authoritative wake per id.
-    std::vector<Entry> heap_;   ///< Lazy min-heap over schedule() calls.
 };
 
 } // namespace caba

@@ -509,11 +509,12 @@ GpuSystem::sampleNow() const
     // Counter tracks ride the timeline cadence: advanceQuiescent()
     // replays mid-skip samples from frozen state, so the track is
     // identical across run-loop modes except the event-queue depth
-    // (which measures the event loop itself and reads 0 in walk mode).
+    // (the ids with a wake time: it measures the event loop itself and
+    // reads 0 in walk mode).
     if (trace::on(trace::kCounter)) {
         trace::counter(trace::kCounter, trace::kPidCounter, 0,
                        "event_queue_depth", now_,
-                       static_cast<std::uint64_t>(eq_.heapEntries()));
+                       static_cast<std::uint64_t>(eq_.scheduled()));
         for (std::size_t i = 0; i < sms_.size(); ++i) {
             trace::counter(trace::kCounter, trace::kPidCounter,
                            static_cast<int>(i), "issuable_warps", now_,

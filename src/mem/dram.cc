@@ -24,9 +24,11 @@ DramChannel::DramChannel(const DramConfig &cfg, int id)
     CABA_CHECK(cfg_.write_drain_low < cfg_.write_drain_high &&
                cfg_.write_drain_high <= cfg_.write_queue_capacity,
                "bad write-drain marks");
-    CABA_CHECK(cfg_.sched_window >= cfg_.queue_capacity &&
-               cfg_.sched_window >= cfg_.write_queue_capacity,
-               "scheduler window must cover the whole queue");
+    write_q_.writes = true;
+    for (CmdQueue *q : {&read_q_, &write_q_}) {
+        q->banks.resize(static_cast<std::size_t>(cfg_.banks));
+        q->open_matches.assign(static_cast<std::size_t>(cfg_.banks), 0);
+    }
 }
 
 int
@@ -56,9 +58,8 @@ bool
 DramChannel::canAccept(bool is_write) const
 {
     if (is_write)
-        return static_cast<int>(write_q_.size()) <
-               cfg_.write_queue_capacity;
-    return static_cast<int>(read_q_.size()) < cfg_.queue_capacity;
+        return write_q_.size() < cfg_.write_queue_capacity;
+    return read_q_.size() < cfg_.queue_capacity;
 }
 
 void
@@ -67,141 +68,165 @@ DramChannel::enqueue(DramCmd cmd)
     CABA_CHECK(canAccept(cmd.is_write), "DRAM queue overflow");
     cmd.bank = bankOf(cmd.line);
     cmd.row = rowOf(cmd.line);
-    Bank &b = banks_[static_cast<std::size_t>(cmd.bank)];
-    if (b.open_row == cmd.row)
-        ++b.open_matches;
+    const std::size_t b = static_cast<std::size_t>(cmd.bank);
+    CmdQueue &q = cmd.is_write ? write_q_ : read_q_;
+    if (banks_[b].open_row == cmd.row)
+        ++q.open_matches[b];
+    int slot = static_cast<int>(q.slots.size());
+    if (q.free_slots.empty()) {
+        q.slots.push_back({q.back_key++, cmd});
+    } else {
+        slot = q.free_slots.back();
+        q.free_slots.pop_back();
+        q.slots[static_cast<std::size_t>(slot)] = {q.back_key++, cmd};
+    }
+    q.banks[b].push_back(slot);
     if (cmd.is_write) {
-        write_q_.push_back(cmd);
         ++writes_enqueued_;
     } else {
-        read_q_.push_back(cmd);
         ++reads_enqueued_;
-        read_queue_depth_.record(read_q_.size());
+        read_queue_depth_.record(
+            static_cast<std::uint64_t>(read_q_.size()));
     }
 }
 
 void
-DramChannel::recountOpenMatches(int bank)
+DramChannel::recountOpenMatches(int b)
 {
-    Bank &b = banks_[static_cast<std::size_t>(bank)];
-    b.open_matches = 0;
-    for (const DramCmd &c : read_q_) {
-        if (c.bank == bank && b.open_row == c.row)
-            ++b.open_matches;
-    }
-    for (const DramCmd &c : write_q_) {
-        if (c.bank == bank && b.open_row == c.row)
-            ++b.open_matches;
+    const std::size_t bi = static_cast<std::size_t>(b);
+    const std::int64_t row = banks_[bi].open_row;
+    for (CmdQueue *q : {&read_q_, &write_q_}) {
+        int n = 0;
+        for (const int slot : q->banks[bi])
+            n += q->slots[static_cast<std::size_t>(slot)].cmd.row == row
+                ? 1 : 0;
+        q->open_matches[bi] = n;
     }
 }
 
-int
-DramChannel::pickCas(const std::deque<DramCmd> &q, Cycle now) const
+Cycle
+DramChannel::casReadyAt(int b, bool is_write) const
 {
-    const int limit =
-        std::min<int>(static_cast<int>(q.size()), cfg_.sched_window);
-    for (int i = 0; i < limit; ++i) {
-        const DramCmd &c = q[static_cast<std::size_t>(i)];
-        const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
-        const Cycle turnaround = c.is_write ? 0 : b.wtr_ready;
-        if (b.open_row == c.row && b.col_ready <= now &&
-            b.act_done <= now && turnaround <= now) {
-            return i;
+    const Bank &bank = banks_[static_cast<std::size_t>(b)];
+    const Cycle t = std::max(bank.col_ready, bank.act_done);
+    return is_write ? t : std::max(t, bank.wtr_ready);
+}
+
+DramChannel::Pick
+DramChannel::pickCas(const CmdQueue &q, Cycle now) const
+{
+    Pick best;
+    std::int64_t best_key = 0;
+    for (int b = 0; b < cfg_.banks; ++b) {
+        const std::size_t bi = static_cast<std::size_t>(b);
+        if (q.open_matches[bi] == 0 || casReadyAt(b, q.writes) > now)
+            continue;
+        // The bank's first open-row command; one exists (the count).
+        const std::int64_t row = banks_[bi].open_row;
+        int pos = 0;
+        while (q.at(b, pos).cmd.row != row)
+            ++pos;
+        const std::int64_t key = q.at(b, pos).key;
+        if (best.bank < 0 || key < best_key) {
+            best = {b, pos};
+            best_key = key;
         }
     }
-    return -1;
+    return best;
 }
 
 int
-DramChannel::pickAct(const std::deque<DramCmd> &q) const
+DramChannel::pickAct(const CmdQueue &q) const
 {
     // Never close a row that still has queued hits: eager re-activation
-    // would turn those hits into misses and thrash the row buffer.
-    const int limit =
-        std::min<int>(static_cast<int>(q.size()), cfg_.sched_window);
-    for (int i = 0; i < limit; ++i) {
-        const DramCmd &c = q[static_cast<std::size_t>(i)];
-        const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
-        if (b.open_row != c.row && b.pending_row < 0 &&
-            b.open_matches == 0) {
-            return i;
+    // would turn those hits into misses and thrash the row buffer. With
+    // no open-row work in either queue, every command of the bank needs
+    // an activation, so its first one is its candidate.
+    int best = -1;
+    std::int64_t best_key = 0;
+    for (int b = 0; b < cfg_.banks; ++b) {
+        const std::size_t bi = static_cast<std::size_t>(b);
+        if (q.banks[bi].empty() || banks_[bi].pending_row >= 0 ||
+            read_q_.open_matches[bi] + write_q_.open_matches[bi] != 0) {
+            continue;
+        }
+        const std::int64_t key = q.at(b, 0).key;
+        if (best < 0 || key < best_key) {
+            best = b;
+            best_key = key;
         }
     }
-    return -1;
+    return best;
 }
 
-std::deque<DramCmd> &
-DramChannel::activeQueue()
+bool
+DramChannel::drainStep(bool draining) const
 {
     // Write-drain hysteresis (row-thrash control): writes batch in the
     // write buffer and drain together, instead of closing the rows the
     // read stream is hitting.
-    if (draining_writes_) {
-        if (static_cast<int>(write_q_.size()) <= cfg_.write_drain_low ||
-            write_q_.empty()) {
-            draining_writes_ = false;
-        }
-    } else {
-        if (static_cast<int>(write_q_.size()) >= cfg_.write_drain_high ||
-            read_q_.empty()) {
-            draining_writes_ = true;
-        }
-    }
-    if (draining_writes_ && !write_q_.empty())
+    const int writes = write_q_.size();
+    if (draining)
+        return !(writes <= cfg_.write_drain_low || writes == 0);
+    return writes >= cfg_.write_drain_high || read_q_.size() == 0;
+}
+
+DramChannel::CmdQueue &
+DramChannel::activeQueue()
+{
+    draining_writes_ = drainStep(draining_writes_);
+    if (draining_writes_ && write_q_.size() != 0)
         return write_q_;
     draining_writes_ = false;
     return read_q_;
 }
 
 void
-DramChannel::issue(std::deque<DramCmd> &q, int idx, Cycle now)
+DramChannel::activate(CmdQueue &q, int b, Cycle now)
 {
-    const int bank_idx = q[static_cast<std::size_t>(idx)].bank;
-    Bank &bank = banks_[static_cast<std::size_t>(bank_idx)];
-    const std::int64_t row = q[static_cast<std::size_t>(idx)].row;
+    // Precharge + activate bookkeeping only. The command stays queued;
+    // its CAS issues once the row is open, so the data bus is never
+    // reserved across the activation latency.
+    Bank &bank = banks_[static_cast<std::size_t>(b)];
+    Queued &head = q.at(b, 0);
+    const Cycle pre = std::max({now, bank.data_end, bank.write_recover});
+    const Cycle act = std::max({pre + cfg_.tRP,
+                                bank.last_activate + cfg_.tRC,
+                                last_activate_any_ + cfg_.tRRD});
+    bank.last_activate = act;
+    last_activate_any_ = act;
+    bank.open_row = head.cmd.row;
+    bank.act_done = act + cfg_.tRCD;
+    bank.col_ready = bank.act_done;
+    bank.pending_row = bank.open_row;
+    head.cmd.activated = true;
+    ++row_misses_;
+    recountOpenMatches(b);
+    // Move the claiming command to the head of its queue so it stays
+    // first in line and its CAS releases the claim. It already heads
+    // its bank list (pickAct only activates a bank's first command).
+    head.key = --q.front_key;
+}
 
-    if (bank.open_row != row) {
-        // Activation phase: precharge + activate bookkeeping only. The
-        // command stays queued; its CAS issues once the row is open, so
-        // the data bus is never reserved across the activation latency.
-        const Cycle pre =
-            std::max({now, bank.data_end, bank.write_recover});
-        const Cycle act = std::max({pre + cfg_.tRP,
-                                    bank.last_activate + cfg_.tRC,
-                                    last_activate_any_ + cfg_.tRRD});
-        bank.last_activate = act;
-        last_activate_any_ = act;
-        bank.open_row = row;
-        bank.act_done = act + cfg_.tRCD;
-        bank.col_ready = bank.act_done;
-        bank.pending_row = row;
-        q[idx].activated = true;
-        ++row_misses_;
-        recountOpenMatches(bank_idx);
-        // Keep the claiming command inside the scheduler's search
-        // window so its CAS always issues and releases the claim.
-        if (idx > 0) {
-            DramCmd moved = q[idx];
-            q.erase(q.begin() + idx);
-            q.push_front(moved);
-        }
-        return;
-    }
-
-    DramCmd cmd = q[idx];
-    q.erase(q.begin() + idx);
-    if (bank.open_matches > 0)
-        --bank.open_matches;
-    if (bank.pending_row == row)
+void
+DramChannel::issueCas(CmdQueue &q, Pick at, Cycle now)
+{
+    const std::size_t bi = static_cast<std::size_t>(at.bank);
+    Bank &bank = banks_[bi];
+    std::vector<int> &list = q.banks[bi];
+    const int slot = list[static_cast<std::size_t>(at.pos)];
+    const DramCmd cmd = q.slots[static_cast<std::size_t>(slot)].cmd;
+    list.erase(list.begin() + at.pos);
+    q.free_slots.push_back(slot);
+    --q.open_matches[bi];
+    if (bank.pending_row == cmd.row)
         bank.pending_row = -1;
     if (!cmd.activated)
         ++row_hits_;
 
     // Column command: pipelines at tCCDL spacing; the CAS latency
     // overlaps with earlier transfers. tWTR gates only read-after-write.
-    Cycle col = std::max({now, bank.col_ready, bank.act_done});
-    if (!cmd.is_write)
-        col = std::max(col, bank.wtr_ready);
+    const Cycle col = std::max(now, casReadyAt(at.bank, cmd.is_write));
     bank.col_ready = col + cfg_.tCCDL;
     Cycle data_ready = col + cfg_.tCL;
 
@@ -234,7 +259,7 @@ DramChannel::issue(std::deque<DramCmd> &q, int idx, Cycle now)
         const Cycle bus_start = start_q / 4;
         const Cycle bus_dur = std::max<std::uint64_t>(1, busy_q / 4);
         trace::complete(trace::kDram, trace::kPidDram,
-                        id_ * 100 + bank_idx,
+                        id_ * 100 + at.bank,
                         cmd.is_write ? "write" : "read", bus_start, bus_dur,
                         "line", cmd.line);
     }
@@ -259,36 +284,36 @@ void
 DramChannel::cycle(Cycle now)
 {
     advanceBusWindows(now);
-    if (read_q_.empty() && write_q_.empty())
+    if (read_q_.size() == 0 && write_q_.size() == 0)
         return;
     if (static_cast<int>(completed_.size()) >= cfg_.banks + 8) {
         ++sched_blocked_cap_;
         return;
     }
-    std::deque<DramCmd> &q = activeQueue();
+    CmdQueue &q = activeQueue();
 
     // One activation and one CAS may issue per cycle (command/address
     // bandwidth is not the bottleneck this model studies).
-    const int act_idx = pickAct(q);
-    if (act_idx >= 0)
-        issue(q, act_idx, now);
+    const int act_bank = pickAct(q);
+    if (act_bank >= 0)
+        activate(q, act_bank, now);
 
-    const int cas_idx = pickCas(q, now);
-    if (cas_idx >= 0) {
-        issue(q, cas_idx, now);
+    const Pick cas = pickCas(q, now);
+    if (cas.bank >= 0) {
+        issueCas(q, cas, now);
         return;
     }
     // Opportunistic CAS from the inactive queue: open-row hits there
     // cost almost nothing, and claims/hits left stranded across
     // drain-mode switches would otherwise wedge their banks (row
     // re-activation is blocked while same-row work is queued).
-    std::deque<DramCmd> &other = (&q == &read_q_) ? write_q_ : read_q_;
-    const int other_idx = pickCas(other, now);
-    if (other_idx >= 0) {
-        issue(other, other_idx, now);
+    CmdQueue &other = q.writes ? read_q_ : write_q_;
+    const Pick other_cas = pickCas(other, now);
+    if (other_cas.bank >= 0) {
+        issueCas(other, other_cas, now);
         return;
     }
-    if (act_idx < 0)
+    if (act_bank < 0)
         ++sched_no_eligible_;
 }
 
@@ -299,7 +324,7 @@ DramChannel::nextWork(Cycle now) const
     // Queued completions become partition work at their finish time.
     for (const DramCompletion &c : completed_)
         e = std::min(e, c.finish > now ? c.finish : now);
-    if (read_q_.empty() && write_q_.empty())
+    if (read_q_.size() == 0 && write_q_.size() == 0)
         return e;
     if (static_cast<int>(completed_.size()) >= cfg_.banks + 8)
         return e;   // scheduler blocked until a completion drains
@@ -307,45 +332,22 @@ DramChannel::nextWork(Cycle now) const
     // static queues the drain flag reaches a fixpoint after one update;
     // if a second update disagrees it oscillates cycle-to-cycle (empty
     // read queue, small write backlog) and no cycle is skippable.
-    auto drain_step = [this](bool d) {
-        if (d) {
-            if (static_cast<int>(write_q_.size()) <= cfg_.write_drain_low ||
-                write_q_.empty()) {
-                d = false;
-            }
-        } else {
-            if (static_cast<int>(write_q_.size()) >= cfg_.write_drain_high ||
-                read_q_.empty()) {
-                d = true;
-            }
-        }
-        return d;
-    };
-    const bool d1 = drain_step(draining_writes_);
-    if (drain_step(d1) != d1)
+    const bool d1 = drainStep(draining_writes_);
+    if (drainStep(d1) != d1)
         return now;
-    const std::deque<DramCmd> &q =
-        (d1 && !write_q_.empty()) ? write_q_ : read_q_;
+    const CmdQueue &q = (d1 && write_q_.size() != 0) ? write_q_ : read_q_;
     if (pickAct(q) >= 0)
         return now;     // activation eligibility is time-independent
     // No activation possible: the next issue is the earliest CAS whose
     // bank timing gates clear. pickCas scans both queues (active +
     // opportunistic), so so does the bound.
-    auto earliest_cas = [this, now](const std::deque<DramCmd> &cq,
-                                    Cycle bound) {
-        for (const DramCmd &c : cq) {
-            const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
-            if (b.open_row != c.row)
-                continue;
-            Cycle t = std::max(b.col_ready, b.act_done);
-            if (!c.is_write)
-                t = std::max(t, b.wtr_ready);
-            bound = std::min(bound, t > now ? t : now);
-        }
-        return bound;
-    };
-    e = earliest_cas(read_q_, e);
-    e = earliest_cas(write_q_, e);
+    for (int b = 0; b < cfg_.banks; ++b) {
+        const std::size_t bi = static_cast<std::size_t>(b);
+        if (read_q_.open_matches[bi] != 0)
+            e = std::min(e, std::max(casReadyAt(b, false), now));
+        if (write_q_.open_matches[bi] != 0)
+            e = std::min(e, std::max(casReadyAt(b, true), now));
+    }
     return e;
 }
 
@@ -363,7 +365,7 @@ DramChannel::skipIdle(Cycle from, Cycle to)
     // replicate is to-1 — advancing to `to` would close a window one
     // call early and break byte-identicality across loop modes.
     advanceBusWindows(to - 1);
-    if (read_q_.empty() && write_q_.empty())
+    if (read_q_.size() == 0 && write_q_.size() == 0)
         return;
     const std::uint64_t k = to - from;
     if (static_cast<int>(completed_.size()) >= cfg_.banks + 8)

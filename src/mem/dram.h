@@ -10,12 +10,14 @@
  * 1x-bandwidth burst time of 1.5 core cycles (177.4 GB/s over 6 channels
  * at a 1.4 GHz core) is exact. Refresh and bank-group tCCDL are folded
  * into the burst gap.
+ *
+ * Both queues are indexed by bank (see CmdQueue), so every FR-FCFS pick
+ * is an argmin over the banks rather than a scan over the commands.
  */
 #ifndef CABA_MEM_DRAM_H
 #define CABA_MEM_DRAM_H
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/component.h"
@@ -56,11 +58,6 @@ struct DramConfig
     int burst_quarters = 6;
 
     int queue_capacity = 64;        ///< Read queue entries.
-
-    /** FR-FCFS associative search window. Must cover the whole queue:
-     *  the row-preserving activation rule tracks open-row work across
-     *  the full queue, and work outside the window could never drain. */
-    int sched_window = 256;
     int write_queue_capacity = 64;  ///< Write buffer entries.
 
     /** Write-drain hysteresis: start draining when the write buffer
@@ -135,14 +132,15 @@ class DramChannel : public Clocked
     bool
     busy() const override
     {
-        return !read_q_.empty() || !write_q_.empty() || !completed_.empty();
+        return read_q_.size() != 0 || write_q_.size() != 0 ||
+               !completed_.empty();
     }
 
     /** Fraction of elapsed time the data bus moved data. */
     double busUtilization(Cycle elapsed) const;
 
     /** Current read-queue occupancy (counter trace track). */
-    int readQueueDepth() const { return static_cast<int>(read_q_.size()); }
+    int readQueueDepth() const { return read_q_.size(); }
 
     /** Assembles the counter snapshot (reads, writes, bursts, rows...). */
     StatSet stats() const;
@@ -170,37 +168,113 @@ class DramChannel : public Clocked
         /** Row activated on behalf of a still-queued command; blocks
          *  competing activations until that command's CAS issues. */
         std::int64_t pending_row = -1;
+    };
 
-        /** Queued commands (either queue) matching the open row; a
-         *  bank with open-row work is never re-activated (row-thrash
-         *  control). Maintained incrementally. */
-        int open_matches = 0;
+    /** A queued command and its place in its queue's FR-FCFS order. */
+    struct Queued
+    {
+        std::int64_t key = 0;   ///< Queue order: ascending key.
+        DramCmd cmd;
+    };
+
+    /**
+     * One command queue (reads or writes), indexed by bank. Queue order
+     * is ascending key: enqueue() appends with a rising key and an
+     * activation moves its command to the head of the queue with a
+     * falling key, which is exactly the order of a FIFO whose claiming
+     * commands move to the front. Each bank's list holds the slots of
+     * that bank's commands in queue order, so "the first command in the
+     * queue with property P" is the smallest key over the banks' first
+     * P-commands. Commands live in a slot array that grows to the
+     * queue's peak occupancy and reuses freed slots; the bank lists
+     * move only slot numbers.
+     */
+    struct CmdQueue
+    {
+        bool writes = false;    ///< The write queue (tWTR does not gate).
+        std::vector<Queued> slots;
+        std::vector<int> free_slots;
+        std::vector<std::vector<int>> banks;
+
+        /** Per bank: queued commands matching the bank's open row (a
+         *  bank with open-row work in either queue is never
+         *  re-activated). Exact at all times. */
+        std::vector<int> open_matches;
+
+        std::int64_t back_key = 0;  ///< Next enqueue key.
+        std::int64_t front_key = 0; ///< Last head key handed out.
+
+        /** Queued commands. */
+        int
+        size() const
+        {
+            return static_cast<int>(slots.size() - free_slots.size());
+        }
+
+        /** The command at position @p pos of bank @p b's list. */
+        Queued &
+        at(int b, int pos)
+        {
+            return slots[static_cast<std::size_t>(
+                banks[static_cast<std::size_t>(b)]
+                     [static_cast<std::size_t>(pos)])];
+        }
+
+        const Queued &
+        at(int b, int pos) const
+        {
+            return slots[static_cast<std::size_t>(
+                banks[static_cast<std::size_t>(b)]
+                     [static_cast<std::size_t>(pos)])];
+        }
+    };
+
+    /** A pick in a CmdQueue: bank list and position within it. */
+    struct Pick
+    {
+        int bank = -1;
+        int pos = 0;
     };
 
     int bankOf(Addr line) const;
     std::int64_t rowOf(Addr line) const;
 
-    /** FR-FCFS pick within @p q: delivery-ready CAS first, else -1. */
-    int pickCas(const std::deque<DramCmd> &q, Cycle now) const;
+    /** Bank-timing gate for a CAS to bank @p b from the read or write
+     *  queue: the earliest cycle its column command may issue. */
+    Cycle casReadyAt(int b, bool is_write) const;
 
-    /** Oldest command in @p q needing an unclaimed activation, or -1. */
-    int pickAct(const std::deque<DramCmd> &q) const;
+    /** FR-FCFS pick within @p q: the first delivery-ready open-row
+     *  command in queue order (bank -1 when none). */
+    Pick pickCas(const CmdQueue &q, Cycle now) const;
 
-    void issue(std::deque<DramCmd> &q, int idx, Cycle now);
+    /** Bank whose first command in @p q is the oldest one needing an
+     *  unclaimed activation, or -1. */
+    int pickAct(const CmdQueue &q) const;
+
+    /** Precharge + activate for the first command of bank @p b in @p q;
+     *  the command stays queued, moved to the head of @p q. */
+    void activate(CmdQueue &q, int b, Cycle now);
+
+    /** Issues the column command at @p at and dequeues it. */
+    void issueCas(CmdQueue &q, Pick at, Cycle now);
+
+    /** One update of the write-drain flag @p draining. */
+    bool drainStep(bool draining) const;
 
     /** The queue the scheduler serves this cycle (write drain mode). */
-    std::deque<DramCmd> &activeQueue();
+    CmdQueue &activeQueue();
+
+    /** Recounts both queues' open-row matches for bank @p b after its
+     *  row changed. */
+    void recountOpenMatches(int b);
 
     DramConfig cfg_;
     int id_;
     std::vector<Bank> banks_;
-    std::deque<DramCmd> read_q_;
-    std::deque<DramCmd> write_q_;
+    CmdQueue read_q_;
+    CmdQueue write_q_;
     bool draining_writes_ = false;
     std::vector<DramCompletion> completed_;
-
-    /** Recounts @c open_matches for @p bank after its row changed. */
-    void recountOpenMatches(int bank);
 
     /** Data-bus reservation head, in quarter-cycles. */
     std::uint64_t bus_free_q_ = 0;

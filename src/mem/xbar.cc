@@ -1,6 +1,7 @@
 #include "mem/xbar.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.h"
 #include "common/trace.h"
@@ -11,12 +12,13 @@ XbarDirection::XbarDirection(int inputs, int outputs, const XbarConfig &cfg,
                              int trace_tid_base)
     : cfg_(cfg), inputs_(inputs), outputs_(outputs),
       trace_tid_base_(trace_tid_base),
-      in_q_(inputs), port_busy_until_(outputs, 0), rr_(outputs, 0),
-      out_q_(outputs), flying_per_out_(outputs, 0),
+      in_q_(inputs), head_mask_(outputs, 0), port_busy_until_(outputs, 0),
+      rr_(outputs, 0), out_q_(outputs), flying_per_out_(outputs, 0),
       in_ports_(static_cast<std::size_t>(inputs)),
       out_ports_(static_cast<std::size_t>(outputs))
 {
     CABA_CHECK(inputs > 0 && outputs > 0, "bad crossbar geometry");
+    CABA_CHECK(inputs <= 64, "head-of-line masks support at most 64 inputs");
     for (int i = 0; i < inputs; ++i) {
         in_ports_[static_cast<std::size_t>(i)].x_ = this;
         in_ports_[static_cast<std::size_t>(i)].in_ = i;
@@ -67,7 +69,19 @@ XbarDirection::push(int in, int out, const MemRequest &req)
         return;
     }
     in_q_[in].emplace_back(out, req);
+    if (in_q_[in].size() == 1)
+        setHead(in, -1, out);
     ++queued_packets_;
+}
+
+void
+XbarDirection::setHead(int in, int old_out, int new_out)
+{
+    const std::uint64_t bit = std::uint64_t{1} << in;
+    if (old_out >= 0)
+        head_mask_[static_cast<std::size_t>(old_out)] &= ~bit;
+    if (new_out >= 0)
+        head_mask_[static_cast<std::size_t>(new_out)] |= bit;
 }
 
 void
@@ -98,31 +112,33 @@ XbarDirection::cycle(Cycle now)
                 cfg_.output_queue) {
             continue;
         }
-        for (int k = 0; k < inputs_; ++k) {
-            const int in = (rr_[out] + k) % inputs_;
-            auto &q = in_q_[in];
-            if (q.empty() || q.front().first != out)
-                continue;
-            const MemRequest req = q.front().second;
-            q.pop_front();
-            --queued_packets_;
-            const int flits = req.flits();
-            port_busy_until_[out] = now + flits;
-            flying_.push_back({req, out, now + flits + cfg_.latency});
-            ++flying_per_out_[out];
-            ++arbitrated_;
-            stats_.add("packets");
-            stats_.add("flits", static_cast<std::uint64_t>(flits));
-            if (trace::on(trace::kXbar)) {
-                // Span = output-port occupancy of this packet.
-                trace::complete(trace::kXbar, trace::kPidXbar,
-                                trace_tid_base_ + out, "packet", now,
-                                static_cast<Cycle>(flits), "flits",
-                                static_cast<std::uint64_t>(flits));
-            }
-            rr_[out] = (in + 1) % inputs_;
-            break;
+        // The first input at or after rr_[out] whose head targets
+        // this output, wrapping around.
+        const std::uint64_t heads = head_mask_[out];
+        if (heads == 0)
+            continue;
+        const std::uint64_t from_rr = heads & (~std::uint64_t{0} << rr_[out]);
+        const int in = std::countr_zero(from_rr != 0 ? from_rr : heads);
+        auto &q = in_q_[in];
+        const MemRequest req = q.front().second;
+        q.pop_front();
+        setHead(in, out, q.empty() ? -1 : q.front().first);
+        --queued_packets_;
+        const int flits = req.flits();
+        port_busy_until_[out] = now + flits;
+        flying_.push_back({req, out, now + flits + cfg_.latency});
+        ++flying_per_out_[out];
+        ++arbitrated_;
+        ++packets_;
+        flits_ += static_cast<std::uint64_t>(flits);
+        if (trace::on(trace::kXbar)) {
+            // Span = output-port occupancy of this packet.
+            trace::complete(trace::kXbar, trace::kPidXbar,
+                            trace_tid_base_ + out, "packet", now,
+                            static_cast<Cycle>(flits), "flits",
+                            static_cast<std::uint64_t>(flits));
         }
+        rr_[out] = (in + 1) % inputs_;
     }
 }
 
@@ -161,13 +177,12 @@ XbarDirection::nextWork(Cycle now) const
     Cycle e = kNoWork;
     for (const InFlight &f : flying_)
         e = std::min(e, f.deliver_at > now ? f.deliver_at : now);
-    for (const auto &q : in_q_) {
-        if (q.empty())
+    for (int out = 0; out < outputs_; ++out) {
+        if (head_mask_[static_cast<std::size_t>(out)] == 0)
             continue;
-        const int out = q.front().first;
         // A full destination (queued + flying >= capacity) unblocks via
         // the flying_ term above or the ready-delivery case; otherwise
-        // the head packet can start once the port frees up.
+        // a head packet can start once the port frees up.
         if (static_cast<int>(out_q_[static_cast<std::size_t>(out)].size()) +
                 flying_per_out_[static_cast<std::size_t>(out)] >=
             cfg_.output_queue) {
@@ -178,6 +193,18 @@ XbarDirection::nextWork(Cycle now) const
         e = std::min(e, free_at > now ? free_at : now);
     }
     return e;
+}
+
+StatSet
+XbarDirection::stats() const
+{
+    // Both keys appear with the first arbitrated packet, never before.
+    StatSet s;
+    if (packets_ > 0) {
+        s.setCounter("packets", packets_);
+        s.setCounter("flits", flits_);
+    }
+    return s;
 }
 
 void
@@ -201,11 +228,8 @@ XbarDirection::audit(Audit &a, const char *name, bool at_drain) const
 bool
 XbarDirection::busy() const
 {
-    if (!flying_.empty())
+    if (!flying_.empty() || queued_packets_ > 0)
         return true;
-    for (const auto &q : in_q_)
-        if (!q.empty())
-            return true;
     for (const auto &q : out_q_)
         if (!q.empty())
             return true;

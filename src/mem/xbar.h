@@ -8,6 +8,7 @@
 #ifndef CABA_MEM_XBAR_H
 #define CABA_MEM_XBAR_H
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -29,9 +30,11 @@ struct XbarConfig
 };
 
 /**
- * One direction of the crossbar: @p inputs input ports, @p outputs
- * output ports, per-output round-robin arbitration at packet
- * granularity, output-port occupancy proportional to flit count.
+ * One direction of the crossbar: @p inputs input ports (at most 64),
+ * @p outputs output ports, per-output round-robin arbitration at packet
+ * granularity, output-port occupancy proportional to flit count. Each
+ * output keeps a bitmask of the inputs whose head packet targets it, so
+ * a round-robin pick is a rotated find-first-set.
  */
 class XbarDirection : public Clocked
 {
@@ -67,7 +70,8 @@ class XbarDirection : public Clocked
      */
     Cycle nextWork(Cycle now) const override;
 
-    const StatSet &stats() const { return stats_; }
+    /** Assembles the counter snapshot (packets, flits). */
+    StatSet stats() const;
 
     /** Registers the lifecycle audit; packets entering this direction
      *  are tagged with @p stage (request vs reply side). */
@@ -144,18 +148,28 @@ class XbarDirection : public Clocked
         Cycle at = 0;
     };
 
+    /** Input @p in's head packet now targets @p new_out instead of
+     *  @p old_out; -1 on either side means no head (empty queue). */
+    void setHead(int in, int old_out, int new_out);
+
     XbarConfig cfg_;
     int inputs_;
     int outputs_;
     int trace_tid_base_;
     std::vector<std::deque<std::pair<int, MemRequest>>> in_q_;
+    /** Per output: bit i set iff input i's head packet targets it. */
+    std::vector<std::uint64_t> head_mask_;
     std::vector<Cycle> port_busy_until_;
     std::vector<int> rr_;
     std::vector<std::deque<Delivered>> out_q_;
     std::vector<InFlight> flying_;
     std::vector<int> flying_per_out_;
     int queued_packets_ = 0;
-    StatSet stats_;
+
+    // counters (hot path: plain members, assembled by stats())
+    std::uint64_t packets_ = 0;
+    std::uint64_t flits_ = 0;
+
     Audit *audit_ = nullptr;
     ReqStage stage_ = ReqStage::XbarReq;
     bool fault_drop_next_store_ = false;

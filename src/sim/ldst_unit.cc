@@ -105,6 +105,19 @@ LdstUnit::issuePrefetch(Addr line, Cycle now)
 }
 
 bool
+LdstUnit::replayStalled() const
+{
+    if (!st_.busy || st_.cursor >= st_.access.lines.size())
+        return false;
+    const bool out_full = static_cast<int>(out_req_.size()) >= out_queue_;
+    if (st_.is_store)
+        return out_full;
+    const Addr line = st_.access.lines[st_.cursor];
+    return !l1_.contains(line) && mshrs_.count(line) == 0 &&
+           (static_cast<int>(mshrs_.size()) >= mshr_entries_ || out_full);
+}
+
+bool
 LdstUnit::drain(Cycle now)
 {
     if (!st_.busy)

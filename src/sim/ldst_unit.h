@@ -72,6 +72,16 @@ class LdstUnit
     bool busy() const { return st_.busy; }
     bool hasFreeLoadSlot() const { return !free_load_slots_.empty(); }
 
+    /**
+     * True when drain() would report a structural stall and change
+     * nothing: the cursor line is a load miss with no MSHR to merge
+     * into while the MSHR table or the out-queue is full, or a store
+     * while the out-queue is full. Only a fill (which frees an MSHR)
+     * or an out-queue take can end it. (A compressed-L1 hit that
+     * replays on a full AWT re-counts the hit, so it is not pure.)
+     */
+    bool replayStalled() const;
+
     /** Starts a coalesced access; returns the buffer genLines fills. */
     MemAccess &beginAccess(bool is_store, int warp);
 

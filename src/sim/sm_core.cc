@@ -621,11 +621,22 @@ SmCore::issueStage(Cycle now)
         }
 
         // 2. Regular warps: greedy-then-oldest (Table 1), or loose
-        // round-robin when cfg_.gto is off (scheduler ablation).
+        // round-robin when cfg_.gto is off (scheduler ablation). While
+        // the memory port is taken or the LDST unit is busy, a ready
+        // warp whose head is a global memory op is refused by
+        // tryIssueRegular without side effects, so the pick passes it
+        // over and the slot takes the same memory-structural flags.
         if (!issued) {
+            const std::uint64_t futile = mem_port_used_ || ldst_.busy()
+                ? sched_.headGlobalMask() : 0;
+            bool futile_seen = false;
             issued = sched_.pickAndIssue(
-                s, &saw_data_block_,
+                s, futile, &saw_data_block_, &futile_seen,
                 [&](int w) { return tryIssueRegular(w, now); });
+            if (futile_seen) {
+                saw_mem_block_ = true;
+                slot_mem_block_ = true;
+            }
         }
 
         // 3. Low-priority assist warps fill idle slots (Section 3.4).
@@ -828,18 +839,29 @@ SmCore::nextWork(Cycle now) const
 {
     if (done())
         return kNoWork;
-    // Any in-flight LDST work, queued requests, or fills awaiting AWT
-    // room can change state next cycle (queued fills also burn an AWT
-    // rejection counter per ticked cycle — the skip must not hide that).
-    // A structurally stalled LDST unit replays as a near-no-op, but
-    // letting the clock skip over it would also skip the DRAM command
-    // scheduler's cycle-accurate arbitration downstream, so a busy LDST
-    // unit always pins `now`.
-    if (ldst_.busy() || !ldst_.out().empty() || !pending_fills_.empty())
+    // Fills awaiting AWT room retry, and burn an AWT rejection counter,
+    // on every ticked cycle: the skip must not hide that.
+    if (!pending_fills_.empty())
         return now;
-    // A decodable warp fills its ibuf; a scoreboard-ready warp issues.
-    if (kernel_ && (sched_.anyDecodable() || sched_.anyReady()))
+    // A busy LDST unit drains next cycle unless it is in a pure replay
+    // stall, which only a fill (a reply, a FillDone ring event or a
+    // decompression assist warp's completion) or an out-queue take
+    // ends; each wakes the core. Sleeping through it skips nothing
+    // downstream: every component keeps its own wake time. An idle
+    // unit with queued requests still pins `now`.
+    const bool replay = ldst_.busy() && ldst_.replayStalled();
+    if (ldst_.busy() ? !replay : !ldst_.out().empty())
         return now;
+    // A decodable warp fills its ibuf; a scoreboard-ready warp issues,
+    // unless it needs the replay-stalled LDST unit (its attempt fails
+    // without effect).
+    if (kernel_) {
+        const std::uint64_t can_issue = replay
+            ? sched_.issuableMask() & ~sched_.headGlobalMask()
+            : sched_.issuableMask();
+        if (sched_.anyDecodable() || can_issue != 0)
+            return now;
+    }
     Cycle e = kNoWork;
     for (const AssistWarp &aw : awc_.table()) {
         if (!aw.finishedIssuing() && aw.priority == AssistPriority::Low) {
@@ -888,22 +910,33 @@ SmCore::skipIdle(Cycle from, Cycle to)
     }
     if (sched_.liveWarps() == 0 && awc_.table().empty())
         return;     // retired SM: classifyCycle counts nothing.
-    // During a quiescent stretch every live warp holds a scoreboard-
-    // blocked instruction (else nextWork would have returned `now`), a
-    // data stall; with no live warps but a non-empty AWT the cycles are
-    // idle — exactly what classifyCycle would have counted.
-    const int cls = sched_.liveWarps() > 0 ? 3 : 4;
-    if (cls == 3)
+    // nextWork permits two kinds of stretch. In an LDST replay stall
+    // every cycle's drain flags a structural stall, so the cycle is a
+    // memory stall and every slot memory structural. Otherwise the
+    // stretch is quiescent: every live warp holds a scoreboard-blocked
+    // instruction, a data stall; with no live warps but a non-empty
+    // AWT the cycles are idle. Either way exactly what classifyCycle
+    // and classifySlotStall would have counted.
+    const bool replay = ldst_.busy();
+    CABA_CHECK(!replay || ldst_.replayStalled(),
+               "skipped cycles of an LDST unit that could drain");
+    int cls = 4;
+    if (replay) {
+        cls = 1;
+        breakdown_.mem_stall += k;
+    } else if (sched_.liveWarps() > 0) {
+        cls = 3;
         breakdown_.data_stall += k;
-    else
+    } else {
         breakdown_.idle += k;
-    // Exact slot taxonomy over the skipped cycles: no issue attempts
-    // happen while quiescent (issuable is empty, the LDST unit is
-    // drained, no assist warp is ready), so every slot classifies from
-    // the frozen scheduler bitsets — identical for each skipped cycle.
+    }
+    // Exact slot taxonomy over the skipped cycles: no issue attempt
+    // can succeed (nothing else is ready, no assist warp can issue), so
+    // every slot classifies from frozen state — identical for each
+    // skipped cycle.
     accounted_cycles_ += k;
     for (int s = 0; s < cfg_.schedulers; ++s) {
-        const int cat = classifySlotQuiescent(s);
+        const int cat = replay ? kSlotMemStruct : classifySlotQuiescent(s);
         slot_counts_[static_cast<std::size_t>(cat)] += k;
         const std::size_t si = static_cast<std::size_t>(s);
         if (!trace::on(trace::kSlots)) {

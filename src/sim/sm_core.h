@@ -154,14 +154,19 @@ class SmCore : public Clocked,
     /**
      * Earliest cycle >= @p now at which ticking this core could change
      * state: an event-ring bucket fires, an assist warp becomes ready,
-     * a warp can decode or issue, or the LDST unit has work in flight.
+     * a warp can decode or issue, or the LDST unit can make progress.
+     * A core whose LDST unit is in a pure replay stall (see
+     * LdstUnit::replayStalled) and whose ready warps all wait for it
+     * sleeps until a fill, an out-queue take or one of those events.
      */
     Cycle nextWork(Cycle now) const override;
 
     /**
      * Accounts the skipped cycles [from, to) exactly as ticking them
      * would have: issue-slot history for the throttle window, the
-     * Figure 1 breakdown, and the warp-category trace span.
+     * Figure 1 breakdown, the slot taxonomy and the trace spans, for a
+     * quiescent stretch (data stall or idle) or an LDST replay stall
+     * (memory structural).
      */
     void skipIdle(Cycle from, Cycle to) override;
 

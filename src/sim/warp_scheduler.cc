@@ -43,7 +43,8 @@ WarpScheduler::launch(const KernelInfo *kernel, int num_warps,
         ws.global_id = warp_global_base + w * warp_global_stride;
         ws.trips_left = std::max(1, kernel->iterations(ws.global_id));
     }
-    issuable_ = blocked_ = mem_blocked_ = live_ = decodable_ = 0;
+    issuable_ = blocked_ = mem_blocked_ = live_ = decodable_ =
+        head_global_ = 0;
     for (int w = 0; w < max_warps_; ++w)
         refreshWarp(w);
 }
@@ -110,12 +111,6 @@ bool
 WarpScheduler::anyDecodable() const
 {
     return kernel_ != nullptr && decodable_ != 0;
-}
-
-bool
-WarpScheduler::anyReady() const
-{
-    return issuable_ != 0;
 }
 
 } // namespace caba

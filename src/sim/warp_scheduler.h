@@ -7,12 +7,13 @@
  * through a try-issue callback and keeps its greedy/rotation bookkeeping
  * consistent with whether the issue actually happened.
  *
- * Selection is struct-of-arrays: three uint64 bitsets (issuable,
- * operand-blocked, decodable — one bit per warp) are kept in lockstep
- * with the per-warp state, so the per-cycle decode and issue picks are
- * rotated word-scans instead of per-warp loops. Any out-of-band
- * mutation of a WarpState must be followed by refreshWarp(); the picks
- * visit warps in exactly the order the historical loops did.
+ * Selection is struct-of-arrays: uint64 bitsets (issuable,
+ * operand-blocked, decodable, head-is-global — one bit per warp) are
+ * kept in lockstep with the per-warp state, so the per-cycle decode and
+ * issue picks are rotated word-scans instead of per-warp loops. Any
+ * out-of-band mutation of a WarpState must be followed by
+ * refreshWarp(); the picks visit warps in exactly the order the
+ * historical loops did.
  */
 #ifndef CABA_SIM_WARP_SCHEDULER_H
 #define CABA_SIM_WARP_SCHEDULER_H
@@ -139,6 +140,7 @@ class WarpScheduler
         setBit(&mem_blocked_, bit,
                buffered && !ready &&
                    (frontNeed(ws) & ws.pending_mem_regs) != 0);
+        setBit(&head_global_, bit, buffered && frontGlobal(ws));
         setBit(&live_, bit, alive);
         setBit(&decodable_, bit,
                alive && !ws.decode_done &&
@@ -156,18 +158,28 @@ class WarpScheduler
      * invoked with a ready warp id and reports whether the issue took a
      * pipeline slot; greedy/rotation state updates only on success.
      * Warps blocked on operands set @p *saw_data_block.
+     *
+     * @p futile names ready warps the caller knows try_issue would
+     * refuse without side effects (a global memory op while the LDST
+     * unit is taken): they are passed over in their turn, setting
+     * @p *saw_futile instead of being offered.
      */
     template <typename TryIssue>
     bool
-    pickAndIssue(int s, bool *saw_data_block, TryIssue &&try_issue)
+    pickAndIssue(int s, std::uint64_t futile, bool *saw_data_block,
+                 bool *saw_futile, TryIssue &&try_issue)
     {
         const std::size_t si = static_cast<std::size_t>(s);
         const int g = greedy_warp_[si];
         if (gto_ && g != kInvalidWarp && ((issuable_ >> g) & 1)) {
-            const bool ok = try_issue(g);
-            refreshWarp(g);
-            if (ok)
-                return true;
+            if ((futile >> g) & 1) {
+                *saw_futile = true;
+            } else {
+                const bool ok = try_issue(g);
+                refreshWarp(g);
+                if (ok)
+                    return true;
+            }
         }
         const int slots = max_warps_ / schedulers_;
         const int start = gto_ ? 0 : lrr_next_[si];
@@ -188,6 +200,10 @@ class WarpScheduler
                     *saw_data_block = true;
                     continue;
                 }
+                if ((futile >> w) & 1) {
+                    *saw_futile = true;
+                    continue;
+                }
                 const bool ok = try_issue(w);
                 refreshWarp(w);
                 if (ok) {
@@ -205,9 +221,6 @@ class WarpScheduler
     /** True when any warp could accept decoded instructions. */
     bool anyDecodable() const;
 
-    /** True when any warp passes the scoreboard this cycle. */
-    bool anyReady() const;
-
     // -- selection-bitset views (for SmCore's slot taxonomy and the
     //    profiling assist warp's stall-vector samples) --
 
@@ -215,6 +228,7 @@ class WarpScheduler
     std::uint64_t blockedMask() const { return blocked_; }
     std::uint64_t memBlockedMask() const { return mem_blocked_; }
     std::uint64_t liveMask() const { return live_; }
+    std::uint64_t headGlobalMask() const { return head_global_; }
 
     std::uint64_t
     parityMask(int s) const
@@ -247,6 +261,14 @@ class WarpScheduler
         return (w.pending_regs & frontNeed(w)) == 0;
     }
 
+    /** True when @p w's front instruction (ibuf nonempty) is a global
+     *  load or store, i.e. needs the LDST unit. */
+    static bool
+    frontGlobal(const WarpState &w)
+    {
+        return isGlobalMem(w.ibuf.front().inst->op);
+    }
+
     static void
     setBit(std::uint64_t *mask, std::uint64_t bit, bool on)
     {
@@ -274,6 +296,7 @@ class WarpScheduler
     std::uint64_t mem_blocked_ = 0; ///< blocked, waiting on a load result
     std::uint64_t live_ = 0;        ///< exists and not retired
     std::uint64_t decodable_ = 0;   ///< exists, fetchable, ibuf has room
+    std::uint64_t head_global_ = 0; ///< buffered, head is a global ld/st
 
     /** Bit w set iff w % schedulers == s (scheduler s's warps). */
     std::vector<std::uint64_t> parity_mask_;

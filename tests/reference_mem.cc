@@ -1,0 +1,538 @@
+// Test-only copies; see reference_mem.h. The bodies are the shipped
+// implementations before bank-indexed FR-FCFS queues and head-of-line
+// arbitration masks, less tracing and audit hooks. The DRAM scheduler
+// window they once had is gone: it was checked to cover both queues,
+// so it never shortened a scan.
+#include "reference_mem.h"
+
+#include <algorithm>
+
+#include "common/log.h"
+
+namespace caba {
+namespace ref {
+
+namespace {
+
+/** 256B chunks striped across channels; this is the chunk's index in
+ *  the channel's local address space. */
+constexpr Addr kChunkBytes = 256;
+
+} // namespace
+
+DramChannel::DramChannel(const DramConfig &cfg)
+    : cfg_(cfg), banks_(cfg.banks)
+{
+    CABA_CHECK(cfg_.banks > 0, "channel needs banks");
+    CABA_CHECK(cfg_.burst_quarters > 0, "bad burst time");
+    CABA_CHECK(cfg_.write_drain_low < cfg_.write_drain_high &&
+               cfg_.write_drain_high <= cfg_.write_queue_capacity,
+               "bad write-drain marks");
+}
+
+int
+DramChannel::bankOf(Addr line) const
+{
+    // Channel-local layout [row | bank | column]: each bank owns
+    // row_bytes of contiguous channel addresses per row, so a sweeping
+    // stream keeps one open row per bank while striping across banks.
+    const Addr chunk = line / kChunkBytes /
+                       static_cast<Addr>(cfg_.channels);
+    const Addr chunks_per_col =
+        static_cast<Addr>(cfg_.row_bytes) / kChunkBytes;
+    return static_cast<int>((chunk / chunks_per_col) % cfg_.banks);
+}
+
+std::int64_t
+DramChannel::rowOf(Addr line) const
+{
+    const Addr chunk = line / kChunkBytes /
+                       static_cast<Addr>(cfg_.channels);
+    const Addr chunks_per_col =
+        static_cast<Addr>(cfg_.row_bytes) / kChunkBytes;
+    return static_cast<std::int64_t>(chunk / chunks_per_col / cfg_.banks);
+}
+
+bool
+DramChannel::canAccept(bool is_write) const
+{
+    if (is_write)
+        return static_cast<int>(write_q_.size()) <
+               cfg_.write_queue_capacity;
+    return static_cast<int>(read_q_.size()) < cfg_.queue_capacity;
+}
+
+void
+DramChannel::enqueue(DramCmd cmd)
+{
+    CABA_CHECK(canAccept(cmd.is_write), "DRAM queue overflow");
+    cmd.bank = bankOf(cmd.line);
+    cmd.row = rowOf(cmd.line);
+    Bank &b = banks_[static_cast<std::size_t>(cmd.bank)];
+    if (b.open_row == cmd.row)
+        ++b.open_matches;
+    if (cmd.is_write) {
+        write_q_.push_back(cmd);
+        ++writes_enqueued_;
+    } else {
+        read_q_.push_back(cmd);
+        ++reads_enqueued_;
+        read_queue_depth_.record(read_q_.size());
+    }
+}
+
+void
+DramChannel::recountOpenMatches(int bank)
+{
+    Bank &b = banks_[static_cast<std::size_t>(bank)];
+    b.open_matches = 0;
+    for (const DramCmd &c : read_q_) {
+        if (c.bank == bank && b.open_row == c.row)
+            ++b.open_matches;
+    }
+    for (const DramCmd &c : write_q_) {
+        if (c.bank == bank && b.open_row == c.row)
+            ++b.open_matches;
+    }
+}
+
+int
+DramChannel::pickCas(const std::deque<DramCmd> &q, Cycle now) const
+{
+    const int limit = static_cast<int>(q.size());
+    for (int i = 0; i < limit; ++i) {
+        const DramCmd &c = q[static_cast<std::size_t>(i)];
+        const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
+        const Cycle turnaround = c.is_write ? 0 : b.wtr_ready;
+        if (b.open_row == c.row && b.col_ready <= now &&
+            b.act_done <= now && turnaround <= now) {
+            return i;
+        }
+    }
+    return -1;
+}
+
+int
+DramChannel::pickAct(const std::deque<DramCmd> &q) const
+{
+    // Never close a row that still has queued hits: eager re-activation
+    // would turn those hits into misses and thrash the row buffer.
+    const int limit = static_cast<int>(q.size());
+    for (int i = 0; i < limit; ++i) {
+        const DramCmd &c = q[static_cast<std::size_t>(i)];
+        const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
+        if (b.open_row != c.row && b.pending_row < 0 &&
+            b.open_matches == 0) {
+            return i;
+        }
+    }
+    return -1;
+}
+
+std::deque<DramCmd> &
+DramChannel::activeQueue()
+{
+    // Write-drain hysteresis (row-thrash control): writes batch in the
+    // write buffer and drain together, instead of closing the rows the
+    // read stream is hitting.
+    if (draining_writes_) {
+        if (static_cast<int>(write_q_.size()) <= cfg_.write_drain_low ||
+            write_q_.empty()) {
+            draining_writes_ = false;
+        }
+    } else {
+        if (static_cast<int>(write_q_.size()) >= cfg_.write_drain_high ||
+            read_q_.empty()) {
+            draining_writes_ = true;
+        }
+    }
+    if (draining_writes_ && !write_q_.empty())
+        return write_q_;
+    draining_writes_ = false;
+    return read_q_;
+}
+
+void
+DramChannel::issue(std::deque<DramCmd> &q, int idx, Cycle now)
+{
+    const int bank_idx = q[static_cast<std::size_t>(idx)].bank;
+    Bank &bank = banks_[static_cast<std::size_t>(bank_idx)];
+    const std::int64_t row = q[static_cast<std::size_t>(idx)].row;
+
+    if (bank.open_row != row) {
+        // Activation phase: precharge + activate bookkeeping only. The
+        // command stays queued; its CAS issues once the row is open, so
+        // the data bus is never reserved across the activation latency.
+        const Cycle pre =
+            std::max({now, bank.data_end, bank.write_recover});
+        const Cycle act = std::max({pre + cfg_.tRP,
+                                    bank.last_activate + cfg_.tRC,
+                                    last_activate_any_ + cfg_.tRRD});
+        bank.last_activate = act;
+        last_activate_any_ = act;
+        bank.open_row = row;
+        bank.act_done = act + cfg_.tRCD;
+        bank.col_ready = bank.act_done;
+        bank.pending_row = row;
+        q[idx].activated = true;
+        ++row_misses_;
+        recountOpenMatches(bank_idx);
+        // Keep the claiming command inside the scheduler's search
+        // window so its CAS always issues and releases the claim.
+        if (idx > 0) {
+            DramCmd moved = q[idx];
+            q.erase(q.begin() + idx);
+            q.push_front(moved);
+        }
+        return;
+    }
+
+    DramCmd cmd = q[idx];
+    q.erase(q.begin() + idx);
+    if (bank.open_matches > 0)
+        --bank.open_matches;
+    if (bank.pending_row == row)
+        bank.pending_row = -1;
+    if (!cmd.activated)
+        ++row_hits_;
+
+    // Column command: pipelines at tCCDL spacing; the CAS latency
+    // overlaps with earlier transfers. tWTR gates only read-after-write.
+    Cycle col = std::max({now, bank.col_ready, bank.act_done});
+    if (!cmd.is_write)
+        col = std::max(col, bank.wtr_ready);
+    bank.col_ready = col + cfg_.tCCDL;
+    Cycle data_ready = col + cfg_.tCL;
+
+    data_ready += cmd.extra_latency;
+
+    const int bursts = cmd.bursts + cmd.extra_bursts;
+    const std::uint64_t start_q =
+        std::max(bus_free_q_, static_cast<std::uint64_t>(data_ready) * 4);
+    const std::uint64_t busy_q =
+        static_cast<std::uint64_t>(bursts) * cfg_.burst_quarters;
+    bus_free_q_ = start_q + busy_q;
+    bus_busy_q_ += busy_q;
+
+    const Cycle finish = (bus_free_q_ + 3) / 4;
+    bank.data_end = finish;
+    if (cmd.is_write) {
+        bank.write_recover = finish + cfg_.tWR;
+        bank.wtr_ready = finish + cfg_.tWTR;
+    }
+
+    (cmd.is_write ? writes_ : reads_) += 1;
+    bursts_ += static_cast<std::uint64_t>(bursts);
+    data_bursts_ += static_cast<std::uint64_t>(cmd.bursts);
+    overhead_bursts_ += static_cast<std::uint64_t>(cmd.extra_bursts);
+    queue_wait_cycles_ += now - cmd.enqueued;
+
+    completed_.push_back({cmd.id, cmd.is_write, finish});
+}
+
+void
+DramChannel::advanceBusWindows(Cycle now)
+{
+    // Lazy boundary advance: closes every window that ended by `now`.
+    // Busy quarters are frozen during quiescent stretches, so skipped
+    // windows record the same (usually zero) delta a ticked loop would.
+    while (bus_window_start_ + kBusWindowCycles <= now) {
+        bus_window_busy_.record(bus_busy_q_ - bus_window_base_);
+        bus_window_base_ = bus_busy_q_;
+        bus_window_start_ += kBusWindowCycles;
+    }
+}
+
+void
+DramChannel::cycle(Cycle now)
+{
+    advanceBusWindows(now);
+    if (read_q_.empty() && write_q_.empty())
+        return;
+    if (static_cast<int>(completed_.size()) >= cfg_.banks + 8) {
+        ++sched_blocked_cap_;
+        return;
+    }
+    std::deque<DramCmd> &q = activeQueue();
+
+    // One activation and one CAS may issue per cycle (command/address
+    // bandwidth is not the bottleneck this model studies).
+    const int act_idx = pickAct(q);
+    if (act_idx >= 0)
+        issue(q, act_idx, now);
+
+    const int cas_idx = pickCas(q, now);
+    if (cas_idx >= 0) {
+        issue(q, cas_idx, now);
+        return;
+    }
+    // Opportunistic CAS from the inactive queue: open-row hits there
+    // cost almost nothing, and claims/hits left stranded across
+    // drain-mode switches would otherwise wedge their banks (row
+    // re-activation is blocked while same-row work is queued).
+    std::deque<DramCmd> &other = (&q == &read_q_) ? write_q_ : read_q_;
+    const int other_idx = pickCas(other, now);
+    if (other_idx >= 0) {
+        issue(other, other_idx, now);
+        return;
+    }
+    if (act_idx < 0)
+        ++sched_no_eligible_;
+}
+
+Cycle
+DramChannel::nextWork(Cycle now) const
+{
+    Cycle e = kNoWork;
+    // Queued completions become partition work at their finish time.
+    for (const DramCompletion &c : completed_)
+        e = std::min(e, c.finish > now ? c.finish : now);
+    if (read_q_.empty() && write_q_.empty())
+        return e;
+    if (static_cast<int>(completed_.size()) >= cfg_.banks + 8)
+        return e;   // scheduler blocked until a completion drains
+    // Replicate activeQueue()'s hysteresis without mutating it. With
+    // static queues the drain flag reaches a fixpoint after one update;
+    // if a second update disagrees it oscillates cycle-to-cycle (empty
+    // read queue, small write backlog) and no cycle is skippable.
+    auto drain_step = [this](bool d) {
+        if (d) {
+            if (static_cast<int>(write_q_.size()) <= cfg_.write_drain_low ||
+                write_q_.empty()) {
+                d = false;
+            }
+        } else {
+            if (static_cast<int>(write_q_.size()) >= cfg_.write_drain_high ||
+                read_q_.empty()) {
+                d = true;
+            }
+        }
+        return d;
+    };
+    const bool d1 = drain_step(draining_writes_);
+    if (drain_step(d1) != d1)
+        return now;
+    const std::deque<DramCmd> &q =
+        (d1 && !write_q_.empty()) ? write_q_ : read_q_;
+    if (pickAct(q) >= 0)
+        return now;     // activation eligibility is time-independent
+    // No activation possible: the next issue is the earliest CAS whose
+    // bank timing gates clear. pickCas scans both queues (active +
+    // opportunistic), so so does the bound.
+    auto earliest_cas = [this, now](const std::deque<DramCmd> &cq,
+                                    Cycle bound) {
+        for (const DramCmd &c : cq) {
+            const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
+            if (b.open_row != c.row)
+                continue;
+            Cycle t = std::max(b.col_ready, b.act_done);
+            if (!c.is_write)
+                t = std::max(t, b.wtr_ready);
+            bound = std::min(bound, t > now ? t : now);
+        }
+        return bound;
+    };
+    e = earliest_cas(read_q_, e);
+    e = earliest_cas(write_q_, e);
+    return e;
+}
+
+void
+DramChannel::skipIdle(Cycle from, Cycle to)
+{
+    // Matches what cycle() would have counted on each skipped cycle:
+    // nothing when fully idle, the in-flight-cap stall when completions
+    // back up, the no-eligible-command stall otherwise. The write-drain
+    // flag is left alone: nextWork() only permits a skip when it is at
+    // its fixpoint for the current queue state.
+    //
+    // Window boundaries must match the ticked loop exactly: cycle(t)
+    // runs for t in [from, to) there, so the last advance a skip may
+    // replicate is to-1 — advancing to `to` would close a window one
+    // call early and break byte-identicality across loop modes.
+    advanceBusWindows(to - 1);
+    if (read_q_.empty() && write_q_.empty())
+        return;
+    const std::uint64_t k = to - from;
+    if (static_cast<int>(completed_.size()) >= cfg_.banks + 8)
+        sched_blocked_cap_ += k;
+    else
+        sched_no_eligible_ += k;
+}
+
+void
+DramChannel::drainCompleted(Cycle now, std::vector<DramCompletion> *out)
+{
+    for (std::size_t i = 0; i < completed_.size();) {
+        if (completed_[i].finish <= now) {
+            out->push_back(completed_[i]);
+            completed_[i] = completed_.back();
+            completed_.pop_back();
+        } else {
+            ++i;
+        }
+    }
+}
+
+StatSet
+DramChannel::stats() const
+{
+    StatSet s;
+    s.setCounter("row_hits", row_hits_);
+    s.setCounter("row_misses", row_misses_);
+    s.setCounter("activates", row_misses_);
+    s.setCounter("reads", reads_);
+    s.setCounter("writes", writes_);
+    s.setCounter("bursts", bursts_);
+    s.setCounter("data_bursts", data_bursts_);
+    s.setCounter("overhead_bursts", overhead_bursts_);
+    s.setCounter("queue_wait_cycles", queue_wait_cycles_);
+    s.setCounter("reads_enqueued", reads_enqueued_);
+    s.setCounter("writes_enqueued", writes_enqueued_);
+    s.setCounter("sched_no_eligible", sched_no_eligible_);
+    s.setCounter("sched_blocked_inflight_cap", sched_blocked_cap_);
+    s.dist("read_queue_depth").merge(read_queue_depth_);
+    s.dist("bus_window_busy_quarters").merge(bus_window_busy_);
+    return s;
+}
+
+XbarDirection::XbarDirection(int inputs, int outputs, const XbarConfig &cfg)
+    : cfg_(cfg), inputs_(inputs), outputs_(outputs),
+      in_q_(inputs), port_busy_until_(outputs, 0), rr_(outputs, 0),
+      out_q_(outputs), flying_per_out_(outputs, 0)
+{
+    CABA_CHECK(inputs > 0 && outputs > 0, "bad crossbar geometry");
+}
+
+bool
+XbarDirection::canPush(int in) const
+{
+    return static_cast<int>(in_q_[in].size()) < cfg_.input_queue;
+}
+
+void
+XbarDirection::push(int in, int out, const MemRequest &req)
+{
+    CABA_CHECK(canPush(in), "crossbar input overflow");
+    CABA_CHECK(out >= 0 && out < outputs_, "bad crossbar output");
+    in_q_[in].emplace_back(out, req);
+    ++queued_packets_;
+}
+
+void
+XbarDirection::cycle(Cycle now)
+{
+    if (flying_.empty() && queued_packets_ == 0)
+        return;
+    // Deliver in-flight packets whose latency elapsed.
+    for (std::size_t i = 0; i < flying_.size();) {
+        if (flying_[i].deliver_at <= now) {
+            const int out = flying_[i].out;
+            out_q_[out].push_back({flying_[i].req, flying_[i].deliver_at});
+            --flying_per_out_[out];
+            flying_[i] = flying_.back();
+            flying_.pop_back();
+        } else {
+            ++i;
+        }
+    }
+
+    // Per-output round-robin packet arbitration. The output port is
+    // reserved for the packet's flit count; a fresh packet starts only
+    // when the port is free and the destination queue has room.
+    for (int out = 0; out < outputs_; ++out) {
+        if (port_busy_until_[out] > now)
+            continue;
+        if (static_cast<int>(out_q_[out].size()) + flying_per_out_[out] >=
+                cfg_.output_queue) {
+            continue;
+        }
+        for (int k = 0; k < inputs_; ++k) {
+            const int in = (rr_[out] + k) % inputs_;
+            auto &q = in_q_[in];
+            if (q.empty() || q.front().first != out)
+                continue;
+            const MemRequest req = q.front().second;
+            q.pop_front();
+            --queued_packets_;
+            const int flits = req.flits();
+            port_busy_until_[out] = now + flits;
+            flying_.push_back({req, out, now + flits + cfg_.latency});
+            ++flying_per_out_[out];
+            stats_.add("packets");
+            stats_.add("flits", static_cast<std::uint64_t>(flits));
+            rr_[out] = (in + 1) % inputs_;
+            break;
+        }
+    }
+}
+
+bool
+XbarDirection::hasDelivery(int out, Cycle now) const
+{
+    return !out_q_[out].empty() && out_q_[out].front().at <= now;
+}
+
+MemRequest
+XbarDirection::popDelivery(int out)
+{
+    CABA_CHECK(!out_q_[out].empty(), "no delivery to pop");
+    MemRequest req = out_q_[out].front().req;
+    out_q_[out].pop_front();
+    return req;
+}
+
+int
+XbarDirection::outputDepth(int out) const
+{
+    return static_cast<int>(out_q_[out].size());
+}
+
+Cycle
+XbarDirection::nextWork(Cycle now) const
+{
+    // Delivered packets waiting in an output queue pin the clock: the
+    // consumer-side Wire drains them the very next moveTraffic(), and
+    // even under backpressure the consumer's unblock cycle is cheaper
+    // to over-approximate here than to predict.
+    for (const auto &q : out_q_)
+        if (!q.empty())
+            return now;
+    Cycle e = kNoWork;
+    for (const InFlight &f : flying_)
+        e = std::min(e, f.deliver_at > now ? f.deliver_at : now);
+    for (const auto &q : in_q_) {
+        if (q.empty())
+            continue;
+        const int out = q.front().first;
+        // A full destination (queued + flying >= capacity) unblocks via
+        // the flying_ term above or the ready-delivery case; otherwise
+        // the head packet can start once the port frees up.
+        if (static_cast<int>(out_q_[static_cast<std::size_t>(out)].size()) +
+                flying_per_out_[static_cast<std::size_t>(out)] >=
+            cfg_.output_queue) {
+            continue;
+        }
+        const Cycle free_at =
+            port_busy_until_[static_cast<std::size_t>(out)];
+        e = std::min(e, free_at > now ? free_at : now);
+    }
+    return e;
+}
+
+bool
+XbarDirection::busy() const
+{
+    if (!flying_.empty())
+        return true;
+    for (const auto &q : in_q_)
+        if (!q.empty())
+            return true;
+    for (const auto &q : out_q_)
+        if (!q.empty())
+            return true;
+    return false;
+}
+
+} // namespace ref
+} // namespace caba

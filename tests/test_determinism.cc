@@ -2,9 +2,12 @@
  * @file
  * The run-loop invariants: quiescence skipping and the event-driven
  * scheduler in GpuSystem::run() must both be invisible. For one small
- * app across all five Section 6 design points, every combination of
- * {event-driven, walk-everything} x {fast-forward, ticked} must agree
- * on EVERY observable of RunResult — cycles, instructions, the Figure 1
+ * app across all five Section 6 design points, and across the
+ * configurations whose replays and assist warps the SM sleep rule must
+ * respect (compressed L1, prefetch, memoization, profiling assist
+ * warps, loose round-robin), every combination of {event-driven,
+ * walk-everything} x {fast-forward, ticked} must agree on EVERY
+ * observable of RunResult — cycles, instructions, the Figure 1
  * breakdown, every merged counter and gauge, every histogram, every
  * derived double, and the whole sampled timeline. Run-to-run
  * repeatability rides along.
@@ -31,14 +34,13 @@ tinyApp()
 
 RunResult
 runSystem(const DesignConfig &design, bool fast_forward,
-          bool event_driven = true)
+          bool event_driven = true, GpuConfig cfg = GpuConfig{},
+          const AppDescriptor &app = tinyApp())
 {
-    GpuConfig cfg;
     cfg.fast_forward = fast_forward;
     cfg.event_driven = event_driven;
     // A short interval lands samples inside skipped spans.
     cfg.sample_interval = 512;
-    const AppDescriptor app = tinyApp();
     Workload wl(app);
     const int warps = 12;
     wl.bindGrid(warps * cfg.num_sms);
@@ -130,6 +132,101 @@ TEST(Determinism, EventDrivenIsBitIdenticalAcrossAllDesigns)
         expectIdentical(event_ff, legacy_ff);
         expectIdentical(event_ff, event_ticked);
         expectIdentical(legacy_ff, legacy_ticked);
+    }
+}
+
+/** A design point plus the machine and app tweaks it needs. */
+struct NamedConfig
+{
+    const char *name;
+    DesignConfig design;
+    GpuConfig cfg;
+    AppDescriptor app;
+};
+
+/** Few MSHRs and a short out-queue, so LDST replay stalls (and the SM
+ *  sleeping through them) happen in every configuration below. */
+GpuConfig
+pressured()
+{
+    GpuConfig cfg;
+    cfg.sm.mshr_entries = 8;
+    cfg.sm.out_queue = 4;
+    return cfg;
+}
+
+std::vector<NamedConfig>
+extraConfigs()
+{
+    std::vector<NamedConfig> out;
+    // Compressed L1 over an L1-sized footprint with a small AWT: hits
+    // replay (re-counting themselves) while the AWT is full.
+    NamedConfig l1{"CABA-L1-2x", DesignConfig::cabaCompressedCache(2, 1),
+                   pressured(), tinyApp()};
+    l1.cfg.caba.awt_entries = 4;
+    l1.app.footprint = 8 * 1024;
+    l1.app.data = {DataProfile::SmallInt, DataProfile::Pointer, 0.0, 0.1};
+    out.push_back(l1);
+    // Compressed L2 rides along (partition-side tag factor).
+    out.push_back({"CABA-L2-2x", DesignConfig::cabaCompressedCache(1, 2),
+                   pressured(), tinyApp()});
+    NamedConfig pf{"Prefetch", DesignConfig::base(), pressured(),
+                   tinyApp()};
+    pf.cfg.extras.prefetch = true;
+    out.push_back(pf);
+    NamedConfig memo{"Memoize", DesignConfig::base(), pressured(),
+                     tinyApp()};
+    memo.cfg.extras.memoize = true;
+    memo.cfg.extras.memo_hit_rate = 0.5;
+    memo.app.sfu = 3;
+    out.push_back(memo);
+    NamedConfig prof{"Profile-AW", DesignConfig::caba(), pressured(),
+                     tinyApp()};
+    prof.cfg.extras.profile = true;
+    prof.cfg.extras.profile_interval = 200;
+    out.push_back(prof);
+    NamedConfig lrr{"LRR", DesignConfig::base(), pressured(), tinyApp()};
+    lrr.cfg.sm.gto = false;
+    out.push_back(lrr);
+    return out;
+}
+
+TEST(Determinism, LoopModesAreBitIdenticalAcrossReplayAndAssistConfigs)
+{
+    for (const NamedConfig &c : extraConfigs()) {
+        SCOPED_TRACE(c.name);
+        const RunResult event_ff =
+            runSystem(c.design, true, true, c.cfg, c.app);
+        const RunResult event_ticked =
+            runSystem(c.design, false, true, c.cfg, c.app);
+        const RunResult legacy_ff =
+            runSystem(c.design, true, false, c.cfg, c.app);
+        const RunResult legacy_ticked =
+            runSystem(c.design, false, false, c.cfg, c.app);
+        expectIdentical(event_ff, legacy_ff);
+        expectIdentical(event_ff, event_ticked);
+        expectIdentical(legacy_ff, legacy_ticked);
+    }
+}
+
+TEST(Determinism, ExtraConfigsExerciseTheirMechanisms)
+{
+    // Guard against the matrix above passing vacuously.
+    for (const NamedConfig &c : extraConfigs()) {
+        SCOPED_TRACE(c.name);
+        const RunResult r = runSystem(c.design, true, true, c.cfg, c.app);
+        const std::string name = c.name;
+        if (name == "CABA-L1-2x") {
+            EXPECT_GT(r.stats.get("sm_caba_hit_decompressions"), 0u);
+            EXPECT_GT(r.stats.get("awc_awt_full_rejections"), 0u);
+        } else if (name == "Prefetch") {
+            EXPECT_GT(r.stats.get("sm_prefetches_issued"), 0u);
+        } else if (name == "Memoize") {
+            EXPECT_GT(r.stats.get("sm_memo_hits"), 0u);
+        } else if (name == "Profile-AW") {
+            EXPECT_GT(r.stats.get("sm_profile_samples"), 0u);
+        }
+        EXPECT_GT(r.breakdown.mem_stall, 0u);
     }
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Event-driven loop foundations: the lazy-deletion calendar queue that
- * tracks per-component wake times, and the warp scheduler's
- * struct-of-arrays selection bitsets, which must agree with the
- * historical per-warp reference loops under arbitrary state churn.
+ * Event-driven loop foundations: the flat wake array that tracks
+ * per-component wake times, and the warp scheduler's struct-of-arrays
+ * selection bitsets, which must agree with the historical per-warp
+ * reference loops under arbitrary state churn.
  */
 #include <gtest/gtest.h>
 
@@ -51,22 +51,28 @@ TEST(EventQueue, RescheduleSupersedesInBothDirections)
     eq.schedule(0, 5);
     EXPECT_EQ(eq.minTime(), Cycle{5});
     // Later reschedule (the requeue a busy component performs every
-    // cycle) leaves a stale heap entry behind; minTime must skip it.
+    // cycle): the old time must not linger in the minimum.
     eq.schedule(0, 300);
     EXPECT_EQ(eq.minTime(), Cycle{200});
     EXPECT_EQ(eq.when(0), Cycle{300});
 }
 
-TEST(EventQueue, StaleEntriesAreLazilyDiscarded)
+TEST(EventQueue, SupersededSchedulesLeaveOneEntryPerId)
 {
-    EventQueue eq(1);
+    EventQueue eq(3);
+    EXPECT_EQ(eq.scheduled(), std::size_t{0});
     for (Cycle c = 1; c <= 64; ++c)
         eq.schedule(0, c);
-    // 64 heap entries, one authoritative time.
-    EXPECT_EQ(eq.heapEntries(), std::size_t{64});
+    // 64 schedules of one id: one authoritative time, one entry.
+    EXPECT_EQ(eq.scheduled(), std::size_t{1});
     EXPECT_EQ(eq.minTime(), Cycle{64});
-    // All 63 superseded entries were popped on the way to the answer.
-    EXPECT_EQ(eq.heapEntries(), std::size_t{1});
+    for (Cycle c = 100; c > 70; --c)
+        eq.schedule(2, c);
+    EXPECT_EQ(eq.scheduled(), std::size_t{2});
+    EXPECT_EQ(eq.minTime(), Cycle{64});
+    eq.schedule(0, kNoWork);
+    EXPECT_EQ(eq.scheduled(), std::size_t{1});
+    EXPECT_EQ(eq.minTime(), Cycle{71});
 }
 
 TEST(EventQueue, ParkingRemovesFromMin)
@@ -87,7 +93,7 @@ TEST(EventQueue, ResetClearsEverything)
     eq.reset(3);
     EXPECT_EQ(eq.size(), 3);
     EXPECT_EQ(eq.minTime(), kNoWork);
-    EXPECT_EQ(eq.heapEntries(), std::size_t{0});
+    EXPECT_EQ(eq.scheduled(), std::size_t{0});
 }
 
 // ------------------------------------------------- scoreboard bitsets
@@ -107,13 +113,29 @@ struct Lcg
 
 /** Reference predicates: the historical per-warp scans, recomputed from
  *  the scheduler's own (public) warp state every time. */
-bool
-refAnyReady(const WarpScheduler &sched, int max_warps)
+std::uint64_t
+refIssuable(const WarpScheduler &sched, int max_warps)
 {
+    std::uint64_t m = 0;
     for (int w = 0; w < max_warps; ++w)
         if (sched.warpReady(sched.warp(w)))
-            return true;
-    return false;
+            m |= std::uint64_t{1} << w;
+    return m;
+}
+
+/** Buffered live warps whose next instruction is a global ld/st. */
+std::uint64_t
+refHeadGlobal(const WarpScheduler &sched, int max_warps)
+{
+    std::uint64_t m = 0;
+    for (int w = 0; w < max_warps; ++w) {
+        const WarpScheduler::WarpState &ws = sched.warp(w);
+        if (ws.exists && !ws.done && !ws.ibuf.empty() &&
+            isGlobalMem(ws.ibuf.front().inst->op)) {
+            m |= std::uint64_t{1} << w;
+        }
+    }
+    return m;
 }
 
 bool
@@ -194,9 +216,11 @@ struct RefPicker
     }
 };
 
-/** One churn round: random issues (with backpressure vetoes), random
- *  writebacks, a decode cycle — checking every scheduler decision
- *  against the reference loops. */
+/** One churn round: random issues (with backpressure vetoes and random
+ *  futile masks), random writebacks, a decode cycle — checking every
+ *  scheduler decision against the reference loops. A futile warp is
+ *  one the reference would have offered and seen refused: the pick
+ *  must pass it over in its turn and report it instead. */
 void
 churnAndCheck(bool gto)
 {
@@ -219,25 +243,48 @@ churnAndCheck(bool gto)
     RefPicker ref(kMaxWarps, kSchedulers, gto);
 
     for (int round = 0; round < 4000; ++round) {
-        ASSERT_EQ(sched.anyReady(), refAnyReady(sched, kMaxWarps));
+        ASSERT_EQ(sched.issuableMask(), refIssuable(sched, kMaxWarps));
+        ASSERT_EQ(sched.headGlobalMask(), refHeadGlobal(sched, kMaxWarps));
         ASSERT_EQ(sched.anyDecodable(),
                   refAnyDecodable(sched, kMaxWarps, kIbufEntries));
 
         sched.decodeCycle();
 
         for (int s = 0; s < kSchedulers; ++s) {
-            const auto visits = ref.plan(sched, s);
+            std::uint64_t futile = 0;
+            if (rng.chance(50)) {
+                for (int w = 0; w < kMaxWarps; ++w)
+                    if (rng.chance(40))
+                        futile |= std::uint64_t{1} << w;
+            }
+            // The reference plan less the futile warps, each offer
+            // with whether a futile warp was passed over before it.
+            std::vector<RefPicker::Visit> visits;
+            std::vector<bool> futile_before;
+            bool any_futile = false;
+            for (const RefPicker::Visit &v : ref.plan(sched, s)) {
+                if ((futile >> v.warp) & 1) {
+                    any_futile = true;
+                    continue;
+                }
+                visits.push_back(v);
+                futile_before.push_back(any_futile);
+            }
             std::size_t vi = 0;
             bool data_block = false;
+            bool futile_seen = false;
             const bool issued = sched.pickAndIssue(
-                s, &data_block, [&](int w) -> bool {
+                s, futile, &data_block, &futile_seen, [&](int w) -> bool {
                     // Every offer must match the reference plan, with
-                    // the blocked-warps-before-me flag agreeing too.
+                    // the blocked- and futile-warps-before-me flags
+                    // agreeing too.
                     EXPECT_LT(vi, visits.size());
                     if (vi >= visits.size())
                         return false;
                     EXPECT_EQ(w, visits[vi].warp);
                     EXPECT_EQ(data_block, visits[vi].blocked_seen_before);
+                    EXPECT_EQ(futile_seen, futile_before[vi]);
+                    EXPECT_EQ((futile >> w) & 1, 0u);
                     ++vi;
                     if (rng.chance(30))
                         return false;   // backpressure veto: no mutation
@@ -258,10 +305,13 @@ churnAndCheck(bool gto)
                 });
             if (issued) {
                 ASSERT_GT(vi, std::size_t{0});
+                ASSERT_EQ(futile_seen, futile_before[vi - 1]);
                 ref.noteSuccess(s, visits[vi - 1].warp);
             } else {
-                // Rejected every offer: the scan must have run dry.
+                // Rejected every offer: the scan must have run dry,
+                // passing over every futile warp on the way.
                 ASSERT_EQ(vi, visits.size());
+                ASSERT_EQ(futile_seen, any_futile);
             }
         }
 

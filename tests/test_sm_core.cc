@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "gpu/gpu_system.h"
 #include "workloads/workload.h"
 
@@ -202,6 +205,228 @@ TEST(SmCore, StaleCompressionsAreKilled)
     const RunResult r = runTiny(app, DesignConfig::caba(), 1, 8);
     EXPECT_GT(r.stats.get("sm_stale_compressions_killed"), 0u);
     EXPECT_GT(r.stats.get("awc_kills"), 0u);
+}
+
+// ------------------------------------------------- the SM sleep rule
+
+/**
+ * One SM driven by hand: the test plays the memory system, so nothing
+ * takes a request or returns a fill unless the test does. The GpuSystem
+ * only builds the object graph; its run loop is never used.
+ */
+class HandSm
+{
+  public:
+    HandSm(const AppDescriptor &app, GpuConfig cfg,
+           const DesignConfig &design, int warps)
+        : wl_(app)
+    {
+        cfg.num_sms = 1;
+        cfg.audit.level = AuditLevel::Off;
+        cfg.audit.ignore_env = true;
+        wl_.bindGrid(warps);
+        gpu_ = std::make_unique<GpuSystem>(cfg, design, wl_.lineGenerator());
+        gpu_->launch(&wl_, warps);
+    }
+
+    // The system keeps a pointer to wl_.
+    HandSm(const HandSm &) = delete;
+    HandSm &operator=(const HandSm &) = delete;
+
+    SmCore &sm() { return gpu_->sm(0); }
+    CompressionModel &model() { return *gpu_->model(); }
+
+    /** Ticks the core until it reports no work at now; false if it is
+     *  still awake after @p limit cycles. */
+    bool
+    runUntilAsleep(Cycle limit)
+    {
+        for (; now < limit; ++now) {
+            if (sm().nextWork(now) > now)
+                return true;
+            sm().cycle(now);
+        }
+        return false;
+    }
+
+    /** Delivers the fill for @p req as the partition would send it. */
+    void
+    fill(const MemRequest &req)
+    {
+        MemRequest reply = req;
+        reply.compressed =
+            gpu_->model() && !model().lookup(req.line).isUncompressed();
+        sm().deliver(reply, now);
+    }
+
+    Cycle now = 0;
+
+  private:
+    Workload wl_;
+    std::unique_ptr<GpuSystem> gpu_;
+};
+
+/** Loads that nobody serves: two per trip feeding one ALU op. */
+AppDescriptor
+loadApp()
+{
+    AppDescriptor app = baseApp();
+    app.loads = 2;
+    app.alu = 1;
+    app.stores = 0;
+    return app;
+}
+
+GpuConfig
+smallOutQueue()
+{
+    GpuConfig cfg;
+    cfg.sm.out_queue = 4;
+    return cfg;
+}
+
+void
+expectSameAccounting(SmCore &a, SmCore &b)
+{
+    EXPECT_EQ(a.stats().all(), b.stats().all());
+    EXPECT_EQ(a.breakdown().active, b.breakdown().active);
+    EXPECT_EQ(a.breakdown().mem_stall, b.breakdown().mem_stall);
+    EXPECT_EQ(a.breakdown().data_stall, b.breakdown().data_stall);
+    EXPECT_EQ(a.breakdown().idle, b.breakdown().idle);
+    EXPECT_EQ(a.awc().idleFraction(), b.awc().idleFraction());
+}
+
+TEST(SmCoreSleep, ReplayStalledCoreWithOnlyGlobalHeadsSleeps)
+{
+    // Nobody takes requests: four misses fill the out-queue and the
+    // fifth load replays. Every ready warp's head is a load.
+    HandSm ticked(loadApp(), smallOutQueue(), DesignConfig::base(), 8);
+    HandSm skipped(loadApp(), smallOutQueue(), DesignConfig::base(), 8);
+    ASSERT_TRUE(ticked.runUntilAsleep(200));
+    ASSERT_TRUE(skipped.runUntilAsleep(200));
+    ASSERT_EQ(ticked.now, skipped.now);
+    const Cycle t = ticked.now;
+    EXPECT_EQ(ticked.sm().out().size(), 4u);
+    EXPECT_GT(ticked.sm().issuableWarps(), 0);
+    EXPECT_EQ(ticked.sm().nextWork(t), kNoWork);
+
+    // Ticking the sleeping core and skipping it account the same: every
+    // cycle a memory stall, every slot memory structural.
+    const std::uint64_t mem_stall = ticked.sm().breakdown().mem_stall;
+    const std::uint64_t mem_slots = ticked.sm().slotCount(kSlotMemStruct);
+    for (Cycle c = t; c < t + 300; ++c)
+        ticked.sm().cycle(c);
+    skipped.sm().skipIdle(t, t + 300);
+    expectSameAccounting(ticked.sm(), skipped.sm());
+    EXPECT_EQ(ticked.sm().breakdown().mem_stall, mem_stall + 300);
+    EXPECT_EQ(ticked.sm().slotCount(kSlotMemStruct), mem_slots + 600);
+    EXPECT_EQ(ticked.sm().nextWork(t + 300), kNoWork);
+
+    // An out-queue take ends the replay.
+    ticked.sm().popOutgoing();
+    EXPECT_EQ(ticked.sm().nextWork(t + 300), t + 300);
+}
+
+TEST(SmCoreSleep, PassedOverGlobalHeadsChargeMemoryStructuralSlots)
+{
+    // Two warps, one per scheduler, each with a load at its head. In
+    // each of the first two cycles scheduler 0 issues a load and takes
+    // the memory port, so scheduler 1's load is refused without being
+    // offered -- and its slot is still a memory-structural stall.
+    HandSm h(loadApp(), GpuConfig{}, DesignConfig::base(), 2);
+    h.sm().cycle(0);
+    h.sm().cycle(1);
+    EXPECT_EQ(h.sm().slotCount(kSlotIssued), 2u);
+    EXPECT_EQ(h.sm().slotCount(kSlotMemStruct), 2u);
+    EXPECT_EQ(h.sm().breakdown().active, 2u);
+    EXPECT_EQ(h.sm().stats().get("issued_global_loads"), 2u);
+}
+
+TEST(SmCoreSleep, ReadyAluHeadPinsAReplayStalledCore)
+{
+    // No ALU op can ever issue, so a warp whose loads arrive keeps a
+    // ready ALU head while the LDST unit still replays.
+    GpuConfig cfg = smallOutQueue();
+    cfg.sm.alu_inflight_max = 0;
+    HandSm h(loadApp(), cfg, DesignConfig::base(), 8);
+    ASSERT_TRUE(h.runUntilAsleep(200));
+    // Serve one warp's two loads without freeing out-queue room: take
+    // every request, fill the first warp's, put them all back.
+    std::vector<MemRequest> reqs;
+    while (h.sm().hasOutgoing())
+        reqs.push_back(h.sm().popOutgoing());
+    ASSERT_EQ(reqs.size(), 4u);
+    for (const MemRequest &r : reqs)
+        if (r.warp == reqs.front().warp)
+            h.fill(r);
+    for (const MemRequest &r : reqs)
+        h.sm().out().push(r);
+    EXPECT_EQ(h.sm().nextWork(h.now), h.now);
+    // It stays pinned: the refused ALU issue changes nothing, but the
+    // core may not assume so.
+    for (int k = 0; k < 50; ++k) {
+        h.sm().cycle(h.now++);
+        ASSERT_EQ(h.sm().nextWork(h.now), h.now);
+    }
+    EXPECT_EQ(h.sm().out().size(), 4u);
+}
+
+TEST(SmCoreSleep, LiveLowPriorityAssistWarpPinsAReplayStalledCore)
+{
+    // Prefetch assist warps deploy at low priority; with no AWB slot
+    // they can never issue, and their eligibility follows the sliding
+    // issue window, so the core must never skip over them.
+    GpuConfig cfg = smallOutQueue();
+    cfg.extras.prefetch = true;
+    cfg.caba.awb_low_slots = 0;
+    HandSm h(loadApp(), cfg, DesignConfig::base(), 8);
+    EXPECT_FALSE(h.runUntilAsleep(300));
+    EXPECT_EQ(h.sm().out().size(), 4u);
+    EXPECT_FALSE(h.sm().awc().table().empty());
+    // Without the prefetcher the same core sleeps within a few cycles.
+    HandSm plain(loadApp(), smallOutQueue(), DesignConfig::base(), 8);
+    EXPECT_TRUE(plain.runUntilAsleep(300));
+}
+
+TEST(SmCoreSleep, AwtFullCompressedHitReplayPinsTheCore)
+{
+    // Compressed L1 with a one-entry AWT: every L1 hit needs a
+    // decompression assist warp, so a hit that finds the AWT full
+    // replays -- and re-counts the hit and an AWT rejection each cycle.
+    // That replay is not pure, so it pins the core even when the AWT's
+    // only warp is waiting on its own latency.
+    AppDescriptor app = loadApp();
+    app.loads = 1;
+    app.footprint = kLineSize;  // every load reads the same line
+    app.data = {DataProfile::SmallInt, DataProfile::SmallInt, 0.0, 0.0};
+    GpuConfig cfg;
+    cfg.caba.awt_entries = 1;
+    HandSm h(app, cfg, DesignConfig::cabaCompressedCache(2, 1), 4);
+    ASSERT_FALSE(h.model().lookup(Addr{1} << 33).isUncompressed());
+    int pinned_by_replay = 0;
+    for (; h.now < 3000 && h.sm().busy(); ++h.now) {
+        // Serve every request at once (fills land the next cycle).
+        while (h.sm().hasOutgoing())
+            h.fill(h.sm().popOutgoing());
+        const StatSet before = h.sm().awc().stats();
+        const std::uint64_t hits_before = h.sm().stats().get("l1_load_hits");
+        h.sm().cycle(h.now);
+        const bool replayed =
+            h.sm().awc().stats().get("awt_full_rejections") >
+                before.get("awt_full_rejections") &&
+            h.sm().stats().get("l1_load_hits") > hits_before;
+        if (!replayed)
+            continue;
+        ASSERT_EQ(h.sm().nextWork(h.now + 1), h.now + 1);
+        bool aw_waiting = true;
+        for (const AssistWarp &aw : h.sm().awc().table())
+            aw_waiting = aw_waiting && aw.ready_at > h.now + 1;
+        if (aw_waiting && !h.sm().hasOutgoing())
+            ++pinned_by_replay;
+    }
+    EXPECT_FALSE(h.sm().busy());
+    EXPECT_GT(h.sm().stats().get("caba_hit_decompressions"), 0u);
+    EXPECT_GT(pinned_by_replay, 0);
 }
 
 TEST(GpuSystem, DataIntegrityUnderAllDesigns)
