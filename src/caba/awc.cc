@@ -131,8 +131,20 @@ AssistWarpController::skipIdleSlots(std::uint64_t slots)
             static_cast<std::uint64_t>(w));
         return;
     }
-    for (std::uint64_t i = 0; i < slots; ++i)
-        noteIssueSlot(false);
+    // Zero-fill the (possibly wrapped) range [pos, pos + slots): every
+    // used entry overwritten there becomes one more idle slot.
+    const int n = static_cast<int>(slots);
+    const int first = std::min(n, w - window_pos_);
+    const auto zero = [&](int from, int count) {
+        auto begin = window_.begin() + from;
+        window_idle_ += static_cast<int>(
+            std::count(begin, begin + count, std::uint8_t{1}));
+        std::fill(begin, begin + count, std::uint8_t{0});
+    };
+    zero(window_pos_, first);
+    zero(0, n - first);
+    window_pos_ = (window_pos_ + n) % w;
+    window_filled_ = std::min(window_filled_ + n, w);
 }
 
 void

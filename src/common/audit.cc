@@ -1,6 +1,5 @@
 #include "common/audit.h"
 
-#include <algorithm>
 #include <climits>
 #include <sstream>
 #include <vector>
@@ -123,15 +122,9 @@ Audit::checkLifecycle(Cycle now, bool at_drain)
             retired_ + static_cast<std::uint64_t>(live_.size()));
     if (!at_drain)
         return;
-    // Report orphans in key order: live_ is an unordered_map, and the
-    // failure dump must not depend on hash-bucket iteration order.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(live_.size());
-    for (const auto &entry : live_) // lint: order-insensitive — keys sorted below
-        keys.push_back(entry.first);
-    std::sort(keys.begin(), keys.end());
-    for (const std::uint64_t k : keys) {
-        const Tracked &t = live_.at(k);
+    // Report orphans in key order, never in table-slot order.
+    for (const std::uint64_t k : live_.sortedKeys()) {
+        const Tracked &t = *live_.find(k);
         std::ostringstream os;
         os << "lifecycle: orphan request (id " << (k >> 8) << ", SM "
            << (k & 0xff) << ", " << (t.is_write ? "store" : "load")

@@ -22,9 +22,9 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace caba {
@@ -80,8 +80,9 @@ const char *reqStageName(ReqStage s);
 
 /**
  * One audit instance per GpuSystem (parallel sweeps each own one).
- * Components call the on*() lifecycle hooks from their hot paths (cheap:
- * one hash-map operation per request per stage) and implement an
+ * Components call the on*() lifecycle hooks from their hot paths (the
+ * live table is a FlatMap, so once it has grown to the peak number of
+ * requests in flight the hooks allocate nothing) and implement an
  * audit(Audit&, bool at_drain) method holding their invariant checks,
  * driven by GpuSystem::runAudit().
  */
@@ -108,14 +109,13 @@ class Audit
         if (!enabled())
             return;
         ++injected_;
-        Tracked t;
-        t.stage = ReqStage::Injected;
-        t.injected = now;
-        t.line = req.line;
-        t.is_write = req.is_write;
-        const auto [it, fresh] = live_.emplace(key(req), t);
-        (void)it;
-        if (!fresh) {
+        const auto [t, fresh] = live_.tryEmplace(key(req));
+        if (fresh) {
+            t->stage = ReqStage::Injected;
+            t->injected = now;
+            t->line = req.line;
+            t->is_write = req.is_write;
+        } else {
             std::ostringstream os;
             os << "lifecycle: duplicate injection of request id " << req.id
                << " from SM " << req.src_sm;
@@ -130,8 +130,8 @@ class Audit
     {
         if (!enabled())
             return;
-        auto it = live_.find(key(req));
-        if (it == live_.end()) {
+        Tracked *t = live_.find(key(req));
+        if (t == nullptr) {
             std::ostringstream os;
             os << "lifecycle: request id " << req.id << " from SM "
                << req.src_sm << " reached stage " << reqStageName(stage)
@@ -139,7 +139,7 @@ class Audit
             fail(os.str());
             return;
         }
-        it->second.stage = stage;
+        t->stage = stage;
     }
 
     /** The request left the memory system (reply consumed / store
@@ -150,15 +150,13 @@ class Audit
     {
         if (!enabled())
             return;
-        auto it = live_.find(key(req));
-        if (it == live_.end()) {
+        if (!live_.erase(key(req))) {
             std::ostringstream os;
             os << "lifecycle: request id " << req.id << " from SM "
                << req.src_sm << " retired twice (or never injected)";
             fail(os.str());
             return;
         }
-        live_.erase(it);
         ++retired_;
     }
 
@@ -184,9 +182,9 @@ class Audit
   private:
     struct Tracked
     {
-        ReqStage stage = ReqStage::Injected;
         Cycle injected = 0;
         Addr line = 0;
+        ReqStage stage = ReqStage::Injected;
         bool is_write = false;
     };
 
@@ -199,7 +197,7 @@ class Audit
     }
 
     AuditConfig cfg_;
-    std::unordered_map<std::uint64_t, Tracked> live_;
+    FlatMap<Tracked> live_;
     std::vector<std::string> failures_;
     std::uint64_t injected_ = 0;
     std::uint64_t retired_ = 0;

@@ -15,16 +15,16 @@
  *  - Sink<T> / Source<T>: the two ends of a typed connection with
  *    explicit backpressure (canAccept / hasData).
  *
- *  - Channel<T>: a bounded FIFO implementing both ends, and Wire<T>,
- *    which greedily pumps a Source into a Sink once per cycle. The
- *    GpuSystem traffic-moving loops are a flat list of Wires.
+ *  - Channel<T>: a bounded FIFO (a Ring) implementing both ends, and
+ *    Wire<T>, which greedily pumps a Source into a Sink once per cycle.
+ *    The GpuSystem traffic-moving loops are a flat list of Wires.
  */
 #ifndef CABA_COMMON_COMPONENT_H
 #define CABA_COMMON_COMPONENT_H
 
 #include <cstddef>
-#include <deque>
 
+#include "common/ring.h"
 #include "common/types.h"
 
 namespace caba {
@@ -142,7 +142,7 @@ class Channel : public Source<T>, public Sink<T>
     void accept(const T &pkt, Cycle) override { push(pkt); }
 
   private:
-    std::deque<T> q_;
+    Ring<T> q_;
     int capacity_;
 };
 

@@ -44,8 +44,7 @@ parseBenchCli(const std::vector<std::string> &args, BenchCli *cli,
     // Flags with a value accept both "--flag value" and "--flag=value";
     // --json is the exception (value only via '=', see the header).
     std::size_t i = 0;
-    const auto valueOf = [&](const std::string &flag, const char *inline_val,
-                             std::string *v) {
+    const auto valueOf = [&](const char *inline_val, std::string *v) {
         if (inline_val != nullptr) {
             *v = inline_val;
             return true;
@@ -79,7 +78,7 @@ parseBenchCli(const std::vector<std::string> &args, BenchCli *cli,
                     return failed("flag " + flag + " takes no value");
                 (flag == "--list" ? out.list : out.run_all) = true;
             } else if (flag == "--filter") {
-                if (!valueOf(flag, inline_val, &v))
+                if (!valueOf(inline_val, &v))
                     return failed("flag --filter needs a value");
                 out.filters.push_back(v);
             } else if (flag == "--json") {
@@ -93,13 +92,13 @@ parseBenchCli(const std::vector<std::string> &args, BenchCli *cli,
                     out.json_path = inline_val;
                 }
             } else if (flag == "--scale") {
-                if (!valueOf(flag, inline_val, &v))
+                if (!valueOf(inline_val, &v))
                     return failed("flag --scale needs a value");
                 if (!parse::finitePositiveReal(v, &out.opts.scale))
                     return failed("--scale needs a finite positive "
                                   "number, got '" + v + "'");
             } else if (flag == "--jobs" || flag == "--warps") {
-                if (!valueOf(flag, inline_val, &v))
+                if (!valueOf(inline_val, &v))
                     return failed("flag " + flag + " needs a value");
                 int n = 0;
                 if (!parse::intInRange(v, 0, &n))

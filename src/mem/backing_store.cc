@@ -1,5 +1,6 @@
 #include "mem/backing_store.h"
 
+#include <cstdint>
 #include <cstring>
 
 #include "common/log.h"
@@ -13,13 +14,19 @@ BackingStore::BackingStore(LineGenerator gen)
     CABA_CHECK(static_cast<bool>(gen_), "backing store needs a generator");
 }
 
+const BackingStore::LineState *
+BackingStore::find(Addr line) const
+{
+    const std::uint32_t *pos = index_.find(line);
+    return pos ? &lines_[*pos] : nullptr;
+}
+
 void
 BackingStore::read(Addr line, std::uint8_t *out) const
 {
     CABA_CHECK(line % kLineSize == 0, "unaligned line read");
-    auto it = overlay_.find(line);
-    if (it != overlay_.end()) {
-        std::memcpy(out, it->second.data.data(), kLineSize);
+    if (const LineState *st = find(line)) {
+        std::memcpy(out, st->data.data(), kLineSize);
         return;
     }
     gen_(line, out);
@@ -28,10 +35,14 @@ BackingStore::read(Addr line, std::uint8_t *out) const
 BackingStore::LineState &
 BackingStore::materialize(Addr line)
 {
-    auto [it, inserted] = overlay_.try_emplace(line);
-    if (inserted)
-        gen_(line, it->second.data.data());
-    return it->second;
+    const auto [pos, inserted] = index_.tryEmplace(line);
+    if (!inserted)
+        return lines_[*pos];
+    CABA_CHECK(lines_.size() < UINT32_MAX, "overlay index overflow");
+    *pos = static_cast<std::uint32_t>(lines_.size());
+    LineState &st = lines_.emplace_back();
+    gen_(line, st.data.data());
+    return st;
 }
 
 void
@@ -62,8 +73,8 @@ BackingStore::writePartial(Addr line, int offset, int size)
 std::uint64_t
 BackingStore::version(Addr line) const
 {
-    auto it = overlay_.find(line);
-    return it == overlay_.end() ? 0 : it->second.version;
+    const LineState *st = find(line);
+    return st ? st->version : 0;
 }
 
 } // namespace caba

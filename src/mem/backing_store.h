@@ -2,8 +2,10 @@
  * @file
  * Functional image of simulated global memory. Lines are synthesized on
  * first touch by the workload's data generator (so a multi-GB footprint
- * costs nothing), and an overlay map holds lines mutated by stores. Each
- * line carries a version so compressed images can be memoized safely.
+ * costs nothing), and an overlay holds lines mutated by stores: a dense
+ * array of line states plus a flat index from address to position.
+ * Each line carries a version so compressed images can be memoized
+ * safely; version() runs on every compression-model lookup.
  */
 #ifndef CABA_MEM_BACKING_STORE_H
 #define CABA_MEM_BACKING_STORE_H
@@ -11,8 +13,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace caba {
@@ -43,7 +46,7 @@ class BackingStore
     std::uint64_t version(Addr line) const;
 
     /** Number of lines touched by stores. */
-    std::size_t dirtyLines() const { return overlay_.size(); }
+    std::size_t dirtyLines() const { return lines_.size(); }
 
   private:
     struct LineState
@@ -54,8 +57,12 @@ class BackingStore
 
     LineState &materialize(Addr line);
 
+    /** The overlay entry of @p line, or null for a pristine line. */
+    const LineState *find(Addr line) const;
+
     LineGenerator gen_;
-    std::unordered_map<Addr, LineState> overlay_;
+    FlatMap<std::uint32_t> index_;  ///< Line -> position in lines_.
+    std::vector<LineState> lines_;
 };
 
 } // namespace caba

@@ -11,8 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.h"
 #include "compress/codec.h"
@@ -59,37 +58,84 @@ class CompressionModel
     bool enabled() const { return algo_ != Algorithm::None; }
 
     /** Aggregate compressibility counters (lines, bytes, bursts) plus
-     *  memo_peak_entries / memo_peak_bytes / memo_evictions. */
-    const StatSet &stats() const { return stats_; }
+     *  memo_peak_entries / memo_peak_bytes / memo_evictions. Each key
+     *  appears with its first event: all but memo_evictions with the
+     *  first compression, memo_evictions with the first eviction. */
+    StatSet stats() const;
 
-    std::size_t memoEntries() const { return memo_.size(); }
+    std::size_t memoEntries() const { return live_; }
     std::size_t memoCapacity() const { return memo_cap_; }
 
     /** Byte / burst conservation and memo-bound invariant checks. */
     void audit(Audit &a) const;
 
   private:
+    /** Version of a slot holding no image yet (no line reaches it). */
+    static constexpr std::uint64_t kNoImage = ~std::uint64_t{0};
+
+    /**
+     * One memo slot. memo_peak_bytes charges sizeof(Entry) plus the
+     * image's heap capacity for every live entry, the footprint of the
+     * node-based memo this slot array replaced, so the size is pinned.
+     */
     struct Entry
     {
-        std::uint64_t version = ~std::uint64_t{0};
+        Addr key = 0;
+        std::uint64_t version = kNoImage;
         CompressedLine cl;
-        std::list<Addr>::iterator lru_it;
-        std::size_t bytes = 0;  ///< Heap footprint charged to the memo.
+        std::int32_t prev = -1;     ///< LRU neighbour nearer the front.
+        std::int32_t next = -1;     ///< LRU neighbour nearer the back.
     };
+    static_assert(sizeof(Entry) == 56,
+                  "memo_peak_bytes charges sizeof(Entry) per entry");
 
-    void evictLru();
+    /** Heap footprint @p e is charged in memo_bytes_. */
+    static std::size_t
+    footprint(const Entry &e)
+    {
+        return e.version == kNoImage ? 0
+                                     : sizeof(Entry) + e.cl.bytes.capacity();
+    }
+
+    /** Slot holding @p line, or -1. */
+    std::int32_t find(Addr line) const;
+
+    std::size_t bucketOf(Addr line) const;
+    void unlinkLru(std::int32_t s);
+    void pushFront(std::int32_t s);
+
+    /** Unindexes the least recently used entry; returns its slot. */
+    std::int32_t evictLru();
 
     const BackingStore &store_;
     Algorithm algo_;
     const Codec *codec_ = nullptr;
     bool verify_;
     std::size_t memo_cap_;
-    std::unordered_map<Addr, Entry> memo_;
-    std::list<Addr> lru_;           ///< Front = most recently used.
+
+    // The memo: slots_ (reserved once at memo_cap_, never shrunk), the
+    // bucket-chain link of each slot, and per-bucket chain heads. An
+    // evicted slot is reused in place by the next new line.
+    std::vector<Entry> slots_;
+    std::vector<std::int32_t> chain_;
+    std::vector<std::int32_t> buckets_;
+    int bucket_shift_ = 0;
+    std::size_t live_ = 0;
+    std::int32_t lru_front_ = -1;   ///< Most recently used.
+    std::int32_t lru_back_ = -1;    ///< Next victim.
+
     std::size_t memo_bytes_ = 0;
     std::size_t peak_memo_bytes_ = 0;
     std::size_t peak_memo_entries_ = 0;
-    StatSet stats_;
+
+    // Hot-path counters, assembled into a StatSet by stats().
+    std::uint64_t lines_compressed_ = 0;
+    std::uint64_t uncompressed_bytes_ = 0;
+    std::uint64_t compressed_bytes_ = 0;
+    std::uint64_t uncompressed_bursts_ = 0;
+    std::uint64_t compressed_bursts_ = 0;
+    std::uint64_t memo_evictions_ = 0;
+    Distribution compressed_line_bytes_;
 };
 
 } // namespace caba

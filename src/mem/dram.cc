@@ -25,10 +25,20 @@ DramChannel::DramChannel(const DramConfig &cfg, int id)
                cfg_.write_drain_high <= cfg_.write_queue_capacity,
                "bad write-drain marks");
     write_q_.writes = true;
+    // Every structure is sized by its bound up front (a queue's slots
+    // and each bank list by the queue capacity, the completions by the
+    // in-flight cap), so enqueue and issue never allocate.
     for (CmdQueue *q : {&read_q_, &write_q_}) {
+        const auto cap = static_cast<std::size_t>(
+            q->writes ? cfg_.write_queue_capacity : cfg_.queue_capacity);
+        q->slots.reserve(cap);
+        q->free_slots.reserve(cap);
         q->banks.resize(static_cast<std::size_t>(cfg_.banks));
+        for (std::vector<int> &list : q->banks)
+            list.reserve(cap);
         q->open_matches.assign(static_cast<std::size_t>(cfg_.banks), 0);
     }
+    completed_.reserve(static_cast<std::size_t>(cfg_.banks + 8));
 }
 
 int

@@ -52,10 +52,10 @@ class MdCache
                 cache_.setDirty(md_line);
             return true;
         }
-        std::vector<Eviction> ev;
-        cache_.insert(md_line, kLineSize, update, &ev);
+        evicted_.clear();
+        cache_.insert(md_line, kLineSize, update, &evicted_);
         if (writeback) {
-            for (const Eviction &e : ev)
+            for (const Eviction &e : evicted_)
                 *writeback = *writeback || e.dirty;
         }
         return false;
@@ -78,6 +78,7 @@ class MdCache
   private:
     Cache cache_;
     int coverage_;
+    std::vector<Eviction> evicted_;     ///< Fill scratch, reused.
 };
 
 } // namespace caba

@@ -17,6 +17,12 @@ MemoryPartition::MemoryPartition(int id, const PartitionConfig &cfg,
 {
     if (design_.usesCompression())
         CABA_CHECK(model_, "compressed design needs a compression model");
+    // Reads in flight are bounded by the read queue plus the commands
+    // the channel has issued; most carry a single waiter.
+    const auto reads = static_cast<std::size_t>(cfg.dram.queue_capacity);
+    dram_reads_.reserve(reads);
+    line_read_.reserve(reads);
+    waiters_.reserve(reads);
 }
 
 bool
@@ -91,9 +97,10 @@ MemoryPartition::issueDramRead(const MemRequest &req, Cycle now)
     if (audit_)
         audit_->onStage(req, ReqStage::DramWait);
     // Merge onto an outstanding read of the same line if one exists.
-    auto lit = line_read_.find(req.line);
-    if (lit != line_read_.end()) {
-        dram_reads_[lit->second].push_back(req);
+    if (const std::uint64_t *id = line_read_.find(req.line)) {
+        ListPool<MemRequest>::List *waiting = dram_reads_.find(*id);
+        CABA_CHECK(waiting, "line merge onto an unknown DRAM read");
+        waiters_.append(*waiting, req);
         ++n_.dram_read_merges;
         return;
     }
@@ -123,7 +130,7 @@ MemoryPartition::issueDramRead(const MemRequest &req, Cycle now)
     }
     n_.transfer_bursts_uncompressed += kBurstsPerLine;
     line_read_[req.line] = cmd.id;
-    dram_reads_[cmd.id] = {req};
+    waiters_.append(dram_reads_[cmd.id], req);
 }
 
 void
@@ -209,9 +216,9 @@ MemoryPartition::handleL2Ready(const MemRequest &req, Cycle now)
     // Store path (write-back, write-allocate L2).
     ++n_.l2_store_accesses;
     if (req.full_line || l2_.contains(req.line)) {
-        std::vector<Eviction> evicted;
-        l2_.insert(req.line, payloadBytes(req.line), true, &evicted);
-        for (const Eviction &ev : evicted) {
+        evicted_.clear();
+        l2_.insert(req.line, payloadBytes(req.line), true, &evicted_);
+        for (const Eviction &ev : evicted_) {
             if (ev.dirty)
                 issueDramWrite(ev.line, now, false);
         }
@@ -242,29 +249,33 @@ MemoryPartition::handleDramCompletion(const DramCompletion &done, Cycle now)
         ++n_.dram_writes_done;
         return;
     }
-    auto it = dram_reads_.find(done.id);
-    CABA_CHECK(it != dram_reads_.end(), "unknown DRAM read completion");
-    std::vector<MemRequest> waiters = std::move(it->second);
-    dram_reads_.erase(it);
-    CABA_CHECK(!waiters.empty(), "DRAM read with no waiters");
-    const Addr line = waiters.front().line;
+    ListPool<MemRequest>::List *found = dram_reads_.find(done.id);
+    CABA_CHECK(found, "unknown DRAM read completion");
+    ListPool<MemRequest>::List waiting = *found;
+    dram_reads_.erase(done.id);
+    CABA_CHECK(!waiting.empty(), "DRAM read with no waiters");
+    const Addr line = waiters_.value(waiting.head).line;
     line_read_.erase(line);
 
-    std::vector<Eviction> evicted;
     bool dirty = false;
-    for (const MemRequest &w : waiters)
-        dirty = dirty || w.is_write;
-    l2_.insert(line, payloadBytes(line), dirty, &evicted);
-    for (const Eviction &ev : evicted) {
+    for (std::int32_t n = waiting.head; n >= 0; n = waiters_.next(n))
+        dirty = dirty || waiters_.value(n).is_write;
+    evicted_.clear();
+    l2_.insert(line, payloadBytes(line), dirty, &evicted_);
+    for (const Eviction &ev : evicted_) {
         if (ev.dirty)
             issueDramWrite(ev.line, now, false);
     }
-    for (const MemRequest &w : waiters) {
+    // Neither path below issues a DRAM read, so the pool is stable
+    // while the list is walked.
+    for (std::int32_t n = waiting.head; n >= 0; n = waiters_.next(n)) {
+        const MemRequest &w = waiters_.value(n);
         if (!w.is_write)
             makeReply(w, now, true);
         else if (audit_)
             audit_->onRetire(w);    // partial-store fill merged
     }
+    waiters_.release(waiting);
 }
 
 void
@@ -272,9 +283,9 @@ MemoryPartition::cycle(Cycle now)
 {
     dram_.cycle(now);
 
-    std::vector<DramCompletion> done;
-    dram_.drainCompleted(now, &done);
-    for (const DramCompletion &d : done)
+    done_.clear();
+    dram_.drainCompleted(now, &done_);
+    for (const DramCompletion &d : done_)
         handleDramCompletion(d, now);
 
     // Retry stalled writebacks and misses now that DRAM may have room.

@@ -9,12 +9,12 @@
 #ifndef CABA_MEM_PARTITION_H
 #define CABA_MEM_PARTITION_H
 
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/audit.h"
 #include "common/component.h"
+#include "common/flat_map.h"
+#include "common/ring.h"
 #include "common/stats.h"
 #include "compress/design.h"
 #include "mem/cache.h"
@@ -52,8 +52,6 @@ struct PartitionConfig
     bool model_tlb = true;
     int tlb_size_bytes = 16 * 1024;
     int tlb_page_lines = 4096 / kLineSize;
-
-    int reply_queue = 32;
 };
 
 /** L2 slice + memory controller + DRAM channel. Its Sink face is the
@@ -141,23 +139,31 @@ class MemoryPartition : public Clocked, public Sink<MemRequest>
     MdCache md_;
     MdCache tlb_;   ///< Page-translation reach, modeled like the MD cache.
 
+    // Every queue and table below keeps its storage once grown, so the
+    // per-request path allocates nothing in steady state.
+
     /** Requests inside the L2 lookup pipeline: (ready_at, request). */
-    std::deque<std::pair<Cycle, MemRequest>> l2_pipe_;
+    Ring<std::pair<Cycle, MemRequest>> l2_pipe_;
 
     /** Requests that missed L2 but could not enter DRAM yet. */
-    std::deque<MemRequest> dram_stalled_;
+    Ring<MemRequest> dram_stalled_;
 
     /** Dirty evictions waiting for DRAM queue space. */
-    std::deque<Addr> writeback_stalled_;
+    Ring<Addr> writeback_stalled_;
 
     /** Outstanding DRAM reads: id -> requests merged onto that read. */
-    std::unordered_map<std::uint64_t, std::vector<MemRequest>> dram_reads_;
+    FlatMap<ListPool<MemRequest>::List> dram_reads_;
+    ListPool<MemRequest> waiters_;
 
     /** Line-level merge of concurrent misses: line -> DRAM read id. */
-    std::unordered_map<Addr, std::uint64_t> line_read_;
+    FlatMap<std::uint64_t> line_read_;
 
     /** Replies delayed by MC-side codec latency: (ready_at, reply). */
-    std::deque<std::pair<Cycle, MemRequest>> reply_wait_;
+    Ring<std::pair<Cycle, MemRequest>> reply_wait_;
+
+    /** Per-cycle scratch: finished DRAM commands, L2 victims. */
+    std::vector<DramCompletion> done_;
+    std::vector<Eviction> evicted_;
 
     Channel<MemRequest> replies_;
     std::uint64_t next_dram_id_ = 1;

@@ -9,12 +9,12 @@
 #define CABA_MEM_XBAR_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "common/audit.h"
 #include "common/component.h"
+#include "common/ring.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "mem/request.h"
@@ -156,12 +156,12 @@ class XbarDirection : public Clocked
     int inputs_;
     int outputs_;
     int trace_tid_base_;
-    std::vector<std::deque<std::pair<int, MemRequest>>> in_q_;
+    std::vector<Ring<std::pair<int, MemRequest>>> in_q_;
     /** Per output: bit i set iff input i's head packet targets it. */
     std::vector<std::uint64_t> head_mask_;
     std::vector<Cycle> port_busy_until_;
     std::vector<int> rr_;
-    std::vector<std::deque<Delivered>> out_q_;
+    std::vector<Ring<Delivered>> out_q_;
     std::vector<InFlight> flying_;
     std::vector<int> flying_per_out_;
     int queued_packets_ = 0;

@@ -1,5 +1,7 @@
 #include "sim/ldst_unit.h"
 
+#include <algorithm>
+
 #include "common/audit.h"
 #include "common/log.h"
 #include "common/trace.h"
@@ -17,6 +19,11 @@ LdstUnit::LdstUnit(int sm_id, const SmConfig &cfg, const CacheConfig &l1_cfg,
     loads_.resize(static_cast<std::size_t>(cfg.max_warps) * 8);
     for (int i = static_cast<int>(loads_.size()) - 1; i >= 0; --i)
         free_load_slots_.push_back(i);
+    // Sized for a full MSHR table; merges beyond one waiter per entry
+    // grow the pool once.
+    const auto entries = static_cast<std::size_t>(std::max(mshr_entries_, 0));
+    mshrs_.reserve(entries);
+    mshr_waiters_.reserve(entries);
 }
 
 MemAccess &
@@ -74,23 +81,27 @@ LdstUnit::loadLineDone(int slot)
 void
 LdstUnit::completeFill(Addr line, int bytes)
 {
-    std::vector<Eviction> evicted;
-    l1_.insert(line, bytes, false, &evicted);   // L1 is write-evict: clean
-    auto it = mshrs_.find(line);
-    if (it == mshrs_.end())
+    // L1 is write-evict, so it holds only clean lines: victims need no
+    // writeback and are not collected.
+    l1_.insert(line, bytes, false, nullptr);
+    const ListPool<int>::List *found = mshrs_.find(line);
+    if (found == nullptr)
         return;                                 // e.g. prefetch raced
-    for (int slot : it->second)
-        loadLineDone(slot);
-    mshrs_.erase(it);
+    ListPool<int>::List waiting = *found;
+    // The entry is erased only after every waiter has completed.
+    for (std::int32_t n = waiting.head; n >= 0; n = mshr_waiters_.next(n))
+        loadLineDone(mshr_waiters_.value(n));
+    mshrs_.erase(line);
+    mshr_waiters_.release(waiting);
 }
 
 bool
 LdstUnit::issuePrefetch(Addr line, Cycle now)
 {
-    if (!l1_.contains(line) && !mshrs_.count(line) &&
+    if (!l1_.contains(line) && !mshrs_.contains(line) &&
         static_cast<int>(mshrs_.size()) < mshr_entries_ &&
         static_cast<int>(out_req_.size()) < out_queue_) {
-        mshrs_[line] = {};      // fill with no waiters
+        mshrs_.tryEmplace(line);    // fill with no waiters
         MemRequest req;
         req.id = hooks_->allocReqId();
         req.line = line;
@@ -113,7 +124,7 @@ LdstUnit::replayStalled() const
     if (st_.is_store)
         return out_full;
     const Addr line = st_.access.lines[st_.cursor];
-    return !l1_.contains(line) && mshrs_.count(line) == 0 &&
+    return !l1_.contains(line) && !mshrs_.contains(line) &&
            (static_cast<int>(mshrs_.size()) >= mshr_entries_ || out_full);
 }
 
@@ -133,14 +144,13 @@ LdstUnit::drain(Cycle now)
             // Probe without counting first so replayed lines do not
             // inflate hit/miss statistics or churn LRU state.
             if (!l1_.contains(line)) {
-                auto it = mshrs_.find(line);
-                if (it != mshrs_.end()) {
+                if (ListPool<int>::List *waiting = mshrs_.find(line)) {
                     if (trace::on(trace::kCache)) {
                         trace::instant(trace::kCache, trace::kPidCache,
                                        sm_id_, "l1_miss", now, "line", line);
                     }
                     l1_.access(line);   // counts the miss
-                    it->second.push_back(st_.load_slot);
+                    mshr_waiters_.append(*waiting, st_.load_slot);
                     ++l1_load_misses_;
                     ++mshr_merges_;
                     ++st_.cursor;
@@ -158,7 +168,7 @@ LdstUnit::drain(Cycle now)
                 }
                 l1_.access(line);       // counts the miss
                 ++l1_load_misses_;
-                mshrs_[line] = {st_.load_slot};
+                mshr_waiters_.append(mshrs_[line], st_.load_slot);
                 MemRequest req;
                 req.id = hooks_->allocReqId();
                 req.line = line;

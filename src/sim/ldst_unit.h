@@ -11,11 +11,11 @@
 #define CABA_SIM_LDST_UNIT_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/audit.h"
 #include "common/component.h"
+#include "common/flat_map.h"
 #include "mem/cache.h"
 #include "mem/request.h"
 #include "workloads/kernel.h"
@@ -164,7 +164,10 @@ class LdstUnit
     Cache l1_;
     std::vector<PendingLoad> loads_;
     std::vector<int> free_load_slots_;
-    std::unordered_map<Addr, std::vector<int>> mshrs_;
+    /** MSHRs: line -> load slots waiting on its fill. An entry with
+     *  no waiters is a prefetch in flight. */
+    FlatMap<ListPool<int>::List> mshrs_;
+    ListPool<int> mshr_waiters_;
     State st_;
     Channel<MemRequest> out_req_;
 

@@ -304,9 +304,9 @@ SmCore::reapAssistWarps(Cycle now)
 {
     if (awc_.table().empty())
         return;
-    std::vector<AssistWarp> finished;
-    awc_.reapFinished(now, &finished);
-    for (const AssistWarp &aw : finished) {
+    reaped_.clear();
+    awc_.reapFinished(now, &reaped_);
+    for (const AssistWarp &aw : reaped_) {
         if (trace::on(trace::kAssistWarp)) {
             // One span per assist warp, from spawn to completion.
             const Cycle dur = now > aw.spawned ? now - aw.spawned : 1;

@@ -317,6 +317,7 @@ class SmCore : public Clocked,
     WarpScheduler sched_;
     LdstUnit ldst_;
 
+    std::vector<AssistWarp> reaped_;            ///< Reap scratch, reused.
     std::deque<Addr> pending_fills_;            ///< Awaiting AWT room.
     std::unordered_map<std::uint64_t, PendingStore> comp_stores_;
     std::uint64_t next_store_token_ = 1;

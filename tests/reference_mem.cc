@@ -1,11 +1,13 @@
-// Test-only copies; see reference_mem.h. The bodies are the shipped
-// implementations before bank-indexed FR-FCFS queues and head-of-line
-// arbitration masks, less tracing and audit hooks. The DRAM scheduler
-// window they once had is gone: it was checked to cover both queues,
-// so it never shortened a scan.
+// Test-only copies; see reference_mem.h. The DRAM and crossbar bodies
+// are the shipped implementations before bank-indexed FR-FCFS queues
+// and head-of-line arbitration masks, less tracing and audit hooks. The
+// DRAM scheduler window they once had is gone: it was checked to cover
+// both queues, so it never shortened a scan. The compression model is
+// the shipped one before its memo became a slot array, less its audit.
 #include "reference_mem.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/log.h"
 
@@ -532,6 +534,78 @@ XbarDirection::busy() const
         if (!q.empty())
             return true;
     return false;
+}
+
+// ---------------------------------------------------- CompressionModel
+
+CompressionModel::CompressionModel(const BackingStore &store, Algorithm algo,
+                                   bool verify, std::size_t memo_cap)
+    : store_(store), codec_(&getCodec(algo)), verify_(verify),
+      memo_cap_(memo_cap)
+{
+    CABA_CHECK(memo_cap_ > 0, "memo capacity must be positive");
+}
+
+void
+CompressionModel::evictLru()
+{
+    const Addr victim = lru_.back();
+    auto it = memo_.find(victim);
+    CABA_CHECK(it != memo_.end(), "memo LRU list out of sync");
+    memo_bytes_ -= it->second.bytes;
+    memo_.erase(it);
+    lru_.pop_back();
+    stats_.add("memo_evictions");
+}
+
+const CompressedLine &
+CompressionModel::lookup(Addr line)
+{
+    auto it = memo_.find(line);
+    if (it == memo_.end()) {
+        if (memo_.size() >= memo_cap_)
+            evictLru();
+        lru_.push_front(line);
+        it = memo_.emplace(line, Entry{}).first;
+        it->second.lru_it = lru_.begin();
+        peak_memo_entries_ = std::max(peak_memo_entries_, memo_.size());
+        stats_.set("memo_peak_entries",
+                   static_cast<std::uint64_t>(peak_memo_entries_));
+    } else {
+        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    }
+    Entry &e = it->second;
+    const std::uint64_t v = store_.version(line);
+    if (e.version != v) {
+        std::uint8_t buf[kLineSize];
+        store_.read(line, buf);
+        e.cl = codec_->compress(buf);
+        e.version = v;
+        const std::size_t foot = sizeof(Entry) + e.cl.bytes.capacity();
+        memo_bytes_ += foot - e.bytes;
+        e.bytes = foot;
+        if (memo_bytes_ > peak_memo_bytes_) {
+            peak_memo_bytes_ = memo_bytes_;
+            stats_.set("memo_peak_bytes",
+                       static_cast<std::uint64_t>(peak_memo_bytes_));
+        }
+        stats_.add("lines_compressed");
+        stats_.add("uncompressed_bytes", kLineSize);
+        stats_.add("compressed_bytes",
+                   static_cast<std::uint64_t>(e.cl.size()));
+        stats_.add("uncompressed_bursts", kBurstsPerLine);
+        stats_.add("compressed_bursts",
+                   static_cast<std::uint64_t>(e.cl.bursts()));
+        stats_.dist("compressed_line_bytes")
+            .record(static_cast<std::uint64_t>(e.cl.size()));
+        if (verify_) {
+            std::uint8_t out[kLineSize];
+            codec_->decompress(e.cl, out);
+            CABA_CHECK(std::memcmp(buf, out, kLineSize) == 0,
+                       "codec round-trip mismatch in memory image");
+        }
+    }
+    return e.cl;
 }
 
 } // namespace ref

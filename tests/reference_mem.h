@@ -1,24 +1,32 @@
 /**
  * @file
- * Test-only reference copies of two memory-side components as they were
- * before their schedulers were indexed: the DRAM channel whose FR-FCFS
- * picks scan two std::deque command queues, and the crossbar whose
- * round-robin arbitration walks every input per output. Nothing in the
- * simulator links them; the differential test holds the shipped
- * DramChannel and XbarDirection to these, cycle by cycle. Tracing, the
- * audit hooks and the crossbar's port views are left out: they do not
- * take part in scheduling.
+ * Test-only reference copies of three memory-side components as they
+ * were before their schedulers or tables were flattened: the DRAM
+ * channel whose FR-FCFS picks scan two std::deque command queues, the
+ * crossbar whose round-robin arbitration walks every input per output,
+ * and the compression model whose memo is a std::unordered_map plus a
+ * std::list LRU with string-keyed stats. Nothing in the simulator links
+ * them; the differential tests hold the shipped DramChannel,
+ * XbarDirection and CompressionModel to these. Tracing, the audit hooks
+ * and the crossbar's port views are left out: they do not take part in
+ * scheduling or results.
  */
 #ifndef CABA_TESTS_REFERENCE_MEM_H
 #define CABA_TESTS_REFERENCE_MEM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <list>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "compress/codec.h"
+#include "compress/registry.h"
+#include "mem/backing_store.h"
 #include "mem/dram.h"
 #include "mem/request.h"
 #include "mem/xbar.h"
@@ -141,6 +149,40 @@ class XbarDirection
     std::vector<InFlight> flying_;
     std::vector<int> flying_per_out_;
     int queued_packets_ = 0;
+    StatSet stats_;
+};
+
+/** Compression memo over an unordered_map with a std::list LRU. */
+class CompressionModel
+{
+  public:
+    CompressionModel(const BackingStore &store, Algorithm algo,
+                     bool verify, std::size_t memo_cap);
+
+    const CompressedLine &lookup(Addr line);
+    const StatSet &stats() const { return stats_; }
+    std::size_t memoEntries() const { return memo_.size(); }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t version = ~std::uint64_t{0};
+        CompressedLine cl;
+        std::list<Addr>::iterator lru_it;
+        std::size_t bytes = 0;
+    };
+
+    void evictLru();
+
+    const BackingStore &store_;
+    const Codec *codec_ = nullptr;
+    bool verify_;
+    std::size_t memo_cap_;
+    std::unordered_map<Addr, Entry> memo_;
+    std::list<Addr> lru_;
+    std::size_t memo_bytes_ = 0;
+    std::size_t peak_memo_bytes_ = 0;
+    std::size_t peak_memo_entries_ = 0;
     StatSet stats_;
 };
 

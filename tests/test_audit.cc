@@ -7,6 +7,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/audit.h"
 #include "gpu/gpu_system.h"
 #include "harness/runner.h"
 
@@ -173,6 +182,81 @@ TEST(Audit, SpecParsing)
     EXPECT_DEATH(AuditConfig::applySpec(base, "bogus"), "CABA_AUDIT='bogus'");
     EXPECT_DEATH(AuditConfig::applySpec(base, "ful"), "CABA_AUDIT='ful'");
     EXPECT_DEATH(AuditConfig::applySpec(base, "00"), "CABA_AUDIT='00'");
+}
+
+TEST(Audit, ThousandsOfLiveOrphansAreReportedInKeyOrder)
+{
+    // More than 4096 requests live at once grows the lifecycle table
+    // several times; the orphan report must still list every survivor
+    // in (id, SM) key order with the usual message.
+    AuditConfig cfg;
+    cfg.fatal = false;
+    cfg.ignore_env = true;
+    Audit audit(cfg);
+    struct Req
+    {
+        std::uint64_t id = 0;
+        int src_sm = 0;
+        Addr line = 0;
+        bool is_write = false;
+    };
+    struct Expect
+    {
+        Req req;
+        Cycle injected = 0;
+        ReqStage stage = ReqStage::Injected;
+    };
+    std::map<std::uint64_t, Expect> live;   // by audit key
+    std::uint64_t s = 77;
+    const auto rnd = [&s](std::uint64_t n) {
+        s = s * 6364136223846793005ull + 1442695040888963407ull;
+        return (s >> 33) % n;
+    };
+    const ReqStage stages[] = {ReqStage::XbarReq, ReqStage::AtPartition,
+                               ReqStage::DramWait, ReqStage::Replied,
+                               ReqStage::XbarReply};
+    std::size_t peak = 0;
+    for (int i = 0; i < 9000; ++i) {
+        Req r;
+        r.src_sm = static_cast<int>(rnd(15));
+        r.id = 1 + static_cast<std::uint64_t>(i) * 7 + rnd(7);
+        r.line = rnd(1 << 24) * kLineSize;
+        r.is_write = rnd(3) == 0;
+        const Cycle now = static_cast<Cycle>(i) * 3;
+        audit.onInject(r, now);
+        Expect &e = live[(r.id << 8) | static_cast<std::uint64_t>(r.src_sm)];
+        e = {r, now, ReqStage::Injected};
+        if (rnd(2) == 0) {
+            e.stage = stages[rnd(5)];
+            audit.onStage(r, e.stage);
+        }
+        // Retire about one request in five, picked at random.
+        if (rnd(5) == 0) {
+            auto it = live.begin();
+            std::advance(it, static_cast<long>(rnd(live.size())));
+            audit.onRetire(it->second.req);
+            live.erase(it);
+        }
+        peak = std::max(peak, live.size());
+    }
+    ASSERT_GT(peak, 4096u);
+    ASSERT_EQ(audit.liveRequests(), live.size());
+    ASSERT_TRUE(audit.failures().empty());
+
+    const Cycle drained = 99999;
+    audit.checkLifecycle(drained, true);
+    std::vector<std::string> want;
+    for (const auto &[key, e] : live) {
+        std::ostringstream os;
+        os << "lifecycle: orphan request (id " << e.req.id << ", SM "
+           << e.req.src_sm << ", " << (e.req.is_write ? "store" : "load")
+           << " of line 0x" << std::hex << e.req.line << std::dec
+           << ") injected at cycle " << e.injected << " still at stage "
+           << reqStageName(e.stage) << " when the system drained at cycle "
+           << drained;
+        want.push_back(os.str());
+    }
+    EXPECT_EQ(audit.failures(), want);
 }
 
 TEST(Audit, LifecycleCountsBalanceOnCleanRun)

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "caba/awc.h"
 #include "caba/aws.h"
 #include "compress/registry.h"
@@ -265,6 +267,51 @@ TEST(Awc, IdleWindowIsSliding)
     for (int i = 0; i < 8; ++i)
         awc.noteIssueSlot(true);
     EXPECT_NEAR(awc.idleFraction(), 0.0, 1e-9);
+}
+
+TEST(Awc, SkipIdleSlotsEqualsOneIdleSlotAtATime)
+{
+    // Random history, then skipIdleSlots(k) on one controller and k
+    // noteIssueSlot(false) calls on its twin, with k at and around the
+    // window size. A further window of random slots fed to both
+    // overwrites every entry in turn, so equal idle fractions all the
+    // way through mean equal windows and write positions.
+    std::uint64_t s = 12345;
+    const auto rnd = [&s](int n) {
+        s = s * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<int>((s >> 33) % static_cast<unsigned>(n));
+    };
+    for (const int window : {1, 2, 7, 8, 128}) {
+        CabaConfig cfg;
+        cfg.throttle_window = window;
+        for (int trial = 0; trial < 200; ++trial) {
+            AssistWarpController skip(cfg);
+            AssistWarpController tick(cfg);
+            const int history = rnd(3 * window);
+            for (int i = 0; i < history; ++i) {
+                const bool used = rnd(3) != 0;
+                skip.noteIssueSlot(used);
+                tick.noteIssueSlot(used);
+            }
+            const int around[] = {0, 1, window - 1, window, window + 1,
+                                  rnd(window + 1), rnd(3 * window + 2)};
+            const int k = std::max(0, around[rnd(7)]);
+            skip.skipIdleSlots(static_cast<std::uint64_t>(k));
+            for (int i = 0; i < k; ++i)
+                tick.noteIssueSlot(false);
+            ASSERT_EQ(skip.idleFraction(), tick.idleFraction())
+                << "window " << window << " history " << history << " k "
+                << k;
+            for (int i = 0; i < window + 1; ++i) {
+                const bool used = rnd(2) != 0;
+                skip.noteIssueSlot(used);
+                tick.noteIssueSlot(used);
+                ASSERT_EQ(skip.idleFraction(), tick.idleFraction())
+                    << "window " << window << " history " << history
+                    << " k " << k << " replay " << i;
+            }
+        }
+    }
 }
 
 } // namespace

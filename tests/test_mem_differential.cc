@@ -1,22 +1,29 @@
 /**
  * @file
- * Differential tests of the indexed memory-side schedulers: the DRAM
- * channel's bank-indexed FR-FCFS queues and the crossbar's head-of-line
- * arbitration masks against the scan-based originals kept in
- * reference_mem.h. Both sides see the same randomized stream, skewed
- * onto a few banks, rows and outputs, and must agree every cycle on
- * completions or deliveries, nextWork(), the skipIdle() accounting and
- * every counter and histogram of stats().
+ * Differential tests of the indexed memory-side schedulers and the
+ * flattened compression memo against the originals kept in
+ * reference_mem.h. The DRAM channel's bank-indexed FR-FCFS queues and
+ * the crossbar's head-of-line arbitration masks see the same randomized
+ * stream as the scan-based copies, skewed onto a few banks, rows and
+ * outputs, and must agree every cycle on completions or deliveries,
+ * nextWork(), the skipIdle() accounting and every counter and histogram
+ * of stats(). The slot-array memo must match the map-and-list memo on
+ * every lookup's image, its entry count and its stats, down to which
+ * keys exist.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/component.h"
+#include "mem/backing_store.h"
+#include "mem/compression_model.h"
 #include "mem/dram.h"
 #include "mem/xbar.h"
 #include "reference_mem.h"
+#include "workloads/data_profile.h"
 
 namespace caba {
 namespace {
@@ -350,6 +357,130 @@ TEST(XbarDifferential, StatsStayEmptyUntilTheFirstPacket)
 TEST(XbarDifferentialDeathTest, MoreThanSixtyFourInputsAreRejected)
 {
     EXPECT_DEATH(XbarDirection(65, 2, XbarConfig{}), "64 inputs");
+}
+
+// ------------------------------------------------------ compression memo
+
+/** Same keys and values, same gauge flags, same histograms. */
+void
+expectSameModelStats(const StatSet &a, const StatSet &b, int step)
+{
+    expectSameStats(a, b, static_cast<Cycle>(step));
+    for (const auto &[name, value] : a.all()) {
+        (void)value;
+        ASSERT_EQ(a.isGauge(name), b.isGauge(name))
+            << name << " at step " << step;
+    }
+}
+
+/**
+ * Random lookups, full-line writes and partial writes over a line pool
+ * a little over twice the memo capacity, skewed onto a hot subset, so
+ * the stream mixes memo hits, version misses and LRU evictions.
+ */
+void
+runMemoDifferential(Algorithm algo, std::size_t memo_cap, std::uint64_t seed,
+                    int steps)
+{
+    // Eight data profiles across consecutive lines: images of every
+    // size from a few bytes to verbatim.
+    BackingStore store([](Addr line, std::uint8_t *out) {
+        const auto profile = static_cast<DataProfile>((line / kLineSize) % 8);
+        generateProfileLine(profile, 11, line, out);
+    });
+    CompressionModel dut(store, algo, true, memo_cap);
+    ref::CompressionModel ref(store, algo, true, memo_cap);
+    ASSERT_TRUE(dut.stats().all().empty()) << "keys before any compression";
+    expectSameModelStats(dut.stats(), ref.stats(), -1);
+
+    Lcg rng(seed);
+    const int cap = static_cast<int>(memo_cap);
+    const int lines = 2 * cap + 3;
+    bool saw_eviction = false;
+    for (int step = 0; step < steps; ++step) {
+        const Addr line =
+            static_cast<Addr>(rng.skewed(lines, cap / 2 + 1, 60)) * kLineSize;
+        const int roll = rng.below(100);
+        if (roll < 8) {
+            std::uint8_t data[kLineSize];
+            const bool narrow = rng.chance(50);  // compressible or not
+            for (std::uint8_t &b : data)
+                b = static_cast<std::uint8_t>(narrow ? rng.below(4)
+                                                     : rng.next());
+            store.write(line, data);
+            continue;
+        }
+        if (roll < 20) {
+            const int offset = rng.below(kLineSize);
+            store.writePartial(line, offset,
+                               1 + rng.below(kLineSize - offset));
+            continue;
+        }
+        const CompressedLine &got = dut.lookup(line);
+        const CompressedLine &want = ref.lookup(line);
+        ASSERT_EQ(got.bytes, want.bytes) << "step " << step;
+        ASSERT_EQ(got.encoding, want.encoding) << "step " << step;
+        ASSERT_EQ(dut.memoEntries(), ref.memoEntries()) << "step " << step;
+        expectSameModelStats(dut.stats(), ref.stats(), step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+        if (!saw_eviction && dut.stats().get("memo_evictions") > 0) {
+            saw_eviction = true;
+            ASSERT_EQ(dut.stats().all().count("memo_evictions"), 1u);
+        }
+    }
+    EXPECT_TRUE(saw_eviction) << "the stream never filled the memo";
+    EXPECT_GT(dut.stats().get("lines_compressed"),
+              dut.stats().get("memo_peak_entries"))
+        << "the stream never recompressed a line";
+}
+
+TEST(MemoDifferential, EveryCapacityFromOneToSixtyFour)
+{
+    for (std::size_t cap = 1; cap <= 64; ++cap) {
+        SCOPED_TRACE("memo_cap " + std::to_string(cap));
+        runMemoDifferential(Algorithm::Bdi, cap, 100 + cap, 1500);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST(MemoDifferential, EveryAlgorithm)
+{
+    for (const Algorithm algo : {Algorithm::Fpc, Algorithm::CPack,
+                                 Algorithm::BestOfAll}) {
+        SCOPED_TRACE(algorithmName(algo));
+        for (const std::size_t cap : {std::size_t{3}, std::size_t{32}}) {
+            runMemoDifferential(algo, cap, 7 * cap, 3000);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(MemoDifferential, KeysAppearWithTheirFirstEvent)
+{
+    BackingStore store([](Addr line, std::uint8_t *out) {
+        generateProfileLine(DataProfile::Pointer, 3, line, out);
+    });
+    CompressionModel dut(store, Algorithm::Bdi, true, 2);
+    ref::CompressionModel ref(store, Algorithm::Bdi, true, 2);
+    EXPECT_TRUE(dut.stats().all().empty());
+    EXPECT_TRUE(dut.stats().allDists().empty());
+    dut.lookup(0);
+    ref.lookup(0);
+    expectSameModelStats(dut.stats(), ref.stats(), 0);
+    EXPECT_EQ(dut.stats().all().count("lines_compressed"), 1u);
+    EXPECT_TRUE(dut.stats().isGauge("memo_peak_bytes"));
+    EXPECT_EQ(dut.stats().all().count("memo_evictions"), 0u);
+    for (Addr line = kLineSize; line <= 2 * kLineSize; line += kLineSize) {
+        dut.lookup(line);
+        ref.lookup(line);
+    }
+    expectSameModelStats(dut.stats(), ref.stats(), 2);
+    EXPECT_EQ(dut.stats().get("memo_evictions"), 1u);
+    EXPECT_EQ(dut.stats().get("memo_peak_bytes"),
+              ref.stats().get("memo_peak_bytes"));
 }
 
 } // namespace
