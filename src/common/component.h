@@ -5,19 +5,21 @@
  *
  *  - Clocked: cycle(now) advances one cycle, busy() reports outstanding
  *    state, and nextWork(now) hints the earliest cycle at which calling
- *    cycle() could do anything. The hint powers quiescence fast-forward
- *    in GpuSystem::run(): when every component reports no work before
- *    cycle C, the clock jumps to C and skipIdle() charges the skipped
- *    cycles to the same accounting the per-cycle path would have used.
- *    The contract is one-sided: reporting work too EARLY only costs a
- *    wasted tick; reporting it too LATE is a simulation bug.
+ *    cycle() could do anything. The hint drives GpuSystem's event-driven
+ *    run loop: a component sleeps until its hint (or until traffic is
+ *    pushed into it), skipIdle() charges the slept cycles to the same
+ *    accounting the per-cycle path would have used, and when every
+ *    component sleeps the clock jumps to the earliest hint. The
+ *    contract is one-sided: reporting work too EARLY only costs a
+ *    wasted tick; reporting it too LATE is a simulation bug, which the
+ *    ticked oracle (every component cycled every clock) exposes.
  *
  *  - Sink<T> / Source<T>: the two ends of a typed connection with
  *    explicit backpressure (canAccept / hasData).
  *
  *  - Channel<T>: a bounded FIFO (a Ring) implementing both ends, and
  *    Wire<T>, which greedily pumps a Source into a Sink once per cycle.
- *    The GpuSystem traffic-moving loops are a flat list of Wires.
+ *    GpuSystem's wire phase is a flat list of Wires.
  */
 #ifndef CABA_COMMON_COMPONENT_H
 #define CABA_COMMON_COMPONENT_H
@@ -161,9 +163,10 @@ struct Wire
             dst->accept(src->take(), now);
     }
 
-    /** Would pump() move at least one item right now? Quiescence
-     *  checks use this: a pumpable wire means the next cycle is not a
-     *  no-op even if every component reports future work. */
+    /** Would pump() move at least one item right now? The wire phase
+     *  wakes a wire's endpoints on this, and the quiescence jump vetoes
+     *  on it: a pumpable wire means the next cycle is not a no-op even
+     *  if every component reports future work. */
     bool
     canPump(Cycle now) const
     {

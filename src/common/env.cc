@@ -16,7 +16,7 @@ namespace {
  * nothing else: snapshotting, raw(), typed accessors and --help-env all
  * derive from this table. Keep rows in the order users should read
  * them. */
-constexpr std::array<Var, 9> kVars{{
+constexpr std::array<Var, 8> kVars{{
     {"CABA_SCALE", Type::Real, "1.0",
      "Workload loop-trip multiplier, finite and positive, applied on top "
      "of any --scale flag."},
@@ -31,14 +31,11 @@ constexpr std::array<Var, 9> kVars{{
     {"CABA_TRACE_CATEGORIES", Type::Str, "all",
      "Comma-separated trace categories: "
      "warp,assist,cache,dram,xbar,slots,counter,all."},
-    {"CABA_NO_FASTFORWARD", Type::Flag, "(unset: fast-forward on)",
-     "Force cycle-by-cycle simulation, disabling quiescence fast-forward "
-     "(the CI determinism smoke job byte-diffs both modes)."},
     {"CABA_EVENT_DRIVEN", Type::Int, "1",
-     "Event-driven run loop: components sleep until their nextWork() "
-     "hint or incoming traffic. 1 or 0; 0 forces the legacy "
-     "walk-everything loop (CI byte-diffs both; results are "
-     "bit-identical)."},
+     "Run-loop schedule, 1 or 0: 1 lets components sleep until their "
+     "nextWork() hint or incoming traffic and jumps quiescent spans; 0 "
+     "runs the ticked oracle, cycling every component every clock (CI "
+     "byte-diffs both; results are bit-identical)."},
     {"CABA_CACHE_DIR", Type::Str, "(unset: cell cache off)",
      "Content-addressed RunResult cache directory for sweep cells "
      "(harness/cell_cache.h). Hits are byte-identical to recomputation; "
@@ -64,7 +61,6 @@ const char *
 typeName(Type t)
 {
     switch (t) {
-      case Type::Flag: return "flag";
       case Type::Int: return "int";
       case Type::Real: return "real";
       case Type::Str: return "string";
@@ -85,12 +81,6 @@ const char *
 raw(const char *name)
 {
     return std::getenv(kVars[indexOf(name)].name);
-}
-
-bool
-flagSet(const char *name)
-{
-    return raw(name) != nullptr;
 }
 
 void

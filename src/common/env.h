@@ -30,7 +30,6 @@ namespace env {
 
 /** How a variable's raw string is interpreted at its point of use. */
 enum class Type {
-    Flag,   ///< presence alone is the signal; the value is ignored
     Int,    ///< decimal integer
     Real,   ///< decimal floating point
     Str,    ///< free-form string (path, spec, comma list)
@@ -54,9 +53,6 @@ const std::vector<Var> &registry();
  * undeclared variable is a contract violation, not a lookup miss.
  */
 const char *raw(const char *name);
-
-/** True when the variable is present in the environment (Flag vars). */
-bool flagSet(const char *name);
 
 /** Stops the process: variable @p name holds @p value, which is not
  *  @p what (e.g. "a finite positive number"). */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Implementation of the in-loop wall-clock profiler (see prof.h).
- * This file is the sanctioned home for run-loop clock reads: it is on
+ * Implementation of the wall-clock profiler (see prof.h). This file is
+ * the sanctioned home for the simulator's host-clock reads: it is on
  * caba-lint's determinism whitelist, and nothing here reads or writes
  * simulation state — the sim stays bit-identical profiler on/off.
  */
@@ -16,7 +16,6 @@
 #include "common/env.h"
 #include "common/json.h"
 #include "common/log.h"
-#include "common/self_profile.h"
 
 namespace caba {
 namespace prof {
@@ -28,14 +27,13 @@ struct Table
     std::mutex mu;
     std::array<std::int64_t, kBuckets> ns{};
     std::array<std::uint64_t, kBuckets> calls{};
+    std::array<std::int64_t, kStages> stage_ns{};
 };
 
-Table &
-table()
-{
-    static Table t;
-    return t;
-}
+/* Constant-initialized, so it is built before EnvActivation registers
+ * emit() with atexit and therefore outlives it: the exit report never
+ * reads a destroyed table, whenever the first cell touches it. */
+constinit Table g_table;
 
 /** Writes `caba-prof-v1` at exit when CABA_PROF was set at startup —
  *  same activation pattern as the trace sink. */
@@ -120,6 +118,20 @@ phaseName(Phase p)
     CABA_PANIC("bad prof phase");
 }
 
+const char *
+stageName(Stage s)
+{
+    switch (s) {
+    case Stage::Build:
+        return "build";
+    case Stage::Run:
+        return "run";
+    case Stage::kCount:
+        break;
+    }
+    CABA_PANIC("bad prof stage");
+}
+
 bool
 enabledEnv()
 {
@@ -139,7 +151,7 @@ nowNs()
 void
 Recorder::flush()
 {
-    Table &t = table();
+    Table &t = g_table;
     std::lock_guard<std::mutex> lock(t.mu);
     for (std::size_t i = 0; i < kBuckets; ++i) {
         t.ns[i] += ns_[i];
@@ -149,11 +161,27 @@ Recorder::flush()
     }
 }
 
+void
+addStage(Stage s, std::int64_t ns)
+{
+    Table &t = g_table;
+    std::lock_guard<std::mutex> lock(t.mu);
+    t.stage_ns[static_cast<std::size_t>(s)] += ns;
+}
+
+std::array<std::int64_t, kStages>
+stageSnapshot()
+{
+    Table &t = g_table;
+    std::lock_guard<std::mutex> lock(t.mu);
+    return t.stage_ns;
+}
+
 std::array<Bucket, kBuckets>
 snapshot()
 {
     std::array<Bucket, kBuckets> out;
-    Table &t = table();
+    Table &t = g_table;
     std::lock_guard<std::mutex> lock(t.mu);
     for (int c = 0; c < kComps; ++c) {
         for (int p = 0; p < kPhases; ++p) {
@@ -171,10 +199,11 @@ snapshot()
 void
 resetForTest()
 {
-    Table &t = table();
+    Table &t = g_table;
     std::lock_guard<std::mutex> lock(t.mu);
     t.ns.fill(0);
     t.calls.fill(0);
+    t.stage_ns.fill(0);
 }
 
 bool
@@ -195,11 +224,14 @@ writeReport(const std::string &path)
         w.endObject();
     }
     w.endArray();
-    // The harness-level wall-clock scopes (std::map -> sorted keys, so
-    // the key order is deterministic even though the values are not).
+    // The harness stages, in fixed order like the buckets.
+    const std::array<std::int64_t, kStages> stages = stageSnapshot();
     w.key("self_profile").beginObject();
-    for (const auto &[name, ns] : SelfProfile::snapshot())
-        w.kv(name, static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
+    for (int i = 0; i < kStages; ++i) {
+        const std::int64_t ns = stages[static_cast<std::size_t>(i)];
+        w.kv(stageName(static_cast<Stage>(i)),
+             static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
+    }
     w.endObject();
     w.endObject();
 

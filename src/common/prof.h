@@ -1,20 +1,26 @@
 /**
  * @file
- * In-loop wall-clock profiler for the run loop (DESIGN.md section 11).
- * When CABA_PROF=<path> is set, GpuSystem timestamps every component
- * cycle batch, skipIdle catch-up and quiescence jump, attributing host
- * nanoseconds to (component class, phase) buckets. The process exit
- * hook writes a deterministic-schema `caba-prof-v1` JSON document to
- * the given path (every bucket always present, fixed order — only the
- * measured values vary) and prints a top-N table to stderr. This is
- * the tool that found the DRAM FR-FCFS hotspot behind the PR 6
- * speedup, built in.
+ * The wall-clock profiler (DESIGN.md section 11), one for the whole
+ * simulator. Two kinds of host time land in one process-global table:
+ *
+ *  - run-loop buckets: when CABA_PROF=<path> is set, GpuSystem
+ *    timestamps every component cycle batch, skipIdle catch-up and
+ *    quiescence jump, attributing host nanoseconds to (component class,
+ *    phase) buckets;
+ *  - harness stages: runApp times each cell's build and run, always
+ *    (two clock reads per stage), so a sweep can report on stderr where
+ *    its wall time went.
+ *
+ * When CABA_PROF was set at startup, the process exit hook writes a
+ * deterministic-schema `caba-prof-v1` JSON document to the given path
+ * (every bucket and stage always present, fixed order — only the
+ * measured values vary) and prints a top-N table to stderr.
  *
  * Determinism contract: the profiler reads host clocks but never reads
  * or writes simulation state, so RunResult is bit-identical with
  * profiling on or off (asserted by tests/test_prof.cc). All wall-clock
- * reads live in prof.cc, which is whitelisted by caba-lint's
- * determinism rule alongside common/self_profile.*.
+ * reads live in prof.cc, which caba-lint's determinism rule
+ * whitelists; the totals stay out of the deterministic bench JSON.
  */
 #ifndef CABA_COMMON_PROF_H
 #define CABA_COMMON_PROF_H
@@ -42,7 +48,7 @@ enum class Comp : int {
 enum class Phase : int {
     Cycle,      ///< cycle(now) calls.
     CatchUp,    ///< Deferred skipIdle() spans charged on wake.
-    Jump,       ///< Quiescence-jump bookkeeping (eventJump/fastForward).
+    Jump,       ///< Quiescence-jump bookkeeping (GpuSystem::eventJump).
     kCount,
 };
 
@@ -59,8 +65,41 @@ const char *phaseName(Phase p);
 bool enabledEnv();
 
 /** Monotonic host time in nanoseconds. The only wall-clock read on the
- *  simulator side outside common/self_profile.* and the trace sink. */
+ *  simulator side outside the trace sink. */
 std::int64_t nowNs();
+
+/** Harness stages of one cell (runApp), reported under "self_profile". */
+enum class Stage : int {
+    Build,      ///< Workload synthesis and GpuSystem construction.
+    Run,        ///< launch() plus run().
+    kCount,
+};
+
+inline constexpr int kStages = static_cast<int>(Stage::kCount);
+
+/** Stable lower-case name (JSON key). */
+const char *stageName(Stage s);
+
+/** Adds @p ns to harness stage @p s (thread-safe). */
+void addStage(Stage s, std::int64_t ns);
+
+/** Total nanoseconds per harness stage, indexed by Stage. */
+std::array<std::int64_t, kStages> stageSnapshot();
+
+/** RAII: adds its own lifetime to one harness stage. */
+class StageScope
+{
+  public:
+    explicit StageScope(Stage s) : stage_(s), t0_(nowNs()) {}
+    ~StageScope() { addStage(stage_, nowNs() - t0_); }
+
+    StageScope(const StageScope &) = delete;
+    StageScope &operator=(const StageScope &) = delete;
+
+  private:
+    Stage stage_;
+    std::int64_t t0_;
+};
 
 /**
  * Per-GpuSystem accumulator: plain arrays on the hot path (no locking,
@@ -106,13 +145,12 @@ struct Bucket
 /** All kBuckets global buckets in fixed (component, phase) order. */
 std::array<Bucket, kBuckets> snapshot();
 
-/** Zeroes the global table (test isolation). */
+/** Zeroes the global table, stages included (test isolation). */
 void resetForTest();
 
 /**
  * Writes the `caba-prof-v1` document to @p path: the fixed-order
- * bucket array plus the SelfProfile build/run wall-clock totals, so
- * the harness self-profile lands in the same artifact.
+ * bucket array plus the harness stage totals under "self_profile".
  * @return false when the file cannot be opened.
  */
 bool writeReport(const std::string &path);

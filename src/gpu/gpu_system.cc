@@ -21,18 +21,9 @@ scaledDram(DramConfig dram, double bw_scale)
     return dram;
 }
 
-/** CABA_NO_FASTFORWARD=<anything> forces cycle-by-cycle execution (the
- *  CI determinism smoke test diffs both modes). Read once. */
-bool
-noFastForwardEnv()
-{
-    static const bool set = env::flagSet("CABA_NO_FASTFORWARD");
-    return set;
-}
-
-/** CABA_EVENT_DRIVEN=0 forces the legacy walk-everything loop (the CI
- *  determinism smoke test diffs both loops). Read once: run() executes
- *  on sweep worker threads where getenv is not reliably safe. */
+/** CABA_EVENT_DRIVEN=0 selects the ticked oracle (the CI determinism
+ *  smoke test diffs both modes). Read once: GpuSystems are built on
+ *  sweep worker threads where getenv is not reliably safe. */
 bool
 eventDrivenEnvOn()
 {
@@ -78,13 +69,13 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const DesignConfig &design,
         [this](const MemRequest &r) { return partitionOf(r.line); });
     reply_net_.setRouter([](const MemRequest &r) { return r.src_sm; });
 
-    // Wire order IS the drain order of the former moveTraffic() loops:
-    // SM out-queues feed the request crossbar; each partition drains its
-    // crossbar output, then pushes replies; the reply crossbar fans back
-    // out to the SMs. Each endpoint is tagged with its owning component
-    // (as a clocked_ index: SM i -> i, request crossbar -> num_sms,
-    // reply crossbar -> num_sms + 1, partition p -> num_sms + 2 + p) so
-    // the event-driven loop can wake whatever a pump touches.
+    // Wire order is the drain order: SM out-queues feed the request
+    // crossbar; each partition drains its crossbar output, then pushes
+    // replies; the reply crossbar fans back out to the SMs. Each
+    // endpoint is tagged with its owning component (as a clocked_ index:
+    // SM i -> i, request crossbar -> num_sms, reply crossbar ->
+    // num_sms + 1, partition p -> num_sms + 2 + p) so the run loop can
+    // wake whatever a pump touches.
     const int req_owner = cfg_.num_sms;
     const int reply_owner = cfg_.num_sms + 1;
     auto add_wire = [this](Source<MemRequest> *src, Sink<MemRequest> *dst,
@@ -114,6 +105,13 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const DesignConfig &design,
     clocked_.push_back(&reply_net_);
     for (auto &part : partitions_)
         clocked_.push_back(part.get());
+
+    ticked_ = cfg_.ticked || !eventDrivenEnvOn();
+    // Every component is due at cycle 0, with no idle span to charge.
+    eq_.reset(static_cast<int>(clocked_.size()));
+    for (std::size_t i = 0; i < clocked_.size(); ++i)
+        eq_.schedule(static_cast<int>(i), now_);
+    acct_.assign(clocked_.size(), now_);
 
     if (audit_.enabled()) {
         for (auto &sm : sms_)
@@ -180,57 +178,6 @@ GpuSystem::partitionOf(Addr line) const
     return static_cast<int>((line >> 8) % cfg_.num_partitions);
 }
 
-void
-GpuSystem::moveTraffic()
-{
-    for (Wire<MemRequest> &w : wires_)
-        w.pump(now_);
-}
-
-void
-GpuSystem::step()
-{
-    if (prof_on_) {
-        stepProfiled();
-        return;
-    }
-    for (auto &sm : sms_)
-        sm->cycle(now_);
-    moveTraffic();
-    req_net_.cycle(now_);
-    reply_net_.cycle(now_);
-    for (auto &part : partitions_)
-        part->cycle(now_);
-    ++now_;
-}
-
-void
-GpuSystem::stepProfiled()
-{
-    // Walk-mode attribution is per phase group, not per component: the
-    // clock reads bracket whole loops so the overhead stays far below
-    // the measured work.
-    std::int64_t t0 = prof::nowNs();
-    for (auto &sm : sms_)
-        sm->cycle(now_);
-    std::int64_t t1 = prof::nowNs();
-    prof_.add(prof::Comp::Sm, prof::Phase::Cycle, t1 - t0);
-    moveTraffic();
-    t0 = prof::nowNs();
-    prof_.add(prof::Comp::Wire, prof::Phase::Cycle, t0 - t1);
-    req_net_.cycle(now_);
-    t1 = prof::nowNs();
-    prof_.add(prof::Comp::XbarReq, prof::Phase::Cycle, t1 - t0);
-    reply_net_.cycle(now_);
-    t0 = prof::nowNs();
-    prof_.add(prof::Comp::XbarReply, prof::Phase::Cycle, t0 - t1);
-    for (auto &part : partitions_)
-        part->cycle(now_);
-    prof_.add(prof::Comp::Partition, prof::Phase::Cycle,
-              prof::nowNs() - t0);
-    ++now_;
-}
-
 prof::Comp
 GpuSystem::compClassOf(std::size_t i) const
 {
@@ -254,34 +201,109 @@ GpuSystem::done() const
 }
 
 void
-GpuSystem::fastForward()
+GpuSystem::catchUp(std::size_t i, Cycle to)
 {
-    // The skip is sound because nextWork() is conservative: any
-    // component that could change state (or merely bump a counter) at
-    // now_ reports now_, and moveTraffic() is provably a no-op while
-    // every queue either is empty or cannot drain.
-    Cycle wake = cfg_.max_cycles;
-    for (const Clocked *c : clocked_) {
-        const Cycle w = c->nextWork(now_);
-        if (w <= now_)
-            return;
-        wake = std::min(wake, w);
+    if (acct_[i] < to) {
+        // The span [acct_[i], to) had no cycle() call and no incoming
+        // traffic, so the component's state is exactly what it was at
+        // acct_[i]; one deferred skipIdle() charges the same accounting
+        // the per-cycle path would have accumulated.
+        clocked_[i]->skipIdle(acct_[i], to);
+        acct_[i] = to;
     }
-    if (wake <= now_)
-        return;
-    // Even with every component quiescent, a wire that can move a
-    // packet makes the next moveTraffic() a state change.
-    for (const Wire<MemRequest> &w : wires_)
-        if (w.canPump(now_))
-            return;
-    for (Clocked *c : clocked_)
-        c->skipIdle(now_, wake);
-    advanceQuiescent(wake);
 }
 
 void
-GpuSystem::advanceQuiescent(Cycle wake)
+GpuSystem::wakeForTraffic(std::size_t i)
 {
+    // SMs (clocked_ indices below num_sms) cycle before the wire phase:
+    // traffic landing at now_ is seen by their cycle(now_ + 1). The
+    // crossbars and partitions cycle after the wire phase and must run
+    // this very cycle, exactly as the ticked oracle runs them.
+    // Catch-up must precede the push (see catchUp()).
+    const Cycle at = i < sms_.size() ? now_ + 1 : now_;
+    catchUp(i, at);
+    if (eq_.when(static_cast<int>(i)) > at)
+        eq_.schedule(static_cast<int>(i), at);
+}
+
+void
+GpuSystem::pumpWires()
+{
+    // Taking from a source can unblock its owner (a full crossbar
+    // output gates arbitration) just as accepting gives the destination
+    // work, so a wire that moves anything wakes both endpoints.
+    for (std::size_t wi = 0; wi < wires_.size(); ++wi) {
+        Wire<MemRequest> &w = wires_[wi];
+        if (!w.canPump(now_))
+            continue;
+        wakeForTraffic(static_cast<std::size_t>(wire_src_owner_[wi]));
+        wakeForTraffic(static_cast<std::size_t>(wire_dst_owner_[wi]));
+        w.pump(now_);
+    }
+}
+
+void
+GpuSystem::step()
+{
+    const std::size_t n_sms = sms_.size();
+    auto run_component = [this](std::size_t i) {
+        if (!eq_.due(static_cast<int>(i), now_))
+            return;
+        Clocked *c = clocked_[i];
+        if (prof_on_) {
+            // The wire-phase wake catch-ups are charged to Wire; the
+            // ones below cover components woken by their own schedule.
+            const prof::Comp cls = compClassOf(i);
+            if (acct_[i] < now_) {
+                const std::int64_t t0 = prof::nowNs();
+                catchUp(i, now_);
+                prof_.add(cls, prof::Phase::CatchUp, prof::nowNs() - t0);
+            }
+            const std::int64_t t1 = prof::nowNs();
+            c->cycle(now_);
+            prof_.add(cls, prof::Phase::Cycle, prof::nowNs() - t1);
+        } else {
+            catchUp(i, now_);
+            c->cycle(now_);
+        }
+        acct_[i] = now_ + 1;
+        eq_.schedule(static_cast<int>(i),
+                     ticked_ ? now_ + 1 : c->nextWork(now_ + 1));
+    };
+    for (std::size_t i = 0; i < n_sms; ++i)
+        run_component(i);
+    if (prof_on_) {
+        const std::int64_t t0 = prof::nowNs();
+        pumpWires();
+        prof_.add(prof::Comp::Wire, prof::Phase::Cycle,
+                  prof::nowNs() - t0);
+    } else {
+        pumpWires();
+    }
+    for (std::size_t i = n_sms; i < clocked_.size(); ++i)
+        run_component(i);
+    ++now_;
+}
+
+void
+GpuSystem::eventJump()
+{
+    // Every component published its next event when it went to sleep,
+    // and pushes always re-arm the destination, so a minimum wake time
+    // past now_ means no component can change state before it.
+    const Cycle wake = std::min(eq_.minTime(), cfg_.max_cycles);
+    if (wake <= now_)
+        return;
+    // In practice no wire can be pumpable here (data waiting in any
+    // endpoint pins its owner awake via nextWork), but the veto is kept
+    // as cheap insurance against a source that sleeps on queued data.
+    for (const Wire<MemRequest> &w : wires_)
+        if (w.canPump(now_))
+            return;
+    // No skipIdle here: sleeping components are charged lazily when
+    // they wake (catchUp), which accumulates the identical spans.
+    //
     // Emit the timeline samples the skipped cycles would have produced
     // (counters are frozen across the span, so sampling mid-skip reads
     // the same values a ticked run would).
@@ -312,162 +334,25 @@ GpuSystem::advanceQuiescent(Cycle wake)
     CABA_CHECK(now_ < cfg_.max_cycles, "simulation exceeded max_cycles");
 }
 
-// ------------------------------------------------------- event-driven loop
-
-void
-GpuSystem::initEventState()
-{
-    eq_.reset(static_cast<int>(clocked_.size()));
-    for (std::size_t i = 0; i < clocked_.size(); ++i)
-        eq_.schedule(static_cast<int>(i), now_);
-    acct_.assign(clocked_.size(), now_);
-}
-
-void
-GpuSystem::catchUp(std::size_t i, Cycle to)
-{
-    if (acct_[i] < to) {
-        // The span [acct_[i], to) had no cycle() call and no incoming
-        // traffic, so the component's state is exactly what it was at
-        // acct_[i]; one deferred skipIdle() charges the same accounting
-        // the per-cycle path would have accumulated.
-        clocked_[i]->skipIdle(acct_[i], to);
-        acct_[i] = to;
-    }
-}
-
-void
-GpuSystem::wakeForTraffic(std::size_t i)
-{
-    // SMs (clocked_ indices below num_sms) cycle before the wire phase:
-    // traffic landing at now_ is seen by their cycle(now_ + 1). The
-    // crossbars and partitions cycle after the wire phase and must run
-    // this very cycle, exactly as they would in the walk-everything
-    // loop. Catch-up must precede the push (see catchUp()).
-    const Cycle at = i < sms_.size() ? now_ + 1 : now_;
-    catchUp(i, at);
-    if (eq_.when(static_cast<int>(i)) > at)
-        eq_.schedule(static_cast<int>(i), at);
-}
-
-void
-GpuSystem::pumpWiresEvent()
-{
-    // Wire phase: same order and greedy drain as moveTraffic(), plus
-    // wake hooks. Taking from a source can unblock its owner (a full
-    // crossbar output gates arbitration) just as accepting gives the
-    // destination work, so a moved packet wakes both endpoints.
-    for (std::size_t wi = 0; wi < wires_.size(); ++wi) {
-        const Wire<MemRequest> &w = wires_[wi];
-        if (!w.src->hasData(now_) || !w.dst->canAccept())
-            continue;
-        wakeForTraffic(static_cast<std::size_t>(wire_src_owner_[wi]));
-        wakeForTraffic(static_cast<std::size_t>(wire_dst_owner_[wi]));
-        do {
-            w.dst->accept(w.src->take(), now_);
-        } while (w.src->hasData(now_) && w.dst->canAccept());
-    }
-}
-
-void
-GpuSystem::stepEvent()
-{
-    const std::size_t n_sms = sms_.size();
-    auto run_component = [this](std::size_t i) {
-        if (!eq_.due(static_cast<int>(i), now_))
-            return;
-        Clocked *c = clocked_[i];
-        if (prof_on_) {
-            // The wire-phase wake catch-ups are charged to Wire; the
-            // ones below cover components woken by their own schedule.
-            const prof::Comp cls = compClassOf(i);
-            if (acct_[i] < now_) {
-                const std::int64_t t0 = prof::nowNs();
-                catchUp(i, now_);
-                prof_.add(cls, prof::Phase::CatchUp, prof::nowNs() - t0);
-            }
-            const std::int64_t t1 = prof::nowNs();
-            c->cycle(now_);
-            prof_.add(cls, prof::Phase::Cycle, prof::nowNs() - t1);
-        } else {
-            catchUp(i, now_);
-            c->cycle(now_);
-        }
-        acct_[i] = now_ + 1;
-        eq_.schedule(static_cast<int>(i), c->nextWork(now_ + 1));
-    };
-    for (std::size_t i = 0; i < n_sms; ++i)
-        run_component(i);
-    if (prof_on_) {
-        const std::int64_t t0 = prof::nowNs();
-        pumpWiresEvent();
-        prof_.add(prof::Comp::Wire, prof::Phase::Cycle,
-                  prof::nowNs() - t0);
-    } else {
-        pumpWiresEvent();
-    }
-    for (std::size_t i = n_sms; i < clocked_.size(); ++i)
-        run_component(i);
-    ++now_;
-}
-
-void
-GpuSystem::eventJump()
-{
-    // Like fastForward(), but the wake times are already cached: every
-    // component published its next event when it went to sleep, and
-    // pushes always re-arm the destination, so min-wake > now_ is the
-    // same global-quiescence condition the polling loop recomputes.
-    Cycle wake = eq_.minTime();
-    if (wake <= now_)
-        return;
-    wake = std::min(wake, cfg_.max_cycles);
-    if (wake <= now_)
-        return;
-    // In practice no wire can be pumpable here (data waiting in any
-    // endpoint pins its owner awake via nextWork), but the veto is kept
-    // as cheap insurance against a source that sleeps on queued data.
-    for (const Wire<MemRequest> &w : wires_)
-        if (w.canPump(now_))
-            return;
-    // No skipIdle here: sleeping components are charged lazily when
-    // they wake (catchUp), which accumulates the identical spans.
-    advanceQuiescent(wake);
-}
-
 RunResult
 GpuSystem::run()
 {
-    const bool ff = cfg_.fast_forward && !noFastForwardEnv();
-    const bool ed = cfg_.event_driven && eventDrivenEnvOn();
     // loop/cycle is inclusive wall time for the whole run: the gap to
     // the sum of the component buckets is the loop's own overhead.
     const std::int64_t run_t0 = prof_on_ ? prof::nowNs() : 0;
-    auto timed_jump = [this](auto &&fn) {
-        if (!prof_on_) {
-            fn();
-            return;
-        }
-        const std::int64_t t0 = prof::nowNs();
-        fn();
-        prof_.add(prof::Comp::Loop, prof::Phase::Jump, prof::nowNs() - t0);
-    };
     // Timeline sampling (counter-based rather than now_ % interval so a
     // mid-run caller of step() cannot desynchronize the cadence).
     until_sample_ = cfg_.sample_interval;
     until_audit_ = audit_.config().period;
-    if (ed)
-        initEventState();
     while (!done()) {
-        if (ed) {
-            if (ff)
-                timed_jump([this] { eventJump(); });
-            stepEvent();
-        } else {
-            if (ff)
-                timed_jump([this] { fastForward(); });
-            step();
+        if (!ticked_) {
+            const std::int64_t t0 = prof_on_ ? prof::nowNs() : 0;
+            eventJump();
+            if (prof_on_)
+                prof_.add(prof::Comp::Loop, prof::Phase::Jump,
+                          prof::nowNs() - t0);
         }
+        step();
         CABA_CHECK(now_ < cfg_.max_cycles, "simulation exceeded max_cycles");
         if (cfg_.sample_interval > 0 && --until_sample_ == 0) {
             until_sample_ = cfg_.sample_interval;
@@ -478,18 +363,16 @@ GpuSystem::run()
             runAudit(false);
         }
     }
-    if (ed) {
-        // Settle the deferred idle accounting of anything still asleep
-        // (e.g. retired SMs accumulating throttle-window history).
-        for (std::size_t i = 0; i < clocked_.size(); ++i) {
-            if (prof_on_ && acct_[i] < now_) {
-                const std::int64_t t0 = prof::nowNs();
-                catchUp(i, now_);
-                prof_.add(compClassOf(i), prof::Phase::CatchUp,
-                          prof::nowNs() - t0);
-            } else {
-                catchUp(i, now_);
-            }
+    // Settle the deferred idle accounting of anything still asleep
+    // (e.g. retired SMs accumulating throttle-window history).
+    for (std::size_t i = 0; i < clocked_.size(); ++i) {
+        if (prof_on_ && acct_[i] < now_) {
+            const std::int64_t t0 = prof::nowNs();
+            catchUp(i, now_);
+            prof_.add(compClassOf(i), prof::Phase::CatchUp,
+                      prof::nowNs() - t0);
+        } else {
+            catchUp(i, now_);
         }
     }
     if (cfg_.sample_interval > 0)
@@ -506,11 +389,11 @@ GpuSystem::run()
 TimeSample
 GpuSystem::sampleNow() const
 {
-    // Counter tracks ride the timeline cadence: advanceQuiescent()
-    // replays mid-skip samples from frozen state, so the track is
-    // identical across run-loop modes except the event-queue depth
-    // (the ids with a wake time: it measures the event loop itself and
-    // reads 0 in walk mode).
+    // Counter tracks ride the timeline cadence: eventJump() replays
+    // mid-skip samples from frozen state, so the track is identical in
+    // both run-loop modes except the event-queue depth (the ids with a
+    // wake time: it measures the schedule itself, and the ticked oracle
+    // keeps every component scheduled).
     if (trace::on(trace::kCounter)) {
         trace::counter(trace::kCounter, trace::kPidCounter, 0,
                        "event_queue_depth", now_,

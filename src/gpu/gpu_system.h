@@ -7,15 +7,14 @@
  *
  * The components are plumbed together as typed port bindings: each
  * SM out-queue, crossbar port and partition reply queue exposes a
- * Source/Sink face, and GpuSystem just pumps a fixed list of wires per
- * cycle. Because everything is Clocked, the run loop is event-driven by
- * default: each component sleeps until its nextWork() hint or until a
- * wire pushes traffic into it, and globally quiescent stretches (all
- * warps blocked on memory, nothing movable anywhere) fast-forward in
- * one jump — with bit-identical results either way. Set
- * CABA_EVENT_DRIVEN=0 (or GpuConfig::event_driven = false) to force the
- * legacy cycle-everything loop, and CABA_NO_FASTFORWARD=1 (or
- * GpuConfig::fast_forward = false) to disable the quiescence jump.
+ * Source/Sink face, and GpuSystem pumps a fixed list of wires per
+ * cycle. The run loop is event-driven (DESIGN.md section 10): each
+ * component sleeps until its nextWork() hint or until a wire pushes
+ * traffic into it, and globally quiescent stretches (all warps blocked
+ * on memory, nothing movable anywhere) pass in one jump. Ticked mode
+ * (GpuConfig::ticked, or CABA_EVENT_DRIVEN=0) is the same loop with
+ * every component due every cycle and no jump: the oracle whose
+ * results the event-driven schedule must match bit for bit.
  */
 #ifndef CABA_GPU_GPU_SYSTEM_H
 #define CABA_GPU_GPU_SYSTEM_H
@@ -61,20 +60,12 @@ struct GpuConfig
     bool verify_data = true;
 
     /**
-     * Skip ahead over cycles in which no component can make progress
-     * (guaranteed bit-identical results; the CABA_NO_FASTFORWARD
-     * environment variable also disables it for A/B checks).
+     * Ticked oracle: every component cycles every clock and quiescent
+     * stretches are not jumped (DESIGN.md section 10). Bit-identical to
+     * the default event-driven schedule, which it exists to check;
+     * CABA_EVENT_DRIVEN=0 selects it too.
      */
-    bool fast_forward = true;
-
-    /**
-     * Event-driven run loop: each component sleeps until its own
-     * nextWork() hint or until traffic is pushed into it, instead of
-     * being cycled every clock (DESIGN.md section 10). Bit-identical to
-     * the walk-everything loop; CABA_EVENT_DRIVEN=0 forces the legacy
-     * loop for A/B checks.
-     */
-    bool event_driven = true;
+    bool ticked = false;
 
     /** Safety valve against a wedged simulation. */
     Cycle max_cycles = 20'000'000;
@@ -129,7 +120,8 @@ class GpuSystem
     /** Runs to completion (all warps retired, all queues drained). */
     RunResult run();
 
-    /** Single-cycle step (exposed for tests). */
+    /** One cycle of the run loop (exposed for tests): cycles the due
+     *  components in phase order and pumps the wires between them. */
     void step();
     Cycle now() const { return now_; }
     bool done() const;
@@ -167,37 +159,20 @@ class GpuSystem
 
   private:
     int partitionOf(Addr line) const;
-    void moveTraffic();
 
-    /**
-     * Jumps now_ to the earliest cycle any component reports work,
-     * charging the skipped span to each component's idle accounting
-     * (and emitting any timeline samples that fall inside it). A no-op
-     * when some component has work this cycle.
-     */
-    void fastForward();
-
-    // -- event-driven loop (see DESIGN.md section 10) --
-
-    /** Resets per-component wake/accounting state to now_. */
-    void initEventState();
-
-    /** One cycle of the event-driven loop: cycles only due components
-     *  (same phase order as step()), pumps wires with wake hooks. */
-    void stepEvent();
-
-    /** Wire phase of stepEvent(): greedy drain plus wake hooks. */
-    void pumpWiresEvent();
-
-    /** step() with per-phase wall-clock attribution (CABA_PROF). */
-    void stepProfiled();
+    /** Wire phase of step(): greedy drain in wire order, waking both
+     *  endpoints of every wire that moves traffic. */
+    void pumpWires();
 
     /** Profiler component class of clocked_ index @p i. */
     prof::Comp compClassOf(std::size_t i) const;
 
-    /** Quiescence jump over [now_, min wake): like fastForward() but
-     *  reads the cached wake times instead of re-polling nextWork(),
-     *  and leaves the skip accounting to the lazy catch-up. */
+    /**
+     * Quiescence jump: when no component is due before some later cycle
+     * and no wire can move, advances now_ there in one go, replaying the
+     * timeline-sample cadence and collapsing periodic audits. Sleeping
+     * components' idle accounting is left to the lazy catch-up.
+     */
     void eventJump();
 
     /** Charges component @p i's deferred skipIdle() span up to @p to.
@@ -209,11 +184,6 @@ class GpuSystem
      *  cycle before the wire phase, so they react at now_ + 1; the
      *  crossbars and partitions cycle after it and react at now_. */
     void wakeForTraffic(std::size_t i);
-
-    /** Advances now_ by @p wake - now_ quiescent cycles, replaying the
-     *  timeline-sample cadence and collapsing periodic audits (shared
-     *  by fastForward() and eventJump()). */
-    void advanceQuiescent(Cycle wake);
 
     RunResult collect() const;
     TimeSample sampleNow() const;
@@ -229,13 +199,13 @@ class GpuSystem
     XbarDirection req_net_;
     XbarDirection reply_net_;
 
-    /** Port bindings pumped by moveTraffic(), in drain order: SM out ->
+    /** Port bindings pumped by pumpWires(), in drain order: SM out ->
      *  request crossbar, crossbar -> partition, partition replies ->
      *  reply crossbar, reply crossbar -> SM. */
     std::vector<Wire<MemRequest>> wires_;
 
-    /** Every clocked component (for done() and fast-forward), in phase
-     *  order: SMs, request crossbar, reply crossbar, partitions. */
+    /** Every clocked component, in phase order: SMs, request crossbar,
+     *  reply crossbar, partitions. */
     std::vector<Clocked *> clocked_;
 
     /** Per-wire endpoint owners as indices into clocked_ (the component
@@ -243,13 +213,17 @@ class GpuSystem
     std::vector<int> wire_src_owner_;
     std::vector<int> wire_dst_owner_;
 
-    /** Per-component wake times (event-driven loop only). */
+    /** Per-component wake times, indexed like clocked_. */
     EventQueue eq_;
 
     /** First cycle not yet charged to component i's idle accounting:
      *  skipIdle() for a sleeping component is deferred until it wakes,
      *  so acct_[i] trails now_ while i sleeps. */
     std::vector<Cycle> acct_;
+
+    /** GpuConfig::ticked or CABA_EVENT_DRIVEN=0: every component is
+     *  rescheduled at now_ + 1 and eventJump() never runs. */
+    bool ticked_ = false;
 
     Cycle now_ = 0;
     Cycle until_sample_ = 0;    ///< run()'s sampling countdown.

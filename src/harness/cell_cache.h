@@ -23,9 +23,9 @@
  *
  * Invalidation: the key includes kCellCacheCodeVersion, which MUST be
  * bumped whenever simulation semantics change (anything that can alter
- * a RunResult). Run-loop selection knobs (CABA_EVENT_DRIVEN,
- * CABA_NO_FASTFORWARD) and observability knobs (CABA_TRACE, CABA_PROF,
- * CABA_AUDIT) are contractually result-neutral — CI byte-diffs them —
+ * a RunResult). The run-loop knob (CABA_EVENT_DRIVEN) and the
+ * observability knobs (CABA_TRACE, CABA_PROF, CABA_AUDIT) are
+ * contractually result-neutral — CI byte-diffs them —
  * and are deliberately NOT part of the key. Under CABA_AUDIT=full (or
  * a numeric period) every disk hit is additionally self-checked: the
  * cell is recomputed and the serialized bytes must match, so a stale

@@ -6,7 +6,7 @@
 
 #include "common/env.h"
 #include "common/log.h"
-#include "common/self_profile.h"
+#include "common/prof.h"
 #include "harness/cell_cache.h"
 
 namespace caba {
@@ -44,7 +44,7 @@ simulateApp(const AppDescriptor &app, const DesignConfig &design,
     int warps = 0;
     std::optional<Workload> wl;
     {
-        SelfProfile::Scope scope("build");
+        prof::StageScope scope(prof::Stage::Build);
         wl.emplace(app, opts.scale * scaleFromEnv());
         GpuConfig cfg = makeGpuConfig(opts);
 
@@ -58,7 +58,7 @@ simulateApp(const AppDescriptor &app, const DesignConfig &design,
         wl->bindGrid(warps * cfg.num_sms);
         gpu.emplace(cfg, design, wl->lineGenerator());
     }
-    SelfProfile::Scope scope("run");
+    prof::StageScope scope(prof::Stage::Run);
     gpu->launch(&*wl, warps);
     return gpu->run();
 }

@@ -7,7 +7,7 @@
 
 #include "common/env.h"
 #include "common/log.h"
-#include "common/self_profile.h"
+#include "common/prof.h"
 #include "common/thread_pool.h"
 
 namespace caba {
@@ -51,7 +51,7 @@ Sweep::Sweep(const std::vector<AppDescriptor> &apps,
                          : sweepJobsFromEnv(ThreadPool::defaultWorkers());
 
     std::vector<RunResult> results(cells.size());
-    const auto self_before = SelfProfile::snapshot();
+    const auto self_before = prof::stageSnapshot();
     {
         ProgressReporter progress("sweep", static_cast<int>(cells.size()));
         parallelFor(static_cast<int>(cells.size()), jobs, [&](int i) {
@@ -63,12 +63,13 @@ Sweep::Sweep(const std::vector<AppDescriptor> &apps,
     }
     // Wall-clock self-profile of this sweep (aggregated across workers;
     // stderr only so the deterministic JSON exports stay byte-stable).
-    for (const auto &[name, ns] : SelfProfile::snapshot()) {
-        auto it = self_before.find(name);
-        const std::int64_t delta =
-            ns - (it == self_before.end() ? 0 : it->second);
+    const auto self_after = prof::stageSnapshot();
+    for (int s = 0; s < prof::kStages; ++s) {
+        const auto i = static_cast<std::size_t>(s);
+        const std::int64_t delta = self_after[i] - self_before[i];
         if (delta > 0) {
-            std::fprintf(stderr, "  sweep self: %-8s %8.3fs\n", name.c_str(),
+            std::fprintf(stderr, "  sweep self: %-8s %8.3fs\n",
+                         prof::stageName(static_cast<prof::Stage>(s)),
                          static_cast<double>(delta) * 1e-9);
         }
     }

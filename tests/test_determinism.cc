@@ -1,22 +1,25 @@
 /**
  * @file
- * The run-loop invariants: quiescence skipping and the event-driven
- * scheduler in GpuSystem::run() must both be invisible. For one small
- * app across all five Section 6 design points, and across the
- * configurations whose replays and assist warps the SM sleep rule must
- * respect (compressed L1, prefetch, memoization, profiling assist
- * warps, loose round-robin), every combination of {event-driven,
- * walk-everything} x {fast-forward, ticked} must agree on EVERY
- * observable of RunResult — cycles, instructions, the Figure 1
- * breakdown, every merged counter and gauge, every histogram, every
- * derived double, and the whole sampled timeline. Run-to-run
- * repeatability rides along.
+ * The run-loop invariant: the event-driven schedule in GpuSystem::run()
+ * (components sleep until their nextWork() hint or incoming traffic,
+ * quiescent spans are jumped) must be invisible. For one small app
+ * across all five Section 6 design points, across the configurations
+ * whose replays and assist warps the SM sleep rule must respect
+ * (compressed L1, prefetch, memoization, profiling assist warps, loose
+ * round-robin), and across randomized small machines, the default
+ * schedule and the ticked oracle must agree on EVERY observable of
+ * RunResult — cycles, instructions, the Figure 1 breakdown, every
+ * merged counter and gauge, every histogram, every derived double, and
+ * the whole sampled timeline. Run-to-run repeatability rides along.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "gpu/gpu_system.h"
 #include "harness/runner.h"
 
@@ -32,21 +35,25 @@ tinyApp()
     return app;
 }
 
+/** Runs to completion; EXPECTs that it drained with a clean audit
+ *  (only non-fatal audits can get here with failures). */
 RunResult
-runSystem(const DesignConfig &design, bool fast_forward,
-          bool event_driven = true, GpuConfig cfg = GpuConfig{},
-          const AppDescriptor &app = tinyApp())
+runSystem(const DesignConfig &design, bool ticked,
+          GpuConfig cfg = GpuConfig{}, const AppDescriptor &app = tinyApp(),
+          int warps = 12)
 {
-    cfg.fast_forward = fast_forward;
-    cfg.event_driven = event_driven;
+    cfg.ticked = ticked;
     // A short interval lands samples inside skipped spans.
     cfg.sample_interval = 512;
     Workload wl(app);
-    const int warps = 12;
     wl.bindGrid(warps * cfg.num_sms);
     GpuSystem gpu(cfg, design, wl.lineGenerator());
     gpu.launch(&wl, warps);
-    return gpu.run();
+    RunResult r = gpu.run();
+    EXPECT_TRUE(gpu.done());
+    for (const std::string &f : gpu.auditFailures())
+        ADD_FAILURE() << "audit: " << f;
+    return r;
 }
 
 /** Field-by-field equality over everything RunResult exposes. */
@@ -109,29 +116,12 @@ allDesigns()
     };
 }
 
-TEST(Determinism, FastForwardIsBitIdenticalAcrossAllDesigns)
-{
-    for (const NamedDesign &d : allDesigns()) {
-        SCOPED_TRACE(d.name);
-        const RunResult ff = runSystem(d.design, true);
-        const RunResult ticked = runSystem(d.design, false);
-        expectIdentical(ff, ticked);
-    }
-}
-
 TEST(Determinism, EventDrivenIsBitIdenticalAcrossAllDesigns)
 {
-    // The four loop variants — {event-driven, walk-everything} x
-    // {fast-forward, ticked} — must agree on every observable.
     for (const NamedDesign &d : allDesigns()) {
         SCOPED_TRACE(d.name);
-        const RunResult event_ff = runSystem(d.design, true, true);
-        const RunResult event_ticked = runSystem(d.design, false, true);
-        const RunResult legacy_ff = runSystem(d.design, true, false);
-        const RunResult legacy_ticked = runSystem(d.design, false, false);
-        expectIdentical(event_ff, legacy_ff);
-        expectIdentical(event_ff, event_ticked);
-        expectIdentical(legacy_ff, legacy_ticked);
+        expectIdentical(runSystem(d.design, false),
+                        runSystem(d.design, true));
     }
 }
 
@@ -195,17 +185,8 @@ TEST(Determinism, LoopModesAreBitIdenticalAcrossReplayAndAssistConfigs)
 {
     for (const NamedConfig &c : extraConfigs()) {
         SCOPED_TRACE(c.name);
-        const RunResult event_ff =
-            runSystem(c.design, true, true, c.cfg, c.app);
-        const RunResult event_ticked =
-            runSystem(c.design, false, true, c.cfg, c.app);
-        const RunResult legacy_ff =
-            runSystem(c.design, true, false, c.cfg, c.app);
-        const RunResult legacy_ticked =
-            runSystem(c.design, false, false, c.cfg, c.app);
-        expectIdentical(event_ff, legacy_ff);
-        expectIdentical(event_ff, event_ticked);
-        expectIdentical(legacy_ff, legacy_ticked);
+        expectIdentical(runSystem(c.design, false, c.cfg, c.app),
+                        runSystem(c.design, true, c.cfg, c.app));
     }
 }
 
@@ -214,7 +195,7 @@ TEST(Determinism, ExtraConfigsExerciseTheirMechanisms)
     // Guard against the matrix above passing vacuously.
     for (const NamedConfig &c : extraConfigs()) {
         SCOPED_TRACE(c.name);
-        const RunResult r = runSystem(c.design, true, true, c.cfg, c.app);
+        const RunResult r = runSystem(c.design, false, c.cfg, c.app);
         const std::string name = c.name;
         if (name == "CABA-L1-2x") {
             EXPECT_GT(r.stats.get("sm_caba_hit_decompressions"), 0u);
@@ -233,18 +214,96 @@ TEST(Determinism, ExtraConfigsExerciseTheirMechanisms)
 TEST(Determinism, FastForwardActuallySkipsCycles)
 {
     // Guard against the invariant passing vacuously: on a memory-bound
-    // app the base design must spend most of its time quiescent, and
-    // the ticked run must agree on the final cycle count anyway.
-    const RunResult r = runSystem(DesignConfig::base(), true);
+    // app the base design must spend most of its time quiescent, which
+    // is what the event-driven schedule sleeps and jumps through.
+    const RunResult r = runSystem(DesignConfig::base(), false);
     EXPECT_GT(r.breakdown.data_stall + r.breakdown.idle,
               r.breakdown.active);
 }
 
 TEST(Determinism, RepeatedRunsAreIdentical)
 {
-    const RunResult a = runSystem(DesignConfig::caba(), true);
-    const RunResult b = runSystem(DesignConfig::caba(), true);
+    const RunResult a = runSystem(DesignConfig::caba(), false);
+    const RunResult b = runSystem(DesignConfig::caba(), false);
     expectIdentical(a, b);
+}
+
+/** One randomized small machine and workload. */
+struct FuzzCase
+{
+    std::string desc;   ///< Every drawn value, printed before the run.
+    DesignConfig design;
+    GpuConfig cfg;
+    AppDescriptor app;
+    int warps = 1;
+};
+
+FuzzCase
+drawCase(Rng &rng)
+{
+    auto in = [&rng](int lo, int hi) {
+        return lo + static_cast<int>(
+                        rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
+    };
+    std::vector<NamedDesign> designs = allDesigns();
+    designs.push_back({"CABA-L1-2x", DesignConfig::cabaCompressedCache(2, 1)});
+    designs.push_back({"CABA-L2-2x", DesignConfig::cabaCompressedCache(1, 2)});
+    const NamedDesign &d = designs[rng.below(designs.size())];
+    const std::vector<AppDescriptor> &apps = allApps();
+
+    FuzzCase c;
+    c.design = d.design;
+    GpuConfig &cfg = c.cfg;
+    cfg.num_sms = in(1, 4);
+    cfg.num_partitions = in(1, 4);
+    cfg.sm.mshr_entries = in(1, 16);
+    cfg.sm.out_queue = in(1, 8);
+    cfg.xbar.input_queue = in(1, 8);
+    cfg.xbar.output_queue = in(1, 8);
+    cfg.xbar.latency = in(1, 12);
+    cfg.bw_scale = 0.25 * std::pow(16.0, rng.uniform());   // 0.25x-4x
+    cfg.partition.md_size_bytes = 1024 << in(0, 4);        // 1-16 KB
+    cfg.caba.awt_entries = in(1, 16);
+    cfg.caba.store_buffer = in(1, 16);
+    // Audit often and collect failures instead of panicking.
+    cfg.audit.level = AuditLevel::Periodic;
+    cfg.audit.period = 1024;
+    cfg.audit.fatal = false;
+    cfg.audit.ignore_env = true;
+    c.app = apps[rng.below(apps.size())];
+    c.app.iterations = 4;
+    c.app.footprint = 256 * 1024;
+    c.warps = in(1, 8);
+
+    char buf[320];
+    std::snprintf(buf, sizeof buf,
+                  "%s app=%s warps=%d sms=%d partitions=%d mshrs=%d "
+                  "out_queue=%d xbar_in=%d xbar_out=%d xbar_latency=%d "
+                  "bw_scale=%.4f md_kb=%d awt=%d store_buffer=%d",
+                  d.name, c.app.name.c_str(), c.warps, cfg.num_sms,
+                  cfg.num_partitions, cfg.sm.mshr_entries, cfg.sm.out_queue,
+                  cfg.xbar.input_queue, cfg.xbar.output_queue,
+                  cfg.xbar.latency, cfg.bw_scale,
+                  cfg.partition.md_size_bytes / 1024, cfg.caba.awt_entries,
+                  cfg.caba.store_buffer);
+    c.desc = buf;
+    return c;
+}
+
+TEST(Determinism, RandomSmallConfigsDrainCleanAndMatchTheOracle)
+{
+    // Every legal configuration must drain with a clean audit, and the
+    // event-driven schedule must match the ticked oracle on each. A
+    // panic (e.g. a wedge tripping max_cycles) aborts before any EXPECT
+    // can report, so each case is printed before it runs.
+    Rng rng(2015);
+    for (int i = 0; i < 40; ++i) {
+        const FuzzCase c = drawCase(rng);
+        std::fprintf(stderr, "fuzz case %d: %s\n", i, c.desc.c_str());
+        SCOPED_TRACE(c.desc);
+        expectIdentical(runSystem(c.design, false, c.cfg, c.app, c.warps),
+                        runSystem(c.design, true, c.cfg, c.app, c.warps));
+    }
 }
 
 } // namespace

@@ -95,7 +95,7 @@ TEST(ExperimentRegistryTest, FindsRegisteredNamesAndNullForUnknownOnes)
 {
     const ExperimentRegistry &reg = ExperimentRegistry::instance();
     for (const char *name : {"fig02_unallocated_regs", "fig07_performance",
-                             "codec_microbench"}) {
+                             "md_cache_study"}) {
         const Experiment *e = reg.find(name);
         ASSERT_NE(e, nullptr) << name;
         EXPECT_EQ(e->name, name);

@@ -90,7 +90,7 @@ TEST(Lint, DeterminismWhitelistSuppresses)
 {
     // The same content under a whitelisted path produces no findings.
     SourceFile f = fixture("det_clocks.cc");
-    f.path = "src/common/self_profile.cc";
+    f.path = "src/common/prof.cc";
     EXPECT_TRUE(caba::lint::run({f}).empty());
 }
 

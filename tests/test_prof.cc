@@ -43,11 +43,11 @@ tinyApp(const char *name = "CONS")
 }
 
 RunResult
-runSystem(const DesignConfig &design, bool event_driven,
+runSystem(const DesignConfig &design, bool ticked,
           const ExtrasConfig *extras = nullptr, const char *app_name = "CONS")
 {
     GpuConfig cfg;
-    cfg.event_driven = event_driven;
+    cfg.ticked = ticked;
     cfg.sample_interval = 512;
     if (extras != nullptr)
         cfg.extras = *extras;
@@ -146,6 +146,7 @@ TEST_F(ProfTest, WriteReportEmitsCabaProfV1Schema)
     prof::Recorder r;
     r.add(prof::Comp::Partition, prof::Phase::CatchUp, 7);
     r.flush();
+    prof::addStage(prof::Stage::Run, 11);
 
     const std::string path = testing::TempDir() + "caba_prof_schema.json";
     ASSERT_TRUE(prof::writeReport(path));
@@ -182,8 +183,13 @@ TEST_F(ProfTest, WriteReportEmitsCabaProfV1Schema)
     EXPECT_EQ(entries->array[part_catch_up].find("ns")->number, 7.0);
     EXPECT_EQ(entries->array[part_catch_up].find("calls")->number, 1.0);
 
+    // The harness stages: both always present, in Stage order.
     const json::Value *self = doc.find("self_profile");
     ASSERT_NE(self, nullptr);
+    ASSERT_NE(self->find("build"), nullptr);
+    ASSERT_NE(self->find("run"), nullptr);
+    EXPECT_EQ(self->find("build")->number, 0.0);
+    EXPECT_EQ(self->find("run")->number, 11.0);
     std::remove(path.c_str());
 }
 
@@ -249,7 +255,7 @@ TEST_F(ProfTest, ProfiledRunPopulatesBuckets)
 {
     const std::string path = testing::TempDir() + "caba_prof_run.json";
     ASSERT_EQ(::setenv("CABA_PROF", path.c_str(), 1), 0);
-    runSystem(DesignConfig::caba(), true);
+    runSystem(DesignConfig::caba(), false);
     const auto buckets = prof::snapshot();
     std::uint64_t calls = 0;
     for (const prof::Bucket &b : buckets)
@@ -267,15 +273,68 @@ TEST_F(ProfTest, ProfiledRunPopulatesBuckets)
 TEST_F(ProfTest, RunResultBitIdenticalProfilerOnOff)
 {
     const std::string path = testing::TempDir() + "caba_prof_det.json";
-    for (const bool ed : {true, false}) {
-        SCOPED_TRACE(ed ? "event-driven" : "walk");
+    for (const bool ticked : {false, true}) {
+        SCOPED_TRACE(ticked ? "ticked" : "event-driven");
         ::unsetenv("CABA_PROF");
-        const RunResult off = runSystem(DesignConfig::caba(), ed);
+        const RunResult off = runSystem(DesignConfig::caba(), ticked);
         ASSERT_EQ(::setenv("CABA_PROF", path.c_str(), 1), 0);
-        const RunResult on = runSystem(DesignConfig::caba(), ed);
+        const RunResult on = runSystem(DesignConfig::caba(), ticked);
         ::unsetenv("CABA_PROF");
         expectIdentical(off, on);
     }
+    std::remove(path.c_str());
+}
+
+/** Calls recorded so far in global bucket (@p c, @p p). */
+std::uint64_t
+callsOf(prof::Comp c, prof::Phase p)
+{
+    return prof::snapshot()[static_cast<std::size_t>(
+                                static_cast<int>(c) * prof::kPhases +
+                                static_cast<int>(p))]
+        .calls;
+}
+
+/** Catch-up calls summed over every component class. */
+std::uint64_t
+catchUpCalls()
+{
+    std::uint64_t n = 0;
+    for (int c = 0; c < prof::kComps; ++c)
+        n += callsOf(static_cast<prof::Comp>(c), prof::Phase::CatchUp);
+    return n;
+}
+
+TEST_F(ProfTest, TickedOracleCyclesEveryComponentEveryClock)
+{
+    // A ticked mode that still slept would make every event-driven vs
+    // ticked determinism diff pass vacuously: count the cycle() calls.
+    const std::string path = testing::TempDir() + "caba_prof_ticked.json";
+    ASSERT_EQ(::setenv("CABA_PROF", path.c_str(), 1), 0);
+    const GpuConfig ref;
+    const std::uint64_t sms = static_cast<std::uint64_t>(ref.num_sms);
+    const std::uint64_t parts =
+        static_cast<std::uint64_t>(ref.num_partitions);
+
+    const RunResult ticked = runSystem(DesignConfig::caba(), true);
+    const std::uint64_t ticked_sm_calls =
+        callsOf(prof::Comp::Sm, prof::Phase::Cycle);
+    EXPECT_EQ(ticked_sm_calls, sms * ticked.cycles);
+    EXPECT_EQ(callsOf(prof::Comp::XbarReq, prof::Phase::Cycle),
+              ticked.cycles);
+    EXPECT_EQ(callsOf(prof::Comp::XbarReply, prof::Phase::Cycle),
+              ticked.cycles);
+    EXPECT_EQ(callsOf(prof::Comp::Partition, prof::Phase::Cycle),
+              parts * ticked.cycles);
+    EXPECT_EQ(catchUpCalls(), 0u);
+    EXPECT_EQ(callsOf(prof::Comp::Loop, prof::Phase::Jump), 0u);
+
+    // The default schedule sleeps: fewer SM cycles, charged on wake.
+    prof::resetForTest();
+    const RunResult event = runSystem(DesignConfig::caba(), false);
+    EXPECT_EQ(event.cycles, ticked.cycles);
+    EXPECT_LT(callsOf(prof::Comp::Sm, prof::Phase::Cycle), ticked_sm_calls);
+    EXPECT_GT(catchUpCalls(), 0u);
     std::remove(path.c_str());
 }
 
@@ -307,7 +366,7 @@ TEST(Taxonomy, SlotCategoriesSumToCyclesTimesSlots)
         static_cast<std::uint64_t>(ref.sm.schedulers);
     for (const Case &c : cases) {
         SCOPED_TRACE(c.app);
-        const RunResult r = runSystem(c.design, true, nullptr, c.app);
+        const RunResult r = runSystem(c.design, false, nullptr, c.app);
         const std::uint64_t accounted =
             r.stats.get("sm_slot_cycles_accounted");
         EXPECT_GT(accounted, 0u);
@@ -331,7 +390,7 @@ TEST(Taxonomy, ExactCategoriesRefineLegacyBreakdown)
     // must agree on the big picture: a cycle is "active" iff at least
     // one slot issued, so active cycles <= issued slots and every
     // issued instruction occupies exactly one slot.
-    const RunResult r = runSystem(DesignConfig::caba(), true);
+    const RunResult r = runSystem(DesignConfig::caba(), false);
     const std::uint64_t issued = r.stats.get("sm_slot_issued") +
                                  r.stats.get("sm_slot_aw_issued");
     EXPECT_GE(issued, r.breakdown.active);
@@ -346,7 +405,7 @@ TEST(ProfileAw, LifecycleSpawnsSamplesAndStats)
     extras.profile = true;
     extras.profile_interval = 64;
     const RunResult r =
-        runSystem(DesignConfig::caba(), true, &extras);
+        runSystem(DesignConfig::caba(), false, &extras);
 
     const std::uint64_t warps = r.stats.get("sm_profile_warps");
     const std::uint64_t samples = r.stats.get("sm_profile_samples");
@@ -378,16 +437,16 @@ TEST(ProfileAw, DeterministicAcrossRunLoopModes)
     ExtrasConfig extras;
     extras.profile = true;
     extras.profile_interval = 128;
-    const RunResult event = runSystem(DesignConfig::caba(), true, &extras);
-    const RunResult walk = runSystem(DesignConfig::caba(), false, &extras);
-    const RunResult again = runSystem(DesignConfig::caba(), true, &extras);
-    expectIdentical(event, walk);
+    const RunResult event = runSystem(DesignConfig::caba(), false, &extras);
+    const RunResult ticked = runSystem(DesignConfig::caba(), true, &extras);
+    const RunResult again = runSystem(DesignConfig::caba(), false, &extras);
+    expectIdentical(event, ticked);
     expectIdentical(event, again);
 }
 
 TEST(ProfileAw, OffByDefault)
 {
-    const RunResult r = runSystem(DesignConfig::caba(), true);
+    const RunResult r = runSystem(DesignConfig::caba(), false);
     EXPECT_EQ(r.stats.get("sm_profile_warps"), 0u);
     EXPECT_EQ(r.stats.get("sm_profile_samples"), 0u);
     EXPECT_EQ(r.stats.get("sm_aw_slots_profile"), 0u);

@@ -34,17 +34,14 @@ inSrc(const std::string &path)
 }
 
 /** Files allowed to touch wall clocks / entropy: the seeded RNG itself,
- *  the stderr-only self-profiler, the in-loop profiler (host-time
- *  attribution that never reads simulation state), and the trace sink
- *  (whose timestamps are simulated cycles; the whitelist covers its
- *  atexit machinery). */
+ *  the wall-clock profiler (host-time attribution that never reads
+ *  simulation state), and the trace sink (whose timestamps are
+ *  simulated cycles; the whitelist covers its atexit machinery). */
 bool
 determinismWhitelisted(const std::string &path)
 {
     static const std::set<std::string> allow = {
         "src/common/rng.h",
-        "src/common/self_profile.h",
-        "src/common/self_profile.cc",
         "src/common/prof.cc",
         "src/common/trace.cc",
     };
