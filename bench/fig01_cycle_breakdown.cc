@@ -10,10 +10,8 @@
  * The shares are exact, not estimated: every issue slot of every
  * accounted cycle is charged to exactly one sm_slot_* category by the
  * scheduler (DESIGN.md section 11), and the audit layer proves the
- * categories sum to cycles x issue slots on every run. The paper's five
- * bars group the nine categories as: Active = issued + AW-issued,
- * Memory = mem-structural + mem-data, Data-Dep = scoreboard (non-mem),
- * Compute = compute-structural, Idle = ibuf-empty + sync + idle.
+ * categories sum to cycles x issue slots on every run. slotShares
+ * (harness/runner.h) groups the nine categories into the five bars.
  */
 #include <cstdio>
 #include <string>
@@ -23,42 +21,6 @@
 #include "harness/experiment.h"
 
 using namespace caba;
-
-namespace {
-
-/** The paper's five Figure 1 bars, as fractions of all issue slots. */
-struct SlotShares
-{
-    double active = 0, memory = 0, data = 0, compute = 0, idle = 0;
-};
-
-SlotShares
-slotShares(const RunResult &r)
-{
-    const auto slots = [&](const char *name) {
-        return static_cast<double>(
-            r.stats.get(std::string("sm_") + name));
-    };
-    SlotShares s;
-    s.active = slots("slot_issued") + slots("slot_aw_issued");
-    s.memory = slots("slot_mem_struct") + slots("slot_mem_data");
-    s.data = slots("slot_scoreboard");
-    s.compute = slots("slot_comp_struct");
-    s.idle = slots("slot_ibuf_empty") + slots("slot_sync") +
-             slots("slot_idle");
-    const double total =
-        s.active + s.memory + s.data + s.compute + s.idle;
-    if (total > 0) {
-        s.active /= total;
-        s.memory /= total;
-        s.data /= total;
-        s.compute /= total;
-        s.idle /= total;
-    }
-    return s;
-}
-
-} // namespace
 
 CABA_REGISTER_EXPERIMENT(fig01_cycle_breakdown)
 {

@@ -7,14 +7,18 @@
  * Usage:
  *   caba_sim [--app NAME] [--design base|hw-mem|hw|caba|ideal]
  *            [--algo bdi|fpc|cpack|best] [--bw SCALE] [--scale F]
- *            [--md-kb N] [--l1-tags N] [--l2-tags N] [--verify]
- *            [--memoize] [--prefetch] [--stats] [--list]
+ *            [--md-kb N] [--warps N] [--l1-tags N] [--l2-tags N]
+ *            [--verify] [--memoize] [--prefetch] [--stats] [--list]
+ *
+ * Numeric values parse strictly (common/parse.h): a malformed or
+ * out-of-range value prints usage naming the flag and exits 1.
  */
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/parse.h"
 #include "common/table.h"
 #include "harness/runner.h"
 
@@ -23,8 +27,10 @@ using namespace caba;
 namespace {
 
 [[noreturn]] void
-usage()
+usage(const std::string &error = "")
 {
+    if (!error.empty())
+        std::fprintf(stderr, "caba_sim: %s\n", error.c_str());
     std::printf(
         "usage: caba_sim [options]\n"
         "  --app NAME      application (default PVC); --list to see all\n"
@@ -33,9 +39,12 @@ usage()
         "  --bw F          off-chip bandwidth scale (default 1.0)\n"
         "  --scale F       loop-trip multiplier (default 1.0)\n"
         "  --md-kb N       MD cache capacity in KB (default 8)\n"
-        "  --warps N       cap resident warps per SM (default: occupancy)\n"
-        "  --l1-tags N     L1 compressed-cache tag factor (default 1)\n"
-        "  --l2-tags N     L2 compressed-cache tag factor (default 1)\n"
+        "  --warps N       cap resident warps per SM (default 0: "
+        "occupancy)\n"
+        "  --l1-tags N     L1 compressed-cache tag factor, 1-16 "
+        "(default 1)\n"
+        "  --l2-tags N     L2 compressed-cache tag factor, 1-16 "
+        "(default 1)\n"
         "  --verify        round-trip-check every compressed line\n"
         "  --memoize       enable Section 7.1 memoization assist warps\n"
         "  --prefetch      enable Section 7.2 prefetch assist warps\n"
@@ -51,7 +60,28 @@ parseAlgo(const std::string &s)
     if (s == "fpc") return Algorithm::Fpc;
     if (s == "cpack") return Algorithm::CPack;
     if (s == "best") return Algorithm::BestOfAll;
-    usage();
+    usage("unknown --algo '" + s + "'");
+}
+
+/** Value of numeric flag @p flag: a finite positive real. */
+double
+realFlag(const std::string &flag, const std::string &v)
+{
+    double d = 0.0;
+    if (!parse::finitePositiveReal(v, &d))
+        usage(flag + " needs a finite positive number, got '" + v + "'");
+    return d;
+}
+
+/** Value of numeric flag @p flag: an integer in [@p min, @p max]. */
+int
+intFlag(const std::string &flag, const std::string &v, long min, long max)
+{
+    long n = 0;
+    if (!parse::boundedInt(v, min, max, &n))
+        usage(flag + " needs an integer in [" + std::to_string(min) + ", " +
+              std::to_string(max) + "], got '" + v + "'");
+    return static_cast<int>(n);
 }
 
 } // namespace
@@ -70,20 +100,20 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                usage();
+                usage(arg + " needs a value");
             return argv[++i];
         };
         if (arg == "--app") app_name = next();
         else if (arg == "--design") design_name = next();
         else if (arg == "--algo") algo = parseAlgo(next());
-        else if (arg == "--bw") opts.bw_scale = std::atof(next().c_str());
-        else if (arg == "--scale") opts.scale = std::atof(next().c_str());
+        else if (arg == "--bw") opts.bw_scale = realFlag(arg, next());
+        else if (arg == "--scale") opts.scale = realFlag(arg, next());
         else if (arg == "--md-kb")
-            opts.md_cache_kb = std::atoi(next().c_str());
+            opts.md_cache_kb = intFlag(arg, next(), 1, INT_MAX / 1024);
         else if (arg == "--warps")
-            opts.max_warps = std::atoi(next().c_str());
-        else if (arg == "--l1-tags") l1_tags = std::atoi(next().c_str());
-        else if (arg == "--l2-tags") l2_tags = std::atoi(next().c_str());
+            opts.max_warps = intFlag(arg, next(), 0, INT_MAX);
+        else if (arg == "--l1-tags") l1_tags = intFlag(arg, next(), 1, 16);
+        else if (arg == "--l2-tags") l2_tags = intFlag(arg, next(), 1, 16);
         else if (arg == "--verify") opts.verify = true;
         else if (arg == "--memoize") opts.extras.memoize = true;
         else if (arg == "--prefetch") opts.extras.prefetch = true;
@@ -99,7 +129,7 @@ main(int argc, char **argv)
             std::printf("%s", t.render().c_str());
             return 0;
         } else {
-            usage();
+            usage("unknown flag '" + arg + "'");
         }
     }
 
@@ -109,7 +139,7 @@ main(int argc, char **argv)
     else if (design_name == "hw") design = DesignConfig::hw(algo);
     else if (design_name == "caba") design = DesignConfig::caba(algo);
     else if (design_name == "ideal") design = DesignConfig::ideal(algo);
-    else usage();
+    else usage("unknown --design '" + design_name + "'");
     design.l1_tag_factor = l1_tags;
     design.l2_tag_factor = l2_tags;
 
@@ -131,12 +161,13 @@ main(int argc, char **argv)
     t.addRow({"MD cache hit rate", Table::pct(r.md_hit_rate)});
     t.addRow({"energy (mJ)", Table::num(r.energy.total)});
     t.addRow({"avg power (W)", Table::num(r.energy.watts(r.cycles))});
-    const auto tot = static_cast<double>(r.breakdown.total());
-    t.addRow({"active cycles", Table::pct(r.breakdown.active / tot)});
-    t.addRow({"memory stalls", Table::pct(r.breakdown.mem_stall / tot)});
-    t.addRow({"compute stalls", Table::pct(r.breakdown.comp_stall / tot)});
-    t.addRow({"data-dep stalls", Table::pct(r.breakdown.data_stall / tot)});
-    t.addRow({"idle cycles", Table::pct(r.breakdown.idle / tot)});
+    // Figure 1's five bars, as shares of all accounted issue slots.
+    const SlotShares s = slotShares(r);
+    t.addRow({"active slots", Table::pct(s.active)});
+    t.addRow({"memory stall slots", Table::pct(s.memory)});
+    t.addRow({"compute stall slots", Table::pct(s.compute)});
+    t.addRow({"data-dep stall slots", Table::pct(s.data)});
+    t.addRow({"idle slots", Table::pct(s.idle)});
     std::printf("%s", t.render().c_str());
 
     if (dump_stats) {

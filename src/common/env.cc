@@ -30,7 +30,8 @@ constexpr std::array<Var, 8> kVars{{
      "whole process."},
     {"CABA_TRACE_CATEGORIES", Type::Str, "all",
      "Comma-separated trace categories: "
-     "warp,assist,cache,dram,xbar,slots,counter,all."},
+     "warp,assist,cache,dram,xbar,slots,counter,all; an unknown name is "
+     "fatal."},
     {"CABA_EVENT_DRIVEN", Type::Int, "1",
      "Run-loop schedule, 1 or 0: 1 lets components sleep until their "
      "nextWork() hint or incoming traffic and jumps quiescent spans; 0 "

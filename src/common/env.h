@@ -7,10 +7,10 @@
  * prints the registry. caba-lint (tools/lint/) flags any direct getenv
  * call outside src/common/env.cc.
  *
- * Unset or empty means the default. A numeric variable or CABA_AUDIT
- * set to anything that does not parse, or parses out of range, stops
- * the process with a message naming the variable and its value: a typo
- * must not silently run a different experiment.
+ * Unset or empty means the default. A numeric variable, CABA_AUDIT or
+ * CABA_TRACE_CATEGORIES set to anything that does not parse, or parses
+ * out of range, stops the process with a message naming the variable
+ * and its value: a typo must not silently run a different experiment.
  *
  * raw() reads the live environment: the sweep tests re-point CABA_JOBS
  * between Sweep constructions. Consumers that run on worker threads

@@ -1,7 +1,8 @@
 /**
  * @file
- * Strict numeric parsing shared by the caba_bench and caba-lint CLIs,
- * the numeric env knobs (common/env.h) and the CABA_AUDIT period.
+ * Strict numeric parsing shared by the caba_bench, caba_cli and
+ * caba-lint CLIs, the numeric env knobs (common/env.h) and the
+ * CABA_AUDIT period.
  * These exist because the lenient strtod/strtol idiom has bitten
  * twice: strtod accepts "nan"/"inf" (and `x <= 0` is false for NaN, so
  * a sign check does not reject it), and strtol saturates huge values to

@@ -146,7 +146,8 @@ struct EnvActivation
         if (!path || !*path)
             return;
         unsigned mask = kAll;
-        if (const char *cats = env::raw("CABA_TRACE_CATEGORIES"))
+        const char *cats = env::raw("CABA_TRACE_CATEGORIES");
+        if (cats && *cats)
             mask = maskFromNames(cats);
         start(path, mask);
         std::atexit([] { stop(); });
@@ -183,6 +184,11 @@ maskFromNames(const char *csv)
             mask |= kCounter;
         else if (token == "all")
             mask |= kAll;
+        else if (!token.empty())
+            env::reject("CABA_TRACE_CATEGORIES", csv,
+                        "a comma list of "
+                        "warp,assist,cache,dram,xbar,slots,counter,all "
+                        "(unknown category '" + token + "')");
         token.clear();
         if (*p == '\0')
             break;

@@ -12,7 +12,8 @@
  *  - environment: CABA_TRACE=<path> turns tracing on for the whole
  *    process and writes the trace at exit; CABA_TRACE_CATEGORIES is an
  *    optional comma list (warp,assist,cache,dram,xbar,slots,counter)
- *    defaulting to all of them.
+ *    defaulting to all of them when unset or empty. An unknown
+ *    category name stops the process.
  *  - programmatic: trace::start(path, mask) / trace::stop() (tests).
  *
  * Threading: events append to per-thread buffers with no locking on
@@ -36,7 +37,7 @@ namespace trace {
 
 /** Event categories; a bitmask gates emission per category. */
 enum Category : unsigned {
-    kWarp = 1u << 0,        ///< Issue/stall spans, warp launch/retire.
+    kWarp = 1u << 0,        ///< Warp launch/retire instants.
     kAssistWarp = 1u << 1,  ///< AWC spawn / kill / complete.
     kCache = 1u << 2,       ///< L1 / L2 hit-miss, MD-cache lookups.
     kDram = 1u << 3,        ///< Per-bank GDDR5 data-bus bursts.
@@ -68,8 +69,9 @@ on(Category c)
     return (g_mask.load(std::memory_order_relaxed) & c) != 0;
 }
 
-/** Parses "warp,assist,cache,dram,xbar,slots,counter" (unknown names
- *  ignored). */
+/** Parses "warp,assist,cache,dram,xbar,slots,counter,all" (plus the
+ *  aliases assist-warp, assist_warp and counters; empty tokens are
+ *  skipped). Any other name is fatal, naming CABA_TRACE_CATEGORIES. */
 unsigned maskFromNames(const char *csv);
 
 /**

@@ -433,12 +433,6 @@ GpuSystem::collect() const
 
     for (const auto &sm : sms_) {
         r.instructions += sm->instructionsIssued();
-        const CycleBreakdown &b = sm->breakdown();
-        r.breakdown.active += b.active;
-        r.breakdown.mem_stall += b.mem_stall;
-        r.breakdown.comp_stall += b.comp_stall;
-        r.breakdown.data_stall += b.data_stall;
-        r.breakdown.idle += b.idle;
         merge_prefixed(sm->stats(), "sm_");
         merge_prefixed(sm->l1().stats(), "l1_");
         merge_prefixed(sm->awc().stats(), "awc_");

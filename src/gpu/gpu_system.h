@@ -96,7 +96,6 @@ struct RunResult
     double bw_utilization = 0.0;        ///< Mean DRAM data-bus busy frac.
     double compression_ratio = 1.0;     ///< Uncompressed/compressed bursts.
     double md_hit_rate = 0.0;
-    CycleBreakdown breakdown;
     EnergyBreakdown energy;
     StatSet stats;                      ///< Merged, prefixed counters.
     std::vector<TimeSample> timeline;   ///< Sampled progress series.

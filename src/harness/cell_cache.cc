@@ -17,7 +17,7 @@ namespace caba {
  * stats, codecs, energy, workload generation ...). The audited
  * hit-vs-recompute self-check exists to catch a forgotten bump, but the
  * bump is the contract. */
-const char *const kCellCacheCodeVersion = "caba-cells-1";
+const char *const kCellCacheCodeVersion = "caba-cells-2";
 
 namespace {
 
@@ -260,12 +260,6 @@ serializeCell(const std::string &key_text, const RunResult &r)
     putF64(out, r.compression_ratio);
     putF64(out, r.md_hit_rate);
 
-    putU64(out, r.breakdown.active);
-    putU64(out, r.breakdown.mem_stall);
-    putU64(out, r.breakdown.comp_stall);
-    putU64(out, r.breakdown.data_stall);
-    putU64(out, r.breakdown.idle);
-
     putF64(out, r.energy.core);
     putF64(out, r.energy.l1);
     putF64(out, r.energy.l2);
@@ -330,11 +324,6 @@ deserializeCell(const std::string &blob, const std::string &expect_key,
     r.bw_utilization = rd.f64();
     r.compression_ratio = rd.f64();
     r.md_hit_rate = rd.f64();
-    r.breakdown.active = rd.u64();
-    r.breakdown.mem_stall = rd.u64();
-    r.breakdown.comp_stall = rd.u64();
-    r.breakdown.data_stall = rd.u64();
-    r.breakdown.idle = rd.u64();
     r.energy.core = rd.f64();
     r.energy.l1 = rd.f64();
     r.energy.l2 = rd.f64();

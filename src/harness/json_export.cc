@@ -62,14 +62,6 @@ writeRunResultJson(JsonWriter &w, const RunResult &r)
         .kv("bw_utilization", r.bw_utilization)
         .kv("compression_ratio", r.compression_ratio)
         .kv("md_hit_rate", r.md_hit_rate);
-    w.key("breakdown")
-        .beginObject()
-        .kv("active", r.breakdown.active)
-        .kv("mem_stall", r.breakdown.mem_stall)
-        .kv("comp_stall", r.breakdown.comp_stall)
-        .kv("data_stall", r.breakdown.data_stall)
-        .kv("idle", r.breakdown.idle)
-        .endObject();
     w.key("energy")
         .beginObject()
         .kv("core", r.energy.core)

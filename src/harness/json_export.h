@@ -7,10 +7,15 @@
  *   {
  *     "schema": "caba-bench-v1",
  *     "bench":  "<bench name>",
- *     "cells":  [ { app, design, cycles, ..., stats, gauges,
- *                   distributions, timeline }, ... ],
+ *     "cells":  [ { app, design, result: { cycles, instructions, ipc,
+ *                   bw_utilization, compression_ratio, md_hit_rate,
+ *                   energy, stats, gauges, distributions,
+ *                   timeline } }, ... ],
  *     "rows":   [ { <free-form columns> }, ... ]
  *   }
+ *
+ * The Figure 1 issue-slot breakdown travels in "stats" as the sm_slot_*
+ * counters (DESIGN.md section 11); there is no separate object for it.
  *
  * "cells" carries full simulation results (one per app x design run);
  * "rows" carries tabular output for benches whose result is not a

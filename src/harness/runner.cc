@@ -77,6 +77,32 @@ runApp(const AppDescriptor &app, const DesignConfig &design,
     return simulateApp(app, design, opts);
 }
 
+SlotShares
+slotShares(const RunResult &r)
+{
+    const auto slots = [&](const char *name) {
+        return static_cast<double>(
+            r.stats.get(std::string("sm_") + name));
+    };
+    SlotShares s;
+    s.active = slots("slot_issued") + slots("slot_aw_issued");
+    s.memory = slots("slot_mem_struct") + slots("slot_mem_data");
+    s.data = slots("slot_scoreboard");
+    s.compute = slots("slot_comp_struct");
+    s.idle = slots("slot_ibuf_empty") + slots("slot_sync") +
+             slots("slot_idle");
+    const double total =
+        s.active + s.memory + s.data + s.compute + s.idle;
+    if (total > 0) {
+        s.active /= total;
+        s.memory /= total;
+        s.data /= total;
+        s.compute /= total;
+        s.idle /= total;
+    }
+    return s;
+}
+
 double
 geomean(const std::vector<double> &values)
 {

@@ -72,6 +72,21 @@ GpuConfig makeGpuConfig(const ExperimentOptions &opts);
 RunResult runApp(const AppDescriptor &app, const DesignConfig &design,
                  const ExperimentOptions &opts = {});
 
+/** The paper's five Figure 1 bars, as fractions of all issue slots. */
+struct SlotShares
+{
+    double active = 0, memory = 0, data = 0, compute = 0, idle = 0;
+};
+
+/**
+ * Groups @p r's nine sm_slot_* counters (DESIGN.md section 11) into the
+ * five Figure 1 bars: Active = issued + AW-issued, Memory =
+ * mem-structural + mem-data, Data-Dep = scoreboard (non-mem), Compute =
+ * compute-structural, Idle = ibuf-empty + sync + idle. All zero when no
+ * slot was accounted.
+ */
+SlotShares slotShares(const RunResult &r);
+
 /** Geometric mean (ignores non-positive entries). */
 double geomean(const std::vector<double> &values);
 

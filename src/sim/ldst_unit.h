@@ -100,7 +100,7 @@ class LdstUnit
      * Processes up to lines_per_cycle coalesced lines of the current
      * access. @return true when the unit stalled on a structural
      * resource this cycle (MSHRs/out-queue full, AWT full on a
-     * compressed hit) — a memory structural stall for classifyCycle.
+     * compressed hit): every slot of the cycle is memory structural.
      */
     bool drain(Cycle now);
 

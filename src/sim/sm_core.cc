@@ -26,10 +26,6 @@ purposeName(AssistPurpose p)
     return "assist";
 }
 
-const char *const kIssueClassNames[] = {
-    "active", "mem_stall", "comp_stall", "data_stall", "idle",
-};
-
 } // namespace
 
 const char *const kSlotCategoryNames[kNumSlotCategories] = {
@@ -66,8 +62,8 @@ SmCore::SmCore(int id, const SmConfig &cfg, const DesignConfig &design,
         CABA_CHECK(extras_.profile_interval >= 1,
                    "profile interval must be at least one cycle");
     }
-    slot_trace_class_.assign(static_cast<std::size_t>(cfg_.schedulers), -1);
-    slot_trace_start_.assign(static_cast<std::size_t>(cfg_.schedulers), 0);
+    slot_span_cat_.assign(static_cast<std::size_t>(cfg_.schedulers), -1);
+    slot_span_start_.assign(static_cast<std::size_t>(cfg_.schedulers), 0);
 }
 
 void
@@ -127,23 +123,14 @@ SmCore::cycle(Cycle now)
 {
     mem_port_used_ = false;
     sfu_port_used_ = false;
-    ldst_stalled_this_cycle_ = false;
-    saw_mem_block_ = false;
-    saw_compute_block_ = false;
-    saw_data_block_ = false;
-    issued_any_ = false;
 
     tickProfileTrigger(now);
     processEvents(now);
     reapAssistWarps(now);
     retryPendingFills(now);
-    if (ldst_.drain(now)) {
-        ldst_stalled_this_cycle_ = true;
-        saw_mem_block_ = true;
-    }
+    ldst_stalled_this_cycle_ = ldst_.drain(now);
     sched_.decodeCycle();
     issueStage(now);
-    classifyCycle(now);
 }
 
 // ------------------------------------------------------------ LDST hooks
@@ -430,7 +417,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
       case Opcode::AluFp:
       case Opcode::Mov: {
         if (alu_inflight_ >= cfg_.alu_inflight_max) {
-            saw_compute_block_ = true;
             slot_comp_block_ = true;
             return false;
         }
@@ -448,7 +434,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
       }
       case Opcode::Sfu: {
         if (sfu_inflight_ >= cfg_.sfu_inflight_max || sfu_port_used_) {
-            saw_compute_block_ = true;
             slot_comp_block_ = true;
             return false;
         }
@@ -491,7 +476,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
       case Opcode::LdShared:
       case Opcode::StShared: {
         if (mem_port_used_) {
-            saw_mem_block_ = true;
             slot_mem_block_ = true;
             return false;
         }
@@ -512,7 +496,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
         const bool is_store = inst.op == Opcode::StGlobal;
         if (mem_port_used_ || ldst_.busy() ||
             (!is_store && !ldst_.hasFreeLoadSlot())) {
-            saw_mem_block_ = true;
             slot_mem_block_ = true;
             return false;
         }
@@ -555,7 +538,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
     }
 
     w.ibuf.pop();
-    ++instr_issued_;
     return true;
 }
 
@@ -631,12 +613,10 @@ SmCore::issueStage(Cycle now)
                 ? sched_.headGlobalMask() : 0;
             bool futile_seen = false;
             issued = sched_.pickAndIssue(
-                s, futile, &saw_data_block_, &futile_seen,
+                s, futile, &futile_seen,
                 [&](int w) { return tryIssueRegular(w, now); });
-            if (futile_seen) {
-                saw_mem_block_ = true;
+            if (futile_seen)
                 slot_mem_block_ = true;
-            }
         }
 
         // 3. Low-priority assist warps fill idle slots (Section 3.4).
@@ -655,23 +635,25 @@ SmCore::issueStage(Cycle now)
         }
 
         awc_.noteIssueSlot(issued);
-        issued_any_ = issued_any_ || issued;
         if (acct) {
             const int cat = issued
                 ? (aw_issued ? kSlotAwIssued : kSlotIssued)
                 : classifySlotStall(s);
-            recordSlot(s, cat, now);
+            recordSlots(s, cat, 1, now);
         }
     }
     if (acct)
         ++accounted_cycles_;
+    // Retired SM: close any open trace span at the retirement boundary.
+    if (sched_.liveWarps() == 0 && awc_.table().empty())
+        closeSlotSpans(now);
 }
 
 int
 SmCore::classifySlotStall(int s) const
 {
-    // Priority mirrors classifyCycle: structural hazards seen by this
-    // slot's issue attempts first, then scoreboard state, then idle.
+    // Structural hazards seen by this slot's issue attempts first, then
+    // scoreboard state, then idle.
     if (slot_mem_block_ || ldst_stalled_this_cycle_)
         return kSlotMemStruct;
     if (slot_comp_block_)
@@ -697,24 +679,25 @@ SmCore::classifySlotQuiescent(int s) const
 }
 
 void
-SmCore::recordSlot(int s, int cat, Cycle now)
+SmCore::recordSlots(int s, int cat, std::uint64_t k, Cycle from)
 {
-    ++slot_counts_[static_cast<std::size_t>(cat)];
+    slot_counts_[static_cast<std::size_t>(cat)] += k;
     const std::size_t si = static_cast<std::size_t>(s);
     if (!trace::on(trace::kSlots)) {
-        slot_trace_class_[si] = -1;
+        slot_span_cat_[si] = -1;
         return;
     }
-    if (cat != slot_trace_class_[si]) {
-        if (slot_trace_class_[si] >= 0) {
+    // One span per maximal run of same-category cycles.
+    if (cat != slot_span_cat_[si]) {
+        if (slot_span_cat_[si] >= 0) {
             trace::complete(trace::kSlots, trace::kPidSlots,
                             id_ * cfg_.schedulers + s,
-                            kSlotCategoryNames[slot_trace_class_[si]],
-                            slot_trace_start_[si],
-                            now - slot_trace_start_[si]);
+                            kSlotCategoryNames[slot_span_cat_[si]],
+                            slot_span_start_[si],
+                            from - slot_span_start_[si]);
         }
-        slot_trace_class_[si] = cat;
-        slot_trace_start_[si] = now;
+        slot_span_cat_[si] = cat;
+        slot_span_start_[si] = from;
     }
 }
 
@@ -725,63 +708,14 @@ SmCore::closeSlotSpans(Cycle now)
         return;
     for (int s = 0; s < cfg_.schedulers; ++s) {
         const std::size_t si = static_cast<std::size_t>(s);
-        if (slot_trace_class_[si] >= 0) {
+        if (slot_span_cat_[si] >= 0) {
             trace::complete(trace::kSlots, trace::kPidSlots,
                             id_ * cfg_.schedulers + s,
-                            kSlotCategoryNames[slot_trace_class_[si]],
-                            slot_trace_start_[si],
-                            now - slot_trace_start_[si]);
-            slot_trace_class_[si] = -1;
+                            kSlotCategoryNames[slot_span_cat_[si]],
+                            slot_span_start_[si],
+                            now - slot_span_start_[si]);
+            slot_span_cat_[si] = -1;
         }
-    }
-}
-
-void
-SmCore::classifyCycle(Cycle now)
-{
-    if (sched_.liveWarps() == 0 && awc_.table().empty()) {
-        // Retired SM: not counted in the issue breakdown. Close any
-        // open trace span at the retirement boundary.
-        if (trace_class_ >= 0) {
-            trace::complete(trace::kWarp, trace::kPidSm, id_,
-                            kIssueClassNames[trace_class_],
-                            trace_class_start_, now - trace_class_start_);
-            trace_class_ = -1;
-        }
-        closeSlotSpans(now);
-        return;
-    }
-    int cls;
-    if (issued_any_) {
-        ++breakdown_.active;
-        cls = 0;
-    } else if (saw_mem_block_ || ldst_stalled_this_cycle_) {
-        ++breakdown_.mem_stall;
-        cls = 1;
-    } else if (saw_compute_block_) {
-        ++breakdown_.comp_stall;
-        cls = 2;
-    } else if (saw_data_block_) {
-        ++breakdown_.data_stall;
-        cls = 3;
-    } else {
-        ++breakdown_.idle;
-        cls = 4;
-    }
-    if (!trace::on(trace::kWarp)) {
-        trace_class_ = -1;
-        return;
-    }
-    // Issue-class spans: emit one complete event per maximal run of
-    // same-classified cycles rather than one instant per cycle.
-    if (cls != trace_class_) {
-        if (trace_class_ >= 0) {
-            trace::complete(trace::kWarp, trace::kPidSm, id_,
-                            kIssueClassNames[trace_class_],
-                            trace_class_start_, now - trace_class_start_);
-        }
-        trace_class_ = cls;
-        trace_class_start_ = now;
     }
 }
 
@@ -909,63 +843,21 @@ SmCore::skipIdle(Cycle from, Cycle to)
                    "quiescence skip jumped over a profile-AW spawn");
     }
     if (sched_.liveWarps() == 0 && awc_.table().empty())
-        return;     // retired SM: classifyCycle counts nothing.
+        return;     // retired SM: issueStage accounts nothing.
     // nextWork permits two kinds of stretch. In an LDST replay stall
-    // every cycle's drain flags a structural stall, so the cycle is a
-    // memory stall and every slot memory structural. Otherwise the
-    // stretch is quiescent: every live warp holds a scoreboard-blocked
-    // instruction, a data stall; with no live warps but a non-empty
-    // AWT the cycles are idle. Either way exactly what classifyCycle
-    // and classifySlotStall would have counted.
+    // every cycle's drain flags a structural stall, so every slot is
+    // memory structural. Otherwise the stretch is quiescent: no issue
+    // attempt can succeed (nothing else is ready, no assist warp can
+    // issue), so every slot classifies from frozen state — identical
+    // for each skipped cycle and exactly what classifySlotStall would
+    // have counted.
     const bool replay = ldst_.busy();
     CABA_CHECK(!replay || ldst_.replayStalled(),
                "skipped cycles of an LDST unit that could drain");
-    int cls = 4;
-    if (replay) {
-        cls = 1;
-        breakdown_.mem_stall += k;
-    } else if (sched_.liveWarps() > 0) {
-        cls = 3;
-        breakdown_.data_stall += k;
-    } else {
-        breakdown_.idle += k;
-    }
-    // Exact slot taxonomy over the skipped cycles: no issue attempt
-    // can succeed (nothing else is ready, no assist warp can issue), so
-    // every slot classifies from frozen state — identical for each
-    // skipped cycle.
     accounted_cycles_ += k;
-    for (int s = 0; s < cfg_.schedulers; ++s) {
-        const int cat = replay ? kSlotMemStruct : classifySlotQuiescent(s);
-        slot_counts_[static_cast<std::size_t>(cat)] += k;
-        const std::size_t si = static_cast<std::size_t>(s);
-        if (!trace::on(trace::kSlots)) {
-            slot_trace_class_[si] = -1;
-        } else if (cat != slot_trace_class_[si]) {
-            if (slot_trace_class_[si] >= 0) {
-                trace::complete(trace::kSlots, trace::kPidSlots,
-                                id_ * cfg_.schedulers + s,
-                                kSlotCategoryNames[slot_trace_class_[si]],
-                                slot_trace_start_[si],
-                                from - slot_trace_start_[si]);
-            }
-            slot_trace_class_[si] = cat;
-            slot_trace_start_[si] = from;
-        }
-    }
-    if (!trace::on(trace::kWarp)) {
-        trace_class_ = -1;
-        return;
-    }
-    if (cls != trace_class_) {
-        if (trace_class_ >= 0) {
-            trace::complete(trace::kWarp, trace::kPidSm, id_,
-                            kIssueClassNames[trace_class_],
-                            trace_class_start_, from - trace_class_start_);
-        }
-        trace_class_ = cls;
-        trace_class_start_ = from;
-    }
+    for (int s = 0; s < cfg_.schedulers; ++s)
+        recordSlots(s, replay ? kSlotMemStruct : classifySlotQuiescent(s),
+                    k, from);
 }
 
 StatSet

@@ -14,9 +14,10 @@
  * stretches, and its reply-side Sink face is what the reply crossbar's
  * output port is wired to.
  *
- * The core also attributes every no-issue cycle to one of the paper's
- * Figure 1 categories (memory structural, compute structural, data
- * dependence, idle).
+ * The core's one cycle account is the exact slot taxonomy below: every
+ * scheduler slot of every accounted cycle is charged to one
+ * SlotCategory, and Figure 1's five bars group those categories
+ * (slotShares in harness/runner.h).
  */
 #ifndef CABA_SIM_SM_CORE_H
 #define CABA_SIM_SM_CORE_H
@@ -107,22 +108,6 @@ enum SlotCategory : int {
 /** Stable stat/trace names, indexed by SlotCategory. */
 extern const char *const kSlotCategoryNames[kNumSlotCategories];
 
-/** Figure 1 issue-cycle breakdown. */
-struct CycleBreakdown
-{
-    std::uint64_t active = 0;
-    std::uint64_t mem_stall = 0;
-    std::uint64_t comp_stall = 0;
-    std::uint64_t data_stall = 0;
-    std::uint64_t idle = 0;
-
-    std::uint64_t
-    total() const
-    {
-        return active + mem_stall + comp_stall + data_stall + idle;
-    }
-};
-
 /** One streaming multiprocessor. */
 class SmCore : public Clocked,
                public Sink<MemRequest>,
@@ -163,10 +148,10 @@ class SmCore : public Clocked,
 
     /**
      * Accounts the skipped cycles [from, to) exactly as ticking them
-     * would have: issue-slot history for the throttle window, the
-     * Figure 1 breakdown, the slot taxonomy and the trace spans, for a
-     * quiescent stretch (data stall or idle) or an LDST replay stall
-     * (memory structural).
+     * would have: issue-slot history for the throttle window, the slot
+     * taxonomy and its trace spans, for a quiescent stretch (every slot
+     * classified from the frozen scheduler bitsets) or an LDST replay
+     * stall (every slot memory structural).
      */
     void skipIdle(Cycle from, Cycle to) override;
 
@@ -196,7 +181,6 @@ class SmCore : public Clocked,
     // -- inspection --
 
     int id() const { return id_; }
-    const CycleBreakdown &breakdown() const { return breakdown_; }
 
     /** Warps passing the scoreboard right now (counter trace track). */
     int issuableWarps() const
@@ -231,7 +215,10 @@ class SmCore : public Clocked,
     void audit(Audit &a, bool at_drain) const;
     const Cache &l1() const { return ldst_.l1(); }
     const AssistWarpController &awc() const { return awc_; }
-    std::uint64_t instructionsIssued() const { return instr_issued_; }
+    /** Regular warp instructions issued: every one occupies exactly
+     *  one accounted slot (it needs a live warp, which opens the
+     *  accounting gate). */
+    std::uint64_t instructionsIssued() const { return slotCount(kSlotIssued); }
 
   private:
     using WarpState = WarpScheduler::WarpState;
@@ -277,12 +264,11 @@ class SmCore : public Clocked,
     void reapAssistWarps(Cycle now);
     void retryPendingFills(Cycle now);
     void issueStage(Cycle now);
-    void classifyCycle(Cycle now);
 
     // slot taxonomy
     int classifySlotStall(int s) const;
     int classifySlotQuiescent(int s) const;
-    void recordSlot(int s, int cat, Cycle now);
+    void recordSlots(int s, int cat, std::uint64_t k, Cycle from);
     void closeSlotSpans(Cycle now);
 
     // profiling assist warp
@@ -333,22 +319,12 @@ class SmCore : public Clocked,
     bool sfu_port_used_ = false;
     bool ldst_stalled_this_cycle_ = false;
 
-    // per-cycle classification hints
-    bool saw_mem_block_ = false;
-    bool saw_compute_block_ = false;
-    bool saw_data_block_ = false;
-    bool issued_any_ = false;
-
     // per-slot classification hints (reset at the top of every
-    // scheduler slot in issueStage; unlike the saw_* flags above they
-    // do not accumulate across the cycle)
+    // scheduler slot in issueStage)
     bool slot_mem_block_ = false;
     bool slot_comp_block_ = false;
 
     int assist_rr_ = 0;
-
-    CycleBreakdown breakdown_;
-    std::uint64_t instr_issued_ = 0;
 
     // exact slot taxonomy (DESIGN.md section 11)
     std::array<std::uint64_t, kNumSlotCategories> slot_counts_{};
@@ -367,15 +343,10 @@ class SmCore : public Clocked,
     Distribution profile_blocked_dist_;
     Distribution profile_mem_blocked_dist_;
 
-    /** Span tracking for the warp-category trace: current issue class
-     *  (index into the Figure 1 breakdown, -1 none) and its start. */
-    int trace_class_ = -1;
-    Cycle trace_class_start_ = 0;
-
     /** Per-scheduler slot-taxonomy trace spans (kSlots category):
      *  current category (-1 none) and span start. */
-    std::vector<int> slot_trace_class_;
-    std::vector<Cycle> slot_trace_start_;
+    std::vector<int> slot_span_cat_;
+    std::vector<Cycle> slot_span_start_;
 
     Distribution fill_latency_dist_;
 

@@ -157,7 +157,6 @@ class WarpScheduler
      * warp parity (loose round-robin when gto is off). @p try_issue is
      * invoked with a ready warp id and reports whether the issue took a
      * pipeline slot; greedy/rotation state updates only on success.
-     * Warps blocked on operands set @p *saw_data_block.
      *
      * @p futile names ready warps the caller knows try_issue would
      * refuse without side effects (a global memory op while the LDST
@@ -166,8 +165,8 @@ class WarpScheduler
      */
     template <typename TryIssue>
     bool
-    pickAndIssue(int s, std::uint64_t futile, bool *saw_data_block,
-                 bool *saw_futile, TryIssue &&try_issue)
+    pickAndIssue(int s, std::uint64_t futile, bool *saw_futile,
+                 TryIssue &&try_issue)
     {
         const std::size_t si = static_cast<std::size_t>(s);
         const int g = greedy_warp_[si];
@@ -183,23 +182,16 @@ class WarpScheduler
         }
         const int slots = max_warps_ / schedulers_;
         const int start = gto_ ? 0 : lrr_next_[si];
-        // Rotated word-scan over this scheduler's parity. Candidates
-        // are the issuable and operand-blocked warps; visiting them in
-        // the historical slot order keeps the blocked-warp stall
-        // attribution (only warps scanned before a successful issue
-        // report a data block) exactly as the per-warp loop had it.
-        const std::uint64_t cand =
-            (issuable_ | blocked_) & parity_mask_[si];
+        // Rotated word-scan over this scheduler's issuable warps, in
+        // the historical slot order. A refused offer has no side
+        // effects, so the snapshot stays exact for the whole scan.
+        const std::uint64_t cand = issuable_ & parity_mask_[si];
         const int start_w = start * schedulers_ + s;
         const std::uint64_t hi = cand & (~std::uint64_t{0} << start_w);
         for (std::uint64_t m : {hi, cand ^ hi}) {
             while (m != 0) {
                 const int w = std::countr_zero(m);
                 m &= m - 1;
-                if ((blocked_ >> w) & 1) {
-                    *saw_data_block = true;
-                    continue;
-                }
                 if ((futile >> w) & 1) {
                     *saw_futile = true;
                     continue;

@@ -155,9 +155,9 @@ refAnyDecodable(const WarpScheduler &sched, int max_warps,
 }
 
 /** Mirrors the historical pickAndIssue loop: predicts the exact visit
- *  sequence (greedy probe + rotated parity scan) and the data-block
- *  flag from the scheduler's state plus its own greedy/rotation
- *  bookkeeping, which it updates under the same rules. */
+ *  sequence (greedy probe + rotated parity scan) from the scheduler's
+ *  state plus its own greedy/rotation bookkeeping, which it updates
+ *  under the same rules. */
 struct RefPicker
 {
     int max_warps;
@@ -173,36 +173,21 @@ struct RefPicker
     {}
 
     /** Visit plan for scheduler @p s given the current warp state:
-     *  the warps try_issue would be offered, in order, and whether a
-     *  data-blocked warp precedes each offer. */
-    struct Visit
-    {
-        int warp;
-        bool blocked_seen_before;
-    };
-
-    std::vector<Visit>
+     *  the warps try_issue would be offered, in order. */
+    std::vector<int>
     plan(const WarpScheduler &sched, int s) const
     {
-        std::vector<Visit> visits;
-        bool blocked = false;
+        std::vector<int> visits;
         const int g = greedy[static_cast<std::size_t>(s)];
         if (gto && g != kInvalidWarp && sched.warpReady(sched.warp(g)))
-            visits.push_back({g, blocked});
+            visits.push_back(g);
         const int slots = max_warps / schedulers;
         const int start = gto ? 0 : lrr[static_cast<std::size_t>(s)];
         for (int k = 0; k < slots; ++k) {
             const int w = ((start + k) % slots) * schedulers + s;
             const WarpScheduler::WarpState &ws = sched.warp(w);
-            if (!ws.exists || ws.done)
-                continue;
-            if (!ws.ibuf.empty() && !sched.warpReady(ws)) {
-                blocked = true;
-                continue;
-            }
-            if (!sched.warpReady(ws))
-                continue;
-            visits.push_back({w, blocked});
+            if (ws.exists && !ws.done && sched.warpReady(ws))
+                visits.push_back(w);
         }
         return visits;
     }
@@ -259,11 +244,11 @@ churnAndCheck(bool gto)
             }
             // The reference plan less the futile warps, each offer
             // with whether a futile warp was passed over before it.
-            std::vector<RefPicker::Visit> visits;
+            std::vector<int> visits;
             std::vector<bool> futile_before;
             bool any_futile = false;
-            for (const RefPicker::Visit &v : ref.plan(sched, s)) {
-                if ((futile >> v.warp) & 1) {
+            for (const int v : ref.plan(sched, s)) {
+                if ((futile >> v) & 1) {
                     any_futile = true;
                     continue;
                 }
@@ -271,18 +256,15 @@ churnAndCheck(bool gto)
                 futile_before.push_back(any_futile);
             }
             std::size_t vi = 0;
-            bool data_block = false;
             bool futile_seen = false;
             const bool issued = sched.pickAndIssue(
-                s, futile, &data_block, &futile_seen, [&](int w) -> bool {
+                s, futile, &futile_seen, [&](int w) -> bool {
                     // Every offer must match the reference plan, with
-                    // the blocked- and futile-warps-before-me flags
-                    // agreeing too.
+                    // the futile-warps-before-me flag agreeing too.
                     EXPECT_LT(vi, visits.size());
                     if (vi >= visits.size())
                         return false;
-                    EXPECT_EQ(w, visits[vi].warp);
-                    EXPECT_EQ(data_block, visits[vi].blocked_seen_before);
+                    EXPECT_EQ(w, visits[vi]);
                     EXPECT_EQ(futile_seen, futile_before[vi]);
                     EXPECT_EQ((futile >> w) & 1, 0u);
                     ++vi;
@@ -306,7 +288,7 @@ churnAndCheck(bool gto)
             if (issued) {
                 ASSERT_GT(vi, std::size_t{0});
                 ASSERT_EQ(futile_seen, futile_before[vi - 1]);
-                ref.noteSuccess(s, visits[vi - 1].warp);
+                ref.noteSuccess(s, visits[vi - 1]);
             } else {
                 // Rejected every offer: the scan must have run dry,
                 // passing over every futile warp on the way.

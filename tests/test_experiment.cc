@@ -5,7 +5,8 @@
  * registration invariants (unique names, exactly one shape), the
  * sweep-shaped driver's document layout, byte-identical documents on
  * repeated runs, and a repeated sweep served from the in-process cell
- * cache without simulating.
+ * cache without simulating. It also pins slotShares, the Figure 1
+ * grouping that fig01_cycle_breakdown and caba_cli print.
  *
  * The registered experiment run here is fig02_unallocated_regs — pure
  * occupancy arithmetic, no simulation. The sweep-shaped cases use a
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,6 +27,8 @@
 #include "compress/design.h"
 #include "harness/cell_cache.h"
 #include "harness/experiment.h"
+#include "harness/runner.h"
+#include "sim/sm_core.h"
 #include "workloads/app.h"
 
 namespace caba {
@@ -87,6 +91,41 @@ smallOpts()
     ExperimentOptions opts;
     opts.scale = 0.05; // one short cell per simulation
     return opts;
+}
+
+// --- The Figure 1 grouping -------------------------------------------------
+
+TEST(SlotSharesTest, GroupsTheNineSlotCategoriesIntoFiveBars)
+{
+    // Distinct powers of two: any category in the wrong bar, or in two
+    // bars, changes some share.
+    RunResult r;
+    for (int c = 0; c < kNumSlotCategories; ++c)
+        r.stats.setCounter(std::string("sm_") + kSlotCategoryNames[c],
+                           std::uint64_t{1} << c);
+    const auto share = [](std::initializer_list<int> cats) {
+        double n = 0;
+        for (const int c : cats)
+            n += static_cast<double>(std::uint64_t{1} << c);
+        return n / ((1 << kNumSlotCategories) - 1);
+    };
+    const SlotShares s = slotShares(r);
+    EXPECT_DOUBLE_EQ(s.active, share({kSlotIssued, kSlotAwIssued}));
+    EXPECT_DOUBLE_EQ(s.memory, share({kSlotMemStruct, kSlotMemData}));
+    EXPECT_DOUBLE_EQ(s.data, share({kSlotScoreboard}));
+    EXPECT_DOUBLE_EQ(s.compute, share({kSlotCompStruct}));
+    EXPECT_DOUBLE_EQ(s.idle, share({kSlotIbufEmpty, kSlotSync, kSlotIdle}));
+    EXPECT_DOUBLE_EQ(s.active + s.memory + s.data + s.compute + s.idle, 1.0);
+}
+
+TEST(SlotSharesTest, NoAccountedSlotsGiveFiveZeros)
+{
+    const SlotShares s = slotShares(RunResult{});
+    EXPECT_EQ(s.active, 0.0);
+    EXPECT_EQ(s.memory, 0.0);
+    EXPECT_EQ(s.data, 0.0);
+    EXPECT_EQ(s.compute, 0.0);
+    EXPECT_EQ(s.idle, 0.0);
 }
 
 // --- The registry ----------------------------------------------------------

