@@ -11,10 +11,9 @@
  * unrecognized argv tokens — every unknown flag is a hard error with
  * usage on stderr.
  *
- * The in-process cell cache is always on: experiments sharing (app,
- * design, options) cells (Figures 7/8/9 run the same sweep) simulate
- * each cell once per process. Set CABA_CACHE_DIR to persist cells
- * across runs: a warm repeat of a sweep simulates nothing.
+ * The cell memo is always on: experiments sharing (app, design,
+ * options) cells (Figures 7/8/9 run the same sweep) simulate each cell
+ * once per process.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -107,9 +106,8 @@ main(int argc, char **argv)
         usageError(error);
 
     // Cross-experiment memoization: shared (app, design, options) cells
-    // simulate once per process (plus the CABA_CACHE_DIR disk layer,
-    // resolved inside the cache).
-    CellCache::instance().enableInProcess();
+    // simulate once per process.
+    CellCache::instance().setEnabled(true);
 
     const bool multiple = selected.size() > 1;
     for (const std::string &name : selected) {
@@ -126,19 +124,11 @@ main(int argc, char **argv)
             std::printf("\n");
     }
 
-    // One machine-greppable traffic summary (the CI cache-smoke job
-    // asserts simulations=0 on a warm cache).
+    // One machine-greppable traffic summary (the CI determinism job
+    // checks the hit count of a two-experiment run).
     const CellCacheStats st = CellCache::instance().stats();
-    std::fprintf(stderr,
-                 "[cell-cache] simulations=%llu inproc_hits=%llu "
-                 "disk_hits=%llu disk_misses=%llu stores=%llu "
-                 "evictions=%llu self_checks=%llu\n",
+    std::fprintf(stderr, "[cell-cache] simulations=%llu hits=%llu\n",
                  static_cast<unsigned long long>(st.simulations),
-                 static_cast<unsigned long long>(st.inproc_hits),
-                 static_cast<unsigned long long>(st.disk_hits),
-                 static_cast<unsigned long long>(st.disk_misses),
-                 static_cast<unsigned long long>(st.stores),
-                 static_cast<unsigned long long>(st.evictions),
-                 static_cast<unsigned long long>(st.self_checks));
+                 static_cast<unsigned long long>(st.hits));
     return 0;
 }

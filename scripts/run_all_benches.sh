@@ -2,18 +2,19 @@
 # Regenerates every paper figure/table through the unified caba_bench
 # CLI. One process runs all experiments, so cells shared between them
 # (Figures 7/8/9 sweep the same grid) simulate once via the in-process
-# cell cache; set CABA_CACHE_DIR to also persist cells across runs.
+# cell memo.
 #
 # Saves one log per experiment into bench_results/ (plus each
-# experiment's caba-bench-v1 JSON) and a combined bench_output.txt at
-# the repo root.
+# experiment's caba-bench-v1 JSON) and a combined bench_output.txt in
+# the working directory. Progress and errors go to stderr; the script
+# exits with caba_bench's status when caba_bench fails.
 #
 # Usage: scripts/run_all_benches.sh [build-dir]
-set -u
+set -euo pipefail
 BUILD=${1:-build}
 OUT=bench_results
 mkdir -p "$OUT"
-"$BUILD"/bench/caba_bench --all --json 2>/dev/null \
+"$BUILD"/bench/caba_bench --all --json \
     | tee bench_output.txt \
     | awk -v out="$OUT" '
         function emit(    file, i) {

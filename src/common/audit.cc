@@ -29,11 +29,11 @@ AuditConfig::applySpec(AuditConfig base, const char *spec)
     if (!spec || !*spec)
         return base;
     const std::string s(spec);
-    if (s == "off" || s == "0" || s == "none") {
+    if (s == "off") {
         base.level = AuditLevel::Off;
         return base;
     }
-    if (s == "end" || s == "1") {
+    if (s == "end") {
         base.level = AuditLevel::EndOfRun;
         return base;
     }

@@ -11,10 +11,10 @@
  * statistics, so RunResult is bit-identical with audits on or off.
  *
  * Levels (CABA_AUDIT environment variable, or GpuConfig::audit):
- *   off | 0        no auditing
- *   end | 1        checks at drain only (the default; tier-1 cheap)
+ *   off            no auditing
+ *   end            checks at drain only (the default; tier-1 cheap)
  *   full           checks every AuditConfig::period cycles and at drain
- *   <N>            checks every N cycles and at drain
+ *   <N>            checks every N cycles (N >= 1) and at drain
  */
 #ifndef CABA_COMMON_AUDIT_H
 #define CABA_COMMON_AUDIT_H

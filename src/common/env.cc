@@ -16,7 +16,7 @@ namespace {
  * nothing else: snapshotting, raw(), typed accessors and --help-env all
  * derive from this table. Keep rows in the order users should read
  * them. */
-constexpr std::array<Var, 8> kVars{{
+constexpr std::array<Var, 7> kVars{{
     {"CABA_SCALE", Type::Real, "1.0",
      "Workload loop-trip multiplier, finite and positive, applied on top "
      "of any --scale flag."},
@@ -37,11 +37,6 @@ constexpr std::array<Var, 8> kVars{{
      "nextWork() hint or incoming traffic and jumps quiescent spans; 0 "
      "runs the ticked oracle, cycling every component every clock (CI "
      "byte-diffs both; results are bit-identical)."},
-    {"CABA_CACHE_DIR", Type::Str, "(unset: cell cache off)",
-     "Content-addressed RunResult cache directory for sweep cells "
-     "(harness/cell_cache.h). Hits are byte-identical to recomputation; "
-     "entries are keyed on every semantic input plus a code version and "
-     "self-checked under CABA_AUDIT=full."},
     {"CABA_PROF", Type::Str, "(unset: profiler off)",
      "In-loop wall-clock profiler output path: attributes host time per "
      "component class and phase, writes caba-prof-v1 JSON at exit plus "

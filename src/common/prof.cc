@@ -36,7 +36,8 @@ struct Table
 constinit Table g_table;
 
 /** Writes `caba-prof-v1` at exit when CABA_PROF was set at startup —
- *  same activation pattern as the trace sink. */
+ *  same activation pattern as the trace sink, including the open at
+ *  startup that stops the process on a path it cannot write. */
 struct EnvActivation
 {
     std::string path;
@@ -46,6 +47,10 @@ struct EnvActivation
         const char *p = env::raw("CABA_PROF");
         if (p == nullptr || p[0] == '\0')
             return;
+        std::FILE *f = std::fopen(p, "w");
+        if (f == nullptr)
+            env::reject("CABA_PROF", p, "a writable file path");
+        std::fclose(f);
         path = p;
         std::atexit(&EnvActivation::emit);
     }

@@ -14,7 +14,8 @@
  * When CABA_PROF was set at startup, the process exit hook writes a
  * deterministic-schema `caba-prof-v1` JSON document to the given path
  * (every bucket and stage always present, fixed order — only the
- * measured values vary) and prints a top-N table to stderr.
+ * measured values vary) and prints a top-N table to stderr. A path
+ * that cannot be opened for writing at startup stops the process.
  *
  * Determinism contract: the profiler reads host clocks but never reads
  * or writes simulation state, so RunResult is bit-identical with

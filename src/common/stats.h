@@ -113,22 +113,6 @@ class Distribution
                buckets_ == other.buckets_;
     }
 
-    /** Rebuilds a histogram from previously observed state (the cell
-     *  cache round-trips distributions through this). */
-    static Distribution
-    restore(std::uint64_t count, std::uint64_t sum, std::uint64_t min,
-            std::uint64_t max,
-            const std::array<std::uint64_t, kBuckets> &buckets)
-    {
-        Distribution d;
-        d.count_ = count;
-        d.sum_ = sum;
-        d.min_ = min;
-        d.max_ = max;
-        d.buckets_ = buckets;
-        return d;
-    }
-
   private:
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;

@@ -136,8 +136,22 @@ writeEvent(std::FILE *f, const Event &ev, bool last)
     std::fprintf(f, "%s%s\n", w.str().c_str(), last ? "" : ",");
 }
 
+/** Opens @p path for writing, creating its parent directories first;
+ *  nullptr when that fails. */
+std::FILE *
+openForWriting(const std::string &path)
+{
+    const std::filesystem::path out(path);
+    std::error_code ec;
+    if (out.has_parent_path())
+        std::filesystem::create_directories(out.parent_path(), ec);
+    return std::fopen(path.c_str(), "w");
+}
+
 /** Reads CABA_TRACE at process start; the matching stop() runs atexit
- *  so a plain `CABA_TRACE=t.json ./bench` writes a complete file. */
+ *  so a plain `CABA_TRACE=t.json ./bench` writes a complete file. The
+ *  file is opened here once, so a path that cannot be written stops
+ *  the process before it simulates anything. */
 struct EnvActivation
 {
     EnvActivation()
@@ -149,6 +163,10 @@ struct EnvActivation
         const char *cats = env::raw("CABA_TRACE_CATEGORIES");
         if (cats && *cats)
             mask = maskFromNames(cats);
+        std::FILE *f = openForWriting(path);
+        if (!f)
+            env::reject("CABA_TRACE", path, "a writable file path");
+        std::fclose(f);
         start(path, mask);
         std::atexit([] { stop(); });
     }
@@ -241,11 +259,7 @@ stop()
                          return a.tid < b.tid;
                      });
 
-    const std::filesystem::path out(r.path);
-    std::error_code ec;
-    if (out.has_parent_path())
-        std::filesystem::create_directories(out.parent_path(), ec);
-    std::FILE *f = std::fopen(r.path.c_str(), "w");
+    std::FILE *f = openForWriting(r.path);
     if (!f) {
         std::fprintf(stderr, "trace: cannot open %s for writing\n",
                      r.path.c_str());

@@ -10,10 +10,12 @@
  *
  * Activation:
  *  - environment: CABA_TRACE=<path> turns tracing on for the whole
- *    process and writes the trace at exit; CABA_TRACE_CATEGORIES is an
- *    optional comma list (warp,assist,cache,dram,xbar,slots,counter)
- *    defaulting to all of them when unset or empty. An unknown
- *    category name stops the process.
+ *    process and writes the trace at exit; a path that cannot be
+ *    opened for writing at startup stops the process.
+ *    CABA_TRACE_CATEGORIES is an optional comma list
+ *    (warp,assist,cache,dram,xbar,slots,counter) defaulting to all of
+ *    them when unset or empty. An unknown category name stops the
+ *    process.
  *  - programmatic: trace::start(path, mask) / trace::stop() (tests).
  *
  * Threading: events append to per-thread buffers with no locking on

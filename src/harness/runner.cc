@@ -35,7 +35,8 @@ makeGpuConfig(const ExperimentOptions &opts)
 
 namespace {
 
-/** The uncached simulation proper (runApp body before the cell cache). */
+/** The simulation proper; runApp serves it from the cell memo when
+ *  the memo is on. */
 RunResult
 simulateApp(const AppDescriptor &app, const DesignConfig &design,
             const ExperimentOptions &opts)

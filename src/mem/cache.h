@@ -28,7 +28,8 @@ struct CacheConfig
 
     /**
      * Tag multiplier for the compressed-cache variant (Section 6.5).
-     * 1 = conventional cache: a line always occupies a full 64B slot.
+     * 1 = conventional cache: a line always occupies a full
+     * kLineSize (128B) slot.
      */
     int tag_factor = 1;
 };

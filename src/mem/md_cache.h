@@ -2,9 +2,10 @@
  * @file
  * Metadata cache near the memory controller (Section 4.3.2): caches the
  * per-line burst-count metadata stored in reserved DRAM (8MB in the
- * paper). A burst count of 1-4 needs 2 bits, so one 64-byte MD line
- * covers 256 data lines (a 16KB region); an 8KB 4-way instance then
- * reaches the paper's ~85-99% hit rates. A miss costs an extra DRAM
+ * paper). A burst count of 1-4 needs 2 bits. One MD entry covers 256
+ * data lines (a 32KB region) and takes one kLineSize (128-byte) cache
+ * slot, so an 8KB 4-way instance holds 64 entries; the paper reports
+ * ~85-99% hit rates for its 8KB cache. A miss costs an extra DRAM
  * metadata access on the same channel.
  */
 #ifndef CABA_MEM_MD_CACHE_H
@@ -20,8 +21,8 @@ class MdCache
   public:
     /**
      * @param size_bytes capacity (paper: 8KB); @param assoc ways (4);
-     * @param coverage_lines data lines described by one MD line (256
-     * at 2 bits of burst count per line).
+     * @param coverage_lines data lines described by one MD entry (256,
+     * a 32KB region).
      */
     explicit MdCache(int size_bytes = 8 * 1024, int assoc = 4,
                      int coverage_lines = 256)

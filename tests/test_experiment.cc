@@ -221,14 +221,9 @@ TEST(ExperimentRegistryTest, DuplicateAndShapelessRegistrationsPanic)
 class RunExperimentTest : public ::testing::Test
 {
   protected:
-    // runApp consults the cell-cache singleton; pin it off (whatever
-    // CABA_CACHE_DIR says) so every run here really simulates.
-    void
-    SetUp() override
-    {
-        CellCache::instance().configure("", kCellCacheCodeVersion, false,
-                                         false);
-    }
+    // runApp consults the cell-memo singleton; pin it off so every run
+    // here really simulates.
+    void SetUp() override { CellCache::instance().setEnabled(false); }
 
     void TearDown() override { SetUp(); }
 };
@@ -286,7 +281,7 @@ TEST_F(RunExperimentTest, SweepShapedRunExportsEmittedRowsAndEveryCell)
 TEST_F(RunExperimentTest, RepeatedSweepIsServedFromTheInProcessCellCache)
 {
     CellCache &cache = CellCache::instance();
-    cache.configure("", "test-v1", true, false);
+    cache.setEnabled(true);
     const Experiment e = smallSweepExperiment();
     const std::string cold = outPath("cold");
     const std::string warm = outPath("warm");
@@ -298,7 +293,7 @@ TEST_F(RunExperimentTest, RepeatedSweepIsServedFromTheInProcessCellCache)
     const CellCacheStats st = cache.stats();
     EXPECT_EQ(st.simulations, 2u)
         << "the repeated run must not simulate any cell";
-    EXPECT_EQ(st.inproc_hits, 2u);
+    EXPECT_EQ(st.hits, 2u);
 
     const std::string a = slurp(cold);
     ASSERT_FALSE(a.empty());
