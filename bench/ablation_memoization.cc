@@ -7,6 +7,8 @@
  * the SFU pipeline.
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/table.h"
 #include "harness/experiment.h"
@@ -17,25 +19,26 @@ CABA_REGISTER_EXPERIMENT(ablation_memoization)
 {
     exp.description =
         "Section 7.1: memoization assist warps on SFU-heavy apps";
-    exp.body = [](const ExperimentOptions &opts, BenchJson &json) {
-        printSystemConfig(opts);
-        std::printf("CABA memoization (Section 7.1) on SFU-heavy apps\n\n");
-
-        Table t({"app", "memo hit rate", "speedup", "SFU issues saved",
-                 "assist warps"});
+    exp.title = "CABA memoization (Section 7.1) on SFU-heavy apps";
+    exp.cells = [](const ExperimentOptions &opts) {
+        std::vector<Cell> cells;
         for (const char *name : {"dmr", "NN", "mc", "bh"}) {
             const AppDescriptor &app = findApp(name);
-            const RunResult base =
-                runApp(app, DesignConfig::base(), opts);
-
             ExperimentOptions o = opts;
             o.extras.memoize = true;
             o.extras.memo_hit_rate = app.memo_hit_rate;
-            const RunResult memo = runApp(app, DesignConfig::base(), o);
-            json.addCell(app.name, "Base", base);
-            json.addCell(app.name, "Base+memoize", memo);
-
-            t.addRow({app.name, Table::pct(app.memo_hit_rate),
+            cells.push_back({app, "Base", DesignConfig::base(), opts});
+            cells.push_back({app, "Base+memoize", DesignConfig::base(), o});
+        }
+        return cells;
+    };
+    exp.emit = [](const Sweep &sweep, BenchJson &) {
+        Table t({"app", "memo hit rate", "speedup", "SFU issues saved",
+                 "assist warps"});
+        for (const std::string &name : sweep.appNames()) {
+            const RunResult &base = sweep.at(name, "Base");
+            const RunResult &memo = sweep.at(name, "Base+memoize");
+            t.addRow({name, Table::pct(findApp(name).memo_hit_rate),
                       Table::num(static_cast<double>(base.cycles) /
                                  static_cast<double>(memo.cycles)),
                       std::to_string(memo.stats.get("sm_memo_hits")),

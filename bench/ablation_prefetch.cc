@@ -7,6 +7,8 @@
  * prefetch warps.
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/table.h"
 #include "harness/experiment.h"
@@ -17,31 +19,31 @@ CABA_REGISTER_EXPERIMENT(ablation_prefetch)
 {
     exp.description =
         "Section 7.2: low-priority stride-prefetch assist warps";
-    exp.body = [](const ExperimentOptions &opts, BenchJson &json) {
-        printSystemConfig(opts);
-        std::printf("CABA stride prefetching (Section 7.2)\n\n");
-
-        Table t({"app", "bound", "speedup", "prefetches", "dropped",
-                 "L1 hit rate delta"});
+    exp.title = "CABA stride prefetching (Section 7.2)";
+    exp.cells = [](const ExperimentOptions &opts) {
+        ExperimentOptions o = opts;
+        o.extras.prefetch = true;
+        o.extras.prefetch_lookahead = 4;
+        std::vector<Cell> cells;
         for (const char *name : {"hs", "bp", "lc", "CONS", "LPS", "PVC"}) {
             const AppDescriptor &app = findApp(name);
-            const RunResult base = runApp(app, DesignConfig::base(), opts);
-
-            ExperimentOptions o = opts;
-            o.extras.prefetch = true;
-            o.extras.prefetch_lookahead = 4;
-            const RunResult pf = runApp(app, DesignConfig::base(), o);
-            json.addCell(app.name, "Base", base);
-            json.addCell(app.name, "Base+prefetch", pf);
-
-            auto l1_rate = [](const RunResult &r) {
-                const double h =
-                    static_cast<double>(r.stats.get("l1_hits"));
-                const double m =
-                    static_cast<double>(r.stats.get("l1_misses"));
-                return h + m > 0 ? h / (h + m) : 0.0;
-            };
-            t.addRow({app.name, app.memory_bound ? "Mem" : "Comp",
+            cells.push_back({app, "Base", DesignConfig::base(), opts});
+            cells.push_back({app, "Base+prefetch", DesignConfig::base(), o});
+        }
+        return cells;
+    };
+    exp.emit = [](const Sweep &sweep, BenchJson &) {
+        Table t({"app", "bound", "speedup", "prefetches", "dropped",
+                 "L1 hit rate delta"});
+        auto l1_rate = [](const RunResult &r) {
+            const double h = static_cast<double>(r.stats.get("l1_hits"));
+            const double m = static_cast<double>(r.stats.get("l1_misses"));
+            return h + m > 0 ? h / (h + m) : 0.0;
+        };
+        for (const std::string &name : sweep.appNames()) {
+            const RunResult &base = sweep.at(name, "Base");
+            const RunResult &pf = sweep.at(name, "Base+prefetch");
+            t.addRow({name, findApp(name).memory_bound ? "Mem" : "Comp",
                       Table::num(static_cast<double>(base.cycles) /
                                  static_cast<double>(pf.cycles)),
                       std::to_string(pf.stats.get("sm_prefetches_issued")),

@@ -12,6 +12,8 @@
  *      implies).
  */
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.h"
@@ -19,58 +21,56 @@
 
 using namespace caba;
 
+namespace {
+
+/** Each variant flips one knob of the paper's configuration; its cell
+ *  is named after the knob. */
+const std::pair<const char *, void (*)(CabaConfig &)> kVariants[] = {
+    {"paper-config", [](CabaConfig &) {}},
+    {"dec-low-prio",
+     [](CabaConfig &c) { c.decompress_high_priority = false; }},
+    {"comp-high-prio",
+     [](CabaConfig &c) { c.compress_low_priority = false; }},
+    {"awb-1", [](CabaConfig &c) { c.awb_low_slots = 1; }},
+    {"awb-4", [](CabaConfig &c) { c.awb_low_slots = 4; }},
+    {"no-throttle", [](CabaConfig &c) { c.throttle = false; }},
+    {"store-buf-4", [](CabaConfig &c) { c.store_buffer = 4; }},
+};
+
+} // namespace
+
 CABA_REGISTER_EXPERIMENT(ablation_throttling)
 {
     exp.description =
         "Sections 3.4/4.2: priority, AWB, throttle and store-buffer "
         "ablations";
-    exp.body = [](const ExperimentOptions &opts, BenchJson &json) {
-        printSystemConfig(opts);
-        std::printf("CABA design-choice ablations (cycles normalized to "
-                    "the paper's configuration; <1.00 = faster)\n\n");
-
-        const AppDescriptor apps[] = {findApp("PVC"), findApp("MM"),
-                                      findApp("LPS"), findApp("sssp"),
-                                      findApp("CONS")};
-
+    exp.title = "CABA design-choice ablations (cycles normalized to "
+                "the paper's configuration; <1.00 = faster)";
+    exp.cells = [](const ExperimentOptions &opts) {
+        std::vector<Cell> cells;
+        for (const char *name : {"PVC", "MM", "LPS", "sssp", "CONS"}) {
+            for (const auto &[label, flip] : kVariants) {
+                ExperimentOptions o = opts;
+                flip(o.caba);
+                cells.push_back({findApp(name), label, DesignConfig::caba(),
+                                 o});
+            }
+        }
+        return cells;
+    };
+    exp.emit = [](const Sweep &sweep, BenchJson &) {
+        // Cycles relative to the paper config, one column per variant.
         Table t({"app", "paper-config", "dec low-prio", "comp high-prio",
                  "awb=1", "awb=4", "no-throttle", "store-buf=4"});
-        for (const AppDescriptor &app : apps) {
-            // Each variant becomes one JSON cell named after the knob it
-            // flips; the table shows cycles relative to the paper config.
-            auto run = [&](const char *variant,
-                           const ExperimentOptions &o) {
-                const RunResult r = runApp(app, DesignConfig::caba(), o);
-                json.addCell(app.name, variant, r);
-                return static_cast<double>(r.cycles);
-            };
-            const double base = run("paper-config", opts);
-            std::vector<std::string> row = {app.name, "1.00"};
-
-            ExperimentOptions o = opts;
-            o.caba.decompress_high_priority = false;
-            row.push_back(Table::num(run("dec-low-prio", o) / base));
-
-            o = opts;
-            o.caba.compress_low_priority = false;
-            row.push_back(Table::num(run("comp-high-prio", o) / base));
-
-            o = opts;
-            o.caba.awb_low_slots = 1;
-            row.push_back(Table::num(run("awb-1", o) / base));
-
-            o = opts;
-            o.caba.awb_low_slots = 4;
-            row.push_back(Table::num(run("awb-4", o) / base));
-
-            o = opts;
-            o.caba.throttle = false;
-            row.push_back(Table::num(run("no-throttle", o) / base));
-
-            o = opts;
-            o.caba.store_buffer = 4;
-            row.push_back(Table::num(run("store-buf-4", o) / base));
-
+        for (const std::string &name : sweep.appNames()) {
+            const double base =
+                static_cast<double>(sweep.at(name, "paper-config").cycles);
+            std::vector<std::string> row = {name};
+            for (const auto &variant : kVariants)
+                row.push_back(Table::num(
+                    static_cast<double>(
+                        sweep.at(name, variant.first).cycles) /
+                    base));
             t.addRow(row);
         }
         std::printf("%s\n", t.render().c_str());

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/output_file.h"
 #include "harness/bench_cli.h"
 #include "harness/cell_cache.h"
 #include "harness/experiment.h"
@@ -55,7 +56,7 @@ usage(std::FILE *out)
         "  --scale X        workload loop-trip multiplier, finite and "
         "positive\n"
         "                   (CABA_SCALE stacks on top)\n"
-        "  --jobs N         sweep worker threads (1 = serial)\n"
+        "  --jobs N         cell worker threads (1 = serial)\n"
         "  --warps N        cap resident warps per SM\n"
         "  --help-env       list environment variables and exit\n"
         "  -h, --help       this help\n");
@@ -105,21 +106,34 @@ main(int argc, char **argv)
     if (!resolveSelection(cli, available, &selected, &error))
         usageError(error);
 
+    // Each document is written only after its experiment has run, so
+    // every path is opened here once: one that cannot be written stops
+    // the run before any cell is simulated.
+    std::vector<std::string> json_paths(selected.size());
+    if (cli.json_enabled) {
+        for (std::size_t i = 0; i < selected.size(); ++i) {
+            json_paths[i] = cli.json_path.empty()
+                                ? "bench_results/" + selected[i] + ".json"
+                                : cli.json_path;
+            std::FILE *f = openForWriting(json_paths[i]);
+            if (f == nullptr) {
+                std::fprintf(stderr, "json: cannot write '%s'\n",
+                             json_paths[i].c_str());
+                return 1;
+            }
+            std::fclose(f);
+        }
+    }
+
     // Cross-experiment memoization: shared (app, design, options) cells
     // simulate once per process.
     CellCache::instance().setEnabled(true);
 
     const bool multiple = selected.size() > 1;
-    for (const std::string &name : selected) {
-        const Experiment *e = registry.find(name);
+    for (std::size_t i = 0; i < selected.size(); ++i) {
         if (multiple)
-            std::printf("=== %s ===\n", name.c_str());
-        std::string path;
-        if (cli.json_enabled)
-            path = cli.json_path.empty()
-                       ? "bench_results/" + name + ".json"
-                       : cli.json_path;
-        runExperiment(*e, cli.opts, path);
+            std::printf("=== %s ===\n", selected[i].c_str());
+        runExperiment(*registry.find(selected[i]), cli.opts, json_paths[i]);
         if (multiple)
             std::printf("\n");
     }

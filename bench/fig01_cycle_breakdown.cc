@@ -22,39 +22,46 @@
 
 using namespace caba;
 
+const double kBwPoints[] = {0.5, 1.0, 2.0};
+
 CABA_REGISTER_EXPERIMENT(fig01_cycle_breakdown)
 {
     exp.description =
         "Figure 1: issue-cycle breakdown at 0.5x/1x/2x bandwidth";
-    exp.body = [](const ExperimentOptions &opts, BenchJson &json) {
-        printSystemConfig(opts);
-        std::printf(
-            "Figure 1: issue-cycle breakdown on the Base design\n\n");
-
-        const double bw_points[] = {0.5, 1.0, 2.0};
+    exp.title = "Figure 1: issue-cycle breakdown on the Base design";
+    exp.cells = [](const ExperimentOptions &opts) {
+        std::vector<Cell> cells;
+        for (const AppDescriptor &app : fig1Apps()) {
+            for (double bw : kBwPoints) {
+                ExperimentOptions o = opts;
+                o.bw_scale = bw;
+                // Bake the bandwidth point into the cell's label so the
+                // three runs per app stay distinguishable in the JSON.
+                cells.push_back({app, "Base@" + Table::num(bw, 1) + "x",
+                                 DesignConfig::base(), o});
+            }
+        }
+        return cells;
+    };
+    exp.emit = [](const Sweep &sweep, BenchJson &) {
         Table t({"app", "bound", "BW", "compute", "memory", "data-dep",
                  "idle", "active"});
 
         struct Avg { double mem = 0, data = 0; int n = 0; };
         std::vector<Avg> avg_mem_bound(3);
 
-        for (const AppDescriptor &app : fig1Apps()) {
+        for (const std::string &name : sweep.appNames()) {
+            const bool memory_bound = findApp(name).memory_bound;
             for (int b = 0; b < 3; ++b) {
-                ExperimentOptions o = opts;
-                o.bw_scale = bw_points[b];
-                const RunResult r = runApp(app, DesignConfig::base(), o);
-                // Bake the bandwidth point into the cell's design name so
-                // the three runs per app stay distinguishable in the JSON.
-                json.addCell(app.name,
-                             "Base@" + Table::num(bw_points[b], 1) + "x",
-                             r);
-                const SlotShares s = slotShares(r);
-                t.addRow({app.name, app.memory_bound ? "Mem" : "Comp",
-                          Table::num(bw_points[b], 1) + "x",
+                // Labels come in declared order, one per bandwidth point.
+                const SlotShares s =
+                    slotShares(sweep.at(name, sweep.designNames()[b]));
+                t.addRow({name, memory_bound ? "Mem" : "Comp",
+                          Table::num(kBwPoints[b], 1) + "x",
                           Table::pct(s.compute), Table::pct(s.memory),
                           Table::pct(s.data), Table::pct(s.idle),
                           Table::pct(s.active)});
-                if (app.memory_bound) {
+                if (memory_bound) {
                     avg_mem_bound[b].mem += s.memory;
                     avg_mem_bound[b].data += s.data;
                     ++avg_mem_bound[b].n;
@@ -68,7 +75,7 @@ CABA_REGISTER_EXPERIMENT(fig01_cycle_breakdown)
                     "1/2x):\n");
         for (int b = 0; b < 3; ++b) {
             const Avg &a = avg_mem_bound[b];
-            std::printf("  %.1fx BW: %s\n", bw_points[b],
+            std::printf("  %.1fx BW: %s\n", kBwPoints[b],
                         Table::pct((a.mem + a.data) / a.n).c_str());
         }
     };

@@ -18,10 +18,9 @@ CABA_REGISTER_EXPERIMENT(fig02_unallocated_regs)
 {
     exp.description =
         "Figure 2: statically unallocated register fraction per app";
-    exp.body = [](const ExperimentOptions &, BenchJson &json) {
-        std::printf("Figure 2: statically unallocated register fraction\n"
-                    "(128KB RF/SM, 1536 threads, 8 blocks max)\n\n");
-
+    exp.title = "Figure 2: statically unallocated register fraction\n"
+                "(128KB RF/SM, 1536 threads, 8 blocks max)";
+    exp.emit = [](const Sweep &, BenchJson &json) {
         Table t({"app", "regs/thread", "threads/block", "blocks/SM",
                  "warps/SM", "unallocated", "assist fits free?"});
         std::vector<double> fracs;

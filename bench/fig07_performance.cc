@@ -17,11 +17,12 @@ CABA_REGISTER_EXPERIMENT(fig07_performance)
 {
     exp.description = "Figure 7: speedup of the five designs over Base";
     exp.title = "Figure 7: normalized performance (speedup over Base)";
-    exp.apps = [] { return compressionApps(); };
-    exp.designs = [] {
-        return std::vector<DesignConfig>{
-            DesignConfig::base(), DesignConfig::hwMem(), DesignConfig::hw(),
-            DesignConfig::caba(), DesignConfig::ideal()};
+    exp.cells = [](const ExperimentOptions &opts) {
+        return gridCells(compressionApps(),
+                         {DesignConfig::base(), DesignConfig::hwMem(),
+                          DesignConfig::hw(), DesignConfig::caba(),
+                          DesignConfig::ideal()},
+                         opts);
     };
     exp.emit = [](const Sweep &sweep, BenchJson &) {
         const std::vector<std::string> &designs = sweep.designNames();

@@ -17,11 +17,12 @@ CABA_REGISTER_EXPERIMENT(fig08_bw_utilization)
     exp.description =
         "Figure 8: DRAM bandwidth utilization of the five designs";
     exp.title = "Figure 8: DRAM bandwidth utilization per design";
-    exp.apps = [] { return compressionApps(); };
-    exp.designs = [] {
-        return std::vector<DesignConfig>{
-            DesignConfig::base(), DesignConfig::hwMem(), DesignConfig::hw(),
-            DesignConfig::caba(), DesignConfig::ideal()};
+    exp.cells = [](const ExperimentOptions &opts) {
+        return gridCells(compressionApps(),
+                         {DesignConfig::base(), DesignConfig::hwMem(),
+                          DesignConfig::hw(), DesignConfig::caba(),
+                          DesignConfig::ideal()},
+                         opts);
     };
     exp.emit = [](const Sweep &sweep, BenchJson &) {
         const std::vector<std::string> &designs = sweep.designNames();

@@ -18,11 +18,12 @@ CABA_REGISTER_EXPERIMENT(fig09_energy)
 {
     exp.description = "Figure 9: normalized energy of the five designs";
     exp.title = "Figure 9: normalized energy (lower is better)";
-    exp.apps = [] { return compressionApps(); };
-    exp.designs = [] {
-        return std::vector<DesignConfig>{
-            DesignConfig::base(), DesignConfig::hwMem(), DesignConfig::hw(),
-            DesignConfig::caba(), DesignConfig::ideal()};
+    exp.cells = [](const ExperimentOptions &opts) {
+        return gridCells(compressionApps(),
+                         {DesignConfig::base(), DesignConfig::hwMem(),
+                          DesignConfig::hw(), DesignConfig::caba(),
+                          DesignConfig::ideal()},
+                         opts);
     };
     exp.emit = [](const Sweep &sweep, BenchJson &) {
         const std::vector<std::string> &designs = sweep.designNames();

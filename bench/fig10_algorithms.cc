@@ -18,14 +18,14 @@ CABA_REGISTER_EXPERIMENT(fig10_algorithms)
     exp.description =
         "Figure 10: CABA speedup per compression algorithm";
     exp.title = "Figure 10: speedup with different algorithms (vs Base)";
-    exp.apps = [] { return compressionApps(); };
-    exp.designs = [] {
-        return std::vector<DesignConfig>{
-            DesignConfig::base(),
-            DesignConfig::caba(Algorithm::Fpc),
-            DesignConfig::caba(Algorithm::Bdi),
-            DesignConfig::caba(Algorithm::CPack),
-            DesignConfig::caba(Algorithm::BestOfAll)};
+    exp.cells = [](const ExperimentOptions &opts) {
+        return gridCells(compressionApps(),
+                         {DesignConfig::base(),
+                          DesignConfig::caba(Algorithm::Fpc),
+                          DesignConfig::caba(Algorithm::Bdi),
+                          DesignConfig::caba(Algorithm::CPack),
+                          DesignConfig::caba(Algorithm::BestOfAll)},
+                         opts);
     };
     exp.emit = [](const Sweep &sweep, BenchJson &) {
         const std::vector<std::string> &designs = sweep.designNames();

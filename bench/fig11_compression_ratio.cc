@@ -47,10 +47,9 @@ CABA_REGISTER_EXPERIMENT(fig11_compression_ratio)
 {
     exp.description =
         "Figure 11: per-algorithm compression ratio of each app's data";
-    exp.body = [](const ExperimentOptions &, BenchJson &json) {
-        std::printf("Figure 11: compression ratio per algorithm "
-                    "(DRAM bursts, uncompressed/compressed)\n\n");
-
+    exp.title = "Figure 11: compression ratio per algorithm "
+                "(DRAM bursts, uncompressed/compressed)";
+    exp.emit = [](const Sweep &, BenchJson &json) {
         const Algorithm algos[] = {Algorithm::Bdi, Algorithm::Fpc,
                                    Algorithm::CPack, Algorithm::BestOfAll};
         Table t({"app", "BDI", "FPC", "C-Pack", "BestOfAll"});

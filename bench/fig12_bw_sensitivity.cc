@@ -18,34 +18,25 @@ CABA_REGISTER_EXPERIMENT(fig12_bw_sensitivity)
         "Figure 12: Base vs CABA at 0.5x/1x/2x off-chip bandwidth";
     exp.title =
         "Figure 12: bandwidth sensitivity (speedup vs 1x-Base)";
-    exp.designs = [] {
-        // Bake the bandwidth point into the design identity.
-        std::vector<DesignConfig> designs;
-        const double points[] = {0.5, 1.0, 2.0};
-        for (double p : points) {
-            DesignConfig b = DesignConfig::base();
-            b.name = Table::num(p, 1) + "x-Base";
-            designs.push_back(b);
-            DesignConfig c = DesignConfig::caba();
-            c.name = Table::num(p, 1) + "x-CABA";
-            designs.push_back(c);
-        }
-        return designs;
-    };
-    exp.tweak = [](const DesignConfig &d, const ExperimentOptions &o) {
-        ExperimentOptions out = o;
-        out.bw_scale = d.name.substr(0, 3) == "0.5" ? 0.5
-                     : d.name.substr(0, 3) == "2.0" ? 2.0 : 1.0;
-        return out;
-    };
-    exp.apps = [] {
+    exp.cells = [](const ExperimentOptions &opts) {
         // A representative bandwidth-sensitive subset keeps the 6-point
         // sweep tractable; the shape matches the full pool.
-        std::vector<AppDescriptor> apps;
+        std::vector<Cell> cells;
         for (const char *n :
-             {"CONS", "JPEG", "LPS", "MM", "PVC", "PVR", "SLA", "sssp"})
-            apps.push_back(findApp(n));
-        return apps;
+             {"CONS", "JPEG", "LPS", "MM", "PVC", "PVR", "SLA", "sssp"}) {
+            for (double bw : {0.5, 1.0, 2.0}) {
+                ExperimentOptions o = opts;
+                o.bw_scale = bw;
+                // Bake the bandwidth point into the design identity.
+                DesignConfig b = DesignConfig::base();
+                b.name = Table::num(bw, 1) + "x-Base";
+                DesignConfig c = DesignConfig::caba();
+                c.name = Table::num(bw, 1) + "x-CABA";
+                cells.push_back({findApp(n), b.name, b, o});
+                cells.push_back({findApp(n), c.name, c, o});
+            }
+        }
+        return cells;
     };
     exp.emit = [](const Sweep &sweep, BenchJson &) {
         const std::vector<std::string> &designs = sweep.designNames();

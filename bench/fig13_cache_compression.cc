@@ -20,22 +20,20 @@ CABA_REGISTER_EXPERIMENT(fig13_cache_compression)
         "Figure 13: CABA with compressed L1/L2 caches (2x/4x tags)";
     exp.title =
         "Figure 13: compressed caches with CABA (speedup vs CABA-BDI)";
-    exp.designs = [] {
-        return std::vector<DesignConfig>{
-            DesignConfig::caba(),
-            DesignConfig::cabaCompressedCache(2, 1),
-            DesignConfig::cabaCompressedCache(4, 1),
-            DesignConfig::cabaCompressedCache(1, 2),
-            DesignConfig::cabaCompressedCache(1, 4)};
-    };
-    exp.apps = [] {
+    exp.cells = [](const ExperimentOptions &opts) {
         // Cache-sensitive apps plus latency-sensitive controls (the apps
         // the paper's Figure 13 discussion names).
         std::vector<AppDescriptor> apps;
         for (const char *n : {"bfs", "sssp", "TRA", "KM", "RAY", "hs",
                               "LPS", "nw", "PVC", "MM"})
             apps.push_back(findApp(n));
-        return apps;
+        return gridCells(apps,
+                         {DesignConfig::caba(),
+                          DesignConfig::cabaCompressedCache(2, 1),
+                          DesignConfig::cabaCompressedCache(4, 1),
+                          DesignConfig::cabaCompressedCache(1, 2),
+                          DesignConfig::cabaCompressedCache(1, 4)},
+                         opts);
     };
     exp.emit = [](const Sweep &sweep, BenchJson &) {
         const std::vector<std::string> &designs = sweep.designNames();

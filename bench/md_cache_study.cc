@@ -6,6 +6,8 @@
  * capacity and reports hit rate plus end performance under CABA-BDI.
  */
 #include <cstdio>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/table.h"
@@ -13,31 +15,37 @@
 
 using namespace caba;
 
+const int kSizesKb[] = {2, 4, 8, 16, 32};
+
 CABA_REGISTER_EXPERIMENT(md_cache_study)
 {
     exp.description =
         "Section 4.3.2: MD-cache capacity sweep under CABA-BDI";
-    exp.body = [](const ExperimentOptions &opts, BenchJson &json) {
-        printSystemConfig(opts);
-        std::printf("MD cache sweep under CABA-BDI (Section 4.3.2)\n\n");
-
-        const int sizes_kb[] = {2, 4, 8, 16, 32};
-        const AppDescriptor apps[] = {findApp("PVC"), findApp("MM"),
-                                      findApp("LPS"), findApp("bfs"),
-                                      findApp("TRA"), findApp("sssp")};
-
-        Table t({"app", "MD KB", "hit rate", "MD misses", "cycles"});
-        std::vector<double> hits_at_8kb;
-        for (const AppDescriptor &app : apps) {
-            for (int kb : sizes_kb) {
+    exp.title = "MD cache sweep under CABA-BDI (Section 4.3.2)";
+    exp.cells = [](const ExperimentOptions &opts) {
+        std::vector<Cell> cells;
+        for (const char *name : {"PVC", "MM", "LPS", "bfs", "TRA", "sssp"}) {
+            for (int kb : kSizesKb) {
                 ExperimentOptions o = opts;
                 o.md_cache_kb = kb;
-                const RunResult r = runApp(app, DesignConfig::caba(), o);
-                json.addCell(app.name,
-                             "CABA-BDI@" + std::to_string(kb) + "KB", r);
+                cells.push_back({findApp(name),
+                                 "CABA-BDI@" + std::to_string(kb) + "KB",
+                                 DesignConfig::caba(), o});
+            }
+        }
+        return cells;
+    };
+    exp.emit = [](const Sweep &sweep, BenchJson &) {
+        Table t({"app", "MD KB", "hit rate", "MD misses", "cycles"});
+        std::vector<double> hits_at_8kb;
+        for (const std::string &name : sweep.appNames()) {
+            // Labels come in declared order, one per MD cache size.
+            for (std::size_t k = 0; k < std::size(kSizesKb); ++k) {
+                const int kb = kSizesKb[k];
+                const RunResult &r = sweep.at(name, sweep.designNames()[k]);
                 if (kb == 8)
                     hits_at_8kb.push_back(r.md_hit_rate);
-                t.addRow({app.name, std::to_string(kb),
+                t.addRow({name, std::to_string(kb),
                           Table::pct(r.md_hit_rate),
                           std::to_string(r.stats.get("part_md_misses")),
                           std::to_string(r.cycles)});

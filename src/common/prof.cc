@@ -16,6 +16,7 @@
 #include "common/env.h"
 #include "common/json.h"
 #include "common/log.h"
+#include "common/output_file.h"
 
 namespace caba {
 namespace prof {
@@ -47,7 +48,7 @@ struct EnvActivation
         const char *p = env::raw("CABA_PROF");
         if (p == nullptr || p[0] == '\0')
             return;
-        std::FILE *f = std::fopen(p, "w");
+        std::FILE *f = openForWriting(p);
         if (f == nullptr)
             env::reject("CABA_PROF", p, "a writable file path");
         std::fclose(f);
@@ -240,13 +241,7 @@ writeReport(const std::string &path)
     w.endObject();
     w.endObject();
 
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    std::fputs(w.str().c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
+    return writeFile(path, w.str() + '\n');
 }
 
 void

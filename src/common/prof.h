@@ -152,7 +152,7 @@ void resetForTest();
 /**
  * Writes the `caba-prof-v1` document to @p path: the fixed-order
  * bucket array plus the harness stage totals under "self_profile".
- * @return false when the file cannot be opened.
+ * @return false when the file cannot be opened or written.
  */
 bool writeReport(const std::string &path);
 

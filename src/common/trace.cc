@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "common/env.h"
 #include "common/json.h"
 #include "common/log.h"
+#include "common/output_file.h"
 
 namespace caba {
 namespace trace {
@@ -134,18 +134,6 @@ writeEvent(std::FILE *f, const Event &ev, bool last)
     }
     w.endObject();
     std::fprintf(f, "%s%s\n", w.str().c_str(), last ? "" : ",");
-}
-
-/** Opens @p path for writing, creating its parent directories first;
- *  nullptr when that fails. */
-std::FILE *
-openForWriting(const std::string &path)
-{
-    const std::filesystem::path out(path);
-    std::error_code ec;
-    if (out.has_parent_path())
-        std::filesystem::create_directories(out.parent_path(), ec);
-    return std::fopen(path.c_str(), "w");
 }
 
 /** Reads CABA_TRACE at process start; the matching stop() runs atexit

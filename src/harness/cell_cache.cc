@@ -150,8 +150,7 @@ CellCache::runCell(const AppDescriptor &app, const DesignConfig &design,
 {
     ExperimentOptions resolved = opts;
     resolved.scale = opts.scale * scaleFromEnv();
-    resolved.jobs = 0;          // worker count cannot affect a result
-    resolved.json_out.clear();  // output path is not a semantic input
+    resolved.jobs = 0;  // worker count cannot affect a result
     std::string key = cellKeyText(app, design, resolved);
 
     {

@@ -38,7 +38,7 @@ struct CellCacheStats
 /**
  * Canonical key text for one cell: every semantic field of the app,
  * the design and the options (scale already resolved against
- * CABA_SCALE; jobs/json_out excluded — they cannot affect results).
+ * CABA_SCALE; jobs excluded — it cannot affect results).
  * Line-oriented "field=value" text.
  */
 std::string cellKeyText(const AppDescriptor &app, const DesignConfig &design,

@@ -20,13 +20,8 @@ void
 ExperimentRegistry::add(Experiment e)
 {
     CABA_CHECK(!e.name.empty(), "experiment: empty name");
-    CABA_CHECK(static_cast<bool>(e.emit) != static_cast<bool>(e.body),
-               "experiment: exactly one of emit (sweep-shaped) or body "
-               "(body-shaped) must be set");
-    CABA_CHECK(!e.emit || (e.apps && e.designs),
-               "experiment: sweep-shaped experiments need apps and designs");
-    const auto [it, inserted] = by_name_.emplace(e.name, std::move(e));
-    (void)it;
+    CABA_CHECK(static_cast<bool>(e.emit), "experiment: no emit");
+    const bool inserted = by_name_.emplace(e.name, std::move(e)).second;
     CABA_CHECK(inserted, "experiment: duplicate registration (names must "
                          "be unique across bench/)");
 }
@@ -52,18 +47,15 @@ void
 runExperiment(const Experiment &e, const ExperimentOptions &opts,
               const std::string &json_path)
 {
-    BenchJson json(e.name, json_path);
-    if (e.body) {
-        e.body(opts, json);
-    } else {
-        // The shared prologue/epilogue every sweep-shaped bench used,
-        // in the same order: header, title, sweep, tables, JSON cells.
+    const std::vector<Cell> cells = e.cells ? e.cells(opts)
+                                            : std::vector<Cell>();
+    if (!cells.empty())
         printSystemConfig(opts);
-        std::printf("%s\n\n", e.title.c_str());
-        const Sweep sweep(e.apps(), e.designs(), opts, e.tweak);
-        e.emit(sweep, json);
-        json.addSweep(sweep);
-    }
+    std::printf("%s\n\n", e.title.c_str());
+    const Sweep sweep = runCells(cells, opts.jobs);
+    BenchJson json(e.name, json_path);
+    e.emit(sweep, json);
+    json.addSweep(sweep);
     json.write();
 }
 

@@ -1,22 +1,18 @@
 /**
  * @file
- * Registry-driven experiments (DESIGN.md §12). Each former bench binary
- * is now a registration unit: a translation unit in the
- * caba_experiments library that defines one Experiment and registers it
- * under a stable name. The caba_bench CLI looks experiments up here,
- * runs any subset, and emits the same per-experiment caba-bench-v1
- * documents the standalone binaries produced, byte for byte.
+ * Registry-driven experiments (DESIGN.md §12). Each experiment is a
+ * registration unit: a translation unit in the caba_experiments
+ * library that defines one Experiment and registers it under a stable
+ * name. The caba_bench CLI looks experiments up here, runs any subset,
+ * and emits one caba-bench-v1 document per experiment.
  *
- * Two shapes:
- *  - sweep-shaped: the experiment declares apps(), designs(), an
- *    optional per-design tweak and an emit() that renders tables and
- *    summaries from the finished Sweep. The driver supplies the shared
- *    boilerplate (system-config header, title, Sweep construction,
- *    JSON cell export) in exactly the order the old main()s used.
- *  - body-shaped: experiments whose output is not one Sweep (the
- *    occupancy study, the per-cell figure 1 loop, the ablations, the
- *    codec microbench) implement body() and drive the BenchJson
- *    themselves.
+ * Every experiment has one shape. cells(opts) declares its
+ * simulations in export order, each an app, its label, a design and
+ * its options; an emit() renders tables and rows from the finished
+ * cells. The driver supplies the rest: the Table 1 header (when there
+ * are cells), the title, the parallel run of every cell through the
+ * cell memo, and the JSON cell export. Figures 2 and 11 declare no
+ * cells: their emit computes everything it prints.
  *
  * Registration happens from static initializers, so the experiment
  * library must be linked whole (an OBJECT library in CMake): see
@@ -34,8 +30,7 @@
 
 namespace caba {
 
-/** One named experiment. Exactly one of emit (sweep-shaped) or body
- *  (body-shaped) must be set. */
+/** One named experiment. */
 struct Experiment
 {
     /** Registry key, CLI selector and JSON "bench" field. Snake_case;
@@ -45,29 +40,16 @@ struct Experiment
     /** One line for `caba_bench --list`. */
     std::string description;
 
-    // ---- sweep-shaped ----
-
-    /** Headline printed after the system config, before the sweep. */
+    /** Headline printed before the cells run. */
     std::string title;
 
-    std::function<std::vector<AppDescriptor>()> apps;
-    std::function<std::vector<DesignConfig>()> designs;
+    /** The experiment's cells for the run's options, in export order.
+     *  Unset = no cells. */
+    std::function<std::vector<Cell>(const ExperimentOptions &)> cells;
 
-    /** Optional per-design option adjustment (Figure 12 bakes the
-     *  bandwidth point into the design identity). */
-    std::function<ExperimentOptions(const DesignConfig &,
-                                    const ExperimentOptions &)>
-        tweak;
-
-    /** Renders tables/summaries from the finished sweep. The driver
-     *  appends the sweep's cells to @p json afterwards. */
+    /** Renders tables and rows from the finished cells. The driver
+     *  appends the cells to @p json afterwards. Required. */
     std::function<void(const Sweep &, BenchJson &)> emit;
-
-    // ---- body-shaped ----
-
-    /** Free-form experiment: everything the old main() printed and
-     *  exported, minus flag parsing and BenchJson construction. */
-    std::function<void(const ExperimentOptions &, BenchJson &)> body;
 };
 
 /** All registered experiments, addressable by name. */
@@ -76,8 +58,8 @@ class ExperimentRegistry
   public:
     static ExperimentRegistry &instance();
 
-    /** Registers @p e; panics on a duplicate name or a shapeless
-     *  experiment (neither emit nor body). */
+    /** Registers @p e; panics on an empty or duplicate name or a
+     *  missing emit. */
     void add(Experiment e);
 
     /** The experiment registered as @p name, or null. */
@@ -93,8 +75,9 @@ class ExperimentRegistry
 
 /**
  * Runs one experiment with @p opts, writing its caba-bench-v1 document
- * to @p json_path ("" = no JSON). Replicates the old binaries' order of
- * operations exactly, so output is byte-identical.
+ * to @p json_path ("" = no JSON): the Table 1 header when there are
+ * cells, the title, every cell (on opts.jobs workers), emit, then the
+ * cells in declared order.
  */
 void runExperiment(const Experiment &e, const ExperimentOptions &opts,
                    const std::string &json_path);
@@ -116,7 +99,8 @@ struct ExperimentRegistrar
  *   {
  *       exp.description = "...";
  *       exp.title = "...";
- *       ...
+ *       exp.cells = [](const ExperimentOptions &opts) { ... };
+ *       exp.emit = [](const Sweep &sweep, BenchJson &json) { ... };
  *   }
  *
  * The identifier doubles as the registry name, so names are valid

@@ -1,28 +1,12 @@
 #include "harness/json_export.h"
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
+#include <cstdlib>
 
 #include "common/log.h"
+#include "common/output_file.h"
 
 namespace caba {
-
-std::string
-jsonOutPath(const std::string &bench, int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--json=", 7) == 0)
-            return arg + 7;
-        // Bare --json takes the default path and never consumes the
-        // next token (the greedy form used to eat experiment names;
-        // see harness/bench_cli.h).
-        if (std::strcmp(arg, "--json") == 0)
-            return "bench_results/" + bench + ".json";
-    }
-    return std::string();
-}
 
 namespace {
 
@@ -111,27 +95,18 @@ BenchJson::BenchJson(std::string bench, std::string path)
 }
 
 void
-BenchJson::addCell(const std::string &app, const std::string &design,
-                   const RunResult &r)
-{
-    if (!enabled())
-        return;
-    JsonWriter w;
-    w.beginObject().kv("app", app).kv("design", design);
-    w.key("result");
-    writeRunResultJson(w, r);
-    w.endObject();
-    cells_.push_back(w.str());
-}
-
-void
 BenchJson::addSweep(const Sweep &sweep)
 {
     if (!enabled())
         return;
-    for (const std::string &app : sweep.appNames())
-        for (const std::string &design : sweep.designNames())
-            addCell(app, design, sweep.at(app, design));
+    for (const Sweep::NamedCell &c : sweep.cells()) {
+        JsonWriter w;
+        w.beginObject().kv("app", c.app).kv("design", c.design);
+        w.key("result");
+        writeRunResultJson(w, c.result);
+        w.endObject();
+        cells_.push_back(w.str());
+    }
 }
 
 void
@@ -216,19 +191,10 @@ BenchJson::write() const
 {
     if (path_.empty())
         return;
-    const std::string doc = document();
-    const std::filesystem::path out(path_);
-    std::error_code ec;
-    if (out.has_parent_path())
-        std::filesystem::create_directories(out.parent_path(), ec);
-    std::FILE *f = std::fopen(path_.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "json: cannot open %s for writing\n",
-                     path_.c_str());
-        return;
+    if (!writeFile(path_, document())) {
+        std::fprintf(stderr, "json: cannot write '%s'\n", path_.c_str());
+        std::exit(1);
     }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
     std::fprintf(stderr, "json: wrote %s\n", path_.c_str());
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Machine-readable bench output. Every figure bench accepts `--json
- * [path]` (default bench_results/<bench>.json) and writes a stable
- * "caba-bench-v1" document next to its human-readable table:
+ * Machine-readable bench output. caba_bench's `--json` (default path
+ * bench_results/<bench>.json) or `--json=PATH` writes each
+ * experiment's stable "caba-bench-v1" document next to its
+ * human-readable table:
  *
  *   {
  *     "schema": "caba-bench-v1",
@@ -17,11 +18,12 @@
  * The Figure 1 issue-slot breakdown travels in "stats" as the sm_slot_*
  * counters (DESIGN.md section 11); there is no separate object for it.
  *
- * "cells" carries full simulation results (one per app x design run);
- * "rows" carries tabular output for benches whose result is not a
- * RunResult (e.g. the Figure 2 occupancy study). Both arrays are always
- * present. Output is deterministic: identical results produce
- * byte-identical files regardless of sweep worker count.
+ * "cells" carries full simulation results, one per declared cell, in
+ * declared order; "design" is the cell's label. "rows" carries tabular
+ * output for benches whose result is not a RunResult (e.g. the Figure
+ * 2 occupancy study). Both arrays are always present. Output is
+ * deterministic: identical results produce byte-identical files
+ * regardless of worker count.
  */
 #ifndef CABA_HARNESS_JSON_EXPORT_H
 #define CABA_HARNESS_JSON_EXPORT_H
@@ -35,13 +37,6 @@
 
 namespace caba {
 
-/**
- * Parses `--json` or `--json=<path>` out of @p argv. @return the
- * output path ("" when the flag is absent); the bare flag defaults to
- * bench_results/<bench>.json and never consumes the next token.
- */
-std::string jsonOutPath(const std::string &bench, int argc, char **argv);
-
 /** Serializes one RunResult as a JSON object into @p w. */
 void writeRunResultJson(JsonWriter &w, const RunResult &r);
 
@@ -54,11 +49,7 @@ class BenchJson
 
     bool enabled() const { return !path_.empty(); }
 
-    /** Appends one simulation cell. */
-    void addCell(const std::string &app, const std::string &design,
-                 const RunResult &r);
-
-    /** Appends every cell of @p sweep in app-major order. */
+    /** Appends every cell of @p sweep in declared order. */
     void addSweep(const Sweep &sweep);
 
     // Free-form rows: beginRow, field... , endRow.
@@ -70,8 +61,9 @@ class BenchJson
     void field(const std::string &key, int value);
     void endRow();
 
-    /** Writes the document (creates parent directories). No-op when
-     *  disabled. Reports the path on stderr. */
+    /** Writes the document (creates parent directories) and reports
+     *  the path on stderr. No-op when disabled. A failed open, write
+     *  or close stops the process (exit 1), naming the path. */
     void write() const;
 
   private:

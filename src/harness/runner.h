@@ -48,14 +48,10 @@ struct ExperimentOptions
     int max_warps = 0;
 
     /**
-     * Sweep worker threads: 0 = auto (CABA_JOBS env var, else
+     * Cell worker threads: 0 = auto (CABA_JOBS env var, else
      * hardware_concurrency), 1 = serial, N = exactly N workers.
      */
     int jobs = 0;
-
-    /** Machine-readable output path ("" = off). Benches fill this from
-     *  the --json flag (see harness/json_export.h). */
-    std::string json_out;
 };
 
 /**
@@ -93,7 +89,7 @@ double geomean(const std::vector<double> &values);
 /** Arithmetic mean. */
 double mean(const std::vector<double> &values);
 
-/** Prints the Table 1 system summary header once per bench. */
+/** Prints the Table 1 system summary header. */
 void printSystemConfig(const ExperimentOptions &opts);
 
 } // namespace caba

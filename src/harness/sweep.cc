@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <climits>
 #include <cstdio>
-#include <utility>
 
 #include "common/env.h"
 #include "common/log.h"
@@ -12,44 +11,29 @@
 
 namespace caba {
 
-int
-sweepJobsFromEnv(int fallback)
+std::vector<Cell>
+gridCells(const std::vector<AppDescriptor> &apps,
+          const std::vector<DesignConfig> &designs,
+          const ExperimentOptions &opts)
 {
-    return env::intOr("CABA_JOBS", 1, INT_MAX, fallback);
-}
-
-Sweep::Sweep(const std::vector<AppDescriptor> &apps,
-             const std::vector<DesignConfig> &designs,
-             const ExperimentOptions &opts,
-             const std::function<ExperimentOptions(
-                 const DesignConfig &, const ExperimentOptions &)> &tweak)
-{
-    for (const DesignConfig &d : designs)
-        design_names_.push_back(d.name);
-    for (const AppDescriptor &app : apps)
-        app_names_.push_back(app.name);
-
-    // Materialize the cell list up front, applying the (caller-supplied,
-    // not necessarily thread-safe) tweak hook serially on this thread.
-    // Each cell is then a pure function of its own inputs: runApp builds
-    // a private Workload + GpuSystem, so cells can run in any order on
-    // any thread and still produce bit-identical results.
-    struct Cell
-    {
-        const AppDescriptor *app;
-        const DesignConfig *design;
-        ExperimentOptions opts;
-    };
     std::vector<Cell> cells;
     cells.reserve(apps.size() * designs.size());
     for (const AppDescriptor &app : apps)
         for (const DesignConfig &d : designs)
-            cells.push_back({&app, &d, tweak ? tweak(d, opts) : opts});
+            cells.push_back({app, d.name, d, opts});
+    return cells;
+}
 
-    const int jobs = opts.jobs > 0
-                         ? opts.jobs
-                         : sweepJobsFromEnv(ThreadPool::defaultWorkers());
+Sweep
+runCells(const std::vector<Cell> &cells, int jobs)
+{
+    if (jobs <= 0)
+        jobs = env::intOr("CABA_JOBS", 1, INT_MAX,
+                          ThreadPool::defaultWorkers());
 
+    // Each cell is a pure function of its own inputs: runApp builds a
+    // private Workload + GpuSystem, so cells can run in any order on
+    // any thread and still produce bit-identical results.
     std::vector<RunResult> results(cells.size());
     const auto self_before = prof::stageSnapshot();
     {
@@ -57,11 +41,11 @@ Sweep::Sweep(const std::vector<AppDescriptor> &apps,
         parallelFor(static_cast<int>(cells.size()), jobs, [&](int i) {
             const Cell &c = cells[static_cast<std::size_t>(i)];
             results[static_cast<std::size_t>(i)] =
-                runApp(*c.app, *c.design, c.opts);
-            progress.tick(c.app->name + " x " + c.design->name);
+                runApp(c.app, c.design, c.opts);
+            progress.tick(c.app.name + " x " + c.label);
         });
     }
-    // Wall-clock self-profile of this sweep (aggregated across workers;
+    // Wall-clock self-profile of this run (aggregated across workers;
     // stderr only so the deterministic JSON exports stay byte-stable).
     const auto self_after = prof::stageSnapshot();
     for (int s = 0; s < prof::kStages; ++s) {
@@ -74,17 +58,19 @@ Sweep::Sweep(const std::vector<AppDescriptor> &apps,
         }
     }
 
-    // Insert in the original serial (app-major) order so the resulting
-    // map is built identically regardless of worker count.
+    // Committed in declared order, whatever the worker count.
+    std::vector<Sweep::NamedCell> named;
+    named.reserve(cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
-        cells_.emplace(std::make_pair(cells[i].app->name,
-                                      cells[i].design->name),
-                       std::move(results[i]));
+        named.push_back({cells[i].app.name, cells[i].label,
+                         std::move(results[i])});
+    return Sweep(std::move(named));
 }
 
-Sweep::Sweep(std::vector<NamedCell> cells)
+Sweep::Sweep(std::vector<NamedCell> cells) : cells_(std::move(cells))
 {
-    for (NamedCell &c : cells) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+        const NamedCell &c = cells_[i];
         if (std::find(app_names_.begin(), app_names_.end(), c.app) ==
             app_names_.end())
             app_names_.push_back(c.app);
@@ -92,9 +78,7 @@ Sweep::Sweep(std::vector<NamedCell> cells)
                       c.design) == design_names_.end())
             design_names_.push_back(c.design);
         const bool inserted =
-            cells_.emplace(std::make_pair(c.app, c.design),
-                           std::move(c.result))
-                .second;
+            index_.emplace(std::make_pair(c.app, c.design), i).second;
         CABA_CHECK(inserted, "sweep: duplicate (app, design) cell");
     }
 }
@@ -102,9 +86,9 @@ Sweep::Sweep(std::vector<NamedCell> cells)
 const RunResult &
 Sweep::at(const std::string &app, const std::string &design) const
 {
-    auto it = cells_.find({app, design});
-    CABA_CHECK(it != cells_.end(), "sweep cell missing");
-    return it->second;
+    auto it = index_.find({app, design});
+    CABA_CHECK(it != index_.end(), "sweep cell missing");
+    return cells_[it->second].result;
 }
 
 double

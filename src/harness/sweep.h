@@ -1,64 +1,63 @@
 /**
  * @file
- * App x design sweep driver shared by the figure benches: runs every
- * combination, keeps the results addressable by (app, design), and
- * provides the normalized-metric helpers the figures print.
+ * The cell driver every experiment shares: runs a declared list of
+ * cells, keeps the results addressable by (app, label), and provides
+ * the normalized-metric helpers the figures print.
  *
- * Cells are independent simulations, so the sweep fans them out across a
- * ThreadPool of hardware_concurrency() workers by default. Worker count
- * is overridable with ExperimentOptions::jobs or the CABA_JOBS env var;
- * jobs == 1 runs cells serially on the calling thread (the old
- * behaviour). Results are bit-identical at any worker count: each cell
- * builds a private Workload + GpuSystem from explicitly seeded RNG state
- * and results are committed in serial order after the fan-out.
+ * A cell is one simulation: an app under a design with its own
+ * options, exported under a label (the JSON "design" string). Cells
+ * are independent simulations, so runCells fans them out across a
+ * ThreadPool of hardware_concurrency() workers by default. Worker
+ * count is overridable with ExperimentOptions::jobs or the CABA_JOBS
+ * env var; jobs == 1 runs cells serially on the calling thread.
+ * Results are bit-identical at any worker count: each cell builds a
+ * private Workload + GpuSystem from explicitly seeded RNG state, and
+ * results are committed in declared order after the fan-out.
  */
 #ifndef CABA_HARNESS_SWEEP_H
 #define CABA_HARNESS_SWEEP_H
 
-#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/runner.h"
 
 namespace caba {
 
-/**
- * Reads CABA_JOBS from the environment (default @p fallback; a value
- * that is not a positive integer is fatal). Read once per sweep, not
- * per cell.
- */
-int sweepJobsFromEnv(int fallback);
+/** One simulation an experiment declares: @p app under @p design with
+ *  @p opts, named @p label in tables and in the JSON "design" field.
+ *  (app, label) pairs are unique within one experiment. */
+struct Cell
+{
+    AppDescriptor app;
+    std::string label;
+    DesignConfig design;
+    ExperimentOptions opts;
+};
 
-/** Results of a full sweep, addressable by (app name, design name). */
+/** Every app under every design, app-major, each cell labelled with
+ *  its design's name and run with @p opts. */
+std::vector<Cell> gridCells(const std::vector<AppDescriptor> &apps,
+                            const std::vector<DesignConfig> &designs,
+                            const ExperimentOptions &opts);
+
+/** Finished cells, addressable by (app name, label). */
 class Sweep
 {
   public:
-    /**
-     * Runs every app under every design. @p tweak, when given, can
-     * adjust options per design (e.g. bandwidth scale baked into the
-     * design identity for Figure 12).
-     */
-    Sweep(const std::vector<AppDescriptor> &apps,
-          const std::vector<DesignConfig> &designs,
-          const ExperimentOptions &opts,
-          const std::function<ExperimentOptions(
-              const DesignConfig &, const ExperimentOptions &)> &tweak = {});
-
-    /** One precomputed cell: (app name, design name, result). */
+    /** One finished cell: (app name, label, result). */
     struct NamedCell
     {
         std::string app;
-        std::string design;
+        std::string design;  ///< The cell's label.
         RunResult result;
     };
 
     /**
-     * Builds a sweep directly from precomputed cells without running
-     * anything (tests use it for results no simulation produces, such
-     * as a zero-cycle base cell). App/design name order is
-     * first-appearance order; duplicate (app, design) pairs panic.
+     * Holds @p cells in the given order. App and label name order is
+     * first-appearance order; duplicate (app, label) pairs panic.
      */
     explicit Sweep(std::vector<NamedCell> cells);
 
@@ -72,6 +71,9 @@ class Sweep
     double speedup(const std::string &app, const std::string &design,
                    const std::string &base_design) const;
 
+    /** Every cell, in the order it was declared. */
+    const std::vector<NamedCell> &cells() const { return cells_; }
+
     const std::vector<std::string> &appNames() const { return app_names_; }
     const std::vector<std::string> &designNames() const
     {
@@ -79,10 +81,19 @@ class Sweep
     }
 
   private:
-    std::map<std::pair<std::string, std::string>, RunResult> cells_;
+    std::vector<NamedCell> cells_;
+    std::map<std::pair<std::string, std::string>, std::size_t> index_;
     std::vector<std::string> app_names_;
     std::vector<std::string> design_names_;
 };
+
+/**
+ * Runs every cell of @p cells through runApp (and so through the cell
+ * memo when it is on) on @p jobs workers: 0 = CABA_JOBS (a value that
+ * is not a positive integer is fatal), else hardware_concurrency; 1 =
+ * serial on the calling thread.
+ */
+Sweep runCells(const std::vector<Cell> &cells, int jobs);
 
 } // namespace caba
 

@@ -37,7 +37,6 @@ resolvedOpts(const ExperimentOptions &opts)
     ExperimentOptions resolved = opts;
     resolved.scale = opts.scale * scaleFromEnv();
     resolved.jobs = 0;
-    resolved.json_out.clear();
     return resolved;
 }
 
@@ -87,11 +86,10 @@ TEST(CellKey, CoversSemanticInputsAndOnlyThose)
     EXPECT_NE(base, cellKeyText(findApp("bfs"), design, opts));
     EXPECT_NE(base, cellKeyText(app, DesignConfig::base(), opts));
 
-    // ...and the execution knobs must not (runCell neutralizes them;
-    // the key renderer never reads them).
+    // ...and the worker count must not (runCell neutralizes it; the
+    // key renderer never reads it).
     o = opts;
     o.jobs = 7;
-    o.json_out = "/tmp/anywhere.json";
     EXPECT_EQ(base, cellKeyText(app, design, o));
 }
 
@@ -103,7 +101,6 @@ TEST_F(CellCacheTest, ExecutionKnobsShareOneEntry)
     (void)runApp(app, DesignConfig::base(), opts);
 
     opts.jobs = 3;
-    opts.json_out = "ignored.json";
     (void)runApp(app, DesignConfig::base(), opts);
     const CellCacheStats st = cache.stats();
     EXPECT_EQ(st.simulations, 1u);

@@ -2,15 +2,16 @@
  * @file
  * Tests for the experiment registry and the in-process runner
  * (harness/experiment.h) that caba_bench drives: name lookup, the
- * registration invariants (unique names, exactly one shape), the
- * sweep-shaped driver's document layout, byte-identical documents on
- * repeated runs, and a repeated sweep served from the in-process cell
- * cache without simulating. It also pins slotShares, the Figure 1
- * grouping that fig01_cycle_breakdown and caba_cli print.
+ * registration invariants (unique names, an emit on every entry,
+ * unique (app, label) cells), the driver's document layout, documents
+ * byte-identical on repeated runs and at any worker count, and a
+ * repeated run served from the in-process cell cache without
+ * simulating. It also pins slotShares, the Figure 1 grouping that
+ * fig01_cycle_breakdown and caba_cli print.
  *
  * The registered experiment run here is fig02_unallocated_regs — pure
- * occupancy arithmetic, no simulation. The sweep-shaped cases use a
- * local, unregistered experiment over one short cell pair.
+ * occupancy arithmetic, no cells. The cases with cells use local,
+ * unregistered experiments of short cells.
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json_parse.h"
@@ -69,16 +71,53 @@ smallSweepExperiment()
     Experiment e;
     e.name = "test_small_sweep";
     e.title = "small sweep";
-    e.apps = [] { return std::vector<AppDescriptor>{findApp("PVC")}; };
-    e.designs = [] {
-        return std::vector<DesignConfig>{DesignConfig::base(),
-                                         DesignConfig::caba()};
+    e.cells = [](const ExperimentOptions &opts) {
+        return gridCells({findApp("PVC")},
+                         {DesignConfig::base(), DesignConfig::caba()}, opts);
     };
     e.emit = [](const Sweep &sweep, BenchJson &json) {
         for (const std::string &app : sweep.appNames()) {
             json.beginRow();
             json.field("app", app);
             json.field("speedup", sweep.speedup(app, "CABA-BDI", "Base"));
+            json.endRow();
+        }
+    };
+    return e;
+}
+
+/** Not a grid: two apps, each at two bandwidth points and with a small
+ *  MD cache, every cell labelled after its options. */
+Experiment
+perCellOptionsExperiment()
+{
+    Experiment e;
+    e.name = "test_per_cell_options";
+    e.title = "per-cell options";
+    e.cells = [](const ExperimentOptions &opts) {
+        std::vector<Cell> cells;
+        for (const char *name : {"PVC", "bfs"}) {
+            ExperimentOptions lo = opts;
+            lo.bw_scale = 0.5;
+            ExperimentOptions hi = opts;
+            hi.bw_scale = 2.0;
+            ExperimentOptions small_md = opts;
+            small_md.md_cache_kb = 2;
+            cells.push_back({findApp(name), "Base@0.5x",
+                             DesignConfig::base(), lo});
+            cells.push_back({findApp(name), "Base@2.0x",
+                             DesignConfig::base(), hi});
+            cells.push_back({findApp(name), "CABA-BDI@2KB",
+                             DesignConfig::caba(), small_md});
+        }
+        return cells;
+    };
+    e.emit = [](const Sweep &sweep, BenchJson &json) {
+        for (const std::string &app : sweep.appNames()) {
+            json.beginRow();
+            json.field("app", app);
+            json.field("bw_speedup",
+                       sweep.speedup(app, "Base@2.0x", "Base@0.5x"));
             json.endRow();
         }
     };
@@ -154,12 +193,8 @@ TEST(ExperimentRegistryTest, AllIsSortedByNameAndEveryEntryHasOneShape)
     for (const Experiment *e : all) {
         names.push_back(e->name);
         EXPECT_FALSE(e->description.empty()) << e->name;
-        EXPECT_NE(static_cast<bool>(e->emit), static_cast<bool>(e->body))
-            << e->name << ": exactly one of emit or body";
-        if (e->emit) {
-            EXPECT_TRUE(e->apps && e->designs) << e->name;
-            EXPECT_FALSE(e->title.empty()) << e->name;
-        }
+        EXPECT_FALSE(e->title.empty()) << e->name;
+        EXPECT_TRUE(static_cast<bool>(e->emit)) << e->name;
     }
     std::vector<std::string> sorted = names;
     std::sort(sorted.begin(), sorted.end());
@@ -168,27 +203,24 @@ TEST(ExperimentRegistryTest, AllIsSortedByNameAndEveryEntryHasOneShape)
               sorted.end());
 }
 
-TEST(ExperimentRegistryTest, SweepShapedExperimentsHaveUniqueAppsAndDesigns)
+TEST(ExperimentRegistryTest, EveryExperimentsAppLabelPairsAreUnique)
 {
     for (const Experiment *e : ExperimentRegistry::instance().all()) {
-        if (!e->emit)
+        if (!e->cells)
             continue;
-        std::set<std::string> apps;
-        for (const AppDescriptor &a : e->apps())
-            EXPECT_TRUE(apps.insert(a.name).second)
-                << e->name << ": app " << a.name << " listed twice";
-        std::set<std::string> designs;
-        for (const DesignConfig &d : e->designs())
-            EXPECT_TRUE(designs.insert(d.name).second)
-                << e->name << ": design " << d.name << " listed twice";
-        EXPECT_FALSE(apps.empty()) << e->name;
-        EXPECT_FALSE(designs.empty()) << e->name;
+        std::set<std::pair<std::string, std::string>> seen;
+        for (const Cell &c : e->cells(ExperimentOptions{}))
+            EXPECT_TRUE(seen.insert({c.app.name, c.label}).second)
+                << e->name << ": cell (" << c.app.name << ", " << c.label
+                << ") declared twice";
+        EXPECT_FALSE(seen.empty()) << e->name << ": cells() is empty";
     }
 
     // The headline figure compares CABA against the uncompressed base.
     std::set<std::string> fig07;
-    for (const DesignConfig &d : registered("fig07_performance").designs())
-        fig07.insert(d.name);
+    for (const Cell &c :
+         registered("fig07_performance").cells(ExperimentOptions{}))
+        fig07.insert(c.label);
     EXPECT_EQ(fig07.count("Base"), 1u);
     EXPECT_EQ(fig07.count("CABA-BDI"), 1u);
 }
@@ -199,17 +231,9 @@ TEST(ExperimentRegistryTest, DuplicateAndShapelessRegistrationsPanic)
     EXPECT_DEATH(reg.add(registered("fig02_unallocated_regs")),
                  "duplicate registration");
 
-    Experiment shapeless;
-    shapeless.name = "test_shapeless";
-    EXPECT_DEATH(reg.add(shapeless), "exactly one of emit");
-
-    Experiment both = smallSweepExperiment();
-    both.body = [](const ExperimentOptions &, BenchJson &) {};
-    EXPECT_DEATH(reg.add(both), "exactly one of emit");
-
-    Experiment no_apps = smallSweepExperiment();
-    no_apps.apps = nullptr;
-    EXPECT_DEATH(reg.add(no_apps), "need apps and designs");
+    Experiment shapeless = smallSweepExperiment();
+    shapeless.emit = nullptr;
+    EXPECT_DEATH(reg.add(shapeless), "no emit");
 
     Experiment unnamed = smallSweepExperiment();
     unnamed.name.clear();
@@ -228,7 +252,7 @@ class RunExperimentTest : public ::testing::Test
     void TearDown() override { SetUp(); }
 };
 
-TEST_F(RunExperimentTest, BodyShapedDocumentIsByteIdenticalAcrossRuns)
+TEST_F(RunExperimentTest, CellFreeDocumentIsByteIdenticalAcrossRuns)
 {
     const Experiment &e = registered("fig02_unallocated_regs");
     const std::string first = outPath("first");
@@ -253,7 +277,7 @@ TEST_F(RunExperimentTest, BodyShapedDocumentIsByteIdenticalAcrossRuns)
     std::remove(second.c_str());
 }
 
-TEST_F(RunExperimentTest, SweepShapedRunExportsEmittedRowsAndEveryCell)
+TEST_F(RunExperimentTest, RunExportsEmittedRowsAndEveryCell)
 {
     const std::string path = outPath("doc");
     runExperiment(smallSweepExperiment(), smallOpts(), path);
@@ -268,7 +292,7 @@ TEST_F(RunExperimentTest, SweepShapedRunExportsEmittedRowsAndEveryCell)
     EXPECT_EQ(rows[0].find("app")->string, "PVC");
     EXPECT_GT(rows[0].find("speedup")->number, 0.0);
 
-    // The driver appends the sweep's cells after emit(), app-major.
+    // The driver appends the cells after emit(), in declared order.
     const std::vector<json::Value> &cells = doc.find("cells")->array;
     ASSERT_EQ(cells.size(), 2u);
     EXPECT_EQ(cells[0].find("app")->string, "PVC");
@@ -276,6 +300,39 @@ TEST_F(RunExperimentTest, SweepShapedRunExportsEmittedRowsAndEveryCell)
     EXPECT_EQ(cells[1].find("design")->string, "CABA-BDI");
     EXPECT_GT(cells[0].find("result")->find("cycles")->number, 0.0);
     std::remove(path.c_str());
+}
+
+TEST_F(RunExperimentTest, PerCellOptionsDocumentIsByteIdenticalAtOneAndFourJobs)
+{
+    const Experiment e = perCellOptionsExperiment();
+    const std::string serial = outPath("serial");
+    const std::string parallel = outPath("parallel");
+    ExperimentOptions opts = smallOpts();
+    opts.jobs = 1;
+    runExperiment(e, opts, serial);
+    opts.jobs = 4;
+    runExperiment(e, opts, parallel);
+
+    const std::string a = slurp(serial);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(a, slurp(parallel)) << "worker count leaked into the document";
+
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(a, &doc, &error)) << error;
+    const std::vector<json::Value> &cells = doc.find("cells")->array;
+    ASSERT_EQ(cells.size(), 6u);
+    const char *labels[] = {"Base@0.5x", "Base@2.0x", "CABA-BDI@2KB"};
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(cells[i].find("app")->string, i < 3 ? "PVC" : "bfs") << i;
+        EXPECT_EQ(cells[i].find("design")->string, labels[i % 3]) << i;
+    }
+    // Same app and design, different options: different results.
+    EXPECT_NE(cells[0].find("result")->find("cycles")->number,
+              cells[1].find("result")->find("cycles")->number);
+    EXPECT_EQ(doc.find("rows")->array.size(), 2u);
+    std::remove(serial.c_str());
+    std::remove(parallel.c_str());
 }
 
 TEST_F(RunExperimentTest, RepeatedSweepIsServedFromTheInProcessCellCache)

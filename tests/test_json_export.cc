@@ -2,10 +2,11 @@
  * @file
  * Machine-readable export tests: the JsonWriter building blocks, the
  * strict parser that reads them back (common/json_parse.h), the
- * --json flag parsing, the caba-bench-v1 document schema (golden
- * structure a downstream plotting script can rely on), and the
- * determinism promise — a parallel sweep writes a byte-identical file
- * to a serial one.
+ * caba-bench-v1 document schema (golden structure a downstream
+ * plotting script can rely on), and the determinism promise — a
+ * parallel run of cells writes a byte-identical file to a serial one.
+ * The --json flag itself is parsed by parseBenchCli
+ * (tests/test_cli.cc).
  */
 #include <gtest/gtest.h>
 
@@ -135,23 +136,6 @@ TEST(JsonParse, MalformedDocumentsFailWithAReason)
     }
 }
 
-TEST(JsonOutPathTest, FlagForms)
-{
-    auto path = [](std::vector<const char *> argv) {
-        argv.insert(argv.begin(), "bench");
-        return jsonOutPath("mybench", static_cast<int>(argv.size()),
-                           const_cast<char **>(argv.data()));
-    };
-    EXPECT_EQ(path({}), "");
-    EXPECT_EQ(path({"--other"}), "");
-    EXPECT_EQ(path({"--json"}), "bench_results/mybench.json");
-    EXPECT_EQ(path({"--json=custom/a.json"}), "custom/a.json");
-    // Regression: bare --json must never eat the following token as a
-    // path — neither a flag nor a bare word (an experiment name).
-    EXPECT_EQ(path({"--json", "--verbose"}), "bench_results/mybench.json");
-    EXPECT_EQ(path({"--json", "fig07"}), "bench_results/mybench.json");
-}
-
 TEST(BenchJsonTest, DisabledIsNoOp)
 {
     BenchJson json("b", "");
@@ -195,7 +179,7 @@ TEST(BenchJsonTest, CellSchemaIsStable)
 
     const std::string path = testing::TempDir() + "caba_cell.json";
     BenchJson json("schema_bench", path);
-    json.addCell("PVC", "CABA-BDI", r);
+    json.addSweep(Sweep({{"PVC", "CABA-BDI", r}}));
     json.write();
 
     json::Value doc;
@@ -282,9 +266,7 @@ TEST(BenchJsonTest, ParallelSweepWritesByteIdenticalJson)
     opts.scale = 0.1;
 
     auto writeSweep = [&](int jobs, const std::string &path) {
-        ExperimentOptions o = opts;
-        o.jobs = jobs;
-        const Sweep sweep(apps, designs, o);
+        const Sweep sweep = runCells(gridCells(apps, designs, opts), jobs);
         BenchJson json("determinism", path);
         json.addSweep(sweep);
         json.write();

@@ -1,9 +1,10 @@
 /**
  * @file
- * Determinism tests for the parallel sweep executor: fanning the
- * app x design grid out across worker threads must produce results
- * bit-identical to a serial run, and CABA_JOBS=1 must degrade to the
- * old strictly-serial behaviour.
+ * Determinism tests for the parallel cell driver (runCells): fanning
+ * an app x design grid out across worker threads must produce results
+ * bit-identical to a serial run, CABA_JOBS=1 must degrade to the
+ * strictly-serial behaviour, and cells that differ only in their
+ * options must keep their own labels and results.
  */
 #include <gtest/gtest.h>
 
@@ -96,7 +97,7 @@ TEST_F(SweepTest, ParallelMatchesSerialBaseline)
     const auto baseline = serialBaseline(apps, designs, opts);
 
     ::setenv("CABA_JOBS", "8", 1);
-    const Sweep sweep(apps, designs, opts);
+    const Sweep sweep = runCells(gridCells(apps, designs, opts), opts.jobs);
 
     ASSERT_EQ(sweep.appNames().size(), apps.size());
     ASSERT_EQ(sweep.designNames().size(), designs.size());
@@ -113,7 +114,7 @@ TEST_F(SweepTest, JobsOptionMatchesSerialBaseline)
     const auto baseline = serialBaseline(apps, designs, opts);
 
     opts.jobs = 8; // ExperimentOptions override, no env var involved
-    const Sweep sweep(apps, designs, opts);
+    const Sweep sweep = runCells(gridCells(apps, designs, opts), opts.jobs);
 
     for (const auto &[key, expected] : baseline)
         expectIdentical(sweep.at(key.first, key.second), expected,
@@ -131,39 +132,40 @@ TEST_F(SweepTest, JobsOneDegradesToSerial)
     const auto baseline = serialBaseline(apps, designs, opts);
 
     ::setenv("CABA_JOBS", "1", 1);
-    const Sweep sweep(apps, designs, opts);
+    const Sweep sweep = runCells(gridCells(apps, designs, opts), opts.jobs);
 
     for (const auto &[key, expected] : baseline)
         expectIdentical(sweep.at(key.first, key.second), expected,
                         key.first + " x " + key.second);
 }
 
-TEST_F(SweepTest, TweakHookAppliesPerDesign)
+TEST_F(SweepTest, CellsDifferingOnlyInOptionsKeepTheirOwnLabelsAndResults)
 {
-    // The Figure 12 usage: tweak bakes a per-design bandwidth scale in.
-    // The hook must run exactly once per cell, on the options the cell
-    // actually simulates with, at any worker count.
-    const std::vector<AppDescriptor> apps = {findApp("PVC")};
-    const std::vector<DesignConfig> designs = {DesignConfig::base(),
-                                               DesignConfig::caba()};
-    ExperimentOptions opts = testOpts();
-    const auto tweak = [](const DesignConfig &d, const ExperimentOptions &o) {
-        ExperimentOptions out = o;
-        out.bw_scale = d.usesCaba() ? 2.0 : 0.5;
-        return out;
-    };
-
-    ExperimentOptions lo = opts;
+    // The Figure 1 shape: one app under one design at two bandwidth
+    // points. Each cell must simulate with its own options and come
+    // back under its own label, at any worker count.
+    const AppDescriptor app = findApp("PVC");
+    ExperimentOptions lo = testOpts();
     lo.bw_scale = 0.5;
-    ExperimentOptions hi = opts;
+    ExperimentOptions hi = testOpts();
     hi.bw_scale = 2.0;
-    const RunResult base_lo = runApp(apps[0], designs[0], lo);
-    const RunResult caba_hi = runApp(apps[0], designs[1], hi);
+    const RunResult base_lo = runApp(app, DesignConfig::base(), lo);
+    const RunResult base_hi = runApp(app, DesignConfig::base(), hi);
+    ASSERT_NE(base_lo.cycles, base_hi.cycles)
+        << "the two bandwidth points must be distinguishable";
 
-    ::setenv("CABA_JOBS", "4", 1);
-    const Sweep sweep(apps, designs, opts, tweak);
-    expectIdentical(sweep.at("PVC", designs[0].name), base_lo, "base@0.5x");
-    expectIdentical(sweep.at("PVC", designs[1].name), caba_hi, "caba@2x");
+    const std::vector<Cell> cells = {
+        {app, "Base@0.5x", DesignConfig::base(), lo},
+        {app, "Base@2.0x", DesignConfig::base(), hi}};
+    const Sweep sweep = runCells(cells, 4);
+    EXPECT_EQ(sweep.appNames(), (std::vector<std::string>{"PVC"}));
+    EXPECT_EQ(sweep.designNames(),
+              (std::vector<std::string>{"Base@0.5x", "Base@2.0x"}));
+    ASSERT_EQ(sweep.cells().size(), 2u);
+    EXPECT_EQ(sweep.cells()[0].design, "Base@0.5x");
+    EXPECT_EQ(sweep.cells()[1].design, "Base@2.0x");
+    expectIdentical(sweep.at("PVC", "Base@0.5x"), base_lo, "base@0.5x");
+    expectIdentical(sweep.at("PVC", "Base@2.0x"), base_hi, "base@2x");
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedJobOnce)
