@@ -7,13 +7,13 @@
  *
  * Parsing lives in harness/bench_cli.h (shared with the tests); this
  * file is only the glue: usage text, selection against the registry,
- * and the run loop. Unlike the old binaries — which silently ignored
- * unrecognized argv tokens — every unknown flag is a hard error with
- * usage on stderr.
+ * and one call of the driver (runExperiments in harness/experiment.h).
+ * Unlike the old binaries — which silently ignored unrecognized argv
+ * tokens — every unknown flag is a hard error with usage on stderr.
  *
- * The cell memo is always on: experiments sharing (app, design,
- * options) cells (Figures 7/8/9 run the same sweep) simulate each cell
- * once per process.
+ * The selected experiments run as one plan: a cell that several of
+ * them declare with the same app, design and options (Figures 7/8/9
+ * run the same sweep) is simulated once.
  */
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +23,6 @@
 #include "common/env.h"
 #include "common/output_file.h"
 #include "harness/bench_cli.h"
-#include "harness/cell_cache.h"
 #include "harness/experiment.h"
 
 namespace {
@@ -125,24 +124,15 @@ main(int argc, char **argv)
         }
     }
 
-    // Cross-experiment memoization: shared (app, design, options) cells
-    // simulate once per process.
-    CellCache::instance().setEnabled(true);
+    std::vector<const Experiment *> experiments;
+    for (const std::string &name : selected)
+        experiments.push_back(registry.find(name));
+    const RunCounts counts =
+        runExperiments(experiments, cli.opts, json_paths, cli.jobs);
 
-    const bool multiple = selected.size() > 1;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-        if (multiple)
-            std::printf("=== %s ===\n", selected[i].c_str());
-        runExperiment(*registry.find(selected[i]), cli.opts, json_paths[i]);
-        if (multiple)
-            std::printf("\n");
-    }
-
-    // One machine-greppable traffic summary (the CI determinism job
+    // One machine-greppable summary of the plan (the CI determinism job
     // checks the hit count of a two-experiment run).
-    const CellCacheStats st = CellCache::instance().stats();
-    std::fprintf(stderr, "[cell-cache] simulations=%llu hits=%llu\n",
-                 static_cast<unsigned long long>(st.simulations),
-                 static_cast<unsigned long long>(st.hits));
+    std::fprintf(stderr, "[cell-cache] simulations=%zu hits=%zu\n",
+                 counts.simulations, counts.hits);
     return 0;
 }

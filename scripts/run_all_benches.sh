@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every paper figure/table through the unified caba_bench
-# CLI. One process runs all experiments, so cells shared between them
-# (Figures 7/8/9 sweep the same grid) simulate once via the in-process
-# cell memo.
+# CLI. One process runs all experiments as one run plan, so cells
+# shared between them (Figures 7/8/9 sweep the same grid) simulate
+# once.
 #
 # Saves one log per experiment into bench_results/ (plus each
 # experiment's caba-bench-v1 JSON) and a combined bench_output.txt in

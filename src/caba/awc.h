@@ -42,6 +42,8 @@ struct CabaConfig
      *  these to show why the paper's assignment is the right one. */
     bool decompress_high_priority = true;
     bool compress_low_priority = true;
+
+    bool operator==(const CabaConfig &) const = default;
 };
 
 /** Per-SM assist-warp controller. */

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -38,7 +37,8 @@ constinit Table g_table;
 
 /** Writes `caba-prof-v1` at exit when CABA_PROF was set at startup —
  *  same activation pattern as the trace sink, including the open at
- *  startup that stops the process on a path it cannot write. */
+ *  startup that stops the process on a path it cannot write and the
+ *  exit status 1 when the report cannot be written. */
 struct EnvActivation
 {
     std::string path;
@@ -53,7 +53,7 @@ struct EnvActivation
             env::reject("CABA_PROF", p, "a writable file path");
         std::fclose(f);
         path = p;
-        std::atexit(&EnvActivation::emit);
+        onExit(&EnvActivation::emit);
     }
 
     static void
@@ -62,12 +62,14 @@ struct EnvActivation
         const std::string &path = activation().path;
         if (path.empty())
             return;
-        if (!writeReport(path))
-            std::fprintf(stderr, "caba: CABA_PROF: cannot write %s\n",
-                         path.c_str());
-        else
+        if (writeReport(path)) {
             std::fprintf(stderr, "caba: profile written to %s\n",
                          path.c_str());
+        } else {
+            std::fprintf(stderr, "caba: CABA_PROF: cannot write '%s'\n",
+                         path.c_str());
+            failAtExit();
+        }
         reportTopN(stderr, 8);
     }
 

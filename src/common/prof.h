@@ -15,7 +15,8 @@
  * deterministic-schema `caba-prof-v1` JSON document to the given path
  * (every bucket and stage always present, fixed order — only the
  * measured values vary) and prints a top-N table to stderr. A path
- * that cannot be opened for writing at startup stops the process.
+ * that cannot be opened for writing at startup stops the process, and a
+ * report that cannot be written at exit makes the exit status 1.
  *
  * Determinism contract: the profiler reads host clocks but never reads
  * or writes simulation state, so RunResult is bit-identical with

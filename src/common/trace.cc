@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -136,10 +135,11 @@ writeEvent(std::FILE *f, const Event &ev, bool last)
     std::fprintf(f, "%s%s\n", w.str().c_str(), last ? "" : ",");
 }
 
-/** Reads CABA_TRACE at process start; the matching stop() runs atexit
+/** Reads CABA_TRACE at process start; the matching stop() runs at exit
  *  so a plain `CABA_TRACE=t.json ./bench` writes a complete file. The
  *  file is opened here once, so a path that cannot be written stops
- *  the process before it simulates anything. */
+ *  the process before it simulates anything; a write that fails at
+ *  exit makes the exit status 1. */
 struct EnvActivation
 {
     EnvActivation()
@@ -156,7 +156,19 @@ struct EnvActivation
             env::reject("CABA_TRACE", path, "a writable file path");
         std::fclose(f);
         start(path, mask);
-        std::atexit([] { stop(); });
+        onExit(&EnvActivation::finish);
+    }
+
+    static void
+    finish()
+    {
+        if (stop())
+            return;
+        Registry &r = registry();
+        std::lock_guard<std::mutex> lock(r.mu);
+        std::fprintf(stderr, "caba: CABA_TRACE: cannot write '%s'\n",
+                     r.path.c_str());
+        failAtExit();
     }
 };
 EnvActivation g_env_activation;
@@ -220,11 +232,11 @@ start(const std::string &path, unsigned mask)
     g_mask.store(mask & kAll, std::memory_order_release);
 }
 
-void
+bool
 stop()
 {
     if (!active())
-        return;
+        return true;
     g_mask.store(0, std::memory_order_release);
 
     Registry &r = registry();
@@ -248,14 +260,12 @@ stop()
                      });
 
     std::FILE *f = openForWriting(r.path);
-    if (!f) {
-        std::fprintf(stderr, "trace: cannot open %s for writing\n",
-                     r.path.c_str());
-        return;
-    }
+    if (!f)
+        return false;
     std::fprintf(f, "{\"traceEvents\":[\n");
     writeProcessNames(f);
-    for (std::size_t i = 0; i < all.size(); ++i)
+    // A failed write sets the stream's error flag, checked below.
+    for (std::size_t i = 0; i < all.size() && !std::ferror(f); ++i)
         writeEvent(f, all[i], i + 1 == all.size());
     if (all.empty()) {
         // The process-name block above ends with a comma; close the
@@ -264,7 +274,9 @@ stop()
                         "\"tid\":0,\"args\":{}}\n");
     }
     std::fprintf(f, "],\"displayTimeUnit\":\"ms\"}\n");
-    std::fclose(f);
+    // fprintf may only buffer; a full device shows up at the close.
+    const bool written = !std::ferror(f);
+    return std::fclose(f) == 0 && written;
 }
 
 void

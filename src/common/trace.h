@@ -11,7 +11,8 @@
  * Activation:
  *  - environment: CABA_TRACE=<path> turns tracing on for the whole
  *    process and writes the trace at exit; a path that cannot be
- *    opened for writing at startup stops the process.
+ *    opened for writing at startup stops the process, and a write
+ *    that fails at exit makes the exit status 1.
  *    CABA_TRACE_CATEGORIES is an optional comma list
  *    (warp,assist,cache,dram,xbar,slots,counter) defaulting to all of
  *    them when unset or empty. An unknown category name stops the
@@ -83,8 +84,9 @@ unsigned maskFromNames(const char *csv);
 void start(const std::string &path, unsigned mask = kAll);
 
 /** Flushes all buffered events to the sink and closes it. No-op when
- *  no session is active. Events are written sorted by timestamp. */
-void stop();
+ *  no session is active. Events are written sorted by timestamp.
+ *  @return false when the sink could not be opened, written or closed. */
+bool stop();
 
 /** True between start() and stop(). */
 bool active();

@@ -51,6 +51,8 @@ struct DesignConfig
     bool usesCompression() const { return algo != Algorithm::None; }
     bool usesCaba() const { return decompress == DecompressSite::L1Caba; }
 
+    bool operator==(const DesignConfig &) const = default;
+
     // ---- Named design points from the paper ----
 
     /** (i) Baseline with no compression. */

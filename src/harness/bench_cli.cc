@@ -104,7 +104,7 @@ parseBenchCli(const std::vector<std::string> &args, BenchCli *cli,
                 if (!parse::intInRange(v, 0, &n))
                     return failed(flag + " needs a non-negative integer "
                                   "in int range, got '" + v + "'");
-                (flag == "--jobs" ? out.opts.jobs : out.opts.max_warps) = n;
+                (flag == "--jobs" ? out.jobs : out.opts.max_warps) = n;
             } else {
                 return failed("unknown flag '" + arg + "'");
             }

@@ -41,7 +41,8 @@ struct BenchCli
     std::string json_path;      ///< From --json=PATH only; "" = default.
     std::vector<std::string> filters;  ///< --filter globs, in order.
     std::vector<std::string> names;    ///< Positional experiment names.
-    ExperimentOptions opts;     ///< --scale / --jobs / --warps.
+    ExperimentOptions opts;     ///< --scale / --warps.
+    int jobs = 0;  ///< --jobs: cell workers; 0 = CABA_JOBS, else all cores.
 };
 
 /**

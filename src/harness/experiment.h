@@ -9,10 +9,11 @@
  * Every experiment has one shape. cells(opts) declares its
  * simulations in export order, each an app, its label, a design and
  * its options; an emit() renders tables and rows from the finished
- * cells. The driver supplies the rest: the Table 1 header (when there
- * are cells), the title, the parallel run of every cell through the
- * cell memo, and the JSON cell export. Figures 2 and 11 declare no
- * cells: their emit computes everything it prints.
+ * cells. The driver, runExperiments, supplies the rest: one run plan
+ * that simulates each distinct cell of every selected experiment once,
+ * in parallel, then per experiment the Table 1 header (when there are
+ * cells), the title, emit and the JSON cell export. Figures 2 and 11
+ * declare no cells: their emit computes everything it prints.
  *
  * Registration happens from static initializers, so the experiment
  * library must be linked whole (an OBJECT library in CMake): see
@@ -73,14 +74,29 @@ class ExperimentRegistry
     std::map<std::string, Experiment> by_name_;
 };
 
+/** What one run simulated. */
+struct RunCounts
+{
+    std::size_t simulations = 0;  ///< Distinct cells, each simulated once.
+    std::size_t hits = 0;  ///< Declared cells an earlier identical one served.
+};
+
 /**
- * Runs one experiment with @p opts, writing its caba-bench-v1 document
- * to @p json_path ("" = no JSON): the Table 1 header when there are
- * cells, the title, every cell (on opts.jobs workers), emit, then the
- * cells in declared order.
+ * Runs @p experiments with @p opts as one plan. It asks every
+ * experiment for its cells, keeps the first of each group of identical
+ * simulations (equal app, design and options; the label is not a
+ * simulation input) and runs those once through runCells on @p jobs
+ * workers. Then, in the given order, each experiment prints the Table
+ * 1 header (when it has cells) and its title, emits from its own cells
+ * in declared order and writes its caba-bench-v1 document to the path
+ * at the same index of @p json_paths ("" = no JSON). With more than
+ * one experiment, each one's output is framed by a "=== name ===" line
+ * and a blank line.
  */
-void runExperiment(const Experiment &e, const ExperimentOptions &opts,
-                   const std::string &json_path);
+RunCounts runExperiments(const std::vector<const Experiment *> &experiments,
+                         const ExperimentOptions &opts,
+                         const std::vector<std::string> &json_paths,
+                         int jobs);
 
 namespace detail {
 

@@ -7,7 +7,6 @@
 #include "common/env.h"
 #include "common/log.h"
 #include "common/prof.h"
-#include "harness/cell_cache.h"
 
 namespace caba {
 
@@ -33,13 +32,9 @@ makeGpuConfig(const ExperimentOptions &opts)
     return cfg;
 }
 
-namespace {
-
-/** The simulation proper; runApp serves it from the cell memo when
- *  the memo is on. */
 RunResult
-simulateApp(const AppDescriptor &app, const DesignConfig &design,
-            const ExperimentOptions &opts)
+runApp(const AppDescriptor &app, const DesignConfig &design,
+       const ExperimentOptions &opts)
 {
     std::optional<GpuSystem> gpu;
     int warps = 0;
@@ -62,20 +57,6 @@ simulateApp(const AppDescriptor &app, const DesignConfig &design,
     prof::StageScope scope(prof::Stage::Run);
     gpu->launch(&*wl, warps);
     return gpu->run();
-}
-
-} // namespace
-
-RunResult
-runApp(const AppDescriptor &app, const DesignConfig &design,
-       const ExperimentOptions &opts)
-{
-    CellCache &cache = CellCache::instance();
-    if (cache.enabled())
-        return cache.runCell(app, design, opts, [&] {
-            return simulateApp(app, design, opts);
-        });
-    return simulateApp(app, design, opts);
 }
 
 SlotShares

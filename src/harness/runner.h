@@ -4,6 +4,11 @@
  * a GpuSystem for an (application, design) pair, applies the CABA
  * register accounting to occupancy, runs to completion, and offers the
  * small statistics helpers the figure tables need.
+ *
+ * runApp is a pure function of its arguments (and of CABA_SCALE, read
+ * once per process): every call simulates, and nothing is remembered
+ * between calls. Sharing a cell between experiments is the run plan's
+ * job (runExperiments in harness/experiment.h).
  */
 #ifndef CABA_HARNESS_RUNNER_H
 #define CABA_HARNESS_RUNNER_H
@@ -47,11 +52,7 @@ struct ExperimentOptions
      *  low occupancy opens fast-forwardable stall windows) lower it. */
     int max_warps = 0;
 
-    /**
-     * Cell worker threads: 0 = auto (CABA_JOBS env var, else
-     * hardware_concurrency), 1 = serial, N = exactly N workers.
-     */
-    int jobs = 0;
+    bool operator==(const ExperimentOptions &) const = default;
 };
 
 /**
@@ -64,7 +65,8 @@ double scaleFromEnv(double fallback = 1.0);
 /** Builds the Table 1 GpuConfig for @p opts (and @p design). */
 GpuConfig makeGpuConfig(const ExperimentOptions &opts);
 
-/** Runs @p app under @p design; returns the collected results. */
+/** Runs @p app under @p design with @p opts; returns the collected
+ *  results. Every call simulates. */
 RunResult runApp(const AppDescriptor &app, const DesignConfig &design,
                  const ExperimentOptions &opts = {});
 

@@ -24,7 +24,13 @@ gridCells(const std::vector<AppDescriptor> &apps,
     return cells;
 }
 
-Sweep
+bool
+sameSimulation(const Cell &a, const Cell &b)
+{
+    return a.app == b.app && a.design == b.design && a.opts == b.opts;
+}
+
+std::vector<RunResult>
 runCells(const std::vector<Cell> &cells, int jobs)
 {
     if (jobs <= 0)
@@ -57,19 +63,17 @@ runCells(const std::vector<Cell> &cells, int jobs)
                          static_cast<double>(delta) * 1e-9);
         }
     }
-
-    // Committed in declared order, whatever the worker count.
-    std::vector<Sweep::NamedCell> named;
-    named.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        named.push_back({cells[i].app.name, cells[i].label,
-                         std::move(results[i])});
-    return Sweep(std::move(named));
+    return results;
 }
 
-Sweep::Sweep(std::vector<NamedCell> cells) : cells_(std::move(cells))
+Sweep::Sweep(const std::vector<Cell> &cells, std::vector<RunResult> results)
 {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
+    CABA_CHECK(results.size() == cells.size(),
+               "sweep: one result per cell");
+    cells_.reserve(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        cells_.push_back(
+            {cells[i].app.name, cells[i].label, std::move(results[i])});
         const NamedCell &c = cells_[i];
         if (std::find(app_names_.begin(), app_names_.end(), c.app) ==
             app_names_.end())

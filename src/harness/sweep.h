@@ -1,18 +1,18 @@
 /**
  * @file
- * The cell driver every experiment shares: runs a declared list of
- * cells, keeps the results addressable by (app, label), and provides
- * the normalized-metric helpers the figures print.
+ * The cell driver every experiment shares: runs a list of cells, keeps
+ * the results addressable by (app, label), and provides the
+ * normalized-metric helpers the figures print.
  *
  * A cell is one simulation: an app under a design with its own
  * options, exported under a label (the JSON "design" string). Cells
  * are independent simulations, so runCells fans them out across a
- * ThreadPool of hardware_concurrency() workers by default. Worker
- * count is overridable with ExperimentOptions::jobs or the CABA_JOBS
- * env var; jobs == 1 runs cells serially on the calling thread.
+ * ThreadPool of hardware_concurrency() workers by default. The worker
+ * count is the caller's argument (caba_bench's --jobs) or the
+ * CABA_JOBS env var; 1 runs cells serially on the calling thread.
  * Results are bit-identical at any worker count: each cell builds a
  * private Workload + GpuSystem from explicitly seeded RNG state, and
- * results are committed in declared order after the fan-out.
+ * results are returned in declared order after the fan-out.
  */
 #ifndef CABA_HARNESS_SWEEP_H
 #define CABA_HARNESS_SWEEP_H
@@ -37,6 +37,10 @@ struct Cell
     ExperimentOptions opts;
 };
 
+/** True when @p a and @p b are one simulation: equal app, design and
+ *  options. The label is not a simulation input. */
+bool sameSimulation(const Cell &a, const Cell &b);
+
 /** Every app under every design, app-major, each cell labelled with
  *  its design's name and run with @p opts. */
 std::vector<Cell> gridCells(const std::vector<AppDescriptor> &apps,
@@ -56,10 +60,11 @@ class Sweep
     };
 
     /**
-     * Holds @p cells in the given order. App and label name order is
-     * first-appearance order; duplicate (app, label) pairs panic.
+     * Holds @p cells with their @p results (one per cell, same order),
+     * in the given order. App and label name order is first-appearance
+     * order; duplicate (app, label) pairs panic.
      */
-    explicit Sweep(std::vector<NamedCell> cells);
+    Sweep(const std::vector<Cell> &cells, std::vector<RunResult> results);
 
     const RunResult &at(const std::string &app,
                         const std::string &design) const;
@@ -88,12 +93,12 @@ class Sweep
 };
 
 /**
- * Runs every cell of @p cells through runApp (and so through the cell
- * memo when it is on) on @p jobs workers: 0 = CABA_JOBS (a value that
- * is not a positive integer is fatal), else hardware_concurrency; 1 =
- * serial on the calling thread.
+ * Runs every cell of @p cells through runApp on @p jobs workers: 0 =
+ * CABA_JOBS (a value that is not a positive integer is fatal), else
+ * hardware_concurrency; 1 = serial on the calling thread. @return one
+ * result per cell, in declared order.
  */
-Sweep runCells(const std::vector<Cell> &cells, int jobs);
+std::vector<RunResult> runCells(const std::vector<Cell> &cells, int jobs);
 
 } // namespace caba
 

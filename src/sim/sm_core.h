@@ -83,6 +83,8 @@ struct ExtrasConfig
     bool profile = false;           ///< Profiling assist warps (framework
                                     ///< paper generalization).
     int profile_interval = 512;     ///< Cycles between profile-AW spawns.
+
+    bool operator==(const ExtrasConfig &) const = default;
 };
 
 /**

@@ -59,6 +59,8 @@ struct AppDescriptor
 
     /** Input-redundancy level for the memoization study (Section 7.1). */
     double memo_hit_rate = 0.0;
+
+    bool operator==(const AppDescriptor &) const = default;
 };
 
 /** The full application pool (27 Figure 1 apps + KM, TRA, nw). */

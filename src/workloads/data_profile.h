@@ -50,6 +50,8 @@ struct DataMix
 
     /** Probability a line is entirely zero (common in real footprints). */
     double zero_frac = 0.0;
+
+    bool operator==(const DataMix &) const = default;
 };
 
 /** Fills @p out for @p line under the mixture @p mix. */

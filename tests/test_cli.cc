@@ -127,9 +127,8 @@ TEST(BenchCliJobsTest, RejectsValuesBeyondIntRange)
 
 TEST(BenchCliJobsTest, AcceptsBoundaryValues)
 {
-    EXPECT_EQ(mustParse({"--jobs", "0"}).opts.jobs, 0);
-    EXPECT_EQ(mustParse({"--jobs", std::to_string(INT_MAX)}).opts.jobs,
-              INT_MAX);
+    EXPECT_EQ(mustParse({"--jobs", "0"}).jobs, 0);
+    EXPECT_EQ(mustParse({"--jobs", std::to_string(INT_MAX)}).jobs, INT_MAX);
     EXPECT_EQ(mustParse({"--warps=24"}).opts.max_warps, 24);
 }
 

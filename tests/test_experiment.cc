@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the experiment registry and the in-process runner
- * (harness/experiment.h) that caba_bench drives: name lookup, the
- * registration invariants (unique names, an emit on every entry,
- * unique (app, label) cells), the driver's document layout, documents
- * byte-identical on repeated runs and at any worker count, and a
- * repeated run served from the in-process cell cache without
- * simulating. It also pins slotShares, the Figure 1 grouping that
- * fig01_cycle_breakdown and caba_cli print.
+ * Tests for the experiment registry and the driver (harness/experiment.h)
+ * that caba_bench calls: name lookup, the registration invariants
+ * (unique names, an emit on every entry, unique (app, label) cells),
+ * the driver's document layout, documents byte-identical on repeated
+ * runs and at any worker count, and the run plan that simulates a cell
+ * several experiments declare once, with each keeping its own labels,
+ * order and document. It also pins slotShares, the Figure 1 grouping
+ * that fig01_cycle_breakdown and caba_cli print, and that runApp keeps
+ * no state between calls.
  *
  * The registered experiment run here is fig02_unallocated_regs — pure
  * occupancy arithmetic, no cells. The cases with cells use local,
@@ -26,8 +27,8 @@
 #include <vector>
 
 #include "common/json_parse.h"
+#include "common/prof.h"
 #include "compress/design.h"
-#include "harness/cell_cache.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
 #include "sim/sm_core.h"
@@ -44,6 +45,17 @@ slurp(const std::string &path)
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/** Parses the document at @p path. */
+json::Value
+parsed(const std::string &path)
+{
+    json::Value doc;
+    std::string error;
+    EXPECT_TRUE(json::parse(slurp(path), &doc, &error))
+        << path << ": " << error;
+    return doc;
 }
 
 /** A per-test output path (ctest runs each case in its own process). */
@@ -120,6 +132,50 @@ perCellOptionsExperiment()
                        sweep.speedup(app, "Base@2.0x", "Base@0.5x"));
             json.endRow();
         }
+    };
+    return e;
+}
+
+/** PVC under Base, as smallSweepExperiment declares it, and bfs under
+ *  Base; emit adds one row of cycles per app. */
+Experiment
+overlappingExperiment()
+{
+    Experiment e;
+    e.name = "test_overlapping";
+    e.title = "overlapping cells";
+    e.cells = [](const ExperimentOptions &opts) {
+        return gridCells({findApp("PVC"), findApp("bfs")},
+                         {DesignConfig::base()}, opts);
+    };
+    e.emit = [](const Sweep &sweep, BenchJson &json) {
+        for (const std::string &app : sweep.appNames()) {
+            json.beginRow();
+            json.field("app", app);
+            json.field("cycles", sweep.at(app, "Base").cycles);
+            json.endRow();
+        }
+    };
+    return e;
+}
+
+/** smallSweepExperiment's two cells in the other order, under labels
+ *  of its own. */
+Experiment
+reorderedExperiment()
+{
+    Experiment e;
+    e.name = "test_reordered";
+    e.title = "reordered cells";
+    e.cells = [](const ExperimentOptions &opts) {
+        return std::vector<Cell>{
+            {findApp("PVC"), "caba-first", DesignConfig::caba(), opts},
+            {findApp("PVC"), "base-last", DesignConfig::base(), opts}};
+    };
+    e.emit = [](const Sweep &sweep, BenchJson &json) {
+        json.beginRow();
+        json.field("speedup", sweep.speedup("PVC", "caba-first", "base-last"));
+        json.endRow();
     };
     return e;
 }
@@ -240,25 +296,15 @@ TEST(ExperimentRegistryTest, DuplicateAndShapelessRegistrationsPanic)
     EXPECT_DEATH(reg.add(unnamed), "empty name");
 }
 
-// --- runExperiment ---------------------------------------------------------
+// --- runExperiments --------------------------------------------------------
 
-class RunExperimentTest : public ::testing::Test
-{
-  protected:
-    // runApp consults the cell-memo singleton; pin it off so every run
-    // here really simulates.
-    void SetUp() override { CellCache::instance().setEnabled(false); }
-
-    void TearDown() override { SetUp(); }
-};
-
-TEST_F(RunExperimentTest, CellFreeDocumentIsByteIdenticalAcrossRuns)
+TEST(RunExperimentTest, CellFreeDocumentIsByteIdenticalAcrossRuns)
 {
     const Experiment &e = registered("fig02_unallocated_regs");
     const std::string first = outPath("first");
     const std::string second = outPath("second");
-    runExperiment(e, {}, first);
-    runExperiment(e, {}, second);
+    runExperiments({&e}, {}, {first}, 0);
+    runExperiments({&e}, {}, {second}, 0);
 
     const std::string a = slurp(first);
     ASSERT_FALSE(a.empty());
@@ -277,10 +323,11 @@ TEST_F(RunExperimentTest, CellFreeDocumentIsByteIdenticalAcrossRuns)
     std::remove(second.c_str());
 }
 
-TEST_F(RunExperimentTest, RunExportsEmittedRowsAndEveryCell)
+TEST(RunExperimentTest, RunExportsEmittedRowsAndEveryCell)
 {
     const std::string path = outPath("doc");
-    runExperiment(smallSweepExperiment(), smallOpts(), path);
+    const Experiment e = smallSweepExperiment();
+    runExperiments({&e}, smallOpts(), {path}, 0);
 
     json::Value doc;
     std::string error;
@@ -302,16 +349,13 @@ TEST_F(RunExperimentTest, RunExportsEmittedRowsAndEveryCell)
     std::remove(path.c_str());
 }
 
-TEST_F(RunExperimentTest, PerCellOptionsDocumentIsByteIdenticalAtOneAndFourJobs)
+TEST(RunExperimentTest, PerCellOptionsDocumentIsByteIdenticalAtOneAndFourJobs)
 {
     const Experiment e = perCellOptionsExperiment();
     const std::string serial = outPath("serial");
     const std::string parallel = outPath("parallel");
-    ExperimentOptions opts = smallOpts();
-    opts.jobs = 1;
-    runExperiment(e, opts, serial);
-    opts.jobs = 4;
-    runExperiment(e, opts, parallel);
+    runExperiments({&e}, smallOpts(), {serial}, 1);
+    runExperiments({&e}, smallOpts(), {parallel}, 4);
 
     const std::string a = slurp(serial);
     ASSERT_FALSE(a.empty());
@@ -335,29 +379,243 @@ TEST_F(RunExperimentTest, PerCellOptionsDocumentIsByteIdenticalAtOneAndFourJobs)
     std::remove(parallel.c_str());
 }
 
-TEST_F(RunExperimentTest, RepeatedSweepIsServedFromTheInProcessCellCache)
+// --- The run plan ----------------------------------------------------------
+
+TEST(RunPlanTest, CommonCellsAreSimulatedOnce)
 {
-    CellCache &cache = CellCache::instance();
-    cache.setEnabled(true);
-    const Experiment e = smallSweepExperiment();
-    const std::string cold = outPath("cold");
-    const std::string warm = outPath("warm");
+    const Experiment a = smallSweepExperiment();
+    const Experiment b = overlappingExperiment();
+    const RunCounts counts =
+        runExperiments({&a, &b}, smallOpts(), {"", ""}, 0);
+    // PVC x Base is declared by both: three distinct cells of four.
+    EXPECT_EQ(counts.simulations, 3u);
+    EXPECT_EQ(counts.hits, 1u);
+    EXPECT_EQ(counts.simulations + counts.hits, 4u);
 
-    runExperiment(e, smallOpts(), cold);
-    EXPECT_EQ(cache.stats().simulations, 2u);
+    const RunCounts solo = runExperiments({&b}, smallOpts(), {""}, 0);
+    EXPECT_EQ(solo.simulations, 2u);
+    EXPECT_EQ(solo.hits, 0u);
+}
 
-    runExperiment(e, smallOpts(), warm);
-    const CellCacheStats st = cache.stats();
-    EXPECT_EQ(st.simulations, 2u)
-        << "the repeated run must not simulate any cell";
-    EXPECT_EQ(st.hits, 2u);
+TEST(RunPlanTest, JointDocumentsMatchSoloDocuments)
+{
+    const Experiment a = smallSweepExperiment();
+    const Experiment b = overlappingExperiment();
+    const Experiment c = reorderedExperiment();
+    const std::vector<const Experiment *> all = {&a, &b, &c};
+    std::vector<std::string> joint;
+    for (const Experiment *e : all)
+        joint.push_back(outPath("joint_" + e->name));
+    const RunCounts counts = runExperiments(all, smallOpts(), joint, 0);
+    EXPECT_EQ(counts.simulations, 3u);
+    EXPECT_EQ(counts.hits, 3u);
 
-    const std::string a = slurp(cold);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, slurp(warm))
-        << "a cache-served run must write the same document";
-    std::remove(cold.c_str());
-    std::remove(warm.c_str());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const std::string solo = outPath("solo_" + all[i]->name);
+        runExperiments({all[i]}, smallOpts(), {solo}, 0);
+        const std::string doc = slurp(solo);
+        ASSERT_FALSE(doc.empty());
+        EXPECT_EQ(slurp(joint[i]), doc)
+            << all[i]->name << ": the joint run wrote another document";
+        std::remove(solo.c_str());
+        std::remove(joint[i].c_str());
+    }
+}
+
+TEST(RunPlanTest, CellsDifferingInAnySimulationInputAreDistinct)
+{
+    const Cell base{findApp("PVC"), "label", DesignConfig::caba(),
+                    smallOpts()};
+    Cell relabelled = base;
+    relabelled.label = "another label";
+    EXPECT_TRUE(sameSimulation(base, base));
+    EXPECT_TRUE(sameSimulation(base, relabelled))
+        << "a label is not a simulation input";
+
+    // One change per field of the app, the design and the options,
+    // nested structs included.
+    const std::vector<std::pair<const char *, void (*)(Cell &)>> changes = {
+        {"app.name", [](Cell &c) { c.app.name += "x"; }},
+        {"app.suite", [](Cell &c) { c.app.suite += "x"; }},
+        {"app.memory_bound", [](Cell &c) { c.app.memory_bound ^= true; }},
+        {"app.in_fig1", [](Cell &c) { c.app.in_fig1 ^= true; }},
+        {"app.in_compression",
+         [](Cell &c) { c.app.in_compression ^= true; }},
+        {"app.regs_per_thread", [](Cell &c) { ++c.app.regs_per_thread; }},
+        {"app.threads_per_block",
+         [](Cell &c) { ++c.app.threads_per_block; }},
+        {"app.loads", [](Cell &c) { ++c.app.loads; }},
+        {"app.stores", [](Cell &c) { ++c.app.stores; }},
+        {"app.alu", [](Cell &c) { ++c.app.alu; }},
+        {"app.sfu", [](Cell &c) { ++c.app.sfu; }},
+        {"app.shmem", [](Cell &c) { ++c.app.shmem; }},
+        {"app.pattern",
+         [](Cell &c) {
+             c.app.pattern = c.app.pattern == AccessPattern::Irregular
+                                 ? AccessPattern::Strided
+                                 : AccessPattern::Irregular;
+         }},
+        {"app.stride_bytes", [](Cell &c) { ++c.app.stride_bytes; }},
+        {"app.irregular_frac", [](Cell &c) { c.app.irregular_frac += 0.125; }},
+        {"app.footprint", [](Cell &c) { ++c.app.footprint; }},
+        {"app.iterations", [](Cell &c) { ++c.app.iterations; }},
+        {"app.data.primary",
+         [](Cell &c) {
+             c.app.data.primary = c.app.data.primary == DataProfile::Text
+                                      ? DataProfile::Sparse
+                                      : DataProfile::Text;
+         }},
+        {"app.data.secondary",
+         [](Cell &c) {
+             c.app.data.secondary = c.app.data.secondary == DataProfile::Text
+                                        ? DataProfile::Sparse
+                                        : DataProfile::Text;
+         }},
+        {"app.data.secondary_frac",
+         [](Cell &c) { c.app.data.secondary_frac += 0.125; }},
+        {"app.data.zero_frac", [](Cell &c) { c.app.data.zero_frac += 0.125; }},
+        {"app.memo_hit_rate", [](Cell &c) { c.app.memo_hit_rate += 0.125; }},
+        {"design.name", [](Cell &c) { c.design.name += "x"; }},
+        {"design.algo",
+         [](Cell &c) {
+             c.design.algo = c.design.algo == Algorithm::Fpc
+                                 ? Algorithm::CPack
+                                 : Algorithm::Fpc;
+         }},
+        {"design.mem_compressed",
+         [](Cell &c) { c.design.mem_compressed ^= true; }},
+        {"design.xbar_compressed",
+         [](Cell &c) { c.design.xbar_compressed ^= true; }},
+        {"design.decompress",
+         [](Cell &c) {
+             c.design.decompress = c.design.decompress == DecompressSite::Free
+                                       ? DecompressSite::MemCtrl
+                                       : DecompressSite::Free;
+         }},
+        {"design.caba_compress_stores",
+         [](Cell &c) { c.design.caba_compress_stores ^= true; }},
+        {"design.md_overhead", [](Cell &c) { c.design.md_overhead ^= true; }},
+        {"design.l1_tag_factor", [](Cell &c) { ++c.design.l1_tag_factor; }},
+        {"design.l2_tag_factor", [](Cell &c) { ++c.design.l2_tag_factor; }},
+        {"opts.scale", [](Cell &c) { c.opts.scale *= 2.0; }},
+        {"opts.bw_scale", [](Cell &c) { c.opts.bw_scale *= 2.0; }},
+        {"opts.assist_regs", [](Cell &c) { ++c.opts.assist_regs; }},
+        {"opts.verify", [](Cell &c) { c.opts.verify ^= true; }},
+        {"opts.extras.memoize",
+         [](Cell &c) { c.opts.extras.memoize ^= true; }},
+        {"opts.extras.memo_hit_rate",
+         [](Cell &c) { c.opts.extras.memo_hit_rate += 0.125; }},
+        {"opts.extras.prefetch",
+         [](Cell &c) { c.opts.extras.prefetch ^= true; }},
+        {"opts.extras.prefetch_lookahead",
+         [](Cell &c) { ++c.opts.extras.prefetch_lookahead; }},
+        {"opts.extras.profile",
+         [](Cell &c) { c.opts.extras.profile ^= true; }},
+        {"opts.extras.profile_interval",
+         [](Cell &c) { ++c.opts.extras.profile_interval; }},
+        {"opts.caba.awt_entries", [](Cell &c) { ++c.opts.caba.awt_entries; }},
+        {"opts.caba.awb_low_slots",
+         [](Cell &c) { ++c.opts.caba.awb_low_slots; }},
+        {"opts.caba.throttle", [](Cell &c) { c.opts.caba.throttle ^= true; }},
+        {"opts.caba.throttle_window",
+         [](Cell &c) { ++c.opts.caba.throttle_window; }},
+        {"opts.caba.throttle_idle_floor",
+         [](Cell &c) { c.opts.caba.throttle_idle_floor += 0.125; }},
+        {"opts.caba.store_buffer",
+         [](Cell &c) { ++c.opts.caba.store_buffer; }},
+        {"opts.caba.decompress_high_priority",
+         [](Cell &c) { c.opts.caba.decompress_high_priority ^= true; }},
+        {"opts.caba.compress_low_priority",
+         [](Cell &c) { c.opts.caba.compress_low_priority ^= true; }},
+        {"opts.md_cache_kb", [](Cell &c) { ++c.opts.md_cache_kb; }},
+        {"opts.max_warps", [](Cell &c) { ++c.opts.max_warps; }},
+    };
+    for (const auto &[field, change] : changes) {
+        Cell other = base;
+        change(other);
+        EXPECT_FALSE(sameSimulation(base, other)) << field;
+        EXPECT_FALSE(sameSimulation(other, base)) << field;
+    }
+}
+
+TEST(RunPlanTest, SharedCellKeepsEachExperimentsLabelAndPosition)
+{
+    const Experiment first = smallSweepExperiment();
+    const Experiment second = reorderedExperiment();
+    const std::string first_path = outPath("first");
+    const std::string second_path = outPath("second");
+    const RunCounts counts = runExperiments(
+        {&first, &second}, smallOpts(), {first_path, second_path}, 0);
+    EXPECT_EQ(counts.simulations, 2u);
+    EXPECT_EQ(counts.hits, 2u);
+
+    // The second experiment declares the same two simulations in the
+    // other order under its own labels; its document keeps both.
+    const json::Value a = parsed(first_path);
+    const json::Value b = parsed(second_path);
+    const std::vector<json::Value> &a_cells = a.find("cells")->array;
+    const std::vector<json::Value> &b_cells = b.find("cells")->array;
+    ASSERT_EQ(a_cells.size(), 2u);
+    ASSERT_EQ(b_cells.size(), 2u);
+    EXPECT_EQ(a_cells[0].find("design")->string, "Base");
+    EXPECT_EQ(a_cells[1].find("design")->string, "CABA-BDI");
+    EXPECT_EQ(b_cells[0].find("design")->string, "caba-first");
+    EXPECT_EQ(b_cells[1].find("design")->string, "base-last");
+    const auto cycles = [](const json::Value &cell) {
+        return cell.find("result")->find("cycles")->number;
+    };
+    EXPECT_EQ(cycles(b_cells[0]), cycles(a_cells[1]));
+    EXPECT_EQ(cycles(b_cells[1]), cycles(a_cells[0]));
+    EXPECT_NE(cycles(b_cells[0]), cycles(b_cells[1]));
+    // The emitted speedup is Base over CABA-BDI, read by its labels.
+    EXPECT_DOUBLE_EQ(b.find("rows")->array[0].find("speedup")->number,
+                     cycles(a_cells[0]) / cycles(a_cells[1]));
+    std::remove(first_path.c_str());
+    std::remove(second_path.c_str());
+}
+
+TEST(RunPlanTest, JointRunDocumentsAreByteIdenticalAtOneAndFourJobs)
+{
+    const Experiment a = smallSweepExperiment();
+    const Experiment b = overlappingExperiment();
+    const Experiment c = perCellOptionsExperiment();
+    const std::vector<const Experiment *> all = {&a, &b, &c};
+    std::vector<std::string> serial;
+    std::vector<std::string> parallel;
+    for (const Experiment *e : all) {
+        serial.push_back(outPath("serial_" + e->name));
+        parallel.push_back(outPath("parallel_" + e->name));
+    }
+    runExperiments(all, smallOpts(), serial, 1);
+    runExperiments(all, smallOpts(), parallel, 4);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const std::string doc = slurp(serial[i]);
+        ASSERT_FALSE(doc.empty());
+        EXPECT_EQ(doc, slurp(parallel[i]))
+            << all[i]->name << ": worker count leaked into the document";
+        std::remove(serial[i].c_str());
+        std::remove(parallel[i].c_str());
+    }
+}
+
+// --- runApp ----------------------------------------------------------------
+
+TEST(RunAppTest, TwoCallsOnOneCellSimulateTwice)
+{
+    // runApp times every simulation's build and run into the harness
+    // stages; a call served from anywhere but a new simulation would
+    // leave them unchanged.
+    const AppDescriptor app = findApp("PVC");
+    const auto run = static_cast<std::size_t>(prof::Stage::Run);
+    const auto before = prof::stageSnapshot();
+    const RunResult first = runApp(app, DesignConfig::caba(), smallOpts());
+    const auto between = prof::stageSnapshot();
+    const RunResult second = runApp(app, DesignConfig::caba(), smallOpts());
+    const auto after = prof::stageSnapshot();
+    EXPECT_GT(between[run], before[run]);
+    EXPECT_GT(after[run], between[run]) << "the second call did not simulate";
+    EXPECT_EQ(first.cycles, second.cycles);
+    EXPECT_EQ(first.stats.all(), second.stats.all());
 }
 
 } // namespace

@@ -179,7 +179,8 @@ TEST(BenchJsonTest, CellSchemaIsStable)
 
     const std::string path = testing::TempDir() + "caba_cell.json";
     BenchJson json("schema_bench", path);
-    json.addSweep(Sweep({{"PVC", "CABA-BDI", r}}));
+    const Cell pvc{findApp("PVC"), "CABA-BDI", DesignConfig::caba(), opts};
+    json.addSweep(Sweep({pvc}, {r}));
     json.write();
 
     json::Value doc;
@@ -266,7 +267,8 @@ TEST(BenchJsonTest, ParallelSweepWritesByteIdenticalJson)
     opts.scale = 0.1;
 
     auto writeSweep = [&](int jobs, const std::string &path) {
-        const Sweep sweep = runCells(gridCells(apps, designs, opts), jobs);
+        const std::vector<Cell> cells = gridCells(apps, designs, opts);
+        const Sweep sweep(cells, runCells(cells, jobs));
         BenchJson json("determinism", path);
         json.addSweep(sweep);
         json.write();

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -97,7 +99,8 @@ TEST_F(SweepTest, ParallelMatchesSerialBaseline)
     const auto baseline = serialBaseline(apps, designs, opts);
 
     ::setenv("CABA_JOBS", "8", 1);
-    const Sweep sweep = runCells(gridCells(apps, designs, opts), opts.jobs);
+    const std::vector<Cell> cells = gridCells(apps, designs, opts);
+    const Sweep sweep(cells, runCells(cells, 0));
 
     ASSERT_EQ(sweep.appNames().size(), apps.size());
     ASSERT_EQ(sweep.designNames().size(), designs.size());
@@ -106,15 +109,16 @@ TEST_F(SweepTest, ParallelMatchesSerialBaseline)
                         key.first + " x " + key.second);
 }
 
-TEST_F(SweepTest, JobsOptionMatchesSerialBaseline)
+TEST_F(SweepTest, JobsArgumentMatchesSerialBaseline)
 {
     const auto apps = testApps();
     const auto designs = testDesigns();
-    ExperimentOptions opts = testOpts();
+    const ExperimentOptions opts = testOpts();
     const auto baseline = serialBaseline(apps, designs, opts);
 
-    opts.jobs = 8; // ExperimentOptions override, no env var involved
-    const Sweep sweep = runCells(gridCells(apps, designs, opts), opts.jobs);
+    // The worker count as an argument, no env var involved.
+    const std::vector<Cell> cells = gridCells(apps, designs, opts);
+    const Sweep sweep(cells, runCells(cells, 8));
 
     for (const auto &[key, expected] : baseline)
         expectIdentical(sweep.at(key.first, key.second), expected,
@@ -132,7 +136,8 @@ TEST_F(SweepTest, JobsOneDegradesToSerial)
     const auto baseline = serialBaseline(apps, designs, opts);
 
     ::setenv("CABA_JOBS", "1", 1);
-    const Sweep sweep = runCells(gridCells(apps, designs, opts), opts.jobs);
+    const std::vector<Cell> cells = gridCells(apps, designs, opts);
+    const Sweep sweep(cells, runCells(cells, 0));
 
     for (const auto &[key, expected] : baseline)
         expectIdentical(sweep.at(key.first, key.second), expected,
@@ -157,7 +162,7 @@ TEST_F(SweepTest, CellsDifferingOnlyInOptionsKeepTheirOwnLabelsAndResults)
     const std::vector<Cell> cells = {
         {app, "Base@0.5x", DesignConfig::base(), lo},
         {app, "Base@2.0x", DesignConfig::base(), hi}};
-    const Sweep sweep = runCells(cells, 4);
+    const Sweep sweep(cells, runCells(cells, 4));
     EXPECT_EQ(sweep.appNames(), (std::vector<std::string>{"PVC"}));
     EXPECT_EQ(sweep.designNames(),
               (std::vector<std::string>{"Base@0.5x", "Base@2.0x"}));
@@ -210,16 +215,30 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexAtAnyWidth)
     }
 }
 
+/** A sweep of precomputed results, each cell an (app, label, cycles)
+ *  triple; nothing is simulated. */
+Sweep
+precomputed(
+    std::initializer_list<std::tuple<const char *, const char *, Cycle>>
+        triples)
+{
+    std::vector<Cell> cells;
+    std::vector<RunResult> results;
+    for (const auto &[app, label, cycles] : triples) {
+        AppDescriptor a;
+        a.name = app;
+        cells.push_back({a, label, DesignConfig::base(), {}});
+        results.emplace_back().cycles = cycles;
+    }
+    return Sweep(cells, std::move(results));
+}
+
 TEST(SweepNamedCellTest, BuildsFromPrecomputedCellsInFirstAppearanceOrder)
 {
-    RunResult fast;
-    fast.cycles = 100;
-    RunResult slow;
-    slow.cycles = 200;
-    Sweep sweep({{"appB", "Base", slow},
-                 {"appB", "CABA-BDI", fast},
-                 {"appA", "Base", slow},
-                 {"appA", "CABA-BDI", fast}});
+    Sweep sweep = precomputed({{"appB", "Base", 200},
+                               {"appB", "CABA-BDI", 100},
+                               {"appA", "Base", 200},
+                               {"appA", "CABA-BDI", 100}});
     EXPECT_EQ(sweep.appNames(), (std::vector<std::string>{"appB", "appA"}));
     EXPECT_EQ(sweep.designNames(),
               (std::vector<std::string>{"Base", "CABA-BDI"}));
@@ -228,9 +247,7 @@ TEST(SweepNamedCellTest, BuildsFromPrecomputedCellsInFirstAppearanceOrder)
 
 TEST(SweepNamedCellTest, DuplicateCellPanics)
 {
-    RunResult r;
-    r.cycles = 1;
-    EXPECT_DEATH(Sweep({{"a", "d", r}, {"a", "d", r}}),
+    EXPECT_DEATH(precomputed({{"a", "d", 1}, {"a", "d", 1}}),
                  "duplicate \\(app, design\\) cell");
 }
 
@@ -239,11 +256,7 @@ TEST(SweepSpeedupTest, ZeroCycleBaseCellPanicsWithNames)
     // A base cell that retired zero cycles would make every speedup an
     // x/0 (or 0/0) and silently poison downstream geomeans; the guard
     // must name the offending cell.
-    RunResult zero;
-    zero.cycles = 0;
-    RunResult fine;
-    fine.cycles = 42;
-    Sweep sweep({{"PVC", "Base", zero}, {"PVC", "CABA-BDI", fine}});
+    Sweep sweep = precomputed({{"PVC", "Base", 0}, {"PVC", "CABA-BDI", 42}});
     EXPECT_DEATH(sweep.speedup("PVC", "CABA-BDI", "Base"),
                  "zero cycles.*app=PVC.*base design=Base");
 }
