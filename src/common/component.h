@@ -1,7 +1,7 @@
 /**
  * @file
- * The clocked-object / port discipline every timed component follows
- * (gem5 / GPGPU-Sim style). Three pieces:
+ * The clocked-object discipline every timed component follows
+ * (gem5 / GPGPU-Sim style). Two pieces:
  *
  *  - Clocked: cycle(now) advances one cycle, busy() reports outstanding
  *    state, and nextWork(now) hints the earliest cycle at which calling
@@ -14,12 +14,8 @@
  *    wasted tick; reporting it too LATE is a simulation bug, which the
  *    ticked oracle (every component cycled every clock) exposes.
  *
- *  - Sink<T> / Source<T>: the two ends of a typed connection with
- *    explicit backpressure (canAccept / hasData).
- *
- *  - Channel<T>: a bounded FIFO (a Ring) implementing both ends, and
- *    Wire<T>, which greedily pumps a Source into a Sink once per cycle.
- *    GpuSystem's wire phase is a flat list of Wires.
+ *  - Channel<T>: a bounded FIFO (a Ring). GpuSystem's wire phase moves
+ *    packets between the channels and crossbar ports directly.
  */
 #ifndef CABA_COMMON_COMPONENT_H
 #define CABA_COMMON_COMPONENT_H
@@ -72,42 +68,14 @@ class Clocked
     }
 };
 
-/** Receiving end of a typed connection. */
-template <typename T>
-class Sink
-{
-  public:
-    virtual ~Sink() = default;
-
-    /** True when one more packet can be accepted this cycle. */
-    virtual bool canAccept() const = 0;
-
-    /** Hands over one packet; canAccept() must be true. */
-    virtual void accept(const T &pkt, Cycle now) = 0;
-};
-
-/** Producing end of a typed connection. */
-template <typename T>
-class Source
-{
-  public:
-    virtual ~Source() = default;
-
-    /** True when a packet is ready to be taken at @p now. */
-    virtual bool hasData(Cycle now) const = 0;
-
-    /** Removes and returns the next packet; hasData() must be true. */
-    virtual T take() = 0;
-};
-
 /**
- * Bounded FIFO implementing both connection ends. The capacity gates
- * canAccept()/canPush() only: push() itself never refuses, so producers
- * with reserved slots (e.g. assist-warp store release) can exceed the
- * advertised capacity exactly like the hand-rolled deques they replace.
+ * Bounded FIFO. The capacity gates canPush() only: push() itself never
+ * refuses, so producers with reserved slots (e.g. assist-warp store
+ * release) can exceed the advertised capacity exactly like the
+ * hand-rolled deques they replace.
  */
 template <typename T>
-class Channel : public Source<T>, public Sink<T>
+class Channel
 {
   public:
     /** @p capacity < 0 means unbounded. */
@@ -128,50 +96,19 @@ class Channel : public Source<T>, public Sink<T>
     void pop_front() { q_.pop_front(); }
     void clear() { q_.clear(); }
 
-    // Source
-    bool hasData(Cycle) const override { return !q_.empty(); }
-
+    /** Removes and returns the front element; the channel must not be
+     *  empty. */
     T
-    take() override
+    take()
     {
         T v = q_.front();
         q_.pop_front();
         return v;
     }
 
-    // Sink
-    bool canAccept() const override { return canPush(); }
-    void accept(const T &pkt, Cycle) override { push(pkt); }
-
   private:
     Ring<T> q_;
     int capacity_;
-};
-
-/** One Source-to-Sink binding; pump() drains greedily under
- *  backpressure, replacing a hand-rolled while loop per connection. */
-template <typename T>
-struct Wire
-{
-    Source<T> *src = nullptr;
-    Sink<T> *dst = nullptr;
-
-    void
-    pump(Cycle now)
-    {
-        while (src->hasData(now) && dst->canAccept())
-            dst->accept(src->take(), now);
-    }
-
-    /** Would pump() move at least one item right now? The wire phase
-     *  wakes a wire's endpoints on this, and the quiescence jump vetoes
-     *  on it: a pumpable wire means the next cycle is not a no-op even
-     *  if every component reports future work. */
-    bool
-    canPump(Cycle now) const
-    {
-        return src->hasData(now) && dst->canAccept();
-    }
 };
 
 } // namespace caba

@@ -73,21 +73,8 @@ class ProgressReporter
         std::fflush(stderr);
     }
 
-    /** Widest progress line written so far, in columns. */
-    int maxWidth() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return max_width_;
-    }
-
-    int done() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return done_;
-    }
-
   private:
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::string label_;
     int total_;
     int done_ = 0;

@@ -1,75 +1,19 @@
 #include "common/thread_pool.h"
 
-#include "common/log.h"
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace caba {
 
-ThreadPool::ThreadPool(int workers)
-{
-    CABA_CHECK(workers >= 1, "thread pool needs at least one worker");
-    threads_.reserve(static_cast<std::size_t>(workers));
-    for (int i = 0; i < workers; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        stopping_ = true;
-    }
-    job_ready_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        CABA_CHECK(!stopping_, "submit on a stopping thread pool");
-        queue_.push_back(std::move(job));
-        ++pending_;
-    }
-    job_ready_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    all_done_.wait(lock, [this] { return pending_ == 0; });
-}
-
 int
-ThreadPool::defaultWorkers()
+defaultWorkers()
 {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            job_ready_.wait(lock,
-                            [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty())
-                return; // stopping_ and nothing left to run
-            job = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        job();
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            if (--pending_ == 0)
-                all_done_.notify_all();
-        }
-    }
 }
 
 void
@@ -82,10 +26,32 @@ parallelFor(int n, int jobs, const std::function<void(int)> &fn)
             fn(i);
         return;
     }
-    ThreadPool pool(jobs < n ? jobs : n);
-    for (int i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.wait();
+    // Each thread takes the next undispatched index until none is left.
+    // The first exception stops dispatch and reaches the caller once
+    // every thread has joined.
+    std::atomic<int> next{0};
+    std::mutex error_mu;
+    std::exception_ptr error;
+    auto work = [&] {
+        try {
+            for (int i = next++; i < n; i = next++)
+                fn(i);
+        } catch (...) {
+            next = n;
+            std::lock_guard<std::mutex> lock(error_mu);
+            if (!error)
+                error = std::current_exception();
+        }
+    };
+    {
+        const int workers = std::min(jobs, n);
+        std::vector<std::jthread> threads;
+        threads.reserve(static_cast<std::size_t>(workers));
+        for (int t = 0; t < workers; ++t)
+            threads.emplace_back(work);
+    } // jthreads join here, also when starting one threw
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace caba

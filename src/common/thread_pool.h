@@ -1,73 +1,35 @@
 /**
  * @file
- * Minimal fixed-size thread pool / work queue used to fan independent
- * simulations out across host cores (the app x design sweep being the
- * primary customer). Jobs are plain std::function<void()>; completion is
- * observed with wait(), which blocks until every submitted job has
- * finished. The pool is deliberately tiny: no futures, no priorities,
- * no work stealing — just enough to keep hardware_concurrency() workers
- * busy with coarse-grained, independent cells.
+ * The fan-out that runs independent simulations across host cores (the
+ * experiment cells being the primary customer, caba-lint's per-file
+ * passes the other): parallelFor starts min(jobs, n) threads that take
+ * indices from one shared counter, so indices are dispatched in order
+ * and a thread that finishes early takes the next one. No futures, no
+ * priorities, no work stealing — just enough for coarse-grained,
+ * independent jobs.
  */
 #ifndef CABA_COMMON_THREAD_POOL_H
 #define CABA_COMMON_THREAD_POOL_H
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace caba {
 
-/** Fixed-size worker pool draining a FIFO job queue. */
-class ThreadPool
-{
-  public:
-    /**
-     * Spawns @p workers threads. @p workers must be >= 1; a pool of one
-     * worker still runs jobs off-thread but in strict submission order.
-     */
-    explicit ThreadPool(int workers);
-
-    /** Drains the queue, then joins every worker. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueues @p job; runs on some worker in FIFO dispatch order. */
-    void submit(std::function<void()> job);
-
-    /** Blocks until every job submitted so far has completed. */
-    void wait();
-
-    int workers() const { return static_cast<int>(threads_.size()); }
-
-    /**
-     * Worker count for "use the whole machine": hardware_concurrency(),
-     * or 1 when the runtime cannot tell.
-     */
-    static int defaultWorkers();
-
-  private:
-    void workerLoop();
-
-    std::mutex mu_;
-    std::condition_variable job_ready_;
-    std::condition_variable all_done_;
-    std::deque<std::function<void()>> queue_;
-    int pending_ = 0; ///< queued + currently running jobs
-    bool stopping_ = false;
-    std::vector<std::thread> threads_;
-};
+/**
+ * Worker count for "use the whole machine": hardware_concurrency(), or
+ * 1 when the runtime cannot tell.
+ */
+int defaultWorkers();
 
 /**
- * Runs fn(0..n-1) across @p jobs workers and returns once every index
- * has been processed. With jobs <= 1 (or n <= 1) the calls happen
- * inline on the caller's thread, in index order, with no pool spun up —
- * callers get serial semantics for free. @p fn must be safe to invoke
- * concurrently from multiple threads when jobs > 1.
+ * Runs fn(0..n-1) on min(@p jobs, @p n) threads and returns once every
+ * index has been processed; each thread takes the next undispatched
+ * index, so dispatch is in index order. With jobs <= 1 (or n <= 1) the
+ * calls happen inline on the caller's thread, in index order, and no
+ * thread is started. @p fn must be safe to invoke concurrently from
+ * multiple threads when jobs > 1. If a call throws, no further index
+ * is dispatched and the first exception is rethrown to the caller
+ * after every thread has finished, as the serial path would throw it.
  */
 void parallelFor(int n, int jobs, const std::function<void(int)> &fn);
 

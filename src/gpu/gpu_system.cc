@@ -63,42 +63,6 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const DesignConfig &design,
             i, pcfg, design_, model_.get()));
     }
 
-    // 256-byte partition interleave on the request side; replies return
-    // to their originating SM.
-    req_net_.setRouter(
-        [this](const MemRequest &r) { return partitionOf(r.line); });
-    reply_net_.setRouter([](const MemRequest &r) { return r.src_sm; });
-
-    // Wire order is the drain order: SM out-queues feed the request
-    // crossbar; each partition drains its crossbar output, then pushes
-    // replies; the reply crossbar fans back out to the SMs. Each
-    // endpoint is tagged with its owning component (as a clocked_ index:
-    // SM i -> i, request crossbar -> num_sms, reply crossbar ->
-    // num_sms + 1, partition p -> num_sms + 2 + p) so the run loop can
-    // wake whatever a pump touches.
-    const int req_owner = cfg_.num_sms;
-    const int reply_owner = cfg_.num_sms + 1;
-    auto add_wire = [this](Source<MemRequest> *src, Sink<MemRequest> *dst,
-                           int src_owner, int dst_owner) {
-        wires_.push_back({src, dst});
-        wire_src_owner_.push_back(src_owner);
-        wire_dst_owner_.push_back(dst_owner);
-    };
-    for (int s = 0; s < cfg_.num_sms; ++s) {
-        SmCore &sm = *sms_[static_cast<std::size_t>(s)];
-        add_wire(&sm.out(), &req_net_.input(s), s, req_owner);
-    }
-    for (int p = 0; p < cfg_.num_partitions; ++p) {
-        MemoryPartition &part = *partitions_[static_cast<std::size_t>(p)];
-        add_wire(&req_net_.output(p), &part, req_owner, reply_owner + 1 + p);
-        add_wire(&part.replies(), &reply_net_.input(p), reply_owner + 1 + p,
-                 reply_owner);
-    }
-    for (int s = 0; s < cfg_.num_sms; ++s) {
-        SmCore &sm = *sms_[static_cast<std::size_t>(s)];
-        add_wire(&reply_net_.output(s), &sm, reply_owner, s);
-    }
-
     for (auto &sm : sms_)
         clocked_.push_back(sm.get());
     clocked_.push_back(&req_net_);
@@ -227,19 +191,68 @@ GpuSystem::wakeForTraffic(std::size_t i)
         eq_.schedule(static_cast<int>(i), at);
 }
 
+bool
+GpuSystem::canMove(Link link, int i) const
+{
+    const auto u = static_cast<std::size_t>(i);
+    switch (link) {
+      case Link::SmToReq:
+        return !sms_[u]->out().empty() && req_net_.canPush(i);
+      case Link::ReqToPart:
+        return req_net_.hasDelivery(i, now_) && partitions_[u]->canAccept();
+      case Link::PartToReply:
+        return !partitions_[u]->replies().empty() && reply_net_.canPush(i);
+      case Link::ReplyToSm:
+        // An SM takes every reply.
+        return reply_net_.hasDelivery(i, now_);
+    }
+    return false;
+}
+
 void
 GpuSystem::pumpWires()
 {
     // Taking from a source can unblock its owner (a full crossbar
     // output gates arbitration) just as accepting gives the destination
-    // work, so a wire that moves anything wakes both endpoints.
-    for (std::size_t wi = 0; wi < wires_.size(); ++wi) {
-        Wire<MemRequest> &w = wires_[wi];
-        if (!w.canPump(now_))
-            continue;
-        wakeForTraffic(static_cast<std::size_t>(wire_src_owner_[wi]));
-        wakeForTraffic(static_cast<std::size_t>(wire_dst_owner_[wi]));
-        w.pump(now_);
+    // work, so a link that moves anything wakes both owners before it
+    // drains.
+    auto drain = [this](Link link, int i, std::size_t src, std::size_t dst,
+                        auto move_one) {
+        if (!canMove(link, i))
+            return;
+        wakeForTraffic(src);
+        wakeForTraffic(dst);
+        do {
+            move_one();
+        } while (canMove(link, i));
+    };
+    const std::size_t req_owner = sms_.size();
+    const std::size_t reply_owner = req_owner + 1;
+    for (std::size_t s = 0; s < sms_.size(); ++s) {
+        const int port = static_cast<int>(s);
+        drain(Link::SmToReq, port, s, req_owner, [&] {
+            const MemRequest req = sms_[s]->out().take();
+            req_net_.push(port, partitionOf(req.line), req);
+        });
+    }
+    for (std::size_t p = 0; p < partitions_.size(); ++p) {
+        const int port = static_cast<int>(p);
+        MemoryPartition &part = *partitions_[p];
+        const std::size_t part_owner = reply_owner + 1 + p;
+        drain(Link::ReqToPart, port, req_owner, part_owner, [&] {
+            part.accept(req_net_.popDelivery(port), now_);
+        });
+        drain(Link::PartToReply, port, part_owner, reply_owner, [&] {
+            // Replies return to their originating SM.
+            const MemRequest reply = part.replies().take();
+            reply_net_.push(port, reply.src_sm, reply);
+        });
+    }
+    for (std::size_t s = 0; s < sms_.size(); ++s) {
+        const int port = static_cast<int>(s);
+        drain(Link::ReplyToSm, port, reply_owner, s, [&] {
+            sms_[s]->deliver(reply_net_.popDelivery(port), now_);
+        });
     }
 }
 
@@ -295,11 +308,14 @@ GpuSystem::eventJump()
     const Cycle wake = std::min(eq_.minTime(), cfg_.max_cycles);
     if (wake <= now_)
         return;
-    // In practice no wire can be pumpable here (data waiting in any
-    // endpoint pins its owner awake via nextWork), but the veto is kept
-    // as cheap insurance against a source that sleeps on queued data.
-    for (const Wire<MemRequest> &w : wires_)
-        if (w.canPump(now_))
+    // In practice no link can move here (data waiting in any source
+    // pins its owner awake via nextWork), but the veto is kept as cheap
+    // insurance against a source that sleeps on queued data.
+    for (int s = 0; s < cfg_.num_sms; ++s)
+        if (canMove(Link::SmToReq, s) || canMove(Link::ReplyToSm, s))
+            return;
+    for (int p = 0; p < cfg_.num_partitions; ++p)
+        if (canMove(Link::ReqToPart, p) || canMove(Link::PartToReply, p))
             return;
     // No skipIdle here: sleeping components are charged lazily when
     // they wake (catchUp), which accumulates the identical spans.

@@ -5,16 +5,19 @@
  * compression model, and the run loop that advances everything one core
  * cycle at a time and aggregates the statistics every figure needs.
  *
- * The components are plumbed together as typed port bindings: each
- * SM out-queue, crossbar port and partition reply queue exposes a
- * Source/Sink face, and GpuSystem pumps a fixed list of wires per
- * cycle. The run loop is event-driven (DESIGN.md section 10): each
- * component sleeps until its nextWork() hint or until a wire pushes
- * traffic into it, and globally quiescent stretches (all warps blocked
- * on memory, nothing movable anywhere) pass in one jump. Ticked mode
- * (GpuConfig::ticked, or CABA_EVENT_DRIVEN=0) is the same loop with
- * every component due every cycle and no jump: the oracle whose
- * results the event-driven schedule must match bit for bit.
+ * One fixed topology joins the components, and the wire phase of each
+ * cycle moves packets over its four links directly: SM out-queues into
+ * the request crossbar (routed by partition interleave), request
+ * crossbar outputs into the partitions, partition replies into the
+ * reply crossbar (routed back to the requesting SM), and reply crossbar
+ * outputs into the SMs. The run loop is event-driven (DESIGN.md section
+ * 10): each component sleeps until its nextWork() hint or until the
+ * wire phase moves traffic into it, and globally quiescent stretches
+ * (all warps blocked on memory, nothing movable anywhere) pass in one
+ * jump. Ticked mode (GpuConfig::ticked, or CABA_EVENT_DRIVEN=0) is the
+ * same loop with every component due every cycle and no jump: the
+ * oracle whose results the event-driven schedule must match bit for
+ * bit.
  */
 #ifndef CABA_GPU_GPU_SYSTEM_H
 #define CABA_GPU_GPU_SYSTEM_H
@@ -120,7 +123,7 @@ class GpuSystem
     RunResult run();
 
     /** One cycle of the run loop (exposed for tests): cycles the due
-     *  components in phase order and pumps the wires between them. */
+     *  components in phase order and moves packets between them. */
     void step();
     Cycle now() const { return now_; }
     bool done() const;
@@ -157,10 +160,26 @@ class GpuSystem
     CompressionModel *model() { return model_.get(); }
 
   private:
+    /** The four links the wire phase drains. */
+    enum class Link
+    {
+        SmToReq,        ///< SM s's out-queue -> request crossbar input s.
+        ReqToPart,      ///< Request crossbar output p -> partition p.
+        PartToReply,    ///< Partition p's replies -> reply crossbar input p.
+        ReplyToSm,      ///< Reply crossbar output s -> SM s.
+    };
+
     int partitionOf(Addr line) const;
 
-    /** Wire phase of step(): greedy drain in wire order, waking both
-     *  endpoints of every wire that moves traffic. */
+    /** True when @p link at port @p i can move a packet at now_: the
+     *  one statement of the link conditions, shared by the wire phase
+     *  and the quiescence jump's veto. */
+    bool canMove(Link link, int i) const;
+
+    /** Wire phase of step(): drains the links greedily in drain order
+     *  (every SM out-queue; then per partition its ingress and its
+     *  replies; then every SM's replies), waking both owners of every
+     *  link that moves traffic. */
     void pumpWires();
 
     /** Profiler component class of clocked_ index @p i. */
@@ -168,7 +187,7 @@ class GpuSystem
 
     /**
      * Quiescence jump: when no component is due before some later cycle
-     * and no wire can move, advances now_ there in one go, replaying the
+     * and no link can move, advances now_ there in one go, replaying the
      * timeline-sample cadence and collapsing periodic audits. Sleeping
      * components' idle accounting is left to the lazy catch-up.
      */
@@ -179,9 +198,9 @@ class GpuSystem
      *  the span's accounting depends on its frozen pre-push state. */
     void catchUp(std::size_t i, Cycle to);
 
-    /** Wakes wire-endpoint owner @p i for traffic moved at now_. SMs
-     *  cycle before the wire phase, so they react at now_ + 1; the
-     *  crossbars and partitions cycle after it and react at now_. */
+    /** Wakes link owner @p i (a clocked_ index) for traffic moved at
+     *  now_. SMs cycle before the wire phase, so they react at now_ + 1;
+     *  the crossbars and partitions cycle after it and react at now_. */
     void wakeForTraffic(std::size_t i);
 
     RunResult collect() const;
@@ -198,19 +217,10 @@ class GpuSystem
     XbarDirection req_net_;
     XbarDirection reply_net_;
 
-    /** Port bindings pumped by pumpWires(), in drain order: SM out ->
-     *  request crossbar, crossbar -> partition, partition replies ->
-     *  reply crossbar, reply crossbar -> SM. */
-    std::vector<Wire<MemRequest>> wires_;
-
-    /** Every clocked component, in phase order: SMs, request crossbar,
-     *  reply crossbar, partitions. */
+    /** Every clocked component, in phase order: SM i at i, the request
+     *  crossbar at num_sms, the reply crossbar at num_sms + 1 and
+     *  partition p at num_sms + 2 + p. */
     std::vector<Clocked *> clocked_;
-
-    /** Per-wire endpoint owners as indices into clocked_ (the component
-     *  whose state a pump mutates on the take/accept side). */
-    std::vector<int> wire_src_owner_;
-    std::vector<int> wire_dst_owner_;
 
     /** Per-component wake times, indexed like clocked_. */
     EventQueue eq_;

@@ -34,8 +34,7 @@ std::vector<RunResult>
 runCells(const std::vector<Cell> &cells, int jobs)
 {
     if (jobs <= 0)
-        jobs = env::intOr("CABA_JOBS", 1, INT_MAX,
-                          ThreadPool::defaultWorkers());
+        jobs = env::intOr("CABA_JOBS", 1, INT_MAX, defaultWorkers());
 
     // Each cell is a pure function of its own inputs: runApp builds a
     // private Workload + GpuSystem, so cells can run in any order on

@@ -6,8 +6,8 @@
  *
  * A cell is one simulation: an app under a design with its own
  * options, exported under a label (the JSON "design" string). Cells
- * are independent simulations, so runCells fans them out across a
- * ThreadPool of hardware_concurrency() workers by default. The worker
+ * are independent simulations, so runCells fans them out with
+ * parallelFor over hardware_concurrency() threads by default. The worker
  * count is the caller's argument (caba_bench's --jobs) or the
  * CABA_JOBS env var; 1 runs cells serially on the calling thread.
  * Results are bit-identical at any worker count: each cell builds a

@@ -3,8 +3,9 @@
  * One memory partition: an L2 slice plus its GDDR5 channel plus the
  * compression machinery that lives at the memory controller (burst-count
  * metadata + MD cache, Section 4.3.2; dedicated codec latency for the
- * HW-<algo>-Mem design). Requests arrive from the crossbar; replies are
- * queued for the reply crossbar.
+ * HW-<algo>-Mem design). Requests arrive from the request crossbar
+ * through accept(); read replies wait in replies() until GpuSystem moves
+ * them into the reply crossbar.
  */
 #ifndef CABA_MEM_PARTITION_H
 #define CABA_MEM_PARTITION_H
@@ -54,19 +55,20 @@ struct PartitionConfig
     int tlb_page_lines = 4096 / kLineSize;
 };
 
-/** L2 slice + memory controller + DRAM channel. Its Sink face is the
- *  ingress the request crossbar's output port is wired to. */
-class MemoryPartition : public Clocked, public Sink<MemRequest>
+/** L2 slice + memory controller + DRAM channel. GpuSystem's wire phase
+ *  moves the request crossbar's deliveries in through accept() and its
+ *  replies() out to the reply crossbar. */
+class MemoryPartition : public Clocked
 {
   public:
     MemoryPartition(int id, const PartitionConfig &cfg,
                     const DesignConfig &design, CompressionModel *model);
 
     /** True when a request delivered by the crossbar can be taken. */
-    bool canAccept() const override;
+    bool canAccept() const;
 
-    /** Hands over one request (read or store). */
-    void accept(const MemRequest &req, Cycle now) override;
+    /** Hands over one request (read or store); canAccept() must hold. */
+    void accept(const MemRequest &req, Cycle now);
 
     /** Advances one core cycle. */
     void cycle(Cycle now) override;

@@ -13,39 +13,10 @@ XbarDirection::XbarDirection(int inputs, int outputs, const XbarConfig &cfg,
     : cfg_(cfg), inputs_(inputs), outputs_(outputs),
       trace_tid_base_(trace_tid_base),
       in_q_(inputs), head_mask_(outputs, 0), port_busy_until_(outputs, 0),
-      rr_(outputs, 0), out_q_(outputs), flying_per_out_(outputs, 0),
-      in_ports_(static_cast<std::size_t>(inputs)),
-      out_ports_(static_cast<std::size_t>(outputs))
+      rr_(outputs, 0), out_q_(outputs), flying_per_out_(outputs, 0)
 {
     CABA_CHECK(inputs > 0 && outputs > 0, "bad crossbar geometry");
     CABA_CHECK(inputs <= 64, "head-of-line masks support at most 64 inputs");
-    for (int i = 0; i < inputs; ++i) {
-        in_ports_[static_cast<std::size_t>(i)].x_ = this;
-        in_ports_[static_cast<std::size_t>(i)].in_ = i;
-    }
-    for (int o = 0; o < outputs; ++o) {
-        out_ports_[static_cast<std::size_t>(o)].x_ = this;
-        out_ports_[static_cast<std::size_t>(o)].out_ = o;
-    }
-}
-
-void
-XbarDirection::setRouter(std::function<int(const MemRequest &)> router)
-{
-    router_ = std::move(router);
-}
-
-Sink<MemRequest> &
-XbarDirection::input(int in)
-{
-    CABA_CHECK(router_ != nullptr, "crossbar input used without a router");
-    return in_ports_[static_cast<std::size_t>(in)];
-}
-
-Source<MemRequest> &
-XbarDirection::output(int out)
-{
-    return out_ports_[static_cast<std::size_t>(out)];
 }
 
 bool
@@ -168,7 +139,7 @@ Cycle
 XbarDirection::nextWork(Cycle now) const
 {
     // Delivered packets waiting in an output queue pin the clock: the
-    // consumer-side Wire drains them in the very next wire phase, and
+    // next wire phase drains them into their consumer, and
     // even under backpressure the consumer's unblock cycle is cheaper
     // to over-approximate here than to predict.
     for (const auto &q : out_q_)

@@ -4,12 +4,14 @@
  * crossbar per direction, 15x6, core clock). Each output port moves one
  * 32-byte flit per cycle, so compressed packets (fewer flits) free port
  * time — the effect that separates HW-BDI from HW-BDI-Mem in Figure 7.
+ * The crossbar does not route: GpuSystem's wire phase pushes each packet
+ * into an input together with its output port, and pops ready
+ * deliveries off the outputs.
  */
 #ifndef CABA_MEM_XBAR_H
 #define CABA_MEM_XBAR_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/audit.h"
@@ -90,51 +92,7 @@ class XbarDirection : public Clocked
      *  arbitrated == popped + in-flight + output-queued; empty at drain. */
     void audit(Audit &a, const char *name, bool at_drain) const;
 
-    /** Destination output port for a packet entering any input (set
-     *  once at wiring time: partition interleave / reply routing). */
-    void setRouter(std::function<int(const MemRequest &)> router);
-
-    /** Sink view of input port @p in: accept() routes via the router. */
-    Sink<MemRequest> &input(int in);
-
-    /** Source view of output port @p out's ready deliveries. */
-    Source<MemRequest> &output(int out);
-
   private:
-    class InPort : public Sink<MemRequest>
-    {
-      public:
-        bool canAccept() const override { return x_->canPush(in_); }
-
-        void
-        accept(const MemRequest &pkt, Cycle) override
-        {
-            x_->push(in_, x_->router_(pkt), pkt);
-        }
-
-      private:
-        friend class XbarDirection;
-        XbarDirection *x_ = nullptr;
-        int in_ = 0;
-    };
-
-    class OutPort : public Source<MemRequest>
-    {
-      public:
-        bool
-        hasData(Cycle now) const override
-        {
-            return x_->hasDelivery(out_, now);
-        }
-
-        MemRequest take() override { return x_->popDelivery(out_); }
-
-      private:
-        friend class XbarDirection;
-        XbarDirection *x_ = nullptr;
-        int out_ = 0;
-    };
-
     struct InFlight
     {
         MemRequest req;
@@ -178,9 +136,6 @@ class XbarDirection : public Clocked
     std::uint64_t pushed_ = 0;
     std::uint64_t arbitrated_ = 0;
     std::uint64_t popped_ = 0;
-    std::function<int(const MemRequest &)> router_;
-    std::vector<InPort> in_ports_;
-    std::vector<OutPort> out_ports_;
 };
 
 } // namespace caba

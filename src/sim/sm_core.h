@@ -11,8 +11,8 @@
  * LdstUnit back-end (L1, MSHRs, coalescer drain) — plus the execution
  * pipelines and the CABA hooks that glue them together. It implements
  * the Clocked protocol so GpuSystem can fast-forward through quiescent
- * stretches, and its reply-side Sink face is what the reply crossbar's
- * output port is wired to.
+ * stretches. Its crossbar face is two calls: GpuSystem takes requests
+ * from out() and hands replies to deliver().
  *
  * The core's one cycle account is the exact slot taxonomy below: every
  * scheduler slot of every accounted cycle is charged to one
@@ -111,9 +111,7 @@ enum SlotCategory : int {
 extern const char *const kSlotCategoryNames[kNumSlotCategories];
 
 /** One streaming multiprocessor. */
-class SmCore : public Clocked,
-               public Sink<MemRequest>,
-               private LdstUnit::Hooks
+class SmCore : public Clocked, private LdstUnit::Hooks
 {
   public:
     SmCore(int id, const SmConfig &cfg, const DesignConfig &design,
@@ -159,26 +157,12 @@ class SmCore : public Clocked,
 
     // -- crossbar-facing interface --
 
-    /** Outgoing request port (the request crossbar's input is wired
-     *  to this). */
+    /** Outgoing requests, drained into the request crossbar. */
     Channel<MemRequest> &out() { return ldst_.out(); }
 
-    bool hasOutgoing() const { return !ldst_.out().empty(); }
-    const MemRequest &peekOutgoing() const { return ldst_.out().front(); }
-    MemRequest popOutgoing();
-
-    /** Fill/reply delivery from the reply crossbar. */
+    /** Fill/reply delivery from the reply crossbar. An SM takes every
+     *  reply (fills never back-pressure the crossbar). */
     void deliver(const MemRequest &reply, Cycle now);
-
-    /** Sink face: the reply crossbar's output port delivers here. An SM
-     *  always sinks replies (fills never back-pressure the crossbar). */
-    bool canAccept() const override { return true; }
-
-    void
-    accept(const MemRequest &reply, Cycle now) override
-    {
-        deliver(reply, now);
-    }
 
     // -- inspection --
 
@@ -195,7 +179,6 @@ class SmCore : public Clocked,
     {
         return slot_counts_[static_cast<std::size_t>(c)];
     }
-    std::uint64_t accountedCycles() const { return accounted_cycles_; }
 
     /** Snapshot of every per-SM counter. */
     StatSet stats() const;

@@ -494,7 +494,7 @@ Cycle
 XbarDirection::nextWork(Cycle now) const
 {
     // Delivered packets waiting in an output queue pin the clock: the
-    // consumer-side Wire drains them in the very next wire phase, and
+    // next wire phase drains them into their consumer, and
     // even under backpressure the consumer's unblock cycle is cheaper
     // to over-approximate here than to predict.
     for (const auto &q : out_q_)

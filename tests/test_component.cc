@@ -1,8 +1,8 @@
 /**
  * @file
- * The Clocked/Port primitives: Channel capacity semantics (canPush
- * gates, push never refuses), Wire pumping under backpressure, and the
- * kNoWork sentinel contract.
+ * The Clocked primitives: Channel capacity semantics (canPush gates,
+ * push never refuses), its FIFO take(), and the kNoWork sentinel
+ * contract.
  */
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@ TEST(Channel, CapacityGatesCanPushNotPush)
     ch.push(1);
     ch.push(2);
     EXPECT_FALSE(ch.canPush());
-    EXPECT_FALSE(ch.canAccept());
     // Producers with reserved slots may exceed the advertised capacity,
     // exactly like the hand-rolled deques the Channel replaced.
     ch.push(3);
@@ -39,39 +38,13 @@ TEST(Channel, UnboundedByDefault)
 TEST(Channel, SourceSinkFacesMatchDequeOps)
 {
     Channel<int> ch(4);
-    ch.accept(7, 0);
-    ch.accept(8, 0);
-    EXPECT_TRUE(ch.hasData(0));
+    ch.push(7);
+    ch.push(8);
+    EXPECT_EQ(ch.front(), 7);
     EXPECT_EQ(ch.take(), 7);
+    EXPECT_EQ(ch.size(), 1u);
     EXPECT_EQ(ch.take(), 8);
-    EXPECT_FALSE(ch.hasData(0));
-}
-
-TEST(Wire, PumpsUntilBackpressure)
-{
-    Channel<int> src;
-    Channel<int> dst(2);
-    for (int i = 0; i < 5; ++i)
-        src.push(i);
-    Wire<int> w{&src, &dst};
-    w.pump(0);
-    // Two fit; three stay queued at the source.
-    EXPECT_EQ(dst.size(), 2u);
-    EXPECT_EQ(src.size(), 3u);
-    EXPECT_EQ(dst.take(), 0);
-    EXPECT_EQ(dst.take(), 1);
-    w.pump(1);
-    EXPECT_EQ(dst.size(), 2u);
-    EXPECT_EQ(src.size(), 1u);
-}
-
-TEST(Wire, EmptySourceIsNoOp)
-{
-    Channel<int> src;
-    Channel<int> dst(1);
-    Wire<int> w{&src, &dst};
-    w.pump(0);
-    EXPECT_TRUE(dst.empty());
+    EXPECT_TRUE(ch.empty());
 }
 
 TEST(Clocked, NoWorkSentinelIsMaximal)

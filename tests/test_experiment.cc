@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <initializer_list>
 #include <set>
@@ -33,6 +32,7 @@
 #include "harness/runner.h"
 #include "sim/sm_core.h"
 #include "workloads/app.h"
+#include "temp_dir.h"
 
 namespace caba {
 namespace {
@@ -58,12 +58,12 @@ parsed(const std::string &path)
     return doc;
 }
 
-/** A per-test output path (ctest runs each case in its own process). */
+/** A per-test output path in this process's own directory. */
 std::string
 outPath(const std::string &suffix)
 {
     const auto *info = ::testing::UnitTest::GetInstance()->current_test_info();
-    return ::testing::TempDir() + "caba_experiment_" + info->name() + "_" +
+    return test::processTempDir() + "caba_experiment_" + info->name() + "_" +
            suffix + ".json";
 }
 
@@ -319,8 +319,6 @@ TEST(RunExperimentTest, CellFreeDocumentIsByteIdenticalAcrossRuns)
     EXPECT_TRUE(doc.find("cells")->array.empty())
         << "Figure 2 runs no simulation";
     EXPECT_EQ(doc.find("rows")->array.size(), allApps().size());
-    std::remove(first.c_str());
-    std::remove(second.c_str());
 }
 
 TEST(RunExperimentTest, RunExportsEmittedRowsAndEveryCell)
@@ -346,7 +344,6 @@ TEST(RunExperimentTest, RunExportsEmittedRowsAndEveryCell)
     EXPECT_EQ(cells[0].find("design")->string, "Base");
     EXPECT_EQ(cells[1].find("design")->string, "CABA-BDI");
     EXPECT_GT(cells[0].find("result")->find("cycles")->number, 0.0);
-    std::remove(path.c_str());
 }
 
 TEST(RunExperimentTest, PerCellOptionsDocumentIsByteIdenticalAtOneAndFourJobs)
@@ -375,8 +372,6 @@ TEST(RunExperimentTest, PerCellOptionsDocumentIsByteIdenticalAtOneAndFourJobs)
     EXPECT_NE(cells[0].find("result")->find("cycles")->number,
               cells[1].find("result")->find("cycles")->number);
     EXPECT_EQ(doc.find("rows")->array.size(), 2u);
-    std::remove(serial.c_str());
-    std::remove(parallel.c_str());
 }
 
 // --- The run plan ----------------------------------------------------------
@@ -417,8 +412,6 @@ TEST(RunPlanTest, JointDocumentsMatchSoloDocuments)
         ASSERT_FALSE(doc.empty());
         EXPECT_EQ(slurp(joint[i]), doc)
             << all[i]->name << ": the joint run wrote another document";
-        std::remove(solo.c_str());
-        std::remove(joint[i].c_str());
     }
 }
 
@@ -570,8 +563,6 @@ TEST(RunPlanTest, SharedCellKeepsEachExperimentsLabelAndPosition)
     // The emitted speedup is Base over CABA-BDI, read by its labels.
     EXPECT_DOUBLE_EQ(b.find("rows")->array[0].find("speedup")->number,
                      cycles(a_cells[0]) / cycles(a_cells[1]));
-    std::remove(first_path.c_str());
-    std::remove(second_path.c_str());
 }
 
 TEST(RunPlanTest, JointRunDocumentsAreByteIdenticalAtOneAndFourJobs)
@@ -593,8 +584,6 @@ TEST(RunPlanTest, JointRunDocumentsAreByteIdenticalAtOneAndFourJobs)
         ASSERT_FALSE(doc.empty());
         EXPECT_EQ(doc, slurp(parallel[i]))
             << all[i]->name << ": worker count leaked into the document";
-        std::remove(serial[i].c_str());
-        std::remove(parallel[i].c_str());
     }
 }
 

@@ -2,9 +2,12 @@
  * @file
  * Whole-GPU behaviour: determinism (bit-identical cycle counts across
  * runs), bandwidth-scaling monotonicity, drain semantics, multi-SM
- * partition routing, and the occupancy-driven launch path.
+ * partition routing and reply routing, and the occupancy-driven launch
+ * path.
  */
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "gpu/gpu_system.h"
 #include "harness/runner.h"
@@ -57,13 +60,53 @@ TEST(GpuSystem, MoreBandwidthNeverHurtsMemoryBoundWork)
     }
 }
 
+/** tinyApp() on a default GPU under Base, run to completion; the
+ *  system stays inspectable afterwards. */
+struct TinyBaseRun
+{
+    GpuConfig cfg;
+    Workload wl{tinyApp()};
+    std::unique_ptr<GpuSystem> gpu;
+    RunResult r;
+
+    TinyBaseRun()
+    {
+        wl.bindGrid(12 * cfg.num_sms);
+        gpu = std::make_unique<GpuSystem>(cfg, DesignConfig::base(),
+                                          wl.lineGenerator());
+        gpu->launch(&wl, 12);
+        r = gpu->run();
+    }
+};
+
 TEST(GpuSystem, AllPartitionsSeeTraffic)
 {
-    const RunResult r = runSystem(tinyApp(), DesignConfig::base());
+    TinyBaseRun run;
     // 256B channel interleave spreads a streaming footprint over every
-    // partition; if routing were broken, loads_in would concentrate.
-    EXPECT_GT(r.stats.get("part_loads_in"), 0u);
-    EXPECT_EQ(r.stats.get("part_loads_in"), r.stats.get("part_replies"));
+    // partition, and each partition answers every load it takes; a
+    // router that sent every request to one partition fails here.
+    EXPECT_GT(run.r.stats.get("part_loads_in"), 0u);
+    EXPECT_EQ(run.r.stats.get("part_loads_in"),
+              run.r.stats.get("part_replies"));
+    for (int p = 0; p < run.cfg.num_partitions; ++p) {
+        const StatSet s = run.gpu->partition(p).stats();
+        EXPECT_GT(s.get("loads_in"), 0u) << "partition " << p;
+        EXPECT_EQ(s.get("replies"), s.get("loads_in")) << "partition " << p;
+    }
+}
+
+TEST(GpuSystem, RepliesReturnToTheRequestingSm)
+{
+    TinyBaseRun run;
+    // Under Base every L1 miss that merges into no MSHR sends one read,
+    // and each read's reply fills the SM that sent it.
+    for (int i = 0; i < run.cfg.num_sms; ++i) {
+        const StatSet s = run.gpu->sm(i).stats();
+        EXPECT_GT(s.get("fills"), 0u) << "SM " << i;
+        EXPECT_EQ(s.get("fills"),
+                  s.get("l1_load_misses") - s.get("mshr_merges"))
+            << "SM " << i;
+    }
 }
 
 TEST(GpuSystem, DoneImpliesFullyDrained)

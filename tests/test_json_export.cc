@@ -10,7 +10,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +21,7 @@
 #include "harness/json_export.h"
 #include "harness/sweep.h"
 #include "workloads/app.h"
+#include "temp_dir.h"
 
 namespace caba {
 namespace {
@@ -148,7 +148,7 @@ TEST(BenchJsonTest, DisabledIsNoOp)
 
 TEST(BenchJsonTest, RowsOnlyDocument)
 {
-    const std::string path = testing::TempDir() + "caba_rows.json";
+    const std::string path = test::processTempDir() + "caba_rows.json";
     BenchJson json("rows_bench", path);
     json.beginRow();
     json.field("app", std::string("MM"));
@@ -167,7 +167,6 @@ TEST(BenchJsonTest, RowsOnlyDocument)
     EXPECT_EQ(row.find("app")->string, "MM");
     EXPECT_EQ(row.find("frac")->number, 0.25);
     EXPECT_EQ(row.find("warps")->number, 48.0);
-    std::remove(path.c_str());
 }
 
 /** The golden schema: every key a plotting script may depend on. */
@@ -177,7 +176,7 @@ TEST(BenchJsonTest, CellSchemaIsStable)
     opts.scale = 0.1;
     const RunResult r = runApp(findApp("PVC"), DesignConfig::caba(), opts);
 
-    const std::string path = testing::TempDir() + "caba_cell.json";
+    const std::string path = test::processTempDir() + "caba_cell.json";
     BenchJson json("schema_bench", path);
     const Cell pvc{findApp("PVC"), "CABA-BDI", DesignConfig::caba(), opts};
     json.addSweep(Sweep({pvc}, {r}));
@@ -254,7 +253,6 @@ TEST(BenchJsonTest, CellSchemaIsStable)
     EXPECT_EQ(static_cast<std::uint64_t>(
                   timeline->array.back().array[0].number),
               r.cycles);
-    std::remove(path.c_str());
 }
 
 TEST(BenchJsonTest, ParallelSweepWritesByteIdenticalJson)
@@ -274,8 +272,8 @@ TEST(BenchJsonTest, ParallelSweepWritesByteIdenticalJson)
         json.write();
     };
 
-    const std::string serial = testing::TempDir() + "caba_serial.json";
-    const std::string parallel = testing::TempDir() + "caba_parallel.json";
+    const std::string serial = test::processTempDir() + "caba_serial.json";
+    const std::string parallel = test::processTempDir() + "caba_parallel.json";
     writeSweep(1, serial);
     writeSweep(8, parallel);
 
@@ -288,8 +286,6 @@ TEST(BenchJsonTest, ParallelSweepWritesByteIdenticalJson)
     ASSERT_TRUE(json::parse(a, &doc));
     EXPECT_EQ(doc.find("cells")->array.size(),
               apps.size() * designs.size());
-    std::remove(serial.c_str());
-    std::remove(parallel.c_str());
 }
 
 } // namespace

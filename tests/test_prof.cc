@@ -20,6 +20,7 @@
 #include "common/prof.h"
 #include "gpu/gpu_system.h"
 #include "harness/runner.h"
+#include "temp_dir.h"
 
 namespace caba {
 namespace {
@@ -148,7 +149,7 @@ TEST_F(ProfTest, WriteReportEmitsCabaProfV1Schema)
     r.flush();
     prof::addStage(prof::Stage::Run, 11);
 
-    const std::string path = testing::TempDir() + "caba_prof_schema.json";
+    const std::string path = test::processTempDir() + "caba_prof_schema.json";
     ASSERT_TRUE(prof::writeReport(path));
 
     json::Value doc;
@@ -190,7 +191,6 @@ TEST_F(ProfTest, WriteReportEmitsCabaProfV1Schema)
     ASSERT_NE(self->find("run"), nullptr);
     EXPECT_EQ(self->find("build")->number, 0.0);
     EXPECT_EQ(self->find("run")->number, 11.0);
-    std::remove(path.c_str());
 }
 
 /** reportTopN's rows as {name, share}; the phase joins the name. */
@@ -253,7 +253,7 @@ TEST_F(ProfTest, TopNSharesAreOfLoopCycleWithUnattributedRow)
 
 TEST_F(ProfTest, ProfiledRunPopulatesBuckets)
 {
-    const std::string path = testing::TempDir() + "caba_prof_run.json";
+    const std::string path = test::processTempDir() + "caba_prof_run.json";
     ASSERT_EQ(::setenv("CABA_PROF", path.c_str(), 1), 0);
     runSystem(DesignConfig::caba(), false);
     const auto buckets = prof::snapshot();
@@ -267,12 +267,11 @@ TEST_F(ProfTest, ProfiledRunPopulatesBuckets)
         static_cast<int>(prof::Phase::Cycle));
     EXPECT_EQ(buckets[loop_cycle].calls, 1u);
     EXPECT_GT(buckets[loop_cycle].ns, 0);
-    std::remove(path.c_str());
 }
 
 TEST_F(ProfTest, RunResultBitIdenticalProfilerOnOff)
 {
-    const std::string path = testing::TempDir() + "caba_prof_det.json";
+    const std::string path = test::processTempDir() + "caba_prof_det.json";
     for (const bool ticked : {false, true}) {
         SCOPED_TRACE(ticked ? "ticked" : "event-driven");
         ::unsetenv("CABA_PROF");
@@ -282,7 +281,6 @@ TEST_F(ProfTest, RunResultBitIdenticalProfilerOnOff)
         ::unsetenv("CABA_PROF");
         expectIdentical(off, on);
     }
-    std::remove(path.c_str());
 }
 
 /** Calls recorded so far in global bucket (@p c, @p p). */
@@ -309,7 +307,7 @@ TEST_F(ProfTest, TickedOracleCyclesEveryComponentEveryClock)
 {
     // A ticked mode that still slept would make every event-driven vs
     // ticked determinism diff pass vacuously: count the cycle() calls.
-    const std::string path = testing::TempDir() + "caba_prof_ticked.json";
+    const std::string path = test::processTempDir() + "caba_prof_ticked.json";
     ASSERT_EQ(::setenv("CABA_PROF", path.c_str(), 1), 0);
     const GpuConfig ref;
     const std::uint64_t sms = static_cast<std::uint64_t>(ref.num_sms);
@@ -335,7 +333,6 @@ TEST_F(ProfTest, TickedOracleCyclesEveryComponentEveryClock)
     EXPECT_EQ(event.cycles, ticked.cycles);
     EXPECT_LT(callsOf(prof::Comp::Sm, prof::Phase::Cycle), ticked_sm_calls);
     EXPECT_GT(catchUpCalls(), 0u);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------- taxonomy

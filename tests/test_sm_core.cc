@@ -313,7 +313,7 @@ TEST(SmCoreSleep, ReplayStalledCoreWithOnlyGlobalHeadsSleeps)
     EXPECT_EQ(ticked.sm().nextWork(t + 300), kNoWork);
 
     // An out-queue take ends the replay.
-    ticked.sm().popOutgoing();
+    ticked.sm().out().take();
     EXPECT_EQ(ticked.sm().nextWork(t + 300), t + 300);
 }
 
@@ -342,8 +342,8 @@ TEST(SmCoreSleep, ReadyAluHeadPinsAReplayStalledCore)
     // Serve one warp's two loads without freeing out-queue room: take
     // every request, fill the first warp's, put them all back.
     std::vector<MemRequest> reqs;
-    while (h.sm().hasOutgoing())
-        reqs.push_back(h.sm().popOutgoing());
+    while (!h.sm().out().empty())
+        reqs.push_back(h.sm().out().take());
     ASSERT_EQ(reqs.size(), 4u);
     for (const MemRequest &r : reqs)
         if (r.warp == reqs.front().warp)
@@ -395,8 +395,8 @@ TEST(SmCoreSleep, AwtFullCompressedHitReplayPinsTheCore)
     int pinned_by_replay = 0;
     for (; h.now < 3000 && h.sm().busy(); ++h.now) {
         // Serve every request at once (fills land the next cycle).
-        while (h.sm().hasOutgoing())
-            h.fill(h.sm().popOutgoing());
+        while (!h.sm().out().empty())
+            h.fill(h.sm().out().take());
         const StatSet before = h.sm().awc().stats();
         const std::uint64_t hits_before = h.sm().stats().get("l1_load_hits");
         h.sm().cycle(h.now);
@@ -410,7 +410,7 @@ TEST(SmCoreSleep, AwtFullCompressedHitReplayPinsTheCore)
         bool aw_waiting = true;
         for (const AssistWarp &aw : h.sm().awc().table())
             aw_waiting = aw_waiting && aw.ready_at > h.now + 1;
-        if (aw_waiting && !h.sm().hasOutgoing())
+        if (aw_waiting && h.sm().out().empty())
             ++pinned_by_replay;
     }
     EXPECT_FALSE(h.sm().busy());

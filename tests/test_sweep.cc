@@ -4,14 +4,24 @@
  * an app x design grid out across worker threads must produce results
  * bit-identical to a serial run, CABA_JOBS=1 must degrade to the
  * strictly-serial behaviour, and cells that differ only in their
- * options must keep their own labels and results.
+ * options must keep their own labels and results. Also the fan-out
+ * itself: parallelFor's inline serial path, its thread bound and its
+ * exception path.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
+#include <mutex>
+#include <numeric>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -173,34 +183,7 @@ TEST_F(SweepTest, CellsDifferingOnlyInOptionsKeepTheirOwnLabelsAndResults)
     expectIdentical(sweep.at("PVC", "Base@2.0x"), base_hi, "base@2x");
 }
 
-TEST(ThreadPoolTest, RunsEverySubmittedJobOnce)
-{
-    ThreadPool pool(4);
-    std::vector<int> hits(64, 0);
-    std::mutex mu;
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&hits, &mu, i] {
-            std::lock_guard<std::mutex> lock(mu);
-            ++hits[static_cast<std::size_t>(i)];
-        });
-    pool.wait();
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << "job " << i;
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 8; ++i)
-            pool.submit([&count] { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), (batch + 1) * 8);
-    }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexAtAnyWidth)
+TEST(ParallelFor, CoversEveryIndexAtAnyWidth)
 {
     for (int jobs : {1, 2, 7}) {
         std::vector<std::atomic<int>> hits(33);
@@ -212,6 +195,75 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexAtAnyWidth)
         for (int i = 0; i < 33; ++i)
             EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
                 << "jobs=" << jobs << " index " << i;
+    }
+}
+
+TEST(ParallelFor, OneJobRunsInlineInIndexOrder)
+{
+    // One job (or one index) starts no thread: every call runs on the
+    // caller's thread, in index order.
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const auto &[n, jobs] : {std::pair{9, 1}, {9, 0}, {1, 8}}) {
+        std::vector<int> order;
+        bool inline_only = true;
+        parallelFor(n, jobs, [&](int i) {
+            inline_only = inline_only && std::this_thread::get_id() == caller;
+            order.push_back(i);
+        });
+        std::vector<int> expected(static_cast<std::size_t>(n));
+        std::iota(expected.begin(), expected.end(), 0);
+        EXPECT_EQ(order, expected) << "n=" << n << " jobs=" << jobs;
+        EXPECT_TRUE(inline_only) << "n=" << n << " jobs=" << jobs;
+    }
+}
+
+TEST(ParallelFor, NeverRunsMoreThanJobsCallsAtOnce)
+{
+    // Each call holds its slot for a moment so the threads overlap; no
+    // call runs on the caller's thread, and at most min(jobs, n)
+    // threads ever run calls.
+    for (const auto &[n, jobs] : {std::pair{24, 3}, {2, 5}}) {
+        std::atomic<int> in_flight{0};
+        std::atomic<int> peak{0};
+        std::mutex mu;
+        std::set<std::thread::id> threads;
+        parallelFor(n, jobs, [&](int) {
+            const int now = ++in_flight;
+            for (int seen = peak.load(); now > seen;)
+                peak.compare_exchange_weak(seen, now);
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                threads.insert(std::this_thread::get_id());
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            --in_flight;
+        });
+        const int cap = std::min(n, jobs);
+        EXPECT_LE(peak.load(), cap) << "n=" << n << " jobs=" << jobs;
+        EXPECT_LE(static_cast<int>(threads.size()), cap);
+        EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+    }
+}
+
+TEST(ParallelFor, ThrowingCallReachesTheCaller)
+{
+    // The exception stops dispatch and is rethrown once every thread has
+    // joined; escaping a worker thread would end the process instead.
+    for (int jobs : {1, 4}) {
+        std::atomic<int> calls{0};
+        try {
+            parallelFor(1000, jobs, [&calls](int i) {
+                ++calls;
+                if (i == 3)
+                    throw std::runtime_error("index 3");
+            });
+            ADD_FAILURE() << "jobs=" << jobs << ": nothing thrown";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "index 3") << "jobs=" << jobs;
+        }
+        if (jobs == 1) {
+            EXPECT_EQ(calls.load(), 4) << "serial dispatch stops at once";
+        }
     }
 }
 

@@ -7,7 +7,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include "compress/design.h"
 #include "harness/runner.h"
 #include "workloads/app.h"
+#include "temp_dir.h"
 
 namespace caba {
 namespace {
@@ -81,7 +81,7 @@ TEST_F(TraceTest, DisabledByDefault)
 
 TEST_F(TraceTest, CategoryMaskGatesOn)
 {
-    const std::string path = testing::TempDir() + "caba_mask_trace.json";
+    const std::string path = test::processTempDir() + "caba_mask_trace.json";
     trace::start(path, trace::kWarp | trace::kDram);
     EXPECT_TRUE(trace::active());
     EXPECT_TRUE(trace::on(trace::kWarp));
@@ -90,12 +90,11 @@ TEST_F(TraceTest, CategoryMaskGatesOn)
     EXPECT_FALSE(trace::on(trace::kXbar));
     trace::stop();
     EXPECT_FALSE(trace::active());
-    std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, EmptySessionWritesValidJson)
 {
-    const std::string path = testing::TempDir() + "caba_empty_trace.json";
+    const std::string path = test::processTempDir() + "caba_empty_trace.json";
     trace::start(path);
     trace::stop();
 
@@ -107,12 +106,11 @@ TEST_F(TraceTest, EmptySessionWritesValidJson)
     // Only metadata (process names + the closing placeholder).
     for (const json::Value &ev : events->array)
         EXPECT_EQ(ev.find("ph")->string, "M");
-    std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, TracedRunProducesAllCategories)
 {
-    const std::string path = testing::TempDir() + "caba_run_trace.json";
+    const std::string path = test::processTempDir() + "caba_run_trace.json";
     trace::start(path);
     runApp(findApp("PVC"), DesignConfig::caba(), smallOpts());
     trace::stop();
@@ -150,12 +148,11 @@ TEST_F(TraceTest, TracedRunProducesAllCategories)
     EXPECT_TRUE(cats.count("assist")) << "assist-warp events missing";
     EXPECT_TRUE(cats.count("cache")) << "cache events missing";
     EXPECT_TRUE(cats.count("dram")) << "dram burst events missing";
-    std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, SlotSpansCoverTheTaxonomy)
 {
-    const std::string path = testing::TempDir() + "caba_slots_trace.json";
+    const std::string path = test::processTempDir() + "caba_slots_trace.json";
     trace::start(path, trace::kSlots);
     runApp(findApp("PVC"), DesignConfig::caba(), smallOpts());
     trace::stop();
@@ -178,12 +175,12 @@ TEST_F(TraceTest, SlotSpansCoverTheTaxonomy)
     for (const std::string &n : names)
         EXPECT_EQ(n.rfind("slot_", 0), 0u) << n;
     EXPECT_TRUE(names.count("slot_issued"));
-    std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, CounterTracksEmitOnTimelineCadence)
 {
-    const std::string path = testing::TempDir() + "caba_counter_trace.json";
+    const std::string path =
+        test::processTempDir() + "caba_counter_trace.json";
     trace::start(path, trace::kCounter);
     runApp(findApp("PVC"), DesignConfig::caba(), smallOpts());
     trace::stop();
@@ -205,12 +202,11 @@ TEST_F(TraceTest, CounterTracksEmitOnTimelineCadence)
     EXPECT_TRUE(names.count("event_queue_depth"));
     EXPECT_TRUE(names.count("issuable_warps"));
     EXPECT_TRUE(names.count("dram_read_queue"));
-    std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, CategoryFilterDropsOtherCategories)
 {
-    const std::string path = testing::TempDir() + "caba_filter_trace.json";
+    const std::string path = test::processTempDir() + "caba_filter_trace.json";
     trace::start(path, trace::kDram);
     runApp(findApp("PVC"), DesignConfig::caba(), smallOpts());
     trace::stop();
@@ -225,7 +221,6 @@ TEST_F(TraceTest, CategoryFilterDropsOtherCategories)
         ++dram;
     }
     EXPECT_GT(dram, 0u);
-    std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, TracingDoesNotPerturbSimulation)
@@ -234,7 +229,8 @@ TEST_F(TraceTest, TracingDoesNotPerturbSimulation)
     const RunResult plain = runApp(findApp("PVC"), DesignConfig::caba(),
                                    opts);
 
-    const std::string path = testing::TempDir() + "caba_perturb_trace.json";
+    const std::string path =
+        test::processTempDir() + "caba_perturb_trace.json";
     trace::start(path);
     const RunResult traced = runApp(findApp("PVC"), DesignConfig::caba(),
                                     opts);
@@ -243,7 +239,6 @@ TEST_F(TraceTest, TracingDoesNotPerturbSimulation)
     EXPECT_EQ(plain.cycles, traced.cycles);
     EXPECT_EQ(plain.instructions, traced.instructions);
     EXPECT_EQ(plain.stats.all(), traced.stats.all());
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -77,7 +77,7 @@ struct Options
 {
     /** Worker threads for lexing and the per-file rules. Findings are
      *  merged in deterministic order, so output is byte-identical at
-     *  any job count; <= 1 runs inline with no pool. */
+     *  any job count; <= 1 runs inline on the calling thread. */
     int jobs = 1;
 
     /** Rule ids to run; empty = all. Names must come from ruleNames(). */

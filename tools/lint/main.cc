@@ -73,7 +73,7 @@ main(int argc, char **argv)
     std::string dot_path;
     caba::lint::Options opts;
     opts.jobs = caba::env::intOr("CABA_JOBS", 1, INT_MAX,
-                                 caba::ThreadPool::defaultWorkers());
+                                 caba::defaultWorkers());
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
