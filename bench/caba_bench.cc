@@ -132,7 +132,7 @@ main(int argc, char **argv)
 
     // One machine-greppable summary of the plan (the CI determinism job
     // checks the hit count of a two-experiment run).
-    std::fprintf(stderr, "[cell-cache] simulations=%zu hits=%zu\n",
+    std::fprintf(stderr, "[run-plan] simulations=%zu hits=%zu\n",
                  counts.simulations, counts.hits);
     return 0;
 }

@@ -25,16 +25,30 @@ import json
 import sys
 
 
+def malformed(msg):
+    print(f"error: {msg}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load(path):
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"error: cannot read {path}: {e}")
-    if doc.get("schema") != "caba-perf-v1":
-        print(f"error: {path} is not a caba-perf-v1 document",
-              file=sys.stderr)
-        sys.exit(2)
+    except OSError as e:
+        malformed(f"cannot read {path}: {e}")
+    except ValueError as e:
+        malformed(f"{path} is not JSON: {e}")
+    if not isinstance(doc, dict) or doc.get("schema") != "caba-perf-v1":
+        malformed(f"{path} is not a caba-perf-v1 document")
+    rows = doc.get("rows")
+    row_keys = ("app", "design", "cycles", "instructions")
+    if not isinstance(rows, list) or not all(
+            isinstance(r, dict) and all(k in r for k in row_keys)
+            for r in rows):
+        malformed(f"{path} has no 'rows' list of {', '.join(row_keys)}")
+    wall = doc.get("wall_seconds_best")
+    if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+        malformed(f"{path} has no numeric 'wall_seconds_best'")
     return doc
 
 

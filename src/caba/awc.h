@@ -85,9 +85,9 @@ class AssistWarpController
 
     /**
      * Equivalent to @p slots consecutive noteIssueSlot(false) calls.
-     * Used by quiescence fast-forward: skipped cycles still age the
-     * throttle window exactly as ticked idle cycles would, so the
-     * idle-fraction gate sees the same history either way.
+     * Used when a sleeping SM's idle cycles are charged: they still
+     * age the throttle window exactly as ticked idle cycles would, so
+     * the idle-fraction gate sees the same history either way.
      */
     void skipIdleSlots(std::uint64_t slots);
 

@@ -6,13 +6,13 @@
  *  - Clocked: cycle(now) advances one cycle, busy() reports outstanding
  *    state, and nextWork(now) hints the earliest cycle at which calling
  *    cycle() could do anything. The hint drives GpuSystem's event-driven
- *    run loop: a component sleeps until its hint (or until traffic is
- *    pushed into it), skipIdle() charges the slept cycles to the same
- *    accounting the per-cycle path would have used, and when every
- *    component sleeps the clock jumps to the earliest hint. The
- *    contract is one-sided: reporting work too EARLY only costs a
- *    wasted tick; reporting it too LATE is a simulation bug, which the
- *    ticked oracle (every component cycled every clock) exposes.
+ *    run loop: the clock steps one cycle at a time, a component sleeps
+ *    until its hint (or until traffic is pushed into it), and
+ *    skipIdle() charges the slept cycles to the same accounting the
+ *    per-cycle path would have used. The contract is one-sided:
+ *    reporting work too EARLY only costs a wasted tick; reporting it
+ *    too LATE is a simulation bug, which the ticked oracle (every
+ *    component cycled every clock) exposes.
  *
  *  - Channel<T>: a bounded FIFO (a Ring). GpuSystem's wire phase moves
  *    packets between the channels and crossbar ports directly.

@@ -21,8 +21,8 @@ constexpr std::array<Var, 7> kVars{{
      "Workload loop-trip multiplier, finite and positive, applied on top "
      "of any --scale flag."},
     {"CABA_JOBS", Type::Int, "hardware concurrency",
-     "Sweep worker threads, a positive integer (1 = serial); "
-     "ExperimentOptions::jobs wins when positive."},
+     "Sweep and caba-lint worker threads, a positive integer (1 = "
+     "serial); a --jobs flag wins when given."},
     {"CABA_AUDIT", Type::Str, "end",
      "Self-consistency audit level: off|end|full|<period-cycles>."},
     {"CABA_TRACE", Type::Str, "(unset: tracing off)",
@@ -34,9 +34,10 @@ constexpr std::array<Var, 7> kVars{{
      "fatal."},
     {"CABA_EVENT_DRIVEN", Type::Int, "1",
      "Run-loop schedule, 1 or 0: 1 lets components sleep until their "
-     "nextWork() hint or incoming traffic and jumps quiescent spans; 0 "
-     "runs the ticked oracle, cycling every component every clock (CI "
-     "byte-diffs both; results are bit-identical)."},
+     "nextWork() hint or incoming traffic; 0 runs the ticked oracle, "
+     "cycling every component every clock. Both step the clock one "
+     "cycle at a time (CI byte-diffs them; results are "
+     "bit-identical)."},
     {"CABA_PROF", Type::Str, "(unset: profiler off)",
      "In-loop wall-clock profiler output path: attributes host time per "
      "component class and phase, writes caba-prof-v1 JSON at exit plus "

@@ -5,7 +5,7 @@
  *
  *  - run-loop buckets: when CABA_PROF=<path> is set, GpuSystem
  *    timestamps every component cycle batch, skipIdle catch-up and
- *    quiescence jump, attributing host nanoseconds to (component class,
+ *    wire phase, attributing host nanoseconds to (component class,
  *    phase) buckets;
  *  - harness stages: runApp times each cell's build and run, always
  *    (two clock reads per stage), so a sweep can report on stderr where
@@ -42,7 +42,7 @@ enum class Comp : int {
     XbarReply,  ///< Reply-crossbar direction.
     Partition,  ///< Memory partition (L2 + MD + DRAM channel).
     Wire,       ///< Traffic pumping (includes wake-side catch-ups).
-    Loop,       ///< Whole-run loop (inclusive; jump = quiescence skips).
+    Loop,       ///< Whole-run loop (inclusive).
     kCount,
 };
 
@@ -50,7 +50,10 @@ enum class Comp : int {
 enum class Phase : int {
     Cycle,      ///< cycle(now) calls.
     CatchUp,    ///< Deferred skipIdle() spans charged on wake.
-    Jump,       ///< Quiescence-jump bookkeeping (GpuSystem::eventJump).
+    /** Never recorded: the run loop steps every cycle and no longer
+     *  jumps. Kept so the caba-prof-v1 schema keeps its 18 buckets
+     *  while perfbench still reads loop/jump (gpu.jump_s, gpu.jumps). */
+    Jump,
     kCount,
 };
 

@@ -16,9 +16,7 @@ DesignConfig::hwMem(Algorithm algo)
     DesignConfig d;
     d.name = "HW-" + std::string(algorithmName(algo)) + "-Mem";
     d.algo = algo;
-    d.mem_compressed = true;
     d.decompress = DecompressSite::MemCtrl;
-    d.md_overhead = true;
     return d;
 }
 
@@ -28,10 +26,7 @@ DesignConfig::hw(Algorithm algo)
     DesignConfig d;
     d.name = "HW-" + std::string(algorithmName(algo));
     d.algo = algo;
-    d.mem_compressed = true;
-    d.xbar_compressed = true;
     d.decompress = DecompressSite::L1Hw;
-    d.md_overhead = true;
     return d;
 }
 
@@ -41,11 +36,7 @@ DesignConfig::caba(Algorithm algo)
     DesignConfig d;
     d.name = "CABA-" + std::string(algorithmName(algo));
     d.algo = algo;
-    d.mem_compressed = true;
-    d.xbar_compressed = true;
     d.decompress = DecompressSite::L1Caba;
-    d.caba_compress_stores = true;
-    d.md_overhead = true;
     return d;
 }
 
@@ -55,10 +46,7 @@ DesignConfig::ideal(Algorithm algo)
     DesignConfig d;
     d.name = "Ideal-" + std::string(algorithmName(algo));
     d.algo = algo;
-    d.mem_compressed = true;
-    d.xbar_compressed = true;
     d.decompress = DecompressSite::Free;
-    d.md_overhead = false;
     return d;
 }
 

@@ -24,32 +24,47 @@ enum class DecompressSite : int {
     Free,       ///< Zero-cost (Ideal-<algo>).
 };
 
-/** One evaluated design point. */
+/** One evaluated design point: an algorithm and a decompression site,
+ *  from which every compression property follows, plus the compressed-
+ *  cache tag factors. */
 struct DesignConfig
 {
     std::string name = "Base";
     Algorithm algo = Algorithm::None;
-
-    /** DRAM transfers move compressed bursts. */
-    bool mem_compressed = false;
-
-    /** Interconnect packets and L2 payloads are compressed. */
-    bool xbar_compressed = false;
-
     DecompressSite decompress = DecompressSite::None;
-
-    /** Stores are compressed before leaving the SM by assist warps. */
-    bool caba_compress_stores = false;
-
-    /** MD-cache misses cost an extra DRAM metadata access. */
-    bool md_overhead = false;
 
     /** Compressed-cache tag multipliers (Section 6.5); 1 = conventional. */
     int l1_tag_factor = 1;
     int l2_tag_factor = 1;
 
     bool usesCompression() const { return algo != Algorithm::None; }
+
+    /** Assist warps decompress fills and compress stores before they
+     *  leave the SM. */
     bool usesCaba() const { return decompress == DecompressSite::L1Caba; }
+
+    /** DRAM transfers move compressed bursts. */
+    bool memCompressed() const { return decompress != DecompressSite::None; }
+
+    /** Interconnect packets and L2 payloads are compressed: data stays
+     *  compressed past the memory controller. */
+    bool
+    xbarCompressed() const
+    {
+        return decompress == DecompressSite::L1Hw ||
+               decompress == DecompressSite::L1Caba ||
+               decompress == DecompressSite::Free;
+    }
+
+    /** MD-cache misses cost an extra DRAM metadata access (every design
+     *  with real decompression logic; Ideal has no overheads). */
+    bool
+    mdOverhead() const
+    {
+        return decompress == DecompressSite::MemCtrl ||
+               decompress == DecompressSite::L1Hw ||
+               decompress == DecompressSite::L1Caba;
+    }
 
     bool operator==(const DesignConfig &) const = default;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/env.h"
 #include "common/log.h"
@@ -72,9 +73,7 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const DesignConfig &design,
 
     ticked_ = cfg_.ticked || !eventDrivenEnvOn();
     // Every component is due at cycle 0, with no idle span to charge.
-    eq_.reset(static_cast<int>(clocked_.size()));
-    for (std::size_t i = 0; i < clocked_.size(); ++i)
-        eq_.schedule(static_cast<int>(i), now_);
+    wake_.assign(clocked_.size(), now_);
     acct_.assign(clocked_.size(), now_);
 
     if (audit_.enabled()) {
@@ -142,6 +141,19 @@ GpuSystem::partitionOf(Addr line) const
     return static_cast<int>((line >> 8) % cfg_.num_partitions);
 }
 
+template <typename CompFn, typename Work>
+void
+GpuSystem::timed(CompFn comp, prof::Phase phase, Work work)
+{
+    if (!prof_on_) {
+        work();
+        return;
+    }
+    const std::int64_t t0 = prof::nowNs();
+    work();
+    prof_.add(comp(), phase, prof::nowNs() - t0);
+}
+
 prof::Comp
 GpuSystem::compClassOf(std::size_t i) const
 {
@@ -187,26 +199,7 @@ GpuSystem::wakeForTraffic(std::size_t i)
     // Catch-up must precede the push (see catchUp()).
     const Cycle at = i < sms_.size() ? now_ + 1 : now_;
     catchUp(i, at);
-    if (eq_.when(static_cast<int>(i)) > at)
-        eq_.schedule(static_cast<int>(i), at);
-}
-
-bool
-GpuSystem::canMove(Link link, int i) const
-{
-    const auto u = static_cast<std::size_t>(i);
-    switch (link) {
-      case Link::SmToReq:
-        return !sms_[u]->out().empty() && req_net_.canPush(i);
-      case Link::ReqToPart:
-        return req_net_.hasDelivery(i, now_) && partitions_[u]->canAccept();
-      case Link::PartToReply:
-        return !partitions_[u]->replies().empty() && reply_net_.canPush(i);
-      case Link::ReplyToSm:
-        // An SM takes every reply.
-        return reply_net_.hasDelivery(i, now_);
-    }
-    return false;
+    wake_[i] = std::min(wake_[i], at);
 }
 
 void
@@ -214,45 +207,58 @@ GpuSystem::pumpWires()
 {
     // Taking from a source can unblock its owner (a full crossbar
     // output gates arbitration) just as accepting gives the destination
-    // work, so a link that moves anything wakes both owners before it
-    // drains.
-    auto drain = [this](Link link, int i, std::size_t src, std::size_t dst,
+    // work, so a link that can move wakes both owners before it drains.
+    auto drain = [this](std::size_t src, std::size_t dst, auto can_move,
                         auto move_one) {
-        if (!canMove(link, i))
+        if (!can_move())
             return;
         wakeForTraffic(src);
         wakeForTraffic(dst);
         do {
             move_one();
-        } while (canMove(link, i));
+        } while (can_move());
     };
     const std::size_t req_owner = sms_.size();
     const std::size_t reply_owner = req_owner + 1;
     for (std::size_t s = 0; s < sms_.size(); ++s) {
         const int port = static_cast<int>(s);
-        drain(Link::SmToReq, port, s, req_owner, [&] {
-            const MemRequest req = sms_[s]->out().take();
-            req_net_.push(port, partitionOf(req.line), req);
-        });
+        Channel<MemRequest> &out = sms_[s]->out();
+        drain(
+            s, req_owner,
+            [&] { return !out.empty() && req_net_.canPush(port); },
+            [&] {
+                const MemRequest req = out.take();
+                req_net_.push(port, partitionOf(req.line), req);
+            });
     }
     for (std::size_t p = 0; p < partitions_.size(); ++p) {
         const int port = static_cast<int>(p);
         MemoryPartition &part = *partitions_[p];
         const std::size_t part_owner = reply_owner + 1 + p;
-        drain(Link::ReqToPart, port, req_owner, part_owner, [&] {
-            part.accept(req_net_.popDelivery(port), now_);
-        });
-        drain(Link::PartToReply, port, part_owner, reply_owner, [&] {
-            // Replies return to their originating SM.
-            const MemRequest reply = part.replies().take();
-            reply_net_.push(port, reply.src_sm, reply);
-        });
+        drain(
+            req_owner, part_owner,
+            [&] {
+                return req_net_.hasDelivery(port, now_) && part.canAccept();
+            },
+            [&] { part.accept(req_net_.popDelivery(port), now_); });
+        drain(
+            part_owner, reply_owner,
+            [&] {
+                return !part.replies().empty() && reply_net_.canPush(port);
+            },
+            [&] {
+                // Replies return to their originating SM.
+                const MemRequest reply = part.replies().take();
+                reply_net_.push(port, reply.src_sm, reply);
+            });
     }
     for (std::size_t s = 0; s < sms_.size(); ++s) {
         const int port = static_cast<int>(s);
-        drain(Link::ReplyToSm, port, reply_owner, s, [&] {
-            sms_[s]->deliver(reply_net_.popDelivery(port), now_);
-        });
+        // An SM takes every reply.
+        drain(
+            reply_owner, s,
+            [&] { return reply_net_.hasDelivery(port, now_); },
+            [&] { sms_[s]->deliver(reply_net_.popDelivery(port), now_); });
     }
 }
 
@@ -261,93 +267,25 @@ GpuSystem::step()
 {
     const std::size_t n_sms = sms_.size();
     auto run_component = [this](std::size_t i) {
-        if (!eq_.due(static_cast<int>(i), now_))
+        if (wake_[i] > now_)
             return;
         Clocked *c = clocked_[i];
-        if (prof_on_) {
-            // The wire-phase wake catch-ups are charged to Wire; the
-            // ones below cover components woken by their own schedule.
-            const prof::Comp cls = compClassOf(i);
-            if (acct_[i] < now_) {
-                const std::int64_t t0 = prof::nowNs();
-                catchUp(i, now_);
-                prof_.add(cls, prof::Phase::CatchUp, prof::nowNs() - t0);
-            }
-            const std::int64_t t1 = prof::nowNs();
-            c->cycle(now_);
-            prof_.add(cls, prof::Phase::Cycle, prof::nowNs() - t1);
-        } else {
-            catchUp(i, now_);
-            c->cycle(now_);
-        }
+        const auto cls = [this, i] { return compClassOf(i); };
+        // The wire-phase wake catch-ups are charged to Wire; this one
+        // covers a component woken by its own schedule.
+        if (acct_[i] < now_)
+            timed(cls, prof::Phase::CatchUp, [&] { catchUp(i, now_); });
+        timed(cls, prof::Phase::Cycle, [&] { c->cycle(now_); });
         acct_[i] = now_ + 1;
-        eq_.schedule(static_cast<int>(i),
-                     ticked_ ? now_ + 1 : c->nextWork(now_ + 1));
+        wake_[i] = ticked_ ? now_ + 1 : c->nextWork(now_ + 1);
     };
     for (std::size_t i = 0; i < n_sms; ++i)
         run_component(i);
-    if (prof_on_) {
-        const std::int64_t t0 = prof::nowNs();
-        pumpWires();
-        prof_.add(prof::Comp::Wire, prof::Phase::Cycle,
-                  prof::nowNs() - t0);
-    } else {
-        pumpWires();
-    }
+    timed([] { return prof::Comp::Wire; }, prof::Phase::Cycle,
+          [this] { pumpWires(); });
     for (std::size_t i = n_sms; i < clocked_.size(); ++i)
         run_component(i);
     ++now_;
-}
-
-void
-GpuSystem::eventJump()
-{
-    // Every component published its next event when it went to sleep,
-    // and pushes always re-arm the destination, so a minimum wake time
-    // past now_ means no component can change state before it.
-    const Cycle wake = std::min(eq_.minTime(), cfg_.max_cycles);
-    if (wake <= now_)
-        return;
-    // In practice no link can move here (data waiting in any source
-    // pins its owner awake via nextWork), but the veto is kept as cheap
-    // insurance against a source that sleeps on queued data.
-    for (int s = 0; s < cfg_.num_sms; ++s)
-        if (canMove(Link::SmToReq, s) || canMove(Link::ReplyToSm, s))
-            return;
-    for (int p = 0; p < cfg_.num_partitions; ++p)
-        if (canMove(Link::ReqToPart, p) || canMove(Link::PartToReply, p))
-            return;
-    // No skipIdle here: sleeping components are charged lazily when
-    // they wake (catchUp), which accumulates the identical spans.
-    //
-    // Emit the timeline samples the skipped cycles would have produced
-    // (counters are frozen across the span, so sampling mid-skip reads
-    // the same values a ticked run would).
-    Cycle k = wake - now_;
-    const Cycle skipped = k;
-    if (cfg_.sample_interval > 0) {
-        while (until_sample_ <= k) {
-            now_ += until_sample_;
-            k -= until_sample_;
-            until_sample_ = cfg_.sample_interval;
-            timeline_.push_back(sampleNow());
-        }
-        until_sample_ -= k;
-    }
-    now_ += k;
-    // Periodic audits inside the skip collapse to one: the span is
-    // quiescent, so every boundary would audit identical frozen state.
-    if (audit_.periodic() && until_audit_ > 0) {
-        const Cycle period = audit_.config().period;
-        if (skipped >= until_audit_) {
-            runAudit(false);
-            until_audit_ = period - (skipped - until_audit_) % period;
-        } else {
-            until_audit_ -= skipped;
-        }
-    }
-    // Same wedge detection, same boundary, as the ticked loop.
-    CABA_CHECK(now_ < cfg_.max_cycles, "simulation exceeded max_cycles");
 }
 
 RunResult
@@ -355,65 +293,56 @@ GpuSystem::run()
 {
     // loop/cycle is inclusive wall time for the whole run: the gap to
     // the sum of the component buckets is the loop's own overhead.
-    const std::int64_t run_t0 = prof_on_ ? prof::nowNs() : 0;
-    // Timeline sampling (counter-based rather than now_ % interval so a
-    // mid-run caller of step() cannot desynchronize the cadence).
-    until_sample_ = cfg_.sample_interval;
-    until_audit_ = audit_.config().period;
-    while (!done()) {
-        if (!ticked_) {
-            const std::int64_t t0 = prof_on_ ? prof::nowNs() : 0;
-            eventJump();
-            if (prof_on_)
-                prof_.add(prof::Comp::Loop, prof::Phase::Jump,
-                          prof::nowNs() - t0);
+    timed([] { return prof::Comp::Loop; }, prof::Phase::Cycle, [this] {
+        // Timeline samples and periodic audits count steps (rather than
+        // test now_ % interval) so a mid-run caller of step() cannot
+        // desynchronize their cadence.
+        Cycle until_sample = cfg_.sample_interval;
+        Cycle until_audit = audit_.config().period;
+        while (!done()) {
+            step();
+            CABA_CHECK(now_ < cfg_.max_cycles,
+                       "simulation exceeded max_cycles");
+            if (cfg_.sample_interval > 0 && --until_sample == 0) {
+                until_sample = cfg_.sample_interval;
+                timeline_.push_back(sampleNow());
+            }
+            if (audit_.periodic() && --until_audit == 0) {
+                until_audit = audit_.config().period;
+                runAudit(false);
+            }
         }
-        step();
-        CABA_CHECK(now_ < cfg_.max_cycles, "simulation exceeded max_cycles");
-        if (cfg_.sample_interval > 0 && --until_sample_ == 0) {
-            until_sample_ = cfg_.sample_interval;
-            timeline_.push_back(sampleNow());
+        // Settle the deferred idle accounting of anything still asleep
+        // (e.g. retired SMs accumulating throttle-window history).
+        for (std::size_t i = 0; i < clocked_.size(); ++i) {
+            if (acct_[i] < now_) {
+                timed([this, i] { return compClassOf(i); },
+                      prof::Phase::CatchUp, [&] { catchUp(i, now_); });
+            }
         }
-        if (audit_.periodic() && --until_audit_ == 0) {
-            until_audit_ = audit_.config().period;
-            runAudit(false);
-        }
-    }
-    // Settle the deferred idle accounting of anything still asleep
-    // (e.g. retired SMs accumulating throttle-window history).
-    for (std::size_t i = 0; i < clocked_.size(); ++i) {
-        if (prof_on_ && acct_[i] < now_) {
-            const std::int64_t t0 = prof::nowNs();
-            catchUp(i, now_);
-            prof_.add(compClassOf(i), prof::Phase::CatchUp,
-                      prof::nowNs() - t0);
-        } else {
-            catchUp(i, now_);
-        }
-    }
-    if (cfg_.sample_interval > 0)
-        timeline_.push_back(sampleNow());   // final state
-    runAudit(true);
-    if (prof_on_) {
-        prof_.add(prof::Comp::Loop, prof::Phase::Cycle,
-                  prof::nowNs() - run_t0);
+        if (cfg_.sample_interval > 0)
+            timeline_.push_back(sampleNow());   // final state
+        runAudit(true);
+    });
+    if (prof_on_)
         prof_.flush();
-    }
     return collect();
 }
 
 TimeSample
 GpuSystem::sampleNow() const
 {
-    // Counter tracks ride the timeline cadence: eventJump() replays
-    // mid-skip samples from frozen state, so the track is identical in
-    // both run-loop modes except the event-queue depth (the ids with a
-    // wake time: it measures the schedule itself, and the ticked oracle
-    // keeps every component scheduled).
+    // Counter tracks ride the timeline cadence, so the track is
+    // identical in both run-loop modes except the event-queue depth
+    // (the components with a wake time: it measures the schedule
+    // itself, and the ticked oracle keeps every component scheduled).
     if (trace::on(trace::kCounter)) {
+        const auto scheduled = std::count_if(
+            wake_.begin(), wake_.end(),
+            [](Cycle t) { return t != kNoWork; });
         trace::counter(trace::kCounter, trace::kPidCounter, 0,
                        "event_queue_depth", now_,
-                       static_cast<std::uint64_t>(eq_.scheduled()));
+                       static_cast<std::uint64_t>(scheduled));
         for (std::size_t i = 0; i < sms_.size(); ++i) {
             trace::counter(trace::kCounter, trace::kPidCounter,
                            static_cast<int>(i), "issuable_warps", now_,

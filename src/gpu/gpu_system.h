@@ -10,14 +10,13 @@
  * the request crossbar (routed by partition interleave), request
  * crossbar outputs into the partitions, partition replies into the
  * reply crossbar (routed back to the requesting SM), and reply crossbar
- * outputs into the SMs. The run loop is event-driven (DESIGN.md section
- * 10): each component sleeps until its nextWork() hint or until the
- * wire phase moves traffic into it, and globally quiescent stretches
- * (all warps blocked on memory, nothing movable anywhere) pass in one
- * jump. Ticked mode (GpuConfig::ticked, or CABA_EVENT_DRIVEN=0) is the
- * same loop with every component due every cycle and no jump: the
- * oracle whose results the event-driven schedule must match bit for
- * bit.
+ * outputs into the SMs. The run loop steps the clock one cycle at a
+ * time and is event-driven (DESIGN.md section 10): each component
+ * sleeps until its nextWork() hint or until the wire phase moves
+ * traffic into it. Ticked mode (GpuConfig::ticked, or
+ * CABA_EVENT_DRIVEN=0) is the same loop with every component due every
+ * cycle: the oracle whose results the event-driven schedule must match
+ * bit for bit.
  */
 #ifndef CABA_GPU_GPU_SYSTEM_H
 #define CABA_GPU_GPU_SYSTEM_H
@@ -28,7 +27,6 @@
 #include "caba/aws.h"
 #include "common/audit.h"
 #include "common/component.h"
-#include "common/event_queue.h"
 #include "common/prof.h"
 #include "common/stats.h"
 #include "energy/energy_model.h"
@@ -63,10 +61,9 @@ struct GpuConfig
     bool verify_data = true;
 
     /**
-     * Ticked oracle: every component cycles every clock and quiescent
-     * stretches are not jumped (DESIGN.md section 10). Bit-identical to
-     * the default event-driven schedule, which it exists to check;
-     * CABA_EVENT_DRIVEN=0 selects it too.
+     * Ticked oracle: every component cycles every clock (DESIGN.md
+     * section 10). Bit-identical to the default event-driven schedule,
+     * which it exists to check; CABA_EVENT_DRIVEN=0 selects it too.
      */
     bool ticked = false;
 
@@ -160,38 +157,22 @@ class GpuSystem
     CompressionModel *model() { return model_.get(); }
 
   private:
-    /** The four links the wire phase drains. */
-    enum class Link
-    {
-        SmToReq,        ///< SM s's out-queue -> request crossbar input s.
-        ReqToPart,      ///< Request crossbar output p -> partition p.
-        PartToReply,    ///< Partition p's replies -> reply crossbar input p.
-        ReplyToSm,      ///< Reply crossbar output s -> SM s.
-    };
-
     int partitionOf(Addr line) const;
 
-    /** True when @p link at port @p i can move a packet at now_: the
-     *  one statement of the link conditions, shared by the wire phase
-     *  and the quiescence jump's veto. */
-    bool canMove(Link link, int i) const;
-
-    /** Wire phase of step(): drains the links greedily in drain order
-     *  (every SM out-queue; then per partition its ingress and its
-     *  replies; then every SM's replies), waking both owners of every
-     *  link that moves traffic. */
+    /** Wire phase of step(): drains the four links greedily in drain
+     *  order (every SM out-queue; then per partition its ingress and
+     *  its replies; then every SM's replies), waking both owners of
+     *  every link that moves traffic. */
     void pumpWires();
 
     /** Profiler component class of clocked_ index @p i. */
     prof::Comp compClassOf(std::size_t i) const;
 
-    /**
-     * Quiescence jump: when no component is due before some later cycle
-     * and no link can move, advances now_ there in one go, replaying the
-     * timeline-sample cadence and collapsing periodic audits. Sleeping
-     * components' idle accounting is left to the lazy catch-up.
-     */
-    void eventJump();
+    /** Runs @p work and, when profiling is on, charges its host time to
+     *  (@p comp(), @p phase). With profiling off it reads no clock and
+     *  never calls @p comp. */
+    template <typename CompFn, typename Work>
+    void timed(CompFn comp, prof::Phase phase, Work work);
 
     /** Charges component @p i's deferred skipIdle() span up to @p to.
      *  Must run before any external push mutates a sleeping component:
@@ -222,8 +203,9 @@ class GpuSystem
      *  partition p at num_sms + 2 + p. */
     std::vector<Clocked *> clocked_;
 
-    /** Per-component wake times, indexed like clocked_. */
-    EventQueue eq_;
+    /** Per-component wake times, indexed like clocked_: component i
+     *  cycles at now_ when wake_[i] <= now_ (kNoWork parks it). */
+    std::vector<Cycle> wake_;
 
     /** First cycle not yet charged to component i's idle accounting:
      *  skipIdle() for a sleeping component is deferred until it wakes,
@@ -231,12 +213,10 @@ class GpuSystem
     std::vector<Cycle> acct_;
 
     /** GpuConfig::ticked or CABA_EVENT_DRIVEN=0: every component is
-     *  rescheduled at now_ + 1 and eventJump() never runs. */
+     *  rescheduled at now_ + 1 instead of at its nextWork() hint. */
     bool ticked_ = false;
 
     Cycle now_ = 0;
-    Cycle until_sample_ = 0;    ///< run()'s sampling countdown.
-    Cycle until_audit_ = 0;     ///< run()'s periodic-audit countdown.
     std::vector<TimeSample> timeline_;
 
     /** CABA_PROF sampled at construction (common/prof.h). The profiler

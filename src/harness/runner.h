@@ -48,8 +48,9 @@ struct ExperimentOptions
     int md_cache_kb = 8;
 
     /** Cap on resident warps per SM; 0 keeps the occupancy-derived
-     *  count. Occupancy studies (and quiescence-sensitive runs, where
-     *  low occupancy opens fast-forwardable stall windows) lower it. */
+     *  count. Occupancy studies (and sleep-sensitive runs, where low
+     *  occupancy opens long stall windows that SMs sleep through)
+     *  lower it. */
     int max_warps = 0;
 
     bool operator==(const ExperimentOptions &) const = default;

@@ -101,8 +101,10 @@ struct DramCompletion
     Cycle finish = 0;
 };
 
-/** One GDDR5 channel. */
-class DramChannel : public Clocked
+/** One GDDR5 channel. Not a Clocked component of the run loop: its
+ *  MemoryPartition cycles it, asks its nextWork() and charges its
+ *  skipIdle() spans. */
+class DramChannel
 {
   public:
     /** @p id names the channel in trace output (partition index). */
@@ -115,22 +117,22 @@ class DramChannel : public Clocked
     void enqueue(DramCmd cmd);
 
     /** Advances one core cycle; issues at most one command. */
-    void cycle(Cycle now) override;
+    void cycle(Cycle now);
 
     /**
      * Earliest cycle the scheduler could issue a command or a queued
      * completion becomes drainable (kNoWork when fully drained).
      */
-    Cycle nextWork(Cycle now) const override;
+    Cycle nextWork(Cycle now) const;
 
     /** Charges the scheduler-stall counters for skipped cycles. */
-    void skipIdle(Cycle from, Cycle to) override;
+    void skipIdle(Cycle from, Cycle to);
 
     /** Moves completions whose finish time has passed into @p out. */
     void drainCompleted(Cycle now, std::vector<DramCompletion> *out);
 
     bool
-    busy() const override
+    busy() const
     {
         return read_q_.size() != 0 || write_q_.size() != 0 ||
                !completed_.empty();

@@ -63,7 +63,7 @@ MemoryPartition::metadataCost(Addr line, Cycle now, bool is_write)
         ++n_.tlb_misses;
         bursts += 1;
     }
-    if (!design_.mem_compressed || !design_.md_overhead)
+    if (!design_.mdOverhead())
         return {0, bursts};
     ++n_.md_lookups;
     // A write changes the line's burst count, so the MD line is updated
@@ -115,8 +115,8 @@ MemoryPartition::issueDramRead(const MemRequest &req, Cycle now)
     cmd.id = next_dram_id_++;
     cmd.line = req.line;
     cmd.is_write = false;
-    cmd.bursts = design_.mem_compressed ? model_->bursts(req.line)
-                                        : kBurstsPerLine;
+    cmd.bursts = design_.memCompressed() ? model_->bursts(req.line)
+                                          : kBurstsPerLine;
     cmd.extra_latency = extra_lat;
     cmd.extra_bursts = extra_bursts;
     cmd.enqueued = now;
@@ -150,8 +150,8 @@ MemoryPartition::issueDramWrite(Addr line, Cycle now, bool partial_uncached)
     if (partial_uncached) {
         cmd.bursts = 1;
     } else {
-        cmd.bursts = design_.mem_compressed ? model_->bursts(line)
-                                            : kBurstsPerLine;
+        cmd.bursts = design_.memCompressed() ? model_->bursts(line)
+                                              : kBurstsPerLine;
     }
     cmd.extra_latency = extra_lat;
     cmd.extra_bursts = extra_bursts;
@@ -169,7 +169,7 @@ MemoryPartition::makeReply(const MemRequest &req, Cycle now, bool from_dram)
 {
     MemRequest reply = req;
     reply.is_write = false;
-    if (design_.xbar_compressed && design_.usesCompression()) {
+    if (design_.xbarCompressed()) {
         const CompressedLine &cl = model_->lookup(req.line);
         reply.payload_bytes = cl.size();
         reply.compressed = !cl.isUncompressed();
@@ -228,7 +228,7 @@ MemoryPartition::handleL2Ready(const MemRequest &req, Cycle now)
     }
 
     // Partial store to a line absent from L2 (paper Section 4.2.2).
-    if (design_.mem_compressed) {
+    if (design_.memCompressed()) {
         // Worst case: the destination is compressed in memory, so the
         // line must be fetched (and decompressed) before merging.
         ++n_.partial_store_fills;

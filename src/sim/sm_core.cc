@@ -62,6 +62,8 @@ SmCore::SmCore(int id, const SmConfig &cfg, const DesignConfig &design,
         CABA_CHECK(extras_.profile_interval >= 1,
                    "profile interval must be at least one cycle");
     }
+    comp_stores_.reserve(
+        static_cast<std::size_t>(std::max(0, caba_cfg.store_buffer)));
     slot_span_cat_.assign(static_cast<std::size_t>(cfg_.schedulers), -1);
     slot_span_start_.assign(static_cast<std::size_t>(cfg_.schedulers), 0);
 }
@@ -163,26 +165,22 @@ SmCore::onLoadHit(Addr line, int load_slot, Cycle now)
 void
 SmCore::routeStore(Addr line, bool full_line, int warp, Cycle now)
 {
-    if (design_.caba_compress_stores) {
+    if (design_.usesCaba()) {
         // A newer store to a line whose compression is still in flight
         // supersedes it: kill the stale assist warp (Section 3.4) and
         // recompress the fresh contents.
-        for (auto it = comp_stores_.begin(); it != comp_stores_.end();) {
-            if (it->second.line == line) {
-                awc_.killByToken(it->first, AssistPurpose::Compress);
-                trace::instant(trace::kAssistWarp, trace::kPidAssist, id_,
-                               "kill_compress", now, "line", line);
-                it = comp_stores_.erase(it);
-                stats_add_store_kill_ += 1;
-            } else {
-                ++it;
-            }
+        if (const PendingStore *stale = comp_stores_.find(line)) {
+            awc_.killByToken(stale->token, AssistPurpose::Compress);
+            trace::instant(trace::kAssistWarp, trace::kPidAssist, id_,
+                           "kill_compress", now, "line", line);
+            comp_stores_.erase(line);
+            stats_add_store_kill_ += 1;
         }
         if (static_cast<int>(comp_stores_.size()) <
                 awc_.config().store_buffer &&
             awc_.hasRoom()) {
             const std::uint64_t token = next_store_token_++;
-            comp_stores_[token] = {line, full_line};
+            comp_stores_[line] = {token, full_line};
             AssistWarp aw;
             aw.parent_warp = warp;
             aw.priority = awc_.config().compress_low_priority
@@ -204,9 +202,7 @@ SmCore::routeStore(Addr line, bool full_line, int warp, Cycle now)
             emitStoreRequest(line, full_line, false, now);
         }
     } else {
-        const bool hw_compress =
-            design_.xbar_compressed && design_.usesCompression();
-        emitStoreRequest(line, full_line, hw_compress, now);
+        emitStoreRequest(line, full_line, design_.xbarCompressed(), now);
     }
 }
 
@@ -220,7 +216,7 @@ SmCore::emitStoreRequest(Addr line, bool full_line, bool compressed_ok,
     req.is_write = true;
     req.full_line = full_line;
     req.src_sm = id_;
-    if (compressed_ok && design_.xbar_compressed) {
+    if (compressed_ok && design_.xbarCompressed()) {
         const CompressedLine &cl = model_->lookup(line);
         req.payload_bytes = cl.size();
         req.compressed = !cl.isUncompressed();
@@ -312,11 +308,11 @@ SmCore::reapAssistWarps(Cycle now)
             break;
           case AssistPurpose::Compress: {
             ++n_.caba_compressions;
-            auto it = comp_stores_.find(aw.token);
-            CABA_CHECK(it != comp_stores_.end(), "orphan compress warp");
-            emitStoreRequest(it->second.line, it->second.full_line, true,
-                             now);
-            comp_stores_.erase(it);
+            const PendingStore *ps = comp_stores_.find(aw.line);
+            CABA_CHECK(ps != nullptr && ps->token == aw.token,
+                       "orphan compress warp");
+            emitStoreRequest(aw.line, ps->full_line, true, now);
+            comp_stores_.erase(aw.line);
             break;
           }
           case AssistPurpose::Memoize:

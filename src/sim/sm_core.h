@@ -10,9 +10,9 @@
  * the WarpScheduler front-end (decode, scoreboard, GTO/LRR pick) and the
  * LdstUnit back-end (L1, MSHRs, coalescer drain) — plus the execution
  * pipelines and the CABA hooks that glue them together. It implements
- * the Clocked protocol so GpuSystem can fast-forward through quiescent
- * stretches. Its crossbar face is two calls: GpuSystem takes requests
- * from out() and hands replies to deliver().
+ * the Clocked protocol so GpuSystem's run loop can let it sleep through
+ * stalled stretches. Its crossbar face is two calls: GpuSystem takes
+ * requests from out() and hands replies to deliver().
  *
  * The core's one cycle account is the exact slot taxonomy below: every
  * scheduler slot of every accounted cycle is charged to one
@@ -26,12 +26,12 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "caba/awc.h"
 #include "caba/aws.h"
 #include "common/component.h"
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "compress/design.h"
@@ -225,9 +225,10 @@ class SmCore : public Clocked, private LdstUnit::Hooks
         Addr line = 0;
     };
 
+    /** A buffered store awaiting its compression assist warp. */
     struct PendingStore
     {
-        Addr line = 0;
+        std::uint64_t token = 0;    ///< The Compress assist warp's token.
         bool full_line = true;
     };
 
@@ -290,7 +291,9 @@ class SmCore : public Clocked, private LdstUnit::Hooks
 
     std::vector<AssistWarp> reaped_;            ///< Reap scratch, reused.
     std::deque<Addr> pending_fills_;            ///< Awaiting AWT room.
-    std::unordered_map<std::uint64_t, PendingStore> comp_stores_;
+    /** Buffered stores by line: a newer store to a line supersedes its
+     *  pending compression, so each line has at most one. */
+    FlatMap<PendingStore> comp_stores_;
     std::uint64_t next_store_token_ = 1;
     std::uint64_t next_req_id_ = 1;
 

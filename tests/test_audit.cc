@@ -124,6 +124,23 @@ TEST(Audit, PeriodicChecksAlsoCatchFaults)
     EXPECT_FALSE(r.failures.empty());
 }
 
+TEST(Audit, PeriodicAuditsRunAtTheSameCyclesInBothSchedules)
+{
+    // Both schedules step every cycle, so at a one-cycle period both
+    // audit every cycle: a dropped store breaks the crossbar's packet
+    // conservation at every audit after the drop, and both schedules
+    // report the same breaches in the same order.
+    const AuditFault fault = AuditFault::DropStorePacket;
+    GpuConfig cfg = auditedConfig(AuditLevel::Periodic, 1);
+    cfg.ticked = false;
+    const AuditedRun event = runAudited(cfg, &fault);
+    cfg.ticked = true;
+    const AuditedRun ticked = runAudited(cfg, &fault);
+    EXPECT_GT(event.failures.size(), 1u);
+    ASSERT_EQ(event.failures.size(), ticked.failures.size());
+    EXPECT_TRUE(event.failures == ticked.failures);
+}
+
 TEST(Audit, ResultsBitIdenticalWithAuditsOnOrOff)
 {
     const AuditedRun off = runAudited(auditedConfig(AuditLevel::Off));

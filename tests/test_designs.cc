@@ -16,8 +16,8 @@ TEST(Design, BaseHasNoCompression)
     const DesignConfig d = DesignConfig::base();
     EXPECT_EQ(d.name, "Base");
     EXPECT_FALSE(d.usesCompression());
-    EXPECT_FALSE(d.mem_compressed);
-    EXPECT_FALSE(d.xbar_compressed);
+    EXPECT_FALSE(d.memCompressed());
+    EXPECT_FALSE(d.xbarCompressed());
     EXPECT_EQ(d.decompress, DecompressSite::None);
 }
 
@@ -25,10 +25,10 @@ TEST(Design, HwMemCompressesDramOnly)
 {
     const DesignConfig d = DesignConfig::hwMem();
     EXPECT_EQ(d.name, "HW-BDI-Mem");
-    EXPECT_TRUE(d.mem_compressed);
-    EXPECT_FALSE(d.xbar_compressed);        // data expands at the MC
+    EXPECT_TRUE(d.memCompressed());
+    EXPECT_FALSE(d.xbarCompressed());        // data expands at the MC
     EXPECT_EQ(d.decompress, DecompressSite::MemCtrl);
-    EXPECT_TRUE(d.md_overhead);
+    EXPECT_TRUE(d.mdOverhead());
     EXPECT_FALSE(d.usesCaba());
 }
 
@@ -36,10 +36,10 @@ TEST(Design, HwCompressesInterconnectToo)
 {
     const DesignConfig d = DesignConfig::hw();
     EXPECT_EQ(d.name, "HW-BDI");
-    EXPECT_TRUE(d.mem_compressed);
-    EXPECT_TRUE(d.xbar_compressed);
+    EXPECT_TRUE(d.memCompressed());
+    EXPECT_TRUE(d.xbarCompressed());
     EXPECT_EQ(d.decompress, DecompressSite::L1Hw);
-    EXPECT_FALSE(d.caba_compress_stores);
+    EXPECT_FALSE(d.usesCaba());
 }
 
 TEST(Design, CabaUsesAssistWarpsEverywhere)
@@ -47,10 +47,9 @@ TEST(Design, CabaUsesAssistWarpsEverywhere)
     const DesignConfig d = DesignConfig::caba();
     EXPECT_EQ(d.name, "CABA-BDI");
     EXPECT_TRUE(d.usesCaba());
-    EXPECT_TRUE(d.caba_compress_stores);
-    EXPECT_TRUE(d.md_overhead);
-    EXPECT_TRUE(d.mem_compressed);
-    EXPECT_TRUE(d.xbar_compressed);
+    EXPECT_TRUE(d.mdOverhead());
+    EXPECT_TRUE(d.memCompressed());
+    EXPECT_TRUE(d.xbarCompressed());
 }
 
 TEST(Design, IdealHasNoOverheads)
@@ -58,10 +57,38 @@ TEST(Design, IdealHasNoOverheads)
     const DesignConfig d = DesignConfig::ideal();
     EXPECT_EQ(d.name, "Ideal-BDI");
     EXPECT_EQ(d.decompress, DecompressSite::Free);
-    EXPECT_FALSE(d.md_overhead);
-    EXPECT_FALSE(d.caba_compress_stores);
-    EXPECT_TRUE(d.mem_compressed);
-    EXPECT_TRUE(d.xbar_compressed);
+    EXPECT_FALSE(d.mdOverhead());
+    EXPECT_FALSE(d.usesCaba());
+    EXPECT_TRUE(d.memCompressed());
+    EXPECT_TRUE(d.xbarCompressed());
+}
+
+TEST(Design, CompressionPropertiesFollowFromTheDecompressSite)
+{
+    // Where data is decompressed decides where it travels compressed
+    // and which overheads apply; nothing else can set them.
+    struct Row
+    {
+        DecompressSite site;
+        bool mem, xbar, caba, md;
+    };
+    const Row rows[] = {
+        {DecompressSite::None, false, false, false, false},
+        {DecompressSite::MemCtrl, true, false, false, true},
+        {DecompressSite::L1Hw, true, true, false, true},
+        {DecompressSite::L1Caba, true, true, true, true},
+        {DecompressSite::Free, true, true, false, false},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(static_cast<int>(row.site));
+        DesignConfig d;
+        d.algo = Algorithm::Bdi;
+        d.decompress = row.site;
+        EXPECT_EQ(d.memCompressed(), row.mem);
+        EXPECT_EQ(d.xbarCompressed(), row.xbar);
+        EXPECT_EQ(d.usesCaba(), row.caba);
+        EXPECT_EQ(d.mdOverhead(), row.md);
+    }
 }
 
 TEST(Design, AlgorithmSelectsName)

@@ -1,8 +1,8 @@
 /**
  * @file
  * The run-loop invariant: the event-driven schedule in GpuSystem::run()
- * (components sleep until their nextWork() hint or incoming traffic,
- * quiescent spans are jumped) must be invisible. For one small app
+ * (components sleep until their nextWork() hint or incoming traffic)
+ * must be invisible. For one small app
  * across all five Section 6 design points, across the configurations
  * whose replays and assist warps the SM sleep rule must respect
  * (compressed L1, prefetch, memoization, profiling assist warps, loose
@@ -209,8 +209,8 @@ TEST(Determinism, ExtraConfigsExerciseTheirMechanisms)
 TEST(Determinism, FastForwardActuallySkipsCycles)
 {
     // Guard against the invariant passing vacuously: on a memory-bound
-    // app the base design must spend most of its time quiescent, which
-    // is what the event-driven schedule sleeps and jumps through.
+    // app the base design must spend most of its time stalled, which
+    // is what the event-driven schedule sleeps through.
     const SlotShares s = slotShares(runSystem(DesignConfig::base(), false));
     EXPECT_GT(s.memory + s.data + s.idle, s.active);
 }

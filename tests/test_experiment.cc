@@ -475,19 +475,12 @@ TEST(RunPlanTest, CellsDifferingInAnySimulationInputAreDistinct)
                                  ? Algorithm::CPack
                                  : Algorithm::Fpc;
          }},
-        {"design.mem_compressed",
-         [](Cell &c) { c.design.mem_compressed ^= true; }},
-        {"design.xbar_compressed",
-         [](Cell &c) { c.design.xbar_compressed ^= true; }},
         {"design.decompress",
          [](Cell &c) {
              c.design.decompress = c.design.decompress == DecompressSite::Free
                                        ? DecompressSite::MemCtrl
                                        : DecompressSite::Free;
          }},
-        {"design.caba_compress_stores",
-         [](Cell &c) { c.design.caba_compress_stores ^= true; }},
-        {"design.md_overhead", [](Cell &c) { c.design.md_overhead ^= true; }},
         {"design.l1_tag_factor", [](Cell &c) { ++c.design.l1_tag_factor; }},
         {"design.l2_tag_factor", [](Cell &c) { ++c.design.l2_tag_factor; }},
         {"opts.scale", [](Cell &c) { c.opts.scale *= 2.0; }},

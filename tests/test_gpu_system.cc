@@ -1,9 +1,9 @@
 /**
  * @file
  * Whole-GPU behaviour: determinism (bit-identical cycle counts across
- * runs), bandwidth-scaling monotonicity, drain semantics, multi-SM
- * partition routing and reply routing, and the occupancy-driven launch
- * path.
+ * runs), bandwidth-scaling monotonicity, drain semantics, the timeline
+ * cadence, multi-SM partition routing and reply routing, and the
+ * occupancy-driven launch path.
  */
 #include <gtest/gtest.h>
 
@@ -123,6 +123,26 @@ TEST(GpuSystem, DoneImpliesFullyDrained)
     gpu.step();
     EXPECT_TRUE(gpu.done());
     EXPECT_EQ(gpu.now(), cycles_at_done + 1);
+}
+
+TEST(GpuSystem, TimelineSamplesFallOnIntervalMultiples)
+{
+    // Both schedules step the clock one cycle at a time and sample on
+    // the same per-step countdown, so every sample but the final one
+    // lands on a multiple of the interval.
+    for (const bool ticked : {false, true}) {
+        SCOPED_TRACE(ticked ? "ticked" : "event-driven");
+        GpuConfig cfg;
+        cfg.ticked = ticked;
+        cfg.sample_interval = 512;
+        const RunResult r = runSystem(tinyApp(), DesignConfig::caba(), cfg);
+        ASSERT_EQ(r.timeline.size(), r.cycles / cfg.sample_interval + 1);
+        ASSERT_GE(r.timeline.size(), 3u);
+        for (std::size_t i = 0; i + 1 < r.timeline.size(); ++i)
+            EXPECT_EQ(r.timeline[i].cycle, (i + 1) * cfg.sample_interval)
+                << "sample " << i;
+        EXPECT_EQ(r.timeline.back().cycle, r.cycles);
+    }
 }
 
 TEST(GpuSystem, SmallerGpuStillCorrect)

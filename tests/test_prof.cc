@@ -333,6 +333,8 @@ TEST_F(ProfTest, TickedOracleCyclesEveryComponentEveryClock)
     EXPECT_EQ(event.cycles, ticked.cycles);
     EXPECT_LT(callsOf(prof::Comp::Sm, prof::Phase::Cycle), ticked_sm_calls);
     EXPECT_GT(catchUpCalls(), 0u);
+    // Both schedules step the clock one cycle at a time.
+    EXPECT_EQ(callsOf(prof::Comp::Loop, prof::Phase::Jump), 0u);
 }
 
 // ---------------------------------------------------------- taxonomy

@@ -201,6 +201,9 @@ TEST(SmCore, StaleCompressionsAreKilled)
     const RunResult r = runTiny(app, DesignConfig::caba(), 1, 8);
     EXPECT_GT(r.stats.get("sm_stale_compressions_killed"), 0u);
     EXPECT_GT(r.stats.get("awc_kills"), 0u);
+    // Each stale buffered store kills exactly one assist warp.
+    EXPECT_EQ(r.stats.get("sm_stale_compressions_killed"),
+              r.stats.get("awc_kills"));
 }
 
 // ------------------------------------------------- the SM sleep rule

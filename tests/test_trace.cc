@@ -7,14 +7,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/json_parse.h"
 #include "common/trace.h"
 #include "compress/design.h"
+#include "gpu/gpu_system.h"
 #include "harness/runner.h"
 #include "workloads/app.h"
 #include "temp_dir.h"
@@ -202,6 +205,60 @@ TEST_F(TraceTest, CounterTracksEmitOnTimelineCadence)
     EXPECT_TRUE(names.count("event_queue_depth"));
     EXPECT_TRUE(names.count("issuable_warps"));
     EXPECT_TRUE(names.count("dram_read_queue"));
+}
+
+/** The event_queue_depth values a traced GpuSystem run emits. */
+std::vector<double>
+queueDepths(bool ticked, const std::string &path)
+{
+    GpuConfig cfg;
+    cfg.ticked = ticked;
+    cfg.sample_interval = 256;
+    AppDescriptor app = findApp("CONS");
+    app.iterations = 8;
+    app.footprint = 2ull << 20;
+    Workload wl(app);
+    wl.bindGrid(12 * cfg.num_sms);
+    trace::start(path, trace::kCounter);
+    {
+        GpuSystem gpu(cfg, DesignConfig::caba(), wl.lineGenerator());
+        gpu.launch(&wl, 12);
+        gpu.run();
+    }
+    trace::stop();
+
+    json::Value doc;
+    EXPECT_TRUE(json::parse(readFile(path), &doc));
+    std::vector<double> depths;
+    for (const json::Value &ev : doc.find("traceEvents")->array) {
+        if (ev.find("ph")->string == "C" &&
+            ev.find("name")->string == "event_queue_depth")
+            depths.push_back(ev.find("args")->find("value")->number);
+    }
+    return depths;
+}
+
+TEST_F(TraceTest, QueueDepthCountsComponentsWithAWakeTime)
+{
+    // The depth counts the components holding a wake time. The ticked
+    // oracle reschedules every component every cycle; the event-driven
+    // schedule parks the ones with no work in sight.
+    const GpuConfig ref;
+    const double components = ref.num_sms + 2 + ref.num_partitions;
+    const std::string path =
+        test::processTempDir() + "caba_depth_trace.json";
+    const std::vector<double> ticked = queueDepths(true, path);
+    ASSERT_FALSE(ticked.empty());
+    for (const double d : ticked)
+        EXPECT_EQ(d, components);
+    const std::vector<double> event = queueDepths(false, path);
+    ASSERT_EQ(event.size(), ticked.size());
+    double fewest = components;
+    for (const double d : event) {
+        EXPECT_LE(d, components);
+        fewest = std::min(fewest, d);
+    }
+    EXPECT_LT(fewest, components);
 }
 
 TEST_F(TraceTest, CategoryFilterDropsOtherCategories)

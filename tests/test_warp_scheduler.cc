@@ -1,102 +1,19 @@
 /**
  * @file
- * Event-driven loop foundations: the flat wake array that tracks
- * per-component wake times, and the warp scheduler's struct-of-arrays
- * selection bitsets, which must agree with the historical per-warp
- * reference loops under arbitrary state churn.
+ * The warp scheduler's struct-of-arrays selection bitsets, which must
+ * agree with the historical per-warp reference loops under arbitrary
+ * state churn.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "common/component.h"
-#include "common/event_queue.h"
 #include "sim/warp_scheduler.h"
 #include "workloads/workload.h"
 
 namespace caba {
 namespace {
-
-// ---------------------------------------------------------------- queue
-
-TEST(EventQueue, StartsParked)
-{
-    EventQueue eq(4);
-    EXPECT_EQ(eq.size(), 4);
-    for (int id = 0; id < 4; ++id) {
-        EXPECT_EQ(eq.when(id), kNoWork);
-        EXPECT_FALSE(eq.due(id, 1'000'000));
-    }
-    EXPECT_EQ(eq.minTime(), kNoWork);
-}
-
-TEST(EventQueue, MinTimeTracksEarliestSchedule)
-{
-    EventQueue eq(3);
-    eq.schedule(0, 50);
-    eq.schedule(1, 10);
-    eq.schedule(2, 30);
-    EXPECT_EQ(eq.minTime(), Cycle{10});
-    EXPECT_TRUE(eq.due(1, 10));
-    EXPECT_FALSE(eq.due(0, 10));
-}
-
-TEST(EventQueue, RescheduleSupersedesInBothDirections)
-{
-    EventQueue eq(2);
-    eq.schedule(0, 100);
-    eq.schedule(1, 200);
-    // Earlier reschedule wins immediately.
-    eq.schedule(0, 5);
-    EXPECT_EQ(eq.minTime(), Cycle{5});
-    // Later reschedule (the requeue a busy component performs every
-    // cycle): the old time must not linger in the minimum.
-    eq.schedule(0, 300);
-    EXPECT_EQ(eq.minTime(), Cycle{200});
-    EXPECT_EQ(eq.when(0), Cycle{300});
-}
-
-TEST(EventQueue, SupersededSchedulesLeaveOneEntryPerId)
-{
-    EventQueue eq(3);
-    EXPECT_EQ(eq.scheduled(), std::size_t{0});
-    for (Cycle c = 1; c <= 64; ++c)
-        eq.schedule(0, c);
-    // 64 schedules of one id: one authoritative time, one entry.
-    EXPECT_EQ(eq.scheduled(), std::size_t{1});
-    EXPECT_EQ(eq.minTime(), Cycle{64});
-    for (Cycle c = 100; c > 70; --c)
-        eq.schedule(2, c);
-    EXPECT_EQ(eq.scheduled(), std::size_t{2});
-    EXPECT_EQ(eq.minTime(), Cycle{64});
-    eq.schedule(0, kNoWork);
-    EXPECT_EQ(eq.scheduled(), std::size_t{1});
-    EXPECT_EQ(eq.minTime(), Cycle{71});
-}
-
-TEST(EventQueue, ParkingRemovesFromMin)
-{
-    EventQueue eq(2);
-    eq.schedule(0, 10);
-    eq.schedule(1, 20);
-    eq.schedule(0, kNoWork);
-    EXPECT_EQ(eq.minTime(), Cycle{20});
-    eq.schedule(1, kNoWork);
-    EXPECT_EQ(eq.minTime(), kNoWork);
-}
-
-TEST(EventQueue, ResetClearsEverything)
-{
-    EventQueue eq(2);
-    eq.schedule(0, 1);
-    eq.reset(3);
-    EXPECT_EQ(eq.size(), 3);
-    EXPECT_EQ(eq.minTime(), kNoWork);
-    EXPECT_EQ(eq.scheduled(), std::size_t{0});
-}
-
-// ------------------------------------------------- scoreboard bitsets
 
 /** Deterministic churn source (no external randomness in tests). */
 struct Lcg
