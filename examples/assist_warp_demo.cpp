@@ -29,8 +29,8 @@ main()
         const Codec &codec = getCodec(a);
         generateProfileLine(DataProfile::SmallInt, 3, 0, line);
         const CompressedLine cl = codec.compress(line);
-        const auto &dec = aws.decompressRoutine(codec, cl);
-        const auto &cmp = aws.compressRoutine(codec);
+        const auto &dec = aws.decompressRoutine(a, cl.encoding);
+        const auto &cmp = aws.compressRoutine(a);
         auto count = [](const std::vector<AssistInstr> &code, bool mem) {
             int n = 0;
             for (const AssistInstr &i : code)

@@ -31,62 +31,54 @@ AssistWarpStore::synthesize(const SubroutineCost &cost) const
     return code;
 }
 
+template <typename CostFn>
 const std::vector<AssistInstr> &
-AssistWarpStore::decompressRoutine(const Codec &codec,
-                                   const CompressedLine &cl)
+AssistWarpStore::routine(const Key &key, CostFn cost)
 {
-    const auto key = std::make_pair("dec:" + codec.name(), cl.encoding);
     auto it = store_.find(key);
     if (it == store_.end())
-        it = store_.emplace(key, synthesize(codec.decompressCost(cl))).first;
+        it = store_.emplace(key, synthesize(cost())).first;
     return it->second;
 }
 
 const std::vector<AssistInstr> &
-AssistWarpStore::compressRoutine(const Codec &codec)
+AssistWarpStore::decompressRoutine(Algorithm algo, int encoding)
 {
-    const auto key = std::make_pair("cmp:" + codec.name(), 0);
-    auto it = store_.find(key);
-    if (it == store_.end())
-        it = store_.emplace(key, synthesize(codec.compressCost())).first;
-    return it->second;
+    return routine({Routine::Decompress, algo, encoding}, [&] {
+        return getCodec(algo).decompressCost(encoding);
+    });
+}
+
+const std::vector<AssistInstr> &
+AssistWarpStore::compressRoutine(Algorithm algo)
+{
+    return routine({Routine::Compress, algo, 0},
+                   [&] { return getCodec(algo).compressCost(); });
 }
 
 const std::vector<AssistInstr> &
 AssistWarpStore::memoizeRoutine()
 {
-    const auto key = std::make_pair(std::string("memoize"), 0);
-    auto it = store_.find(key);
-    if (it == store_.end()) {
-        // Hash live-ins (2 ALU) + shared-memory LUT probe (1 mem).
-        it = store_.emplace(key, synthesize({2, 1})).first;
-    }
-    return it->second;
+    // Hash live-ins (2 ALU) + shared-memory LUT probe (1 mem).
+    return routine({Routine::Memoize, Algorithm::None, 0},
+                   [] { return SubroutineCost{2, 1}; });
 }
 
 const std::vector<AssistInstr> &
 AssistWarpStore::prefetchRoutine()
 {
-    const auto key = std::make_pair(std::string("prefetch"), 0);
-    auto it = store_.find(key);
-    if (it == store_.end()) {
-        // Stride compute (2 ALU) + prefetch issue (1 mem).
-        it = store_.emplace(key, synthesize({2, 1})).first;
-    }
-    return it->second;
+    // Stride compute (2 ALU) + the prefetch access (1 mem).
+    return routine({Routine::Prefetch, Algorithm::None, 0},
+                   [] { return SubroutineCost{2, 1}; });
 }
 
 const std::vector<AssistInstr> &
 AssistWarpStore::profileRoutine()
 {
-    const auto key = std::make_pair(std::string("profile"), 0);
-    auto it = store_.find(key);
-    if (it == store_.end()) {
-        // Read scheduler stall vectors (2 ALU) + store the sample to
-        // the shared-memory ring (1 mem).
-        it = store_.emplace(key, synthesize({2, 1})).first;
-    }
-    return it->second;
+    // Read scheduler stall vectors (2 ALU) + store the sample to the
+    // shared-memory ring (1 mem).
+    return routine({Routine::Profile, Algorithm::None, 0},
+                   [] { return SubroutineCost{2, 1}; });
 }
 
 int

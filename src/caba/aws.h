@@ -11,10 +11,12 @@
 #define CABA_CABA_AWS_H
 
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "caba/assist_warp.h"
 #include "compress/codec.h"
+#include "compress/registry.h"
 
 namespace caba {
 
@@ -32,14 +34,15 @@ class AssistWarpStore
     explicit AssistWarpStore(const AwsTiming &timing);
 
     /**
-     * Subroutine that decompresses a line with @p cl's encoding using
-     * @p codec. Cached per (codec, encoding); stable address.
+     * Subroutine that decompresses a line stored with encoding
+     * @p encoding by @p algo. Cached per (algorithm, encoding); stable
+     * address.
      */
-    const std::vector<AssistInstr> &decompressRoutine(
-        const Codec &codec, const CompressedLine &cl);
+    const std::vector<AssistInstr> &decompressRoutine(Algorithm algo,
+                                                      int encoding);
 
     /** Subroutine that tests/perform compression of one line. */
-    const std::vector<AssistInstr> &compressRoutine(const Codec &codec);
+    const std::vector<AssistInstr> &compressRoutine(Algorithm algo);
 
     /** Fixed-shape routine for memoization probes (Section 7.1). */
     const std::vector<AssistInstr> &memoizeRoutine();
@@ -58,13 +61,24 @@ class AssistWarpStore
     int numSubroutines() const { return static_cast<int>(store_.size()); }
 
   private:
+    /** What a subroutine does; with the algorithm and the encoding it
+     *  forms the SR.ID key. */
+    enum class Routine : int { Decompress, Compress, Memoize, Prefetch,
+                               Profile };
+    using Key = std::tuple<Routine, Algorithm, int>;
+
     /** Synthesizes the body for a given instruction budget. */
     std::vector<AssistInstr> synthesize(const SubroutineCost &cost) const;
 
+    /** The subroutine stored under @p key, synthesized on first use
+     *  from the budget @p cost() returns. */
+    template <typename CostFn>
+    const std::vector<AssistInstr> &routine(const Key &key, CostFn cost);
+
     AwsTiming timing_;
 
-    /** SR.ID key: (purpose tag, algorithm name hash, encoding). */
-    std::map<std::pair<std::string, int>, std::vector<AssistInstr>> store_;
+    /** SR.ID -> subroutine body. A node map, so bodies never move. */
+    std::map<Key, std::vector<AssistInstr>> store_;
 };
 
 } // namespace caba

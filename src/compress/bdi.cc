@@ -211,13 +211,6 @@ BdiCodec::encode(const std::uint8_t *line, std::uint8_t *scratch) const
     return {line, kLineSize, static_cast<int>(BdiEncoding::Uncompressed)};
 }
 
-CompressedLine
-BdiCodec::compress(const std::uint8_t *line) const
-{
-    std::uint8_t scratch[kScratchBytes];
-    return encode(line, scratch).toLine();
-}
-
 void
 BdiCodec::decode(const LineView &in, std::uint8_t *out) const
 {
@@ -257,14 +250,8 @@ BdiCodec::decode(const LineView &in, std::uint8_t *out) const
     }
 }
 
-void
-BdiCodec::decompress(const CompressedLine &cl, std::uint8_t *out) const
-{
-    decode(LineView::of(cl), out);
-}
-
 SubroutineCost
-BdiCodec::decodeCost(int encoding)
+BdiCodec::decompressCost(int encoding) const
 {
     // Paper Section 4.1.2: load compressed words into assist-warp
     // registers, masked vector add of deltas to bases, store the expanded
@@ -286,12 +273,6 @@ BdiCodec::decodeCost(int encoding)
         return {1 + add_ops, 2};
       }
     }
-}
-
-SubroutineCost
-BdiCodec::decompressCost(const CompressedLine &cl) const
-{
-    return decodeCost(cl.encoding);
 }
 
 SubroutineCost

@@ -92,15 +92,15 @@ class BdiCodec final : public Codec
 {
   public:
     std::string name() const override { return "BDI"; }
-    CompressedLine compress(const std::uint8_t *line) const override;
-    void decompress(const CompressedLine &cl,
-                    std::uint8_t *out) const override;
+    LineView encode(const std::uint8_t *line,
+                    std::uint8_t *scratch) const override;
+    void decode(const LineView &in, std::uint8_t *out) const override;
 
     /** Paper Section 5: 1-cycle HW decompression, 5-cycle compression. */
     int hwDecompressLatency() const override { return 1; }
     int hwCompressLatency() const override { return 5; }
 
-    SubroutineCost decompressCost(const CompressedLine &cl) const override;
+    SubroutineCost decompressCost(int encoding) const override;
     SubroutineCost compressCost() const override;
 
     /**
@@ -114,20 +114,8 @@ class BdiCodec final : public Codec
     bool tryEncode(const std::uint8_t *line, BdiEncoding enc,
                    CompressedLine *out) const;
 
-    /** Bytes of scratch encode() may write. */
+    /** Bytes of scratch this codec's encode() writes. */
     static constexpr int kScratchBytes = kLineSize;
-
-    /**
-     * compress() without the allocation: builds the image in @p scratch,
-     * or points at @p line itself when it stays uncompressed.
-     */
-    LineView encode(const std::uint8_t *line, std::uint8_t *scratch) const;
-
-    /** decompress() from a view of the compressed bytes. */
-    void decode(const LineView &in, std::uint8_t *out) const;
-
-    /** decompressCost() of a line with encoding @p encoding. */
-    static SubroutineCost decodeCost(int encoding);
 
   private:
     BdiEncoding preferred_ = BdiEncoding::Uncompressed;

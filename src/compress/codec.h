@@ -45,8 +45,8 @@ struct CompressedLine
 
 /**
  * A compressed image no CompressedLine owns: the bytes of one, or a
- * codec's stack scratch (or the input line itself, for a verbatim copy)
- * before compress() hands it out.
+ * codec's scratch (or the input line itself, for a verbatim copy) as
+ * encode() builds it.
  */
 struct LineView
 {
@@ -60,10 +60,8 @@ struct LineView
         return {cl.bytes.data(), cl.size(), cl.encoding};
     }
 
-    /**
-     * The one heap copy: a CompressedLine whose bytes.capacity() equals
-     * its size(), which the compression model's memo footprint counts.
-     */
+    /** The one heap copy: a CompressedLine whose bytes.capacity()
+     *  equals its size(). */
     CompressedLine
     toLine() const
     {
@@ -84,24 +82,46 @@ struct SubroutineCost
     int mem_ops = 0;    ///< LD/ST pipeline instructions (L1-local).
 };
 
-/** Interface implemented by BDI, FPC and C-Pack. */
+/** Interface implemented by BDI, FPC, C-Pack and BestOfAll. */
 class Codec
 {
   public:
     virtual ~Codec() = default;
 
+    /**
+     * Bytes of scratch any encode() may write: room for the three
+     * candidate images BestOfAll builds side by side.
+     */
+    static constexpr int kScratchBytes = 4 * kLineSize;
+
     /** Human-readable algorithm name ("BDI", "FPC", "C-Pack"). */
     virtual std::string name() const = 0;
 
     /**
-     * Compresses a kLineSize-byte line. Falls back to a verbatim copy
-     * when no encoding shrinks the line (result.isUncompressed() == true).
+     * Compresses a kLineSize-byte line without allocating: builds the
+     * image in @p scratch (kScratchBytes), or points at @p line itself
+     * when no encoding shrinks it (a view of size kLineSize).
      */
-    virtual CompressedLine compress(const std::uint8_t *line) const = 0;
+    virtual LineView encode(const std::uint8_t *line,
+                            std::uint8_t *scratch) const = 0;
 
-    /** Expands @p cl into the kLineSize-byte buffer @p out. */
-    virtual void decompress(const CompressedLine &cl,
-                            std::uint8_t *out) const = 0;
+    /** Expands the image @p in into the kLineSize-byte buffer @p out. */
+    virtual void decode(const LineView &in, std::uint8_t *out) const = 0;
+
+    /** encode() plus the one heap copy of the image. */
+    CompressedLine
+    compress(const std::uint8_t *line) const
+    {
+        std::uint8_t scratch[kScratchBytes];
+        return encode(line, scratch).toLine();
+    }
+
+    /** decode() from @p cl's bytes. */
+    void
+    decompress(const CompressedLine &cl, std::uint8_t *out) const
+    {
+        decode(LineView::of(cl), out);
+    }
 
     /** Dedicated-hardware decompression latency in core cycles. */
     virtual int hwDecompressLatency() const = 0;
@@ -109,8 +129,9 @@ class Codec
     /** Dedicated-hardware compression latency in core cycles. */
     virtual int hwCompressLatency() const = 0;
 
-    /** Assist-warp instruction budget to decompress @p cl. */
-    virtual SubroutineCost decompressCost(const CompressedLine &cl) const = 0;
+    /** Assist-warp instruction budget to decompress a line stored
+     *  with encoding @p encoding. */
+    virtual SubroutineCost decompressCost(int encoding) const = 0;
 
     /** Assist-warp instruction budget to compress one line. */
     virtual SubroutineCost compressCost() const = 0;

@@ -149,13 +149,6 @@ CpackCodec::encode(const std::uint8_t *line, std::uint8_t *scratch) const
     return {scratch, bw.byteCount(), kMetaCpack};
 }
 
-CompressedLine
-CpackCodec::compress(const std::uint8_t *line) const
-{
-    std::uint8_t scratch[kScratchBytes];
-    return encode(line, scratch).toLine();
-}
-
 void
 CpackCodec::decode(const LineView &in, std::uint8_t *out) const
 {
@@ -203,26 +196,14 @@ CpackCodec::decode(const LineView &in, std::uint8_t *out) const
     }
 }
 
-void
-CpackCodec::decompress(const CompressedLine &cl, std::uint8_t *out) const
-{
-    decode(LineView::of(cl), out);
-}
-
 SubroutineCost
-CpackCodec::decodeCost(int encoding)
+CpackCodec::decompressCost(int encoding) const
 {
     // Dictionary reconstruction serializes decode; costliest of the three
     // algorithms per invocation (paper Section 4.1.3).
     if (encoding == kMetaRaw)
         return {0, 0};
     return {8, 2};
-}
-
-SubroutineCost
-CpackCodec::decompressCost(const CompressedLine &cl) const
-{
-    return decodeCost(cl.encoding);
 }
 
 SubroutineCost

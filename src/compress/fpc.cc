@@ -98,13 +98,6 @@ FpcCodec::encode(const std::uint8_t *line, std::uint8_t *scratch) const
     return {scratch, bw.byteCount(), kMetaFpc};
 }
 
-CompressedLine
-FpcCodec::compress(const std::uint8_t *line) const
-{
-    std::uint8_t scratch[kScratchBytes];
-    return encode(line, scratch).toLine();
-}
-
 void
 FpcCodec::decode(const LineView &in, std::uint8_t *out) const
 {
@@ -160,14 +153,8 @@ FpcCodec::decode(const LineView &in, std::uint8_t *out) const
     }
 }
 
-void
-FpcCodec::decompress(const CompressedLine &cl, std::uint8_t *out) const
-{
-    decode(LineView::of(cl), out);
-}
-
 SubroutineCost
-FpcCodec::decodeCost(int encoding)
+FpcCodec::decompressCost(int encoding) const
 {
     // Variable-length words serialize the unpack: the assist warp walks
     // prefix groups with the coalescing/address-generation logic (paper
@@ -175,12 +162,6 @@ FpcCodec::decodeCost(int encoding)
     if (encoding == kMetaRaw)
         return {0, 0};
     return {6, 2};
-}
-
-SubroutineCost
-FpcCodec::decompressCost(const CompressedLine &cl) const
-{
-    return decodeCost(cl.encoding);
 }
 
 SubroutineCost

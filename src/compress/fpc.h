@@ -32,19 +32,19 @@ class FpcCodec final : public Codec
 {
   public:
     std::string name() const override { return "FPC"; }
-    CompressedLine compress(const std::uint8_t *line) const override;
-    void decompress(const CompressedLine &cl,
-                    std::uint8_t *out) const override;
+    LineView encode(const std::uint8_t *line,
+                    std::uint8_t *scratch) const override;
+    void decode(const LineView &in, std::uint8_t *out) const override;
 
     /** Five-stage decompression pipeline in the FPC TR. */
     int hwDecompressLatency() const override { return 5; }
     int hwCompressLatency() const override { return 8; }
 
-    SubroutineCost decompressCost(const CompressedLine &cl) const override;
+    SubroutineCost decompressCost(int encoding) const override;
     SubroutineCost compressCost() const override;
 
     /**
-     * Bytes of scratch encode() may write: the worst-case image
+     * Bytes of scratch this codec's encode() writes: the worst-case image
      * (metadata byte, then 32 raw words of 3 + 32 bits) plus the
      * bitstream's 8-byte window slack.
      */
@@ -56,18 +56,6 @@ class FpcCodec final : public Codec
      * eight words, 6 bits each.
      */
     static constexpr int kMinBytes = 1 + (kLineSize / 4 / 8 * 6 + 7) / 8;
-
-    /**
-     * compress() without the allocation: builds the image in @p scratch,
-     * or points at @p line itself when it stays uncompressed.
-     */
-    LineView encode(const std::uint8_t *line, std::uint8_t *scratch) const;
-
-    /** decompress() from a view of the compressed bytes. */
-    void decode(const LineView &in, std::uint8_t *out) const;
-
-    /** decompressCost() of a line with encoding @p encoding. */
-    static SubroutineCost decodeCost(int encoding);
 };
 
 } // namespace caba

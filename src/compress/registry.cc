@@ -73,16 +73,20 @@ BestOfAllCodec::innerEncoding(int folded_encoding)
     return folded_encoding % 256;
 }
 
-CompressedLine
-BestOfAllCodec::compress(const std::uint8_t *line) const
+LineView
+BestOfAllCodec::encode(const std::uint8_t *line, std::uint8_t *scratch) const
 {
-    // Each codec builds its image on the stack; only the winner, the
-    // earliest of BDI, FPC and C-Pack on a size tie, is copied out. So a
-    // codec whose smallest image cannot beat the best so far is skipped.
-    std::uint8_t bdi[BdiCodec::kScratchBytes];
-    std::uint8_t fpc[FpcCodec::kScratchBytes];
-    std::uint8_t cpack[CpackCodec::kScratchBytes];
-    LineView best = kBdi.encode(line, bdi);
+    // Each codec builds its image in its own part of the scratch, so the
+    // winner, the earliest of BDI, FPC and C-Pack on a size tie, needs no
+    // copy. A codec whose smallest image cannot beat the best so far is
+    // skipped.
+    static_assert(BdiCodec::kScratchBytes + FpcCodec::kScratchBytes +
+                          CpackCodec::kScratchBytes <=
+                      kScratchBytes,
+                  "BestOfAll builds all three images in one scratch");
+    std::uint8_t *fpc = scratch + BdiCodec::kScratchBytes;
+    std::uint8_t *cpack = fpc + FpcCodec::kScratchBytes;
+    LineView best = kBdi.encode(line, scratch);
     Algorithm best_algo = Algorithm::Bdi;
     if (best.size > FpcCodec::kMinBytes) {
         const LineView by_fpc = kFpc.encode(line, fpc);
@@ -99,15 +103,14 @@ BestOfAllCodec::compress(const std::uint8_t *line) const
         }
     }
     best.encoding += static_cast<int>(best_algo) * 256;
-    return best.toLine();
+    return best;
 }
 
 void
-BestOfAllCodec::decompress(const CompressedLine &cl, std::uint8_t *out) const
+BestOfAllCodec::decode(const LineView &in, std::uint8_t *out) const
 {
-    const LineView inner{cl.bytes.data(), cl.size(),
-                         innerEncoding(cl.encoding)};
-    withInner(cl.encoding,
+    const LineView inner{in.data, in.size, innerEncoding(in.encoding)};
+    withInner(in.encoding,
               [&](const auto &codec) { codec.decode(inner, out); });
 }
 
@@ -124,11 +127,11 @@ BestOfAllCodec::hwCompressLatency() const
 }
 
 SubroutineCost
-BestOfAllCodec::decompressCost(const CompressedLine &cl) const
+BestOfAllCodec::decompressCost(int encoding) const
 {
-    const int inner = innerEncoding(cl.encoding);
-    return withInner(cl.encoding, [inner](const auto &codec) {
-        return codec.decodeCost(inner);
+    const int inner = innerEncoding(encoding);
+    return withInner(encoding, [inner](const auto &codec) {
+        return codec.decompressCost(inner);
     });
 }
 

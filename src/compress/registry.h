@@ -39,12 +39,12 @@ class BestOfAllCodec final : public Codec
 {
   public:
     std::string name() const override { return "BestOfAll"; }
-    CompressedLine compress(const std::uint8_t *line) const override;
-    void decompress(const CompressedLine &cl,
-                    std::uint8_t *out) const override;
+    LineView encode(const std::uint8_t *line,
+                    std::uint8_t *scratch) const override;
+    void decode(const LineView &in, std::uint8_t *out) const override;
     int hwDecompressLatency() const override;
     int hwCompressLatency() const override;
-    SubroutineCost decompressCost(const CompressedLine &cl) const override;
+    SubroutineCost decompressCost(int encoding) const override;
     SubroutineCost compressCost() const override;
 
     /** Splits a folded encoding back into (algorithm, inner encoding). */

@@ -96,7 +96,7 @@ CompressionModel::evictLru()
     return s;
 }
 
-const CompressedLine &
+ImageSummary
 CompressionModel::lookup(Addr line)
 {
     CABA_CHECK(enabled(), "lookup on disabled compression model");
@@ -123,34 +123,38 @@ CompressionModel::lookup(Addr line)
     Entry &e = slots_[static_cast<std::size_t>(s)];
     const std::uint64_t v = store_.version(line);
     if (e.version != v) {
+        // The image lives on the stack just long enough to be measured
+        // and, under verify, decoded back.
         std::uint8_t buf[kLineSize];
+        std::uint8_t scratch[Codec::kScratchBytes];
         store_.read(line, buf);
+        const LineView img = codec_->encode(buf, scratch);
         memo_bytes_ -= footprint(e);
-        e.cl = codec_->compress(buf);
+        e.image = {img.size, img.encoding};
         e.version = v;
         memo_bytes_ += footprint(e);
         peak_memo_bytes_ = std::max(peak_memo_bytes_, memo_bytes_);
-        const auto size = static_cast<std::uint64_t>(e.cl.size());
+        const auto size = static_cast<std::uint64_t>(img.size);
         ++lines_compressed_;
         uncompressed_bytes_ += kLineSize;
         compressed_bytes_ += size;
         uncompressed_bursts_ += kBurstsPerLine;
-        compressed_bursts_ += static_cast<std::uint64_t>(e.cl.bursts());
+        compressed_bursts_ += static_cast<std::uint64_t>(e.image.bursts());
         compressed_line_bytes_.record(size);
         if (verify_) {
             std::uint8_t out[kLineSize];
-            codec_->decompress(e.cl, out);
+            codec_->decode(img, out);
             CABA_CHECK(std::memcmp(buf, out, kLineSize) == 0,
                        "codec round-trip mismatch in memory image");
         }
     }
-    return e.cl;
+    return e.image;
 }
 
 int
 CompressionModel::compressedSize(Addr line)
 {
-    return enabled() ? lookup(line).size() : kLineSize;
+    return enabled() ? lookup(line).size : kLineSize;
 }
 
 int

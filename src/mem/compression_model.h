@@ -1,10 +1,13 @@
 /**
  * @file
  * Shared functional view of compressed main memory: for any line it
- * yields the compressed image of the line's *current* contents, memoized
- * by (line, version). This models the paper's setup where data lives in
- * DRAM in compressed form (initially prepared on the host, Section 4.3.1,
- * and kept compressed by store-side assist warps thereafter).
+ * yields the compressed size and encoding of the line's *current*
+ * contents, memoized by (line, version). This models the paper's setup
+ * where data lives in DRAM in compressed form (initially prepared on the
+ * host, Section 4.3.1, and kept compressed by store-side assist warps
+ * thereafter). Like the memory controller's per-line burst-count
+ * metadata (Section 4.3.2), the memo keeps no image bytes: the timing
+ * model reads only sizes and encodings.
  */
 #ifndef CABA_MEM_COMPRESSION_MODEL_H
 #define CABA_MEM_COMPRESSION_MODEL_H
@@ -21,6 +24,24 @@
 namespace caba {
 
 class Audit;
+
+/** The compressed size and encoding of a line's current contents. */
+struct ImageSummary
+{
+    int size = kLineSize;   ///< Compressed bytes, in [1, kLineSize].
+    int encoding = 0;       ///< Algorithm-specific encoding id.
+
+    /** True when the codec stored the line verbatim. */
+    bool isUncompressed() const { return size >= kLineSize; }
+
+    /** DRAM bursts needed to move the line (paper Section 4.3.2). */
+    int
+    bursts() const
+    {
+        return static_cast<int>(divCeil(static_cast<std::uint64_t>(size),
+                                        kBurstSize));
+    }
+};
 
 /** Compressed-size/encoding oracle with round-trip verification. */
 class CompressionModel
@@ -42,11 +63,8 @@ class CompressionModel
                      bool verify = true,
                      std::size_t memo_cap = kDefaultMemoCapacity);
 
-    /**
-     * Compressed image of @p line's current contents. The reference is
-     * valid only until the next lookup (an LRU eviction may reclaim it).
-     */
-    const CompressedLine &lookup(Addr line);
+    /** Compressed size and encoding of @p line's current contents. */
+    ImageSummary lookup(Addr line);
 
     /** Compressed size in bytes of the line's current contents. */
     int compressedSize(Addr line);
@@ -74,27 +92,30 @@ class CompressionModel
     static constexpr std::uint64_t kNoImage = ~std::uint64_t{0};
 
     /**
-     * One memo slot. memo_peak_bytes charges sizeof(Entry) plus the
-     * image's heap capacity for every live entry, the footprint of the
-     * node-based memo this slot array replaced, so the size is pinned.
+     * Bytes memo_peak_bytes charges per live entry besides the image
+     * size: the entry of the node-based memo whose heap images this
+     * slot array replaced. Charging it keeps memo_peak_bytes, and every
+     * stats digest that covers it, unchanged.
      */
+    static constexpr std::size_t kEntryFootprintBytes = 56;
+
+    /** One memo slot: what the memory image records of a line. */
     struct Entry
     {
         Addr key = 0;
         std::uint64_t version = kNoImage;
-        CompressedLine cl;
         std::int32_t prev = -1;     ///< LRU neighbour nearer the front.
         std::int32_t next = -1;     ///< LRU neighbour nearer the back.
+        ImageSummary image;
     };
-    static_assert(sizeof(Entry) == 56,
-                  "memo_peak_bytes charges sizeof(Entry) per entry");
 
-    /** Heap footprint @p e is charged in memo_bytes_. */
+    /** Footprint @p e is charged in memo_bytes_. */
     static std::size_t
     footprint(const Entry &e)
     {
-        return e.version == kNoImage ? 0
-                                     : sizeof(Entry) + e.cl.bytes.capacity();
+        return e.version == kNoImage
+            ? 0
+            : kEntryFootprintBytes + static_cast<std::size_t>(e.image.size);
     }
 
     /** Slot holding @p line, or -1. */

@@ -1,6 +1,7 @@
 #include "mem/dram.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/audit.h"
 #include "common/log.h"
@@ -14,12 +15,30 @@ namespace {
  *  the channel's local address space. */
 constexpr Addr kChunkBytes = 256;
 
+/** Bank @p b's bit in a bank mask. */
+constexpr std::uint64_t
+bankBit(int b)
+{
+    return std::uint64_t{1} << b;
+}
+
+/** Calls @p fn with every bank whose bit is set in @p mask, lowest
+ *  first. */
+template <typename Fn>
+void
+forEachBank(std::uint64_t mask, Fn fn)
+{
+    for (; mask != 0; mask &= mask - 1)
+        fn(std::countr_zero(mask));
+}
+
 } // namespace
 
 DramChannel::DramChannel(const DramConfig &cfg, int id)
     : cfg_(cfg), id_(id), banks_(cfg.banks)
 {
     CABA_CHECK(cfg_.banks > 0, "channel needs banks");
+    CABA_CHECK(cfg_.banks <= 64, "bank masks support at most 64 banks");
     CABA_CHECK(cfg_.burst_quarters > 0, "bad burst time");
     CABA_CHECK(cfg_.write_drain_low < cfg_.write_drain_high &&
                cfg_.write_drain_high <= cfg_.write_queue_capacity,
@@ -80,8 +99,10 @@ DramChannel::enqueue(DramCmd cmd)
     cmd.row = rowOf(cmd.line);
     const std::size_t b = static_cast<std::size_t>(cmd.bank);
     CmdQueue &q = cmd.is_write ? write_q_ : read_q_;
-    if (banks_[b].open_row == cmd.row)
+    if (banks_[b].open_row == cmd.row) {
         ++q.open_matches[b];
+        q.open |= bankBit(cmd.bank);
+    }
     int slot = static_cast<int>(q.slots.size());
     if (q.free_slots.empty()) {
         q.slots.push_back({q.back_key++, cmd});
@@ -91,6 +112,7 @@ DramChannel::enqueue(DramCmd cmd)
         q.slots[static_cast<std::size_t>(slot)] = {q.back_key++, cmd};
     }
     q.banks[b].push_back(slot);
+    q.nonempty |= bankBit(cmd.bank);
     if (cmd.is_write) {
         ++writes_enqueued_;
     } else {
@@ -111,6 +133,10 @@ DramChannel::recountOpenMatches(int b)
             n += q->slots[static_cast<std::size_t>(slot)].cmd.row == row
                 ? 1 : 0;
         q->open_matches[bi] = n;
+        if (n != 0)
+            q->open |= bankBit(b);
+        else
+            q->open &= ~bankBit(b);
     }
 }
 
@@ -127,12 +153,11 @@ DramChannel::pickCas(const CmdQueue &q, Cycle now) const
 {
     Pick best;
     std::int64_t best_key = 0;
-    for (int b = 0; b < cfg_.banks; ++b) {
-        const std::size_t bi = static_cast<std::size_t>(b);
-        if (q.open_matches[bi] == 0 || casReadyAt(b, q.writes) > now)
-            continue;
-        // The bank's first open-row command; one exists (the count).
-        const std::int64_t row = banks_[bi].open_row;
+    forEachBank(q.open, [&](int b) {
+        if (casReadyAt(b, q.writes) > now)
+            return;
+        // The bank's first open-row command; one exists (the mask).
+        const std::int64_t row = banks_[static_cast<std::size_t>(b)].open_row;
         int pos = 0;
         while (q.at(b, pos).cmd.row != row)
             ++pos;
@@ -141,7 +166,7 @@ DramChannel::pickCas(const CmdQueue &q, Cycle now) const
             best = {b, pos};
             best_key = key;
         }
-    }
+    });
     return best;
 }
 
@@ -149,23 +174,20 @@ int
 DramChannel::pickAct(const CmdQueue &q) const
 {
     // Never close a row that still has queued hits: eager re-activation
-    // would turn those hits into misses and thrash the row buffer. With
-    // no open-row work in either queue, every command of the bank needs
-    // an activation, so its first one is its candidate.
+    // would turn those hits into misses and thrash the row buffer. This
+    // also holds a bank for the command that activated it, which matches
+    // the open row until its own CAS. With no open-row work in either
+    // queue, every command of the bank needs an activation, so its first
+    // one is its candidate.
     int best = -1;
     std::int64_t best_key = 0;
-    for (int b = 0; b < cfg_.banks; ++b) {
-        const std::size_t bi = static_cast<std::size_t>(b);
-        if (q.banks[bi].empty() || banks_[bi].pending_row >= 0 ||
-            read_q_.open_matches[bi] + write_q_.open_matches[bi] != 0) {
-            continue;
-        }
+    forEachBank(q.nonempty & ~(read_q_.open | write_q_.open), [&](int b) {
         const std::int64_t key = q.at(b, 0).key;
         if (best < 0 || key < best_key) {
             best = b;
             best_key = key;
         }
-    }
+    });
     return best;
 }
 
@@ -208,13 +230,12 @@ DramChannel::activate(CmdQueue &q, int b, Cycle now)
     bank.open_row = head.cmd.row;
     bank.act_done = act + cfg_.tRCD;
     bank.col_ready = bank.act_done;
-    bank.pending_row = bank.open_row;
     head.cmd.activated = true;
     ++row_misses_;
     recountOpenMatches(b);
-    // Move the claiming command to the head of its queue so it stays
-    // first in line and its CAS releases the claim. It already heads
-    // its bank list (pickAct only activates a bank's first command).
+    // Move the activating command to the head of its queue so it stays
+    // first in line. It already heads its bank list (pickAct only
+    // activates a bank's first command).
     head.key = --q.front_key;
 }
 
@@ -228,9 +249,10 @@ DramChannel::issueCas(CmdQueue &q, Pick at, Cycle now)
     const DramCmd cmd = q.slots[static_cast<std::size_t>(slot)].cmd;
     list.erase(list.begin() + at.pos);
     q.free_slots.push_back(slot);
-    --q.open_matches[bi];
-    if (bank.pending_row == cmd.row)
-        bank.pending_row = -1;
+    if (list.empty())
+        q.nonempty &= ~bankBit(at.bank);
+    if (--q.open_matches[bi] == 0)
+        q.open &= ~bankBit(at.bank);
     if (!cmd.activated)
         ++row_hits_;
 
@@ -314,9 +336,10 @@ DramChannel::cycle(Cycle now)
         return;
     }
     // Opportunistic CAS from the inactive queue: open-row hits there
-    // cost almost nothing, and claims/hits left stranded across
-    // drain-mode switches would otherwise wedge their banks (row
-    // re-activation is blocked while same-row work is queued).
+    // cost almost nothing, and activated commands and hits left
+    // stranded across drain-mode switches would otherwise wedge their
+    // banks (row re-activation is blocked while same-row work is
+    // queued).
     CmdQueue &other = q.writes ? read_q_ : write_q_;
     const Pick other_cas = pickCas(other, now);
     if (other_cas.bank >= 0) {
@@ -349,15 +372,14 @@ DramChannel::nextWork(Cycle now) const
     if (pickAct(q) >= 0)
         return now;     // activation eligibility is time-independent
     // No activation possible: the next issue is the earliest CAS whose
-    // bank timing gates clear. pickCas scans both queues (active +
+    // bank timing gates clear. pickCas reads both queues (active +
     // opportunistic), so so does the bound.
-    for (int b = 0; b < cfg_.banks; ++b) {
-        const std::size_t bi = static_cast<std::size_t>(b);
-        if (read_q_.open_matches[bi] != 0)
-            e = std::min(e, std::max(casReadyAt(b, false), now));
-        if (write_q_.open_matches[bi] != 0)
-            e = std::min(e, std::max(casReadyAt(b, true), now));
-    }
+    forEachBank(read_q_.open, [&](int b) {
+        e = std::min(e, std::max(casReadyAt(b, false), now));
+    });
+    forEachBank(write_q_.open, [&](int b) {
+        e = std::min(e, std::max(casReadyAt(b, true), now));
+    });
     return e;
 }
 
@@ -438,6 +460,19 @@ DramChannel::audit(Audit &a, bool at_drain) const
               reads_enqueued_);
     a.checkLe("dram", "writes issued <= writes enqueued", writes_,
               writes_enqueued_);
+    // The bank masks mirror the lists and the open-row counts.
+    bool masks_exact = true;
+    for (int b = 0; b < cfg_.banks; ++b) {
+        const std::size_t bi = static_cast<std::size_t>(b);
+        for (const CmdQueue *q : {&read_q_, &write_q_}) {
+            masks_exact = masks_exact &&
+                          ((q->nonempty & bankBit(b)) != 0) ==
+                              !q->banks[bi].empty() &&
+                          ((q->open & bankBit(b)) != 0) ==
+                              (q->open_matches[bi] != 0);
+        }
+    }
+    a.checkTrue("dram", "bank masks match the queues", masks_exact);
     if (at_drain) {
         a.checkEq("dram", "every enqueued read issued at drain",
                   reads_enqueued_, reads_);

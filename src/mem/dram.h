@@ -12,7 +12,8 @@
  * into the burst gap.
  *
  * Both queues are indexed by bank (see CmdQueue), so every FR-FCFS pick
- * is an argmin over the banks rather than a scan over the commands.
+ * is an argmin over the candidate banks of a bitmask rather than a scan
+ * over the commands.
  */
 #ifndef CABA_MEM_DRAM_H
 #define CABA_MEM_DRAM_H
@@ -107,7 +108,8 @@ struct DramCompletion
 class DramChannel
 {
   public:
-    /** @p id names the channel in trace output (partition index). */
+    /** @p id names the channel in trace output (partition index).
+     *  At most 64 banks: the bank masks are one word. */
     explicit DramChannel(const DramConfig &cfg, int id = 0);
 
     /** True when the relevant queue (read or write) has room. */
@@ -166,10 +168,6 @@ class DramChannel
         Cycle data_end = 0;      ///< Last data beat out of this bank.
         Cycle write_recover = 0; ///< tWR: gates precharge after a write.
         Cycle wtr_ready = 0;     ///< tWTR: gates reads after a write.
-
-        /** Row activated on behalf of a still-queued command; blocks
-         *  competing activations until that command's CAS issues. */
-        std::int64_t pending_row = -1;
     };
 
     /** A queued command and its place in its queue's FR-FCFS order. */
@@ -183,13 +181,14 @@ class DramChannel
      * One command queue (reads or writes), indexed by bank. Queue order
      * is ascending key: enqueue() appends with a rising key and an
      * activation moves its command to the head of the queue with a
-     * falling key, which is exactly the order of a FIFO whose claiming
-     * commands move to the front. Each bank's list holds the slots of
-     * that bank's commands in queue order, so "the first command in the
-     * queue with property P" is the smallest key over the banks' first
-     * P-commands. Commands live in a slot array that grows to the
-     * queue's peak occupancy and reuses freed slots; the bank lists
-     * move only slot numbers.
+     * falling key, which is exactly the order of a FIFO whose
+     * activating commands move to the front. Each bank's list holds the
+     * slots of that bank's commands in queue order, so "the first
+     * command in the queue with property P" is the smallest key over
+     * the banks' first P-commands. Commands live in a slot array that
+     * grows to the queue's peak occupancy and reuses freed slots; the
+     * bank lists move only slot numbers. Two bank masks name the
+     * candidates of each pick, so a pick visits only them.
      */
     struct CmdQueue
     {
@@ -202,6 +201,12 @@ class DramChannel
          *  bank with open-row work in either queue is never
          *  re-activated). Exact at all times. */
         std::vector<int> open_matches;
+
+        /** Bit b set iff bank b's list is not empty. */
+        std::uint64_t nonempty = 0;
+
+        /** Bit b set iff open_matches[b] != 0. */
+        std::uint64_t open = 0;
 
         std::int64_t back_key = 0;  ///< Next enqueue key.
         std::int64_t front_key = 0; ///< Last head key handed out.
@@ -250,7 +255,7 @@ class DramChannel
     Pick pickCas(const CmdQueue &q, Cycle now) const;
 
     /** Bank whose first command in @p q is the oldest one needing an
-     *  unclaimed activation, or -1. */
+     *  activation of a bank with no open-row work, or -1. */
     int pickAct(const CmdQueue &q) const;
 
     /** Precharge + activate for the first command of bank @p b in @p q;

@@ -170,10 +170,10 @@ MemoryPartition::makeReply(const MemRequest &req, Cycle now, bool from_dram)
     MemRequest reply = req;
     reply.is_write = false;
     if (design_.xbarCompressed()) {
-        const CompressedLine &cl = model_->lookup(req.line);
-        reply.payload_bytes = cl.size();
-        reply.compressed = !cl.isUncompressed();
-        reply.encoding = cl.encoding;
+        const ImageSummary img = model_->lookup(req.line);
+        reply.payload_bytes = img.size;
+        reply.compressed = !img.isUncompressed();
+        reply.encoding = img.encoding;
     } else {
         reply.payload_bytes = kLineSize;
         reply.compressed = false;
@@ -317,8 +317,8 @@ MemoryPartition::cycle(Cycle now)
 Cycle
 MemoryPartition::nextWork(Cycle now) const
 {
-    if (!replies_.empty())
-        return now;     // ready for the reply crossbar
+    // Waiting replies need no cycle() call: the wire phase moves them
+    // into the reply crossbar.
     if ((!writeback_stalled_.empty() && dram_.canAccept(true)) ||
         (!dram_stalled_.empty() && dram_.canAccept(false))) {
         return now;     // a stalled command can retry

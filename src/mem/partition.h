@@ -80,7 +80,8 @@ class MemoryPartition : public Clocked
     bool busy() const override;
 
     /** Earliest cycle any pipe releases, retry unblocks, or the DRAM
-     *  channel can act. */
+     *  channel can act (waiting replies() do not count: cycle() never
+     *  reads them). */
     Cycle nextWork(Cycle now) const override;
 
     /** Forwards skipped-cycle accounting to the DRAM scheduler (the

@@ -13,7 +13,7 @@ XbarDirection::XbarDirection(int inputs, int outputs, const XbarConfig &cfg,
     : cfg_(cfg), inputs_(inputs), outputs_(outputs),
       trace_tid_base_(trace_tid_base),
       in_q_(inputs), head_mask_(outputs, 0), port_busy_until_(outputs, 0),
-      rr_(outputs, 0), out_q_(outputs), flying_per_out_(outputs, 0)
+      rr_(outputs, 0), out_q_(outputs)
 {
     CABA_CHECK(inputs > 0 && outputs > 0, "bad crossbar geometry");
     CABA_CHECK(inputs <= 64, "head-of-line masks support at most 64 inputs");
@@ -58,31 +58,17 @@ XbarDirection::setHead(int in, int old_out, int new_out)
 void
 XbarDirection::cycle(Cycle now)
 {
-    if (flying_.empty() && queued_packets_ == 0)
+    if (queued_packets_ == 0)
         return;
-    // Deliver in-flight packets whose latency elapsed.
-    for (std::size_t i = 0; i < flying_.size();) {
-        if (flying_[i].deliver_at <= now) {
-            const int out = flying_[i].out;
-            out_q_[out].push_back({flying_[i].req, flying_[i].deliver_at});
-            --flying_per_out_[out];
-            flying_[i] = flying_.back();
-            flying_.pop_back();
-        } else {
-            ++i;
-        }
-    }
-
     // Per-output round-robin packet arbitration. The output port is
     // reserved for the packet's flit count; a fresh packet starts only
-    // when the port is free and the destination queue has room.
+    // when the port is free and the destination queue, which counts
+    // the packets still in flight, has room.
     for (int out = 0; out < outputs_; ++out) {
         if (port_busy_until_[out] > now)
             continue;
-        if (static_cast<int>(out_q_[out].size()) + flying_per_out_[out] >=
-                cfg_.output_queue) {
+        if (static_cast<int>(out_q_[out].size()) >= cfg_.output_queue)
             continue;
-        }
         // The first input at or after rr_[out] whose head targets
         // this output, wrapping around.
         const std::uint64_t heads = head_mask_[out];
@@ -97,8 +83,7 @@ XbarDirection::cycle(Cycle now)
         --queued_packets_;
         const int flits = req.flits();
         port_busy_until_[out] = now + flits;
-        flying_.push_back({req, out, now + flits + cfg_.latency});
-        ++flying_per_out_[out];
+        out_q_[out].push_back({req, now + flits + cfg_.latency});
         ++arbitrated_;
         ++packets_;
         flits_ += static_cast<std::uint64_t>(flits);
@@ -116,7 +101,7 @@ XbarDirection::cycle(Cycle now)
 bool
 XbarDirection::hasDelivery(int out, Cycle now) const
 {
-    return !out_q_[out].empty() && out_q_[out].front().at <= now;
+    return !out_q_[out].empty() && out_q_[out].front().arrives < now;
 }
 
 MemRequest
@@ -129,38 +114,19 @@ XbarDirection::popDelivery(int out)
     return req;
 }
 
-int
-XbarDirection::outputDepth(int out) const
-{
-    return static_cast<int>(out_q_[out].size());
-}
-
 Cycle
 XbarDirection::nextWork(Cycle now) const
 {
-    // Delivered packets waiting in an output queue pin the clock: the
-    // next wire phase drains them into their consumer, and
-    // even under backpressure the consumer's unblock cycle is cheaper
-    // to over-approximate here than to predict.
-    for (const auto &q : out_q_)
-        if (!q.empty())
-            return now;
+    if (queued_packets_ == 0)
+        return kNoWork;
     Cycle e = kNoWork;
-    for (const InFlight &f : flying_)
-        e = std::min(e, f.deliver_at > now ? f.deliver_at : now);
     for (int out = 0; out < outputs_; ++out) {
-        if (head_mask_[static_cast<std::size_t>(out)] == 0)
-            continue;
-        // A full destination (queued + flying >= capacity) unblocks via
-        // the flying_ term above or the ready-delivery case; otherwise
-        // a head packet can start once the port frees up.
-        if (static_cast<int>(out_q_[static_cast<std::size_t>(out)].size()) +
-                flying_per_out_[static_cast<std::size_t>(out)] >=
-            cfg_.output_queue) {
+        const std::size_t o = static_cast<std::size_t>(out);
+        if (head_mask_[o] == 0 ||
+            static_cast<int>(out_q_[o].size()) >= cfg_.output_queue) {
             continue;
         }
-        const Cycle free_at =
-            port_busy_until_[static_cast<std::size_t>(out)];
+        const Cycle free_at = port_busy_until_[o];
         e = std::min(e, free_at > now ? free_at : now);
     }
     return e;
@@ -181,15 +147,13 @@ XbarDirection::stats() const
 void
 XbarDirection::audit(Audit &a, const char *name, bool at_drain) const
 {
-    std::uint64_t delivered_waiting = 0;
+    std::uint64_t output_queued = 0;
     for (const auto &q : out_q_)
-        delivered_waiting += q.size();
+        output_queued += q.size();
     a.checkEq(name, "pushed == arbitrated + input-queued", pushed_,
               arbitrated_ + static_cast<std::uint64_t>(queued_packets_));
-    a.checkEq(name, "arbitrated == popped + flying + output-queued",
-              arbitrated_,
-              popped_ + static_cast<std::uint64_t>(flying_.size()) +
-                  delivered_waiting);
+    a.checkEq(name, "arbitrated == popped + output-queued", arbitrated_,
+              popped_ + output_queued);
     if (at_drain) {
         a.checkEq(name, "all packets popped at drain", pushed_, popped_);
         a.checkTrue(name, "queues empty at drain", !busy());
@@ -199,12 +163,8 @@ XbarDirection::audit(Audit &a, const char *name, bool at_drain) const
 bool
 XbarDirection::busy() const
 {
-    if (!flying_.empty() || queued_packets_ > 0)
-        return true;
-    for (const auto &q : out_q_)
-        if (!q.empty())
-            return true;
-    return false;
+    // Every arbitrated packet not yet popped sits in an output queue.
+    return queued_packets_ > 0 || arbitrated_ != popped_;
 }
 
 } // namespace caba

@@ -36,7 +36,10 @@ struct XbarConfig
  * @p outputs output ports, per-output round-robin arbitration at packet
  * granularity, output-port occupancy proportional to flit count. Each
  * output keeps a bitmask of the inputs whose head packet targets it, so
- * a round-robin pick is a rotated find-first-set.
+ * a round-robin pick is a rotated find-first-set. An arbitrated packet
+ * goes straight into its output queue, stamped with the cycle its last
+ * flit arrives, so one queue per output holds the packets in flight and
+ * the delivered ones alike.
  */
 class XbarDirection : public Clocked
 {
@@ -55,20 +58,20 @@ class XbarDirection : public Clocked
     /** Advances one cycle: arbitration + transfers. */
     void cycle(Cycle now) override;
 
-    /** True when output @p out has a delivered packet ready. */
+    /** True when output @p out has a delivered packet ready: its last
+     *  flit arrived before cycle @p now. */
     bool hasDelivery(int out, Cycle now) const;
 
     /** Pops the next delivered packet at output @p out. */
     MemRequest popDelivery(int out);
 
-    /** Number of packets queued at output @p out (for backpressure). */
-    int outputDepth(int out) const;
-
     bool busy() const override;
 
     /**
-     * Earliest cycle a delivery becomes ready, an in-flight packet
-     * lands, or a queued packet can win its output port.
+     * Earliest cycle a queued packet can win its output port. Deliveries
+     * need no cycle() call (hasDelivery() reads the clock), and a full
+     * output unblocks only when the wire phase pops it, which wakes this
+     * crossbar.
      */
     Cycle nextWork(Cycle now) const override;
 
@@ -89,21 +92,16 @@ class XbarDirection : public Clocked
     void faultDropNextStore() { fault_drop_next_store_ = true; }
 
     /** Packet conservation: pushed == arbitrated + input-queued,
-     *  arbitrated == popped + in-flight + output-queued; empty at drain. */
+     *  arbitrated == popped + output-queued; empty at drain. */
     void audit(Audit &a, const char *name, bool at_drain) const;
 
   private:
-    struct InFlight
+    /** A packet in an output queue and the cycle its last flit arrives
+     *  (the wire phase of the cycle after sees it). */
+    struct OutPacket
     {
         MemRequest req;
-        int out = 0;
-        Cycle deliver_at = 0;
-    };
-
-    struct Delivered
-    {
-        MemRequest req;
-        Cycle at = 0;
+        Cycle arrives = 0;
     };
 
     /** Input @p in's head packet now targets @p new_out instead of
@@ -119,9 +117,9 @@ class XbarDirection : public Clocked
     std::vector<std::uint64_t> head_mask_;
     std::vector<Cycle> port_busy_until_;
     std::vector<int> rr_;
-    std::vector<Ring<Delivered>> out_q_;
-    std::vector<InFlight> flying_;
-    std::vector<int> flying_per_out_;
+    /** Per output, in arbitration order, which is also arrival order:
+     *  a port starts a packet only after its previous one's flits. */
+    std::vector<Ring<OutPacket>> out_q_;
     int queued_packets_ = 0;
 
     // counters (hot path: plain members, assembled by stats())
@@ -132,7 +130,9 @@ class XbarDirection : public Clocked
     ReqStage stage_ = ReqStage::XbarReq;
     bool fault_drop_next_store_ = false;
 
-    // audit-only conservation counters (not exported in stats_)
+    // conservation counters (not exported in stats_): the audit checks
+    // them, and arbitrated_ - popped_ is the output-queued count busy()
+    // reads
     std::uint64_t pushed_ = 0;
     std::uint64_t arbitrated_ = 0;
     std::uint64_t popped_ = 0;

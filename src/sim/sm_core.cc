@@ -186,7 +186,7 @@ SmCore::routeStore(Addr line, bool full_line, int warp, Cycle now)
             aw.priority = awc_.config().compress_low_priority
                 ? AssistPriority::Low : AssistPriority::High;
             aw.purpose = AssistPurpose::Compress;
-            aw.code = &aws_->compressRoutine(getCodec(design_.algo));
+            aw.code = &aws_->compressRoutine(design_.algo);
             aw.line = line;
             aw.token = token;
             aw.spawned = now;
@@ -217,10 +217,10 @@ SmCore::emitStoreRequest(Addr line, bool full_line, bool compressed_ok,
     req.full_line = full_line;
     req.src_sm = id_;
     if (compressed_ok && design_.xbarCompressed()) {
-        const CompressedLine &cl = model_->lookup(line);
-        req.payload_bytes = cl.size();
-        req.compressed = !cl.isUncompressed();
-        req.encoding = cl.encoding;
+        const ImageSummary img = model_->lookup(line);
+        req.payload_bytes = img.size;
+        req.compressed = !img.isUncompressed();
+        req.encoding = img.encoding;
         ++n_.stores_sent_compressed;
         if (design_.decompress == DecompressSite::L1Hw)
             ++n_.hw_store_compressions;
@@ -237,14 +237,13 @@ bool
 SmCore::triggerDecompress(Addr line, AssistPurpose purpose,
                           std::uint64_t token, Cycle now)
 {
-    const Codec &codec = getCodec(design_.algo);
-    const CompressedLine &cl = model_->lookup(line);
+    const ImageSummary img = model_->lookup(line);
     AssistWarp aw;
     aw.parent_warp = kInvalidWarp;
     aw.priority = awc_.config().decompress_high_priority
         ? AssistPriority::High : AssistPriority::Low;
     aw.purpose = purpose;
-    aw.code = &aws_->decompressRoutine(codec, cl);
+    aw.code = &aws_->decompressRoutine(design_.algo, img.encoding);
     aw.line = line;
     aw.token = token;
     aw.spawned = now;

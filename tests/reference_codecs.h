@@ -4,13 +4,13 @@
  * were before the word-parallel rewrite in src/compress/, with their
  * byte-at-a-time BitWriter/BitReader. Nothing in the simulator links
  * them; the differential test holds the shipped codecs to these, byte
- * for byte, including the vector capacity the compression model's memo
- * footprint counts.
+ * for byte. They keep the codec interface of that time (ref::Codec).
  */
 #ifndef CABA_TESTS_REFERENCE_CODECS_H
 #define CABA_TESTS_REFERENCE_CODECS_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "compress/bdi.h"
@@ -47,6 +47,22 @@ class BitReader
     const std::uint8_t *data_;
     int size_bits_;
     int pos_ = 0;
+};
+
+/** The codec interface as it was: compress() and decompress() are the
+ *  virtuals, and the decompression cost reads a whole CompressedLine. */
+class Codec
+{
+  public:
+    virtual ~Codec() = default;
+    virtual std::string name() const = 0;
+    virtual CompressedLine compress(const std::uint8_t *line) const = 0;
+    virtual void decompress(const CompressedLine &cl,
+                            std::uint8_t *out) const = 0;
+    virtual int hwDecompressLatency() const = 0;
+    virtual int hwCompressLatency() const = 0;
+    virtual SubroutineCost decompressCost(const CompressedLine &cl) const = 0;
+    virtual SubroutineCost compressCost() const = 0;
 };
 
 /** BDI: every base-delta encoding tried, the strictly smallest kept. */

@@ -10,6 +10,9 @@
  *    writebacks);
  *  - the same under compressed designs whose compression-model memo
  *    already holds every line the traffic touches;
+ *  - the compression model itself, from construction on (its slot
+ *    array is reserved up front): memo misses, LRU evictions and
+ *    recompressions after full and partial writes, for every codec;
  *  - the Audit lifecycle hooks at a steady number of live requests.
  */
 #include <gtest/gtest.h>
@@ -220,6 +223,67 @@ TEST(AllocationFree, WarmMemoRecompressesNothing)
         drv.model().stats().get("lines_compressed");
     drv.run(20000);
     EXPECT_EQ(drv.model().stats().get("lines_compressed"), compressed);
+}
+
+/**
+ * A memo a quarter the size of the line pool: two sweeps over the pool
+ * miss and evict on every lookup; then each line still memoized is
+ * written in full and looked up, and written in part and looked up,
+ * which recompresses it in place. Every line was written once before
+ * the memo exists, so the store's overlay holds it already and the
+ * writes allocate nothing either.
+ */
+void
+expectMemoAllocationFree(Algorithm algo)
+{
+    constexpr int kPool = 1024;
+    constexpr int kCap = kPool / 4;
+    BackingStore store([](Addr line, std::uint8_t *out) {
+        const auto profile = static_cast<DataProfile>((line / kLineSize) % 8);
+        generateProfileLine(profile, 5, line, out);
+    });
+    auto line_at = [](int i) { return static_cast<Addr>(i) * kLineSize; };
+    for (int i = 0; i < kPool; ++i)
+        store.writePartial(line_at(i), 0, 1);
+    CompressionModel model(store, algo, true, kCap);
+    Lcg rng(algo == Algorithm::Bdi ? 1 : 2);
+
+    std::uint64_t before = g_allocations.load();
+    for (int sweep = 0; sweep < 2; ++sweep)
+        for (int i = 0; i < kPool; ++i)
+            model.lookup(line_at(i));
+    std::uint64_t allocations = g_allocations.load() - before;
+    const StatSet swept = model.stats();    // a StatSet allocates
+    before = g_allocations.load();
+    for (int i = kPool - kCap; i < kPool; ++i) {
+        std::uint8_t data[kLineSize];
+        for (std::uint8_t &b : data)
+            b = static_cast<std::uint8_t>(rng.below(i % 2 == 0 ? 4 : 256));
+        store.write(line_at(i), data);
+        model.lookup(line_at(i));
+        const int offset = rng.below(kLineSize);
+        store.writePartial(line_at(i), offset,
+                           1 + rng.below(kLineSize - offset));
+        model.lookup(line_at(i));
+    }
+    allocations += g_allocations.load() - before;
+    EXPECT_EQ(allocations, 0u) << algorithmName(algo);
+
+    const StatSet s = model.stats();
+    EXPECT_EQ(swept.get("lines_compressed"), 2u * kPool);
+    EXPECT_EQ(swept.get("memo_evictions"), 2u * kPool - kCap);
+    EXPECT_EQ(s.get("lines_compressed") - swept.get("lines_compressed"),
+              2u * kCap)
+        << "every write must recompress its line";
+    EXPECT_EQ(s.get("memo_evictions"), swept.get("memo_evictions"));
+    EXPECT_EQ(model.memoEntries(), static_cast<std::size_t>(kCap));
+}
+
+TEST(AllocationFree, MemoMissesEvictionsAndRecompressions)
+{
+    for (const Algorithm algo : {Algorithm::Bdi, Algorithm::Fpc,
+                                 Algorithm::CPack, Algorithm::BestOfAll})
+        expectMemoAllocationFree(algo);
 }
 
 TEST(AllocationFree, AuditLifecycleHooksAtSteadyLiveCount)

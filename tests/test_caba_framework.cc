@@ -37,14 +37,24 @@ TEST(Aws, SubroutinesAreCachedPerEncoding)
 
     generateProfileLine(DataProfile::Pointer, 1, 0, line);
     const CompressedLine a = bdi.compress(line);
-    const auto &r1 = aws.decompressRoutine(bdi, a);
-    const auto &r2 = aws.decompressRoutine(bdi, a);
+    const auto &r1 = aws.decompressRoutine(Algorithm::Bdi, a.encoding);
+    const auto &r2 = aws.decompressRoutine(Algorithm::Bdi, a.encoding);
     EXPECT_EQ(&r1, &r2);    // stable storage, one SR.ID
+    EXPECT_EQ(aws.numSubroutines(), 1);
 
     generateProfileLine(DataProfile::Zeros, 1, 0, line);
     const CompressedLine z = bdi.compress(line);
-    aws.decompressRoutine(bdi, z);
-    EXPECT_GE(aws.numSubroutines(), 2);
+    ASSERT_NE(z.encoding, a.encoding);
+    aws.decompressRoutine(Algorithm::Bdi, z.encoding);
+    EXPECT_EQ(aws.numSubroutines(), 2);
+
+    // The algorithm is part of the key: the same encoding id under
+    // another codec is another subroutine, as is compressing.
+    aws.decompressRoutine(Algorithm::Fpc, a.encoding);
+    EXPECT_EQ(aws.numSubroutines(), 3);
+    aws.compressRoutine(Algorithm::Bdi);
+    EXPECT_EQ(aws.numSubroutines(), 4);
+    EXPECT_EQ(&aws.decompressRoutine(Algorithm::Bdi, a.encoding), &r1);
 }
 
 TEST(Aws, SubroutineShapeMatchesCost)
@@ -54,8 +64,8 @@ TEST(Aws, SubroutineShapeMatchesCost)
     std::uint8_t line[kLineSize];
     generateProfileLine(DataProfile::Pointer, 1, 0, line);
     const CompressedLine cl = bdi.compress(line);
-    const SubroutineCost cost = bdi.decompressCost(cl);
-    const auto &code = aws.decompressRoutine(bdi, cl);
+    const SubroutineCost cost = bdi.decompressCost(cl.encoding);
+    const auto &code = aws.decompressRoutine(Algorithm::Bdi, cl.encoding);
     // MOVE + (mem_ops-1) loads + alu_ops + 1 store.
     EXPECT_EQ(static_cast<int>(code.size()),
               1 + cost.alu_ops + cost.mem_ops);
@@ -71,9 +81,9 @@ TEST(Aws, SubroutineShapeMatchesCost)
 TEST(Aws, CompressionRoutinesCostMoreForComplexAlgorithms)
 {
     AssistWarpStore aws({6, 20});
-    const auto &bdi = aws.compressRoutine(getCodec(Algorithm::Bdi));
-    const auto &fpc = aws.compressRoutine(getCodec(Algorithm::Fpc));
-    const auto &cpk = aws.compressRoutine(getCodec(Algorithm::CPack));
+    const auto &bdi = aws.compressRoutine(Algorithm::Bdi);
+    const auto &fpc = aws.compressRoutine(Algorithm::Fpc);
+    const auto &cpk = aws.compressRoutine(Algorithm::CPack);
     EXPECT_LT(bdi.size(), fpc.size());
     EXPECT_LE(fpc.size(), cpk.size());
 }

@@ -3,9 +3,9 @@
  * Differential test: the shipped word-parallel codecs against the
  * byte-at-a-time reference codecs they replaced (reference_codecs.h).
  * On every input line each codec must match its reference in encoding,
- * size and bytes; own exactly its size (bytes.capacity() == size(),
- * which the compression model's memo footprint counts); decompress to
- * the input; and cost the same assist-warp budget to decompress.
+ * size and bytes; own exactly its size from compress()
+ * (bytes.capacity() == size()); decompress to the input; and cost the
+ * same assist-warp budget to decompress.
  */
 #include <cstring>
 #include <string>
@@ -57,7 +57,8 @@ sameAsReference(const std::uint8_t *line)
         if (std::memcmp(out, line, kLineSize) != 0)
             return ::testing::AssertionFailure()
                    << name << ": does not decompress to its input";
-        const SubroutineCost cost = getCodec(algo).decompressCost(got);
+        const SubroutineCost cost =
+            getCodec(algo).decompressCost(got.encoding);
         const SubroutineCost want_cost =
             ref::getCodec(algo).decompressCost(want);
         if (cost.alu_ops != want_cost.alu_ops ||

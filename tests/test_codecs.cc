@@ -284,10 +284,12 @@ TEST(Codecs, DecompressCostScalesWithComplexity)
     const CompressedLine bdi = getCodec(Algorithm::Bdi).compress(line);
     const CompressedLine fpc = getCodec(Algorithm::Fpc).compress(line);
     const CompressedLine cpk = getCodec(Algorithm::CPack).compress(line);
-    const int bdi_ops = getCodec(Algorithm::Bdi).decompressCost(bdi).alu_ops;
-    const int fpc_ops = getCodec(Algorithm::Fpc).decompressCost(fpc).alu_ops;
+    const int bdi_ops =
+        getCodec(Algorithm::Bdi).decompressCost(bdi.encoding).alu_ops;
+    const int fpc_ops =
+        getCodec(Algorithm::Fpc).decompressCost(fpc.encoding).alu_ops;
     const int cpk_ops =
-        getCodec(Algorithm::CPack).decompressCost(cpk).alu_ops;
+        getCodec(Algorithm::CPack).decompressCost(cpk.encoding).alu_ops;
     EXPECT_LT(bdi_ops, fpc_ops);
     EXPECT_LE(fpc_ops, cpk_ops);
 }

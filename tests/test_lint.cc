@@ -107,6 +107,45 @@ TEST(Lint, IterationOrderUnorderedRangeFor)
     }
 }
 
+TEST(Lint, IterationOrderClassicForOverIterators)
+{
+    // An iterator loop walks the hash order just as a range-for does.
+    SourceFile f;
+    f.path = "src/common/iter_classic.cc";
+    f.text = "#include <unordered_map>\n"                          // 1
+             "std::unordered_map<int, int> table;\n"                // 2
+             "std::unordered_map<int, int> *ptr = &table;\n"        // 3
+             "int sum() {\n"                                       // 4
+             "    int s = 0;\n"                                    // 5
+             "    for (auto it = table.begin(); it != table.end();"
+             " ++it)\n"                                            // 6
+             "        s += it->second;\n"                          // 7
+             "    for (auto it = ptr->cbegin(); it != ptr->cend();"
+             " ++it)\n"                                            // 8
+             "        s += it->second;\n"                          // 9
+             "    // lint: order-insensitive — the sum is commutative\n"
+             "    for (auto it = table.begin(); it != table.end();"
+             " ++it)\n"                                            // 11
+             "        s += it->second;\n"                          // 12
+             "    for (auto it = table.find(1); it != table.end();"
+             " ++it)\n"                                            // 13
+             "        break;\n"                                    // 14
+             "    for (int i = 0; i < 3; ++i)\n"                   // 15
+             "        s += i;\n"                                   // 16
+             "    return s;\n"                                     // 17
+             "}\n";
+    const auto findings = caba::lint::run({f});
+    ASSERT_EQ(findings.size(), 2u);
+    EXPECT_EQ(findings[0].rule, "iteration-order");
+    EXPECT_EQ(findings[0].line, 6);
+    EXPECT_NE(findings[0].message.find("'table'"), std::string::npos)
+        << findings[0].message;
+    EXPECT_EQ(findings[1].rule, "iteration-order");
+    EXPECT_EQ(findings[1].line, 8);
+    EXPECT_NE(findings[1].message.find("'ptr'"), std::string::npos)
+        << findings[1].message;
+}
+
 TEST(Lint, IterationOrderOnlyEnforcedInSrc)
 {
     // tests/ may iterate unordered containers freely.

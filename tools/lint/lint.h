@@ -16,8 +16,10 @@
  *                     common/trace.cc).
  *  - iteration-order  range-for over a variable declared as
  *                     std::unordered_map/set anywhere in the scanned
- *                     tree is flagged in src/ unless the line (or the
- *                     line above) carries `// lint: order-insensitive`.
+ *                     tree, or a classic for whose init calls its
+ *                     begin() or cbegin(), is flagged in src/ unless
+ *                     the line (or the line above) carries
+ *                     `// lint: order-insensitive`.
  *  - env-access       getenv is only legal inside src/common/env.cc,
  *                     the environment registry.
  *  - check-discipline bare assert( in src/ must be CABA_CHECK (always

@@ -370,6 +370,23 @@ annotated(const LexedFile &f, int line)
     return f.annotated("order-insensitive", line);
 }
 
+/** The known unordered container whose begin() or cbegin() the tokens
+ *  [@p from, @p to) call, or "" when they call none. */
+std::string
+unorderedBeginIn(const std::vector<Token> &t, std::size_t from,
+                 std::size_t to, const std::set<std::string> &unordered_names)
+{
+    for (std::size_t j = from; j + 3 < to; ++j) {
+        if (t[j].kind == Token::Ident && unordered_names.count(t[j].text) &&
+            (t[j + 1].punct(".") || t[j + 1].punct("->")) &&
+            (t[j + 2].ident("begin") || t[j + 2].ident("cbegin")) &&
+            t[j + 3].punct("(")) {
+            return t[j].text;
+        }
+    }
+    return "";
+}
+
 void
 ruleIterationOrder(const LexedFile &f, const std::string &path,
                    const std::set<std::string> &unordered_names,
@@ -385,18 +402,34 @@ ruleIterationOrder(const LexedFile &f, const std::string &path,
         // Find the range-for ':' at top nesting level; a ';' there means
         // a classic for loop.
         std::size_t colon = std::string::npos;
+        std::size_t semi = std::string::npos;
         int depth = 0;
         for (std::size_t j = i + 2; j < close; ++j) {
             if (t[j].punct("(") || t[j].punct("[") || t[j].punct("{"))
                 ++depth;
             else if (t[j].punct(")") || t[j].punct("]") || t[j].punct("}"))
                 --depth;
-            else if (depth == 0 && t[j].punct(";"))
+            else if (depth == 0 && t[j].punct(";")) {
+                semi = j;
                 break;
-            else if (depth == 0 && t[j].punct(":")) {
+            } else if (depth == 0 && t[j].punct(":")) {
                 colon = j;
                 break;
             }
+        }
+        if (semi != std::string::npos) {
+            // A classic for whose init takes an iterator from an
+            // unordered container walks it in hash order too.
+            const std::string name =
+                unorderedBeginIn(t, i + 2, semi, unordered_names);
+            if (!name.empty() && !annotated(f, t[i].line)) {
+                add(out, "iteration-order", path, t[i].line,
+                    "iterator loop over unordered container '" + name +
+                        "' — iteration order is implementation-defined; "
+                        "iterate a sorted copy or annotate the line with "
+                        "'// lint: order-insensitive <reason>'");
+            }
+            continue;
         }
         if (colon == std::string::npos || colon + 1 >= close)
             continue;
