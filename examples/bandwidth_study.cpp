@@ -5,8 +5,11 @@
  * matrix — a miniature of Figures 7 and 12 for one app.
  *
  * Usage: ./bandwidth_study [app-name]
+ *
+ * An unknown app name prints usage naming it and exits 1.
  */
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "common/table.h"
@@ -14,10 +17,31 @@
 
 using namespace caba;
 
+namespace {
+
+[[noreturn]] void
+usage(const std::string &error)
+{
+    std::fprintf(stderr, "bandwidth_study: %s\n", error.c_str());
+    std::printf("usage: bandwidth_study [app-name]\n"
+                "  app-name  application (default PVC); caba_cli --list "
+                "shows all\n");
+    std::exit(1);
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
+    if (argc > 2)
+        usage("too many arguments");
     const std::string name = argc > 1 ? argv[1] : "PVC";
+    bool known = false;
+    for (const AppDescriptor &a : allApps())
+        known = known || a.name == name;
+    if (!known)
+        usage("unknown app-name '" + name + "'");
     const AppDescriptor &app = findApp(name);
 
     ExperimentOptions opts;

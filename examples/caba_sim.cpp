@@ -11,7 +11,8 @@
  *            [--verify] [--memoize] [--prefetch] [--stats] [--list]
  *
  * Numeric values parse strictly (common/parse.h): a malformed or
- * out-of-range value prints usage naming the flag and exits 1.
+ * out-of-range value, like an unknown app, design or algorithm, prints
+ * usage naming the flag and exits 1.
  */
 #include <climits>
 #include <cstdio>
@@ -143,6 +144,11 @@ main(int argc, char **argv)
     design.l1_tag_factor = l1_tags;
     design.l2_tag_factor = l2_tags;
 
+    bool known_app = false;
+    for (const AppDescriptor &a : allApps())
+        known_app = known_app || a.name == app_name;
+    if (!known_app)
+        usage("unknown --app '" + app_name + "' (--list to see all)");
     const AppDescriptor &app = findApp(app_name);
     if (app.memo_hit_rate > 0.0 && opts.extras.memoize)
         opts.extras.memo_hit_rate = app.memo_hit_rate;

@@ -6,11 +6,16 @@
  * reproduces the paper's Figure 5 walkthrough on a PVC-style line.
  *
  * Usage: ./compression_explorer [lines_per_profile]
+ *
+ * lines_per_profile is an integer >= 1 (default 2000); anything else
+ * prints usage naming the argument and exits 1.
  */
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
+#include "common/parse.h"
 #include "common/table.h"
 #include "compress/bdi.h"
 #include "compress/registry.h"
@@ -18,10 +23,30 @@
 
 using namespace caba;
 
+namespace {
+
+[[noreturn]] void
+usage(const std::string &error)
+{
+    std::fprintf(stderr, "compression_explorer: %s\n", error.c_str());
+    std::printf("usage: compression_explorer [lines_per_profile]\n"
+                "  lines_per_profile  lines per data profile, an integer "
+                ">= 1 (default 2000)\n");
+    std::exit(1);
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    const int samples = argc > 1 ? std::atoi(argv[1]) : 2000;
+    if (argc > 2)
+        usage("too many arguments");
+    int samples = 2000;
+    if (argc > 1 && !parse::intInRange(argv[1], 1, &samples)) {
+        usage(std::string("lines_per_profile needs an integer >= 1, got '") +
+              argv[1] + "'");
+    }
 
     std::printf("Per-profile compressed size (bytes, avg over %d lines of "
                 "%dB)\n\n", samples, kLineSize);

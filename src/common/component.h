@@ -1,18 +1,12 @@
 /**
  * @file
- * The clocked-object discipline every timed component follows
- * (gem5 / GPGPU-Sim style). Two pieces:
+ * The two pieces the run loop shares with its components:
  *
- *  - Clocked: cycle(now) advances one cycle, busy() reports outstanding
- *    state, and nextWork(now) hints the earliest cycle at which calling
- *    cycle() could do anything. The hint drives GpuSystem's event-driven
- *    run loop: the clock steps one cycle at a time, a component sleeps
- *    until its hint (or until traffic is pushed into it), and
- *    skipIdle() charges the slept cycles to the same accounting the
- *    per-cycle path would have used. The contract is one-sided:
- *    reporting work too EARLY only costs a wasted tick; reporting it
- *    too LATE is a simulation bug, which the ticked oracle (every
- *    component cycled every clock) exposes.
+ *  - kNoWork: the wake-time sentinel. SmCore::nextWork() returns it
+ *    when the core will never act again on its own; GpuSystem parks a
+ *    sleeping SM there until the wire phase moves traffic to or from
+ *    it. The SMs are the only components that sleep: the crossbars and
+ *    the memory partitions cycle on every clock (DESIGN.md section 10).
  *
  *  - Channel<T>: a bounded FIFO (a Ring). GpuSystem's wire phase moves
  *    packets between the channels and crossbar ports directly.
@@ -27,46 +21,9 @@
 
 namespace caba {
 
-/** nextWork() sentinel: the component will never act again on its own
- *  (it may still be reactivated by traffic pushed into it). */
+/** SmCore::nextWork() sentinel: the core will never act again on its
+ *  own (traffic the wire phase moves can still wake it). */
 inline constexpr Cycle kNoWork = ~Cycle{0};
-
-/** A component advanced by the global clock. */
-class Clocked
-{
-  public:
-    virtual ~Clocked();
-
-    /** Advances the component one cycle. */
-    virtual void cycle(Cycle now) = 0;
-
-    /** True while the component holds undrained state. */
-    virtual bool busy() const = 0;
-
-    /**
-     * Earliest cycle >= @p now at which cycle() could change any state
-     * or counter (kNoWork when it never will). Must be conservative:
-     * never later than the true next event.
-     */
-    virtual Cycle
-    nextWork(Cycle now) const
-    {
-        (void)now;
-        return now;
-    }
-
-    /**
-     * Applies the accounting the skipped cycles [@p from, @p to) would
-     * have performed, given that nextWork(from) >= to held for every
-     * component in the system. Default: nothing to account.
-     */
-    virtual void
-    skipIdle(Cycle from, Cycle to)
-    {
-        (void)from;
-        (void)to;
-    }
-};
 
 /**
  * Bounded FIFO. The capacity gates canPush() only: push() itself never

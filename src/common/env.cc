@@ -33,10 +33,11 @@ constexpr std::array<Var, 7> kVars{{
      "warp,assist,cache,dram,xbar,slots,counter,all; an unknown name is "
      "fatal."},
     {"CABA_EVENT_DRIVEN", Type::Int, "1",
-     "Run-loop schedule, 1 or 0: 1 lets components sleep until their "
-     "nextWork() hint or incoming traffic; 0 runs the ticked oracle, "
-     "cycling every component every clock. Both step the clock one "
-     "cycle at a time (CI byte-diffs them; results are "
+     "Run-loop schedule, 1 or 0: 1 lets SMs sleep until their "
+     "nextWork() hint or until traffic moves to or from them; 0 runs "
+     "the ticked oracle, cycling every SM every clock. The crossbars "
+     "and partitions cycle every clock in both, and both step the clock "
+     "one cycle at a time (CI byte-diffs them; results are "
      "bit-identical)."},
     {"CABA_PROF", Type::Str, "(unset: profiler off)",
      "In-loop wall-clock profiler output path: attributes host time per "

@@ -4,9 +4,9 @@
  * simulator. Two kinds of host time land in one process-global table:
  *
  *  - run-loop buckets: when CABA_PROF=<path> is set, GpuSystem
- *    timestamps every component cycle batch, skipIdle catch-up and
- *    wire phase, attributing host nanoseconds to (component class,
- *    phase) buckets;
+ *    timestamps every component cycle, SM skipIdle catch-up and wire
+ *    phase, attributing host nanoseconds to (component class, phase)
+ *    buckets;
  *  - harness stages: runApp times each cell's build and run, always
  *    (two clock reads per stage), so a sweep can report on stderr where
  *    its wall time went.
@@ -41,7 +41,7 @@ enum class Comp : int {
     XbarReq,    ///< Request-crossbar direction.
     XbarReply,  ///< Reply-crossbar direction.
     Partition,  ///< Memory partition (L2 + MD + DRAM channel).
-    Wire,       ///< Traffic pumping (includes wake-side catch-ups).
+    Wire,       ///< Traffic pumping (includes SM wake catch-ups).
     Loop,       ///< Whole-run loop (inclusive).
     kCount,
 };
@@ -49,7 +49,9 @@ enum class Comp : int {
 /** What the component was doing when the time was spent. */
 enum class Phase : int {
     Cycle,      ///< cycle(now) calls.
-    CatchUp,    ///< Deferred skipIdle() spans charged on wake.
+    /** Deferred SmCore::skipIdle() spans charged on wake. Only SMs
+     *  sleep, so the other classes' catch_up buckets stay at zero. */
+    CatchUp,
     /** Never recorded: the run loop steps every cycle and no longer
      *  jumps. Kept so the caba-prof-v1 schema keeps its 18 buckets
      *  while perfbench still reads loop/jump (gpu.jump_s, gpu.jumps). */

@@ -47,7 +47,7 @@ enum Category : unsigned {
     kXbar = 1u << 4,        ///< Crossbar packet transfers.
     kSlots = 1u << 5,       ///< Exact per-scheduler issue-slot taxonomy
                             ///< spans (DESIGN.md section 11).
-    kCounter = 1u << 6,     ///< Counter tracks: event-queue depth,
+    kCounter = 1u << 6,     ///< Counter tracks: scheduled SMs,
                             ///< issuable warps, DRAM read-queue depth.
     kAll = (1u << 7) - 1,
 };

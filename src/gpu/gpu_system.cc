@@ -64,17 +64,10 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const DesignConfig &design,
             i, pcfg, design_, model_.get()));
     }
 
-    for (auto &sm : sms_)
-        clocked_.push_back(sm.get());
-    clocked_.push_back(&req_net_);
-    clocked_.push_back(&reply_net_);
-    for (auto &part : partitions_)
-        clocked_.push_back(part.get());
-
     ticked_ = cfg_.ticked || !eventDrivenEnvOn();
-    // Every component is due at cycle 0, with no idle span to charge.
-    wake_.assign(clocked_.size(), now_);
-    acct_.assign(clocked_.size(), now_);
+    // Every SM is due at cycle 0, with no idle span to charge.
+    wake_.assign(sms_.size(), now_);
+    acct_.assign(sms_.size(), now_);
 
     if (audit_.enabled()) {
         for (auto &sm : sms_)
@@ -141,9 +134,9 @@ GpuSystem::partitionOf(Addr line) const
     return static_cast<int>((line >> 8) % cfg_.num_partitions);
 }
 
-template <typename CompFn, typename Work>
+template <typename Work>
 void
-GpuSystem::timed(CompFn comp, prof::Phase phase, Work work)
+GpuSystem::timed(prof::Comp comp, prof::Phase phase, Work work)
 {
     if (!prof_on_) {
         work();
@@ -151,140 +144,109 @@ GpuSystem::timed(CompFn comp, prof::Phase phase, Work work)
     }
     const std::int64_t t0 = prof::nowNs();
     work();
-    prof_.add(comp(), phase, prof::nowNs() - t0);
-}
-
-prof::Comp
-GpuSystem::compClassOf(std::size_t i) const
-{
-    const std::size_t n_sms = sms_.size();
-    if (i < n_sms)
-        return prof::Comp::Sm;
-    if (i == n_sms)
-        return prof::Comp::XbarReq;
-    if (i == n_sms + 1)
-        return prof::Comp::XbarReply;
-    return prof::Comp::Partition;
+    prof_.add(comp, phase, prof::nowNs() - t0);
 }
 
 bool
 GpuSystem::done() const
 {
-    for (const Clocked *c : clocked_)
-        if (c->busy())
+    for (const auto &sm : sms_)
+        if (sm->busy())
+            return false;
+    if (req_net_.busy() || reply_net_.busy())
+        return false;
+    for (const auto &part : partitions_)
+        if (part->busy())
             return false;
     return true;
 }
 
 void
-GpuSystem::catchUp(std::size_t i, Cycle to)
+GpuSystem::catchUp(std::size_t s, Cycle to)
 {
-    if (acct_[i] < to) {
-        // The span [acct_[i], to) had no cycle() call and no incoming
-        // traffic, so the component's state is exactly what it was at
-        // acct_[i]; one deferred skipIdle() charges the same accounting
-        // the per-cycle path would have accumulated.
-        clocked_[i]->skipIdle(acct_[i], to);
-        acct_[i] = to;
+    if (acct_[s] < to) {
+        // The span [acct_[s], to) had no cycle() call and no traffic in
+        // or out, so the SM's state is exactly what it was at acct_[s];
+        // one deferred skipIdle() charges the same accounting the
+        // per-cycle path would have accumulated.
+        sms_[s]->skipIdle(acct_[s], to);
+        acct_[s] = to;
     }
-}
-
-void
-GpuSystem::wakeForTraffic(std::size_t i)
-{
-    // SMs (clocked_ indices below num_sms) cycle before the wire phase:
-    // traffic landing at now_ is seen by their cycle(now_ + 1). The
-    // crossbars and partitions cycle after the wire phase and must run
-    // this very cycle, exactly as the ticked oracle runs them.
-    // Catch-up must precede the push (see catchUp()).
-    const Cycle at = i < sms_.size() ? now_ + 1 : now_;
-    catchUp(i, at);
-    wake_[i] = std::min(wake_[i], at);
 }
 
 void
 GpuSystem::pumpWires()
 {
-    // Taking from a source can unblock its owner (a full crossbar
-    // output gates arbitration) just as accepting gives the destination
-    // work, so a link that can move wakes both owners before it drains.
-    auto drain = [this](std::size_t src, std::size_t dst, auto can_move,
-                        auto move_one) {
-        if (!can_move())
-            return;
-        wakeForTraffic(src);
-        wakeForTraffic(dst);
-        do {
-            move_one();
-        } while (can_move());
+    // SMs cycle before the wire phase, so an SM reacts to traffic moved
+    // at now_ in its cycle(now_ + 1): a take from its out-queue can end
+    // an LDST replay stall, and a reply is a fill. Its catch-up must
+    // precede the move (see catchUp()).
+    auto wake_sm = [this](std::size_t s) {
+        catchUp(s, now_ + 1);
+        wake_[s] = std::min(wake_[s], now_ + 1);
     };
-    const std::size_t req_owner = sms_.size();
-    const std::size_t reply_owner = req_owner + 1;
     for (std::size_t s = 0; s < sms_.size(); ++s) {
         const int port = static_cast<int>(s);
         Channel<MemRequest> &out = sms_[s]->out();
-        drain(
-            s, req_owner,
-            [&] { return !out.empty() && req_net_.canPush(port); },
-            [&] {
-                const MemRequest req = out.take();
-                req_net_.push(port, partitionOf(req.line), req);
-            });
+        if (out.empty() || !req_net_.canPush(port))
+            continue;
+        wake_sm(s);
+        do {
+            const MemRequest req = out.take();
+            req_net_.push(port, partitionOf(req.line), req);
+        } while (!out.empty() && req_net_.canPush(port));
     }
     for (std::size_t p = 0; p < partitions_.size(); ++p) {
         const int port = static_cast<int>(p);
         MemoryPartition &part = *partitions_[p];
-        const std::size_t part_owner = reply_owner + 1 + p;
-        drain(
-            req_owner, part_owner,
-            [&] {
-                return req_net_.hasDelivery(port, now_) && part.canAccept();
-            },
-            [&] { part.accept(req_net_.popDelivery(port), now_); });
-        drain(
-            part_owner, reply_owner,
-            [&] {
-                return !part.replies().empty() && reply_net_.canPush(port);
-            },
-            [&] {
-                // Replies return to their originating SM.
-                const MemRequest reply = part.replies().take();
-                reply_net_.push(port, reply.src_sm, reply);
-            });
+        while (req_net_.hasDelivery(port, now_) && part.canAccept())
+            part.accept(req_net_.popDelivery(port), now_);
+        while (!part.replies().empty() && reply_net_.canPush(port)) {
+            // Replies return to their originating SM.
+            const MemRequest reply = part.replies().take();
+            reply_net_.push(port, reply.src_sm, reply);
+        }
     }
     for (std::size_t s = 0; s < sms_.size(); ++s) {
         const int port = static_cast<int>(s);
+        if (!reply_net_.hasDelivery(port, now_))
+            continue;
         // An SM takes every reply.
-        drain(
-            reply_owner, s,
-            [&] { return reply_net_.hasDelivery(port, now_); },
-            [&] { sms_[s]->deliver(reply_net_.popDelivery(port), now_); });
+        wake_sm(s);
+        do {
+            sms_[s]->deliver(reply_net_.popDelivery(port), now_);
+        } while (reply_net_.hasDelivery(port, now_));
     }
 }
 
 void
 GpuSystem::step()
 {
-    const std::size_t n_sms = sms_.size();
-    auto run_component = [this](std::size_t i) {
-        if (wake_[i] > now_)
-            return;
-        Clocked *c = clocked_[i];
-        const auto cls = [this, i] { return compClassOf(i); };
+    for (std::size_t s = 0; s < sms_.size(); ++s) {
+        if (wake_[s] > now_)
+            continue;
+        SmCore &sm = *sms_[s];
         // The wire-phase wake catch-ups are charged to Wire; this one
-        // covers a component woken by its own schedule.
-        if (acct_[i] < now_)
-            timed(cls, prof::Phase::CatchUp, [&] { catchUp(i, now_); });
-        timed(cls, prof::Phase::Cycle, [&] { c->cycle(now_); });
-        acct_[i] = now_ + 1;
-        wake_[i] = ticked_ ? now_ + 1 : c->nextWork(now_ + 1);
-    };
-    for (std::size_t i = 0; i < n_sms; ++i)
-        run_component(i);
-    timed([] { return prof::Comp::Wire; }, prof::Phase::Cycle,
-          [this] { pumpWires(); });
-    for (std::size_t i = n_sms; i < clocked_.size(); ++i)
-        run_component(i);
+        // covers an SM woken by its own schedule.
+        if (acct_[s] < now_) {
+            timed(prof::Comp::Sm, prof::Phase::CatchUp,
+                  [&] { catchUp(s, now_); });
+        }
+        timed(prof::Comp::Sm, prof::Phase::Cycle, [&] { sm.cycle(now_); });
+        acct_[s] = now_ + 1;
+        wake_[s] = ticked_ ? now_ + 1 : sm.nextWork(now_ + 1);
+    }
+    timed(prof::Comp::Wire, prof::Phase::Cycle, [this] { pumpWires(); });
+    // The crossbars and partitions cycle on every clock, after the wire
+    // phase, so traffic it moves into them is seen this very cycle.
+    timed(prof::Comp::XbarReq, prof::Phase::Cycle,
+          [this] { req_net_.cycle(now_); });
+    timed(prof::Comp::XbarReply, prof::Phase::Cycle,
+          [this] { reply_net_.cycle(now_); });
+    for (auto &part : partitions_) {
+        timed(prof::Comp::Partition, prof::Phase::Cycle,
+              [&] { part->cycle(now_); });
+    }
     ++now_;
 }
 
@@ -293,7 +255,7 @@ GpuSystem::run()
 {
     // loop/cycle is inclusive wall time for the whole run: the gap to
     // the sum of the component buckets is the loop's own overhead.
-    timed([] { return prof::Comp::Loop; }, prof::Phase::Cycle, [this] {
+    timed(prof::Comp::Loop, prof::Phase::Cycle, [this] {
         // Timeline samples and periodic audits count steps (rather than
         // test now_ % interval) so a mid-run caller of step() cannot
         // desynchronize their cadence.
@@ -312,12 +274,12 @@ GpuSystem::run()
                 runAudit(false);
             }
         }
-        // Settle the deferred idle accounting of anything still asleep
-        // (e.g. retired SMs accumulating throttle-window history).
-        for (std::size_t i = 0; i < clocked_.size(); ++i) {
-            if (acct_[i] < now_) {
-                timed([this, i] { return compClassOf(i); },
-                      prof::Phase::CatchUp, [&] { catchUp(i, now_); });
+        // Settle the deferred idle accounting of any SM still asleep
+        // (e.g. a retired SM accumulating throttle-window history).
+        for (std::size_t s = 0; s < sms_.size(); ++s) {
+            if (acct_[s] < now_) {
+                timed(prof::Comp::Sm, prof::Phase::CatchUp,
+                      [&] { catchUp(s, now_); });
             }
         }
         if (cfg_.sample_interval > 0)
@@ -333,15 +295,15 @@ TimeSample
 GpuSystem::sampleNow() const
 {
     // Counter tracks ride the timeline cadence, so the track is
-    // identical in both run-loop modes except the event-queue depth
-    // (the components with a wake time: it measures the schedule
-    // itself, and the ticked oracle keeps every component scheduled).
+    // identical in both run-loop modes except scheduled_sms (the SMs
+    // with a wake time: it measures the schedule itself, and the ticked
+    // oracle keeps every SM scheduled).
     if (trace::on(trace::kCounter)) {
         const auto scheduled = std::count_if(
             wake_.begin(), wake_.end(),
             [](Cycle t) { return t != kNoWork; });
         trace::counter(trace::kCounter, trace::kPidCounter, 0,
-                       "event_queue_depth", now_,
+                       "scheduled_sms", now_,
                        static_cast<std::uint64_t>(scheduled));
         for (std::size_t i = 0; i < sms_.size(); ++i) {
             trace::counter(trace::kCounter, trace::kPidCounter,

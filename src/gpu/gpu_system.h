@@ -11,12 +11,13 @@
  * crossbar outputs into the partitions, partition replies into the
  * reply crossbar (routed back to the requesting SM), and reply crossbar
  * outputs into the SMs. The run loop steps the clock one cycle at a
- * time and is event-driven (DESIGN.md section 10): each component
- * sleeps until its nextWork() hint or until the wire phase moves
- * traffic into it. Ticked mode (GpuConfig::ticked, or
- * CABA_EVENT_DRIVEN=0) is the same loop with every component due every
- * cycle: the oracle whose results the event-driven schedule must match
- * bit for bit.
+ * time (DESIGN.md section 10). The SMs are the only components that
+ * sleep: each SM sleeps until its nextWork() hint or until the wire
+ * phase moves traffic to or from it, while both crossbars and every
+ * partition cycle on every clock. Ticked mode (GpuConfig::ticked, or
+ * CABA_EVENT_DRIVEN=0) is the same loop with every SM due every cycle:
+ * the oracle whose results the default schedule must match bit for
+ * bit.
  */
 #ifndef CABA_GPU_GPU_SYSTEM_H
 #define CABA_GPU_GPU_SYSTEM_H
@@ -61,9 +62,10 @@ struct GpuConfig
     bool verify_data = true;
 
     /**
-     * Ticked oracle: every component cycles every clock (DESIGN.md
-     * section 10). Bit-identical to the default event-driven schedule,
-     * which it exists to check; CABA_EVENT_DRIVEN=0 selects it too.
+     * Ticked oracle: every SM cycles every clock, as the crossbars and
+     * partitions always do (DESIGN.md section 10). Bit-identical to the
+     * default schedule, whose SM sleep it exists to check;
+     * CABA_EVENT_DRIVEN=0 selects it too.
      */
     bool ticked = false;
 
@@ -120,7 +122,8 @@ class GpuSystem
     RunResult run();
 
     /** One cycle of the run loop (exposed for tests): cycles the due
-     *  components in phase order and moves packets between them. */
+     *  SMs, runs the wire phase, then cycles the request crossbar, the
+     *  reply crossbar and every partition. */
     void step();
     Cycle now() const { return now_; }
     bool done() const;
@@ -161,28 +164,19 @@ class GpuSystem
 
     /** Wire phase of step(): drains the four links greedily in drain
      *  order (every SM out-queue; then per partition its ingress and
-     *  its replies; then every SM's replies), waking both owners of
-     *  every link that moves traffic. */
+     *  its replies; then every SM's replies), waking the SM whose
+     *  out-queue it takes from or to which it delivers. */
     void pumpWires();
 
-    /** Profiler component class of clocked_ index @p i. */
-    prof::Comp compClassOf(std::size_t i) const;
-
     /** Runs @p work and, when profiling is on, charges its host time to
-     *  (@p comp(), @p phase). With profiling off it reads no clock and
-     *  never calls @p comp. */
-    template <typename CompFn, typename Work>
-    void timed(CompFn comp, prof::Phase phase, Work work);
+     *  (@p comp, @p phase). With profiling off it reads no clock. */
+    template <typename Work>
+    void timed(prof::Comp comp, prof::Phase phase, Work work);
 
-    /** Charges component @p i's deferred skipIdle() span up to @p to.
-     *  Must run before any external push mutates a sleeping component:
-     *  the span's accounting depends on its frozen pre-push state. */
-    void catchUp(std::size_t i, Cycle to);
-
-    /** Wakes link owner @p i (a clocked_ index) for traffic moved at
-     *  now_. SMs cycle before the wire phase, so they react at now_ + 1;
-     *  the crossbars and partitions cycle after it and react at now_. */
-    void wakeForTraffic(std::size_t i);
+    /** Charges SM @p s's deferred skipIdle() span up to @p to. Must run
+     *  before the wire phase moves traffic to or from a sleeping SM:
+     *  the span's accounting depends on its frozen pre-move state. */
+    void catchUp(std::size_t s, Cycle to);
 
     RunResult collect() const;
     TimeSample sampleNow() const;
@@ -198,21 +192,16 @@ class GpuSystem
     XbarDirection req_net_;
     XbarDirection reply_net_;
 
-    /** Every clocked component, in phase order: SM i at i, the request
-     *  crossbar at num_sms, the reply crossbar at num_sms + 1 and
-     *  partition p at num_sms + 2 + p. */
-    std::vector<Clocked *> clocked_;
-
-    /** Per-component wake times, indexed like clocked_: component i
-     *  cycles at now_ when wake_[i] <= now_ (kNoWork parks it). */
+    /** Per-SM wake times: SM s cycles at now_ when wake_[s] <= now_
+     *  (kNoWork parks it). */
     std::vector<Cycle> wake_;
 
-    /** First cycle not yet charged to component i's idle accounting:
-     *  skipIdle() for a sleeping component is deferred until it wakes,
-     *  so acct_[i] trails now_ while i sleeps. */
+    /** First cycle not yet charged to SM s's idle accounting: skipIdle()
+     *  for a sleeping SM is deferred until it wakes, so acct_[s] trails
+     *  now_ while s sleeps. */
     std::vector<Cycle> acct_;
 
-    /** GpuConfig::ticked or CABA_EVENT_DRIVEN=0: every component is
+    /** GpuConfig::ticked or CABA_EVENT_DRIVEN=0: every SM is
      *  rescheduled at now_ + 1 instead of at its nextWork() hint. */
     bool ticked_ = false;
 

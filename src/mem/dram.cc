@@ -191,23 +191,19 @@ DramChannel::pickAct(const CmdQueue &q) const
     return best;
 }
 
-bool
-DramChannel::drainStep(bool draining) const
+DramChannel::CmdQueue &
+DramChannel::activeQueue()
 {
     // Write-drain hysteresis (row-thrash control): writes batch in the
     // write buffer and drain together, instead of closing the rows the
     // read stream is hitting.
     const int writes = write_q_.size();
-    if (draining)
-        return !(writes <= cfg_.write_drain_low || writes == 0);
-    return writes >= cfg_.write_drain_high || read_q_.size() == 0;
-}
-
-DramChannel::CmdQueue &
-DramChannel::activeQueue()
-{
-    draining_writes_ = drainStep(draining_writes_);
-    if (draining_writes_ && write_q_.size() != 0)
+    if (draining_writes_)
+        draining_writes_ = !(writes <= cfg_.write_drain_low || writes == 0);
+    else
+        draining_writes_ =
+            writes >= cfg_.write_drain_high || read_q_.size() == 0;
+    if (draining_writes_ && writes != 0)
         return write_q_;
     draining_writes_ = false;
     return read_q_;
@@ -302,9 +298,6 @@ DramChannel::issueCas(CmdQueue &q, Pick at, Cycle now)
 void
 DramChannel::advanceBusWindows(Cycle now)
 {
-    // Lazy boundary advance: closes every window that ended by `now`.
-    // Busy quarters are frozen during quiescent stretches, so skipped
-    // windows record the same (usually zero) delta a ticked loop would.
     while (bus_window_start_ + kBusWindowCycles <= now) {
         bus_window_busy_.record(bus_busy_q_ - bus_window_base_);
         bus_window_base_ = bus_busy_q_;
@@ -348,62 +341,6 @@ DramChannel::cycle(Cycle now)
     }
     if (act_bank < 0)
         ++sched_no_eligible_;
-}
-
-Cycle
-DramChannel::nextWork(Cycle now) const
-{
-    Cycle e = kNoWork;
-    // Queued completions become partition work at their finish time.
-    for (const DramCompletion &c : completed_)
-        e = std::min(e, c.finish > now ? c.finish : now);
-    if (read_q_.size() == 0 && write_q_.size() == 0)
-        return e;
-    if (static_cast<int>(completed_.size()) >= cfg_.banks + 8)
-        return e;   // scheduler blocked until a completion drains
-    // Replicate activeQueue()'s hysteresis without mutating it. With
-    // static queues the drain flag reaches a fixpoint after one update;
-    // if a second update disagrees it oscillates cycle-to-cycle (empty
-    // read queue, small write backlog) and no cycle is skippable.
-    const bool d1 = drainStep(draining_writes_);
-    if (drainStep(d1) != d1)
-        return now;
-    const CmdQueue &q = (d1 && write_q_.size() != 0) ? write_q_ : read_q_;
-    if (pickAct(q) >= 0)
-        return now;     // activation eligibility is time-independent
-    // No activation possible: the next issue is the earliest CAS whose
-    // bank timing gates clear. pickCas reads both queues (active +
-    // opportunistic), so so does the bound.
-    forEachBank(read_q_.open, [&](int b) {
-        e = std::min(e, std::max(casReadyAt(b, false), now));
-    });
-    forEachBank(write_q_.open, [&](int b) {
-        e = std::min(e, std::max(casReadyAt(b, true), now));
-    });
-    return e;
-}
-
-void
-DramChannel::skipIdle(Cycle from, Cycle to)
-{
-    // Matches what cycle() would have counted on each skipped cycle:
-    // nothing when fully idle, the in-flight-cap stall when completions
-    // back up, the no-eligible-command stall otherwise. The write-drain
-    // flag is left alone: nextWork() only permits a skip when it is at
-    // its fixpoint for the current queue state.
-    //
-    // Window boundaries must match the ticked loop exactly: cycle(t)
-    // runs for t in [from, to) there, so the last advance a skip may
-    // replicate is to-1 — advancing to `to` would close a window one
-    // call early and break byte-identicality across loop modes.
-    advanceBusWindows(to - 1);
-    if (read_q_.size() == 0 && write_q_.size() == 0)
-        return;
-    const std::uint64_t k = to - from;
-    if (static_cast<int>(completed_.size()) >= cfg_.banks + 8)
-        sched_blocked_cap_ += k;
-    else
-        sched_no_eligible_ += k;
 }
 
 void

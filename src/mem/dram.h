@@ -13,7 +13,8 @@
  *
  * Both queues are indexed by bank (see CmdQueue), so every FR-FCFS pick
  * is an argmin over the candidate banks of a bitmask rather than a scan
- * over the commands.
+ * over the commands. The channel's MemoryPartition cycles it on every
+ * partition cycle, which is every clock.
  */
 #ifndef CABA_MEM_DRAM_H
 #define CABA_MEM_DRAM_H
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/component.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -102,9 +102,7 @@ struct DramCompletion
     Cycle finish = 0;
 };
 
-/** One GDDR5 channel. Not a Clocked component of the run loop: its
- *  MemoryPartition cycles it, asks its nextWork() and charges its
- *  skipIdle() spans. */
+/** One GDDR5 channel. */
 class DramChannel
 {
   public:
@@ -120,15 +118,6 @@ class DramChannel
 
     /** Advances one core cycle; issues at most one command. */
     void cycle(Cycle now);
-
-    /**
-     * Earliest cycle the scheduler could issue a command or a queued
-     * completion becomes drainable (kNoWork when fully drained).
-     */
-    Cycle nextWork(Cycle now) const;
-
-    /** Charges the scheduler-stall counters for skipped cycles. */
-    void skipIdle(Cycle from, Cycle to);
 
     /** Moves completions whose finish time has passed into @p out. */
     void drainCompleted(Cycle now, std::vector<DramCompletion> *out);
@@ -265,10 +254,8 @@ class DramChannel
     /** Issues the column command at @p at and dequeues it. */
     void issueCas(CmdQueue &q, Pick at, Cycle now);
 
-    /** One update of the write-drain flag @p draining. */
-    bool drainStep(bool draining) const;
-
-    /** The queue the scheduler serves this cycle (write drain mode). */
+    /** Updates the write-drain flag and returns the queue the scheduler
+     *  serves this cycle. */
     CmdQueue &activeQueue();
 
     /** Recounts both queues' open-row matches for bank @p b after its
@@ -315,9 +302,9 @@ class DramChannel
      *  stack into later windows — this is attribution, not occupancy. */
     static constexpr Cycle kBusWindowCycles = 1024;
 
-    /** Records every window ending at or before @p now. Must run
-     *  before the queue-empty early returns in cycle()/skipIdle() so
-     *  both loops close windows at identical boundaries. */
+    /** Records every window ending at or before @p now. Runs before
+     *  cycle()'s queue-empty early return, so a window closes on time
+     *  whatever the queues hold. */
     void advanceBusWindows(Cycle now);
 
     Cycle bus_window_start_ = 0;

@@ -1,6 +1,5 @@
 #include "mem/partition.h"
 
-#include <algorithm>
 
 #include "common/log.h"
 #include "common/trace.h"
@@ -312,37 +311,6 @@ MemoryPartition::cycle(Cycle now)
         replies_.push(reply_wait_.front().second);
         reply_wait_.pop_front();
     }
-}
-
-Cycle
-MemoryPartition::nextWork(Cycle now) const
-{
-    // Waiting replies need no cycle() call: the wire phase moves them
-    // into the reply crossbar.
-    if ((!writeback_stalled_.empty() && dram_.canAccept(true)) ||
-        (!dram_stalled_.empty() && dram_.canAccept(false))) {
-        return now;     // a stalled command can retry
-    }
-    Cycle e = dram_.nextWork(now);
-    // Both pipes release their heads in order, so only the fronts gate.
-    if (!l2_pipe_.empty()) {
-        const Cycle t = l2_pipe_.front().first;
-        e = std::min(e, t > now ? t : now);
-    }
-    if (!reply_wait_.empty()) {
-        const Cycle t = reply_wait_.front().first;
-        e = std::min(e, t > now ? t : now);
-    }
-    return e;
-}
-
-void
-MemoryPartition::skipIdle(Cycle from, Cycle to)
-{
-    // During a skip no completion drains, no retry fires, and no pipe
-    // head releases (nextWork() bounds all of them), so the per-cycle
-    // path would have touched nothing but the DRAM scheduler counters.
-    dram_.skipIdle(from, to);
 }
 
 StatSet

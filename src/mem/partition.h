@@ -5,7 +5,8 @@
  * metadata + MD cache, Section 4.3.2; dedicated codec latency for the
  * HW-<algo>-Mem design). Requests arrive from the request crossbar
  * through accept(); read replies wait in replies() until GpuSystem moves
- * them into the reply crossbar.
+ * them into the reply crossbar. GpuSystem cycles every partition on
+ * every clock, and each partition cycle cycles its DRAM channel.
  */
 #ifndef CABA_MEM_PARTITION_H
 #define CABA_MEM_PARTITION_H
@@ -58,7 +59,7 @@ struct PartitionConfig
 /** L2 slice + memory controller + DRAM channel. GpuSystem's wire phase
  *  moves the request crossbar's deliveries in through accept() and its
  *  replies() out to the reply crossbar. */
-class MemoryPartition : public Clocked
+class MemoryPartition
 {
   public:
     MemoryPartition(int id, const PartitionConfig &cfg,
@@ -71,22 +72,13 @@ class MemoryPartition : public Clocked
     void accept(const MemRequest &req, Cycle now);
 
     /** Advances one core cycle. */
-    void cycle(Cycle now) override;
+    void cycle(Cycle now);
 
     /** Read replies ready for the reply crossbar (drained by GpuSystem). */
     Channel<MemRequest> &replies() { return replies_; }
 
     /** True while any request, DRAM command or reply is in flight. */
-    bool busy() const override;
-
-    /** Earliest cycle any pipe releases, retry unblocks, or the DRAM
-     *  channel can act (waiting replies() do not count: cycle() never
-     *  reads them). */
-    Cycle nextWork(Cycle now) const override;
-
-    /** Forwards skipped-cycle accounting to the DRAM scheduler (the
-     *  only partition piece that counts idle cycles). */
-    void skipIdle(Cycle from, Cycle to) override;
+    bool busy() const;
 
     double dramBusUtilization(Cycle elapsed) const;
 

@@ -1,6 +1,5 @@
 #include "mem/xbar.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/log.h"
@@ -112,24 +111,6 @@ XbarDirection::popDelivery(int out)
     out_q_[out].pop_front();
     ++popped_;
     return req;
-}
-
-Cycle
-XbarDirection::nextWork(Cycle now) const
-{
-    if (queued_packets_ == 0)
-        return kNoWork;
-    Cycle e = kNoWork;
-    for (int out = 0; out < outputs_; ++out) {
-        const std::size_t o = static_cast<std::size_t>(out);
-        if (head_mask_[o] == 0 ||
-            static_cast<int>(out_q_[o].size()) >= cfg_.output_queue) {
-            continue;
-        }
-        const Cycle free_at = port_busy_until_[o];
-        e = std::min(e, free_at > now ? free_at : now);
-    }
-    return e;
 }
 
 StatSet

@@ -6,7 +6,8 @@
  * time — the effect that separates HW-BDI from HW-BDI-Mem in Figure 7.
  * The crossbar does not route: GpuSystem's wire phase pushes each packet
  * into an input together with its output port, and pops ready
- * deliveries off the outputs.
+ * deliveries off the outputs. GpuSystem cycles both directions on every
+ * clock; a direction with no queued packet returns at once.
  */
 #ifndef CABA_MEM_XBAR_H
 #define CABA_MEM_XBAR_H
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "common/audit.h"
-#include "common/component.h"
 #include "common/ring.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -41,7 +41,7 @@ struct XbarConfig
  * flit arrives, so one queue per output holds the packets in flight and
  * the delivered ones alike.
  */
-class XbarDirection : public Clocked
+class XbarDirection
 {
   public:
     /** @p trace_tid_base offsets output-port tids in trace output so
@@ -56,7 +56,7 @@ class XbarDirection : public Clocked
     void push(int in, int out, const MemRequest &req);
 
     /** Advances one cycle: arbitration + transfers. */
-    void cycle(Cycle now) override;
+    void cycle(Cycle now);
 
     /** True when output @p out has a delivered packet ready: its last
      *  flit arrived before cycle @p now. */
@@ -65,15 +65,8 @@ class XbarDirection : public Clocked
     /** Pops the next delivered packet at output @p out. */
     MemRequest popDelivery(int out);
 
-    bool busy() const override;
-
-    /**
-     * Earliest cycle a queued packet can win its output port. Deliveries
-     * need no cycle() call (hasDelivery() reads the clock), and a full
-     * output unblocks only when the wire phase pops it, which wakes this
-     * crossbar.
-     */
-    Cycle nextWork(Cycle now) const override;
+    /** True while any packet is queued, in flight or undelivered. */
+    bool busy() const;
 
     /** Assembles the counter snapshot (packets, flits). */
     StatSet stats() const;

@@ -43,7 +43,7 @@ SmCore::SmCore(int id, const SmConfig &cfg, const DesignConfig &design,
       awc_(caba_cfg),
       rng_(0xC0FFEEull + static_cast<std::uint64_t>(id) * 7919),
       sched_(cfg.max_warps, cfg.schedulers, cfg.ibuffer_entries,
-             cfg.decode_width, cfg.gto),
+             cfg.decode_width),
       ldst_(id, cfg, {cfg.l1.size_bytes, cfg.l1.assoc, design.l1_tag_factor},
             this),
       ring_(kRingSize)
@@ -590,8 +590,7 @@ SmCore::issueStage(Cycle now)
             }
         }
 
-        // 2. Regular warps: greedy-then-oldest (Table 1), or loose
-        // round-robin when cfg_.gto is off (scheduler ablation). While
+        // 2. Regular warps: greedy-then-oldest (Table 1). While
         // the memory port is taken or the LDST unit is busy, a ready
         // warp whose head is a global memory op is refused by
         // tryIssueRegular without side effects, so the pick passes it
@@ -769,8 +768,8 @@ SmCore::nextWork(Cycle now) const
     // stall, which only a fill (a reply, a FillDone ring event or a
     // decompression assist warp's completion) or an out-queue take
     // ends; each wakes the core. Sleeping through it skips nothing
-    // downstream: every component keeps its own wake time. An idle
-    // unit with queued requests still pins `now`.
+    // downstream: the crossbars and partitions cycle every clock. An
+    // idle unit with queued requests still pins `now`.
     const bool replay = ldst_.busy() && ldst_.replayStalled();
     if (ldst_.busy() ? !replay : !ldst_.out().empty())
         return now;

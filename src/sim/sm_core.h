@@ -7,11 +7,12 @@
  * grafted onto the issue stage exactly as in Figure 3.
  *
  * Structurally the core is a thin conductor over two extracted units —
- * the WarpScheduler front-end (decode, scoreboard, GTO/LRR pick) and the
+ * the WarpScheduler front-end (decode, scoreboard, GTO pick) and the
  * LdstUnit back-end (L1, MSHRs, coalescer drain) — plus the execution
- * pipelines and the CABA hooks that glue them together. It implements
- * the Clocked protocol so GpuSystem's run loop can let it sleep through
- * stalled stretches. Its crossbar face is two calls: GpuSystem takes
+ * pipelines and the CABA hooks that glue them together. The SM is the
+ * one component GpuSystem's run loop lets sleep: nextWork() names the
+ * next cycle it could act, and skipIdle() charges the stalled stretch
+ * it slept through. Its crossbar face is two calls: GpuSystem takes
  * requests from out() and hands replies to deliver().
  *
  * The core's one cycle account is the exact slot taxonomy below: every
@@ -67,8 +68,6 @@ struct SmConfig
     int lines_per_cycle = 2;    ///< Coalesced lines the LDST handles/cycle.
 
     CacheConfig l1{16 * 1024, 4, 1};
-
-    bool gto = true;            ///< Greedy-then-oldest (else loose RR).
 };
 
 /** Optional CABA applications beyond compression (Section 7). */
@@ -111,7 +110,7 @@ enum SlotCategory : int {
 extern const char *const kSlotCategoryNames[kNumSlotCategories];
 
 /** One streaming multiprocessor. */
-class SmCore : public Clocked, private LdstUnit::Hooks
+class SmCore : private LdstUnit::Hooks
 {
   public:
     SmCore(int id, const SmConfig &cfg, const DesignConfig &design,
@@ -128,13 +127,13 @@ class SmCore : public Clocked, private LdstUnit::Hooks
                 int warp_global_base, int warp_global_stride = 1);
 
     /** Advances the core one cycle. */
-    void cycle(Cycle now) override;
+    void cycle(Cycle now);
 
     /** True when every warp retired and all machinery drained. */
     bool done() const;
 
-    /** Clocked face: the core needs cycles until fully drained. */
-    bool busy() const override { return !done(); }
+    /** The core needs cycles until fully drained. */
+    bool busy() const { return !done(); }
 
     /**
      * Earliest cycle >= @p now at which ticking this core could change
@@ -144,7 +143,7 @@ class SmCore : public Clocked, private LdstUnit::Hooks
      * LdstUnit::replayStalled) and whose ready warps all wait for it
      * sleeps until a fill, an out-queue take or one of those events.
      */
-    Cycle nextWork(Cycle now) const override;
+    Cycle nextWork(Cycle now) const;
 
     /**
      * Accounts the skipped cycles [from, to) exactly as ticking them
@@ -153,7 +152,7 @@ class SmCore : public Clocked, private LdstUnit::Hooks
      * classified from the frozen scheduler bitsets) or an LDST replay
      * stall (every slot memory structural).
      */
-    void skipIdle(Cycle from, Cycle to) override;
+    void skipIdle(Cycle from, Cycle to);
 
     // -- crossbar-facing interface --
 

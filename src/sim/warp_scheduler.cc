@@ -7,13 +7,11 @@
 namespace caba {
 
 WarpScheduler::WarpScheduler(int max_warps, int schedulers,
-                             int ibuffer_entries, int decode_width, bool gto)
+                             int ibuffer_entries, int decode_width)
     : max_warps_(max_warps), schedulers_(schedulers),
       ibuffer_entries_(ibuffer_entries), decode_width_(decode_width),
-      gto_(gto),
       greedy_warp_(static_cast<std::size_t>(schedulers), kInvalidWarp),
       decode_rr_(static_cast<std::size_t>(schedulers), 0),
-      lrr_next_(static_cast<std::size_t>(schedulers), 0),
       parity_mask_(static_cast<std::size_t>(schedulers), 0)
 {
     CABA_CHECK(schedulers_ >= 1, "need at least one scheduler");

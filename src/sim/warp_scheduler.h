@@ -2,15 +2,15 @@
  * @file
  * Warp front-end of one SM: per-warp decode state and instruction
  * buffers, the round-robin decode pick, scoreboard readiness, and the
- * greedy-then-oldest (or loose round-robin) issue selection of Table 1.
- * Execution itself stays with SmCore — the scheduler hands it a warp id
- * through a try-issue callback and keeps its greedy/rotation bookkeeping
- * consistent with whether the issue actually happened.
+ * greedy-then-oldest issue selection of Table 1. Execution itself stays
+ * with SmCore — the scheduler hands it a warp id through a try-issue
+ * callback and keeps its greedy bookkeeping consistent with whether the
+ * issue actually happened.
  *
  * Selection is struct-of-arrays: uint64 bitsets (issuable,
  * operand-blocked, decodable, head-is-global — one bit per warp) are
  * kept in lockstep with the per-warp state, so the per-cycle decode and
- * issue picks are rotated word-scans instead of per-warp loops. Any
+ * issue picks are word-scans instead of per-warp loops. Any
  * out-of-band mutation of a WarpState must be followed by
  * refreshWarp(); the picks visit warps in exactly the order the
  * historical loops did.
@@ -83,7 +83,7 @@ class WarpScheduler
     };
 
     WarpScheduler(int max_warps, int schedulers, int ibuffer_entries,
-                  int decode_width, bool gto);
+                  int decode_width);
 
     /** Initializes warp state for a kernel launch (see SmCore::launch). */
     void launch(const KernelInfo *kernel, int num_warps,
@@ -154,9 +154,9 @@ class WarpScheduler
 
     /**
      * Issue selection for scheduler @p s: greedy-then-oldest over its
-     * warp parity (loose round-robin when gto is off). @p try_issue is
-     * invoked with a ready warp id and reports whether the issue took a
-     * pipeline slot; greedy/rotation state updates only on success.
+     * warp parity. @p try_issue is invoked with a ready warp id and
+     * reports whether the issue took a pipeline slot; the greedy warp
+     * updates only on success.
      *
      * @p futile names ready warps the caller knows try_issue would
      * refuse without side effects (a global memory op while the LDST
@@ -170,7 +170,7 @@ class WarpScheduler
     {
         const std::size_t si = static_cast<std::size_t>(s);
         const int g = greedy_warp_[si];
-        if (gto_ && g != kInvalidWarp && ((issuable_ >> g) & 1)) {
+        if (g != kInvalidWarp && ((issuable_ >> g) & 1)) {
             if ((futile >> g) & 1) {
                 *saw_futile = true;
             } else {
@@ -180,29 +180,22 @@ class WarpScheduler
                     return true;
             }
         }
-        const int slots = max_warps_ / schedulers_;
-        const int start = gto_ ? 0 : lrr_next_[si];
-        // Rotated word-scan over this scheduler's issuable warps, in
-        // the historical slot order. A refused offer has no side
-        // effects, so the snapshot stays exact for the whole scan.
-        const std::uint64_t cand = issuable_ & parity_mask_[si];
-        const int start_w = start * schedulers_ + s;
-        const std::uint64_t hi = cand & (~std::uint64_t{0} << start_w);
-        for (std::uint64_t m : {hi, cand ^ hi}) {
-            while (m != 0) {
-                const int w = std::countr_zero(m);
-                m &= m - 1;
-                if ((futile >> w) & 1) {
-                    *saw_futile = true;
-                    continue;
-                }
-                const bool ok = try_issue(w);
-                refreshWarp(w);
-                if (ok) {
-                    greedy_warp_[si] = w;
-                    lrr_next_[si] = (w / schedulers_ + 1) % slots;
-                    return true;
-                }
+        // Oldest first: a word-scan over this scheduler's issuable
+        // warps from slot 0, in the historical slot order. A refused
+        // offer has no side effects, so the snapshot stays exact for
+        // the whole scan.
+        for (std::uint64_t m = issuable_ & parity_mask_[si]; m != 0;
+             m &= m - 1) {
+            const int w = std::countr_zero(m);
+            if ((futile >> w) & 1) {
+                *saw_futile = true;
+                continue;
+            }
+            const bool ok = try_issue(w);
+            refreshWarp(w);
+            if (ok) {
+                greedy_warp_[si] = w;
+                return true;
             }
         }
         return false;
@@ -271,7 +264,6 @@ class WarpScheduler
     int schedulers_;
     int ibuffer_entries_;
     int decode_width_;
-    bool gto_;
 
     const KernelInfo *kernel_ = nullptr;
     std::vector<WarpState> warps_;
@@ -279,7 +271,6 @@ class WarpScheduler
 
     std::vector<int> greedy_warp_;
     std::vector<int> decode_rr_;
-    std::vector<int> lrr_next_;     ///< Rotation points for LRR mode.
 
     // Selection bitsets, bit w = warps_[w] (kept in lockstep by
     // refreshWarp; max_warps <= 64 is checked at construction).

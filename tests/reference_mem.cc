@@ -235,9 +235,7 @@ DramChannel::issue(std::deque<DramCmd> &q, int idx, Cycle now)
 void
 DramChannel::advanceBusWindows(Cycle now)
 {
-    // Lazy boundary advance: closes every window that ended by `now`.
-    // Busy quarters are frozen during quiescent stretches, so skipped
-    // windows record the same (usually zero) delta a ticked loop would.
+    // Closes every window that ended by `now`.
     while (bus_window_start_ + kBusWindowCycles <= now) {
         bus_window_busy_.record(bus_busy_q_ - bus_window_base_);
         bus_window_base_ = bus_busy_q_;
@@ -280,86 +278,6 @@ DramChannel::cycle(Cycle now)
     }
     if (act_idx < 0)
         ++sched_no_eligible_;
-}
-
-Cycle
-DramChannel::nextWork(Cycle now) const
-{
-    Cycle e = kNoWork;
-    // Queued completions become partition work at their finish time.
-    for (const DramCompletion &c : completed_)
-        e = std::min(e, c.finish > now ? c.finish : now);
-    if (read_q_.empty() && write_q_.empty())
-        return e;
-    if (static_cast<int>(completed_.size()) >= cfg_.banks + 8)
-        return e;   // scheduler blocked until a completion drains
-    // Replicate activeQueue()'s hysteresis without mutating it. With
-    // static queues the drain flag reaches a fixpoint after one update;
-    // if a second update disagrees it oscillates cycle-to-cycle (empty
-    // read queue, small write backlog) and no cycle is skippable.
-    auto drain_step = [this](bool d) {
-        if (d) {
-            if (static_cast<int>(write_q_.size()) <= cfg_.write_drain_low ||
-                write_q_.empty()) {
-                d = false;
-            }
-        } else {
-            if (static_cast<int>(write_q_.size()) >= cfg_.write_drain_high ||
-                read_q_.empty()) {
-                d = true;
-            }
-        }
-        return d;
-    };
-    const bool d1 = drain_step(draining_writes_);
-    if (drain_step(d1) != d1)
-        return now;
-    const std::deque<DramCmd> &q =
-        (d1 && !write_q_.empty()) ? write_q_ : read_q_;
-    if (pickAct(q) >= 0)
-        return now;     // activation eligibility is time-independent
-    // No activation possible: the next issue is the earliest CAS whose
-    // bank timing gates clear. pickCas scans both queues (active +
-    // opportunistic), so so does the bound.
-    auto earliest_cas = [this, now](const std::deque<DramCmd> &cq,
-                                    Cycle bound) {
-        for (const DramCmd &c : cq) {
-            const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
-            if (b.open_row != c.row)
-                continue;
-            Cycle t = std::max(b.col_ready, b.act_done);
-            if (!c.is_write)
-                t = std::max(t, b.wtr_ready);
-            bound = std::min(bound, t > now ? t : now);
-        }
-        return bound;
-    };
-    e = earliest_cas(read_q_, e);
-    e = earliest_cas(write_q_, e);
-    return e;
-}
-
-void
-DramChannel::skipIdle(Cycle from, Cycle to)
-{
-    // Matches what cycle() would have counted on each skipped cycle:
-    // nothing when fully idle, the in-flight-cap stall when completions
-    // back up, the no-eligible-command stall otherwise. The write-drain
-    // flag is left alone: nextWork() only permits a skip when it is at
-    // its fixpoint for the current queue state.
-    //
-    // Window boundaries must match the ticked loop exactly: cycle(t)
-    // runs for t in [from, to) there, so the last advance a skip may
-    // replicate is to-1 — advancing to `to` would close a window one
-    // call early and break byte-identicality across loop modes.
-    advanceBusWindows(to - 1);
-    if (read_q_.empty() && write_q_.empty())
-        return;
-    const std::uint64_t k = to - from;
-    if (static_cast<int>(completed_.size()) >= cfg_.banks + 8)
-        sched_blocked_cap_ += k;
-    else
-        sched_no_eligible_ += k;
 }
 
 void
@@ -482,44 +400,6 @@ XbarDirection::popDelivery(int out)
     MemRequest req = out_q_[out].front().req;
     out_q_[out].pop_front();
     return req;
-}
-
-int
-XbarDirection::outputDepth(int out) const
-{
-    return static_cast<int>(out_q_[out].size());
-}
-
-Cycle
-XbarDirection::nextWork(Cycle now) const
-{
-    // Delivered packets waiting in an output queue pin the clock: the
-    // next wire phase drains them into their consumer, and
-    // even under backpressure the consumer's unblock cycle is cheaper
-    // to over-approximate here than to predict.
-    for (const auto &q : out_q_)
-        if (!q.empty())
-            return now;
-    Cycle e = kNoWork;
-    for (const InFlight &f : flying_)
-        e = std::min(e, f.deliver_at > now ? f.deliver_at : now);
-    for (const auto &q : in_q_) {
-        if (q.empty())
-            continue;
-        const int out = q.front().first;
-        // A full destination (queued + flying >= capacity) unblocks via
-        // the flying_ term above or the ready-delivery case; otherwise
-        // the head packet can start once the port frees up.
-        if (static_cast<int>(out_q_[static_cast<std::size_t>(out)].size()) +
-                flying_per_out_[static_cast<std::size_t>(out)] >=
-            cfg_.output_queue) {
-            continue;
-        }
-        const Cycle free_at =
-            port_busy_until_[static_cast<std::size_t>(out)];
-        e = std::min(e, free_at > now ? free_at : now);
-    }
-    return e;
 }
 
 bool

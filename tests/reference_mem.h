@@ -43,8 +43,6 @@ class DramChannel
     bool canAccept(bool is_write) const;
     void enqueue(DramCmd cmd);
     void cycle(Cycle now);
-    Cycle nextWork(Cycle now) const;
-    void skipIdle(Cycle from, Cycle to);
     void drainCompleted(Cycle now, std::vector<DramCompletion> *out);
 
     bool
@@ -120,9 +118,7 @@ class XbarDirection
     void cycle(Cycle now);
     bool hasDelivery(int out, Cycle now) const;
     MemRequest popDelivery(int out);
-    int outputDepth(int out) const;
     bool busy() const;
-    Cycle nextWork(Cycle now) const;
     const StatSet &stats() const { return stats_; }
 
   private:

@@ -1,8 +1,8 @@
 /**
  * @file
- * The Clocked primitives: Channel capacity semantics (canPush gates,
- * push never refuses), its FIFO take(), and the kNoWork sentinel
- * contract.
+ * The run loop's shared primitives: Channel capacity semantics
+ * (canPush gates, push never refuses), its FIFO take(), and the kNoWork
+ * wake-time sentinel.
  */
 #include <gtest/gtest.h>
 
@@ -47,7 +47,7 @@ TEST(Channel, SourceSinkFacesMatchDequeOps)
     EXPECT_TRUE(ch.empty());
 }
 
-TEST(Clocked, NoWorkSentinelIsMaximal)
+TEST(NoWork, SentinelIsMaximal)
 {
     EXPECT_EQ(kNoWork, ~Cycle{0});
     EXPECT_GT(kNoWork, Cycle{1} << 62);

@@ -1,12 +1,12 @@
 /**
  * @file
  * The run-loop invariant: the event-driven schedule in GpuSystem::run()
- * (components sleep until their nextWork() hint or incoming traffic)
- * must be invisible. For one small app
+ * (SMs sleep until their nextWork() hint or until traffic moves to or
+ * from them) must be invisible. For one small app
  * across all five Section 6 design points, across the configurations
  * whose replays and assist warps the SM sleep rule must respect
- * (compressed L1, prefetch, memoization, profiling assist warps, loose
- * round-robin), and across randomized small machines, the default
+ * (compressed L1, prefetch, memoization, profiling assist warps), and
+ * across randomized small machines, the default
  * schedule and the ticked oracle must agree on EVERY observable of
  * RunResult — cycles, instructions, every merged counter and gauge
  * (the sm_slot_* cycle account among them), every histogram, every
@@ -170,9 +170,6 @@ extraConfigs()
     prof.cfg.extras.profile = true;
     prof.cfg.extras.profile_interval = 200;
     out.push_back(prof);
-    NamedConfig lrr{"LRR", DesignConfig::base(), pressured(), tinyApp()};
-    lrr.cfg.sm.gto = false;
-    out.push_back(lrr);
     return out;
 }
 

@@ -5,10 +5,10 @@
  * reference_mem.h. The DRAM channel's bank-indexed FR-FCFS queues and
  * the crossbar's head-of-line arbitration masks see the same randomized
  * stream as the scan-based copies, skewed onto a few banks, rows and
- * outputs. The channel must agree every cycle on completions,
- * nextWork(), the skipIdle() accounting and every counter and histogram
- * of stats(); the crossbar, cycled every cycle and, in a second copy,
- * only at its own hints, on every delivery and counter. The slot-array
+ * outputs. Both are cycled every cycle, as the run loop cycles them.
+ * The channel must agree every cycle on completions, busy(), queue
+ * depth and every counter and histogram of stats(); the crossbar on
+ * every delivery, pop and counter. The slot-array
  * memo must match the map-and-list memo on every
  * lookup's size and encoding, its entry count and its stats, down to
  * which keys exist.
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/component.h"
 #include "mem/backing_store.h"
 #include "mem/compression_model.h"
 #include "mem/dram.h"
@@ -105,7 +104,6 @@ runDramDifferential(const DramConfig &cfg, std::uint64_t seed,
     Lcg rng(seed);
     std::uint64_t next_id = 1;
     std::uint64_t completions = 0;
-    int skips = 0;
     const int chunks_per_col = cfg.row_bytes / 256;
 
     auto enqueue_one = [&](bool is_write, Cycle now) {
@@ -166,21 +164,6 @@ runDramDifferential(const DramConfig &cfg, std::uint64_t seed,
             return;
 
         ++now;
-        const Cycle wake = dut.nextWork(now);
-        ASSERT_EQ(wake, ref.nextWork(now)) << "cycle " << now;
-        // Sleep through the quiet stretch half the time, as the event
-        // loop would (nothing enqueues or drains while skipped).
-        if (wake > now && rng.chance(50)) {
-            const Cycle to = wake == kNoWork ? now + 1 + rng.below(40)
-                                             : std::min(wake, now + 200);
-            dut.skipIdle(now, to);
-            ref.skipIdle(now, to);
-            now = to;
-            ++skips;
-            expectSameStats(dut.stats(), ref.stats(), now);
-            if (::testing::Test::HasFatalFailure())
-                return;
-        }
     }
     // Drain what is left, completions included.
     while (dut.busy() || ref.busy()) {
@@ -198,7 +181,6 @@ runDramDifferential(const DramConfig &cfg, std::uint64_t seed,
     expectSameStats(dut.stats(), ref.stats(), now);
     // The stream must have done real work on every path it aims at.
     EXPECT_EQ(completions, next_id - 1);
-    EXPECT_GT(skips, 0);
     const StatSet s = dut.stats();
     EXPECT_GT(s.get("row_hits"), 0u);
     EXPECT_GT(s.get("row_misses"), 0u);
@@ -250,29 +232,22 @@ TEST(DramDifferentialDeathTest, MoreThanSixtyFourBanksAreRejected)
 // ---------------------------------------------------------------- xbar
 
 /**
- * Three crossbars see one randomized stream: the polling reference and
- * the DUT, both cycled every cycle, and a second DUT cycled only at its
- * nextWork() hint or in a cycle with a push or a pop, as the run loop
- * cycles it. All three must agree on every delivery, pop and counter. A
- * hint later than the next arbitration makes the sleeping copy
- * arbitrate late, so its counters or deliveries part from the others.
+ * The polling reference and the DUT see one randomized stream, both
+ * cycled every cycle, as the run loop cycles them. They must agree on
+ * every delivery, pop and counter.
  */
 void
 runXbarDifferential(int inputs, int outputs, const XbarConfig &cfg,
                     std::uint64_t seed, Cycle cycles)
 {
     XbarDirection dut(inputs, outputs, cfg);
-    XbarDirection sleeper(inputs, outputs, cfg);
     ref::XbarDirection ref(inputs, outputs, cfg);
     Lcg rng(seed);
     std::uint64_t next_id = 1;
     std::uint64_t delivered = 0;
-    std::uint64_t slept = 0;
-    Cycle wake = 0;     // the sleeper's next cycle() call
     const int hot_outs = outputs > 1 ? outputs / 2 : 1;
 
     Cycle now = 0;
-    bool touched = false;   // a push or a pop this cycle
     auto pop_ready = [&](int pop_pct) {
         for (int out = 0; out < outputs; ++out) {
             // A slow consumer: output queues back up and the
@@ -281,38 +256,19 @@ runXbarDifferential(int inputs, int outputs, const XbarConfig &cfg,
                 const bool ready = ref.hasDelivery(out, now);
                 ASSERT_EQ(dut.hasDelivery(out, now), ready)
                     << "cycle " << now;
-                ASSERT_EQ(sleeper.hasDelivery(out, now), ready)
-                    << "cycle " << now;
                 if (!ready || !rng.chance(pop_pct))
                     break;
                 const std::uint64_t id = ref.popDelivery(out).id;
                 ASSERT_EQ(dut.popDelivery(out).id, id) << "cycle " << now;
-                ASSERT_EQ(sleeper.popDelivery(out).id, id)
-                    << "cycle " << now;
                 ++delivered;
-                touched = true;
             }
         }
     };
     auto cycle_all = [&] {
         dut.cycle(now);
         ref.cycle(now);
-        // The wire phase wakes the crossbar in any cycle it moves a
-        // packet in or out.
-        if (touched)
-            wake = now;
-        if (wake <= now) {
-            sleeper.cycle(now);
-            wake = sleeper.nextWork(now + 1);
-        } else {
-            sleeper.skipIdle(now, now + 1);
-            ++slept;
-        }
-        touched = false;
         ASSERT_EQ(dut.busy(), ref.busy());
-        ASSERT_EQ(sleeper.busy(), ref.busy());
         expectSameStats(dut.stats(), ref.stats(), now);
-        expectSameStats(sleeper.stats(), ref.stats(), now);
         ++now;
     };
 
@@ -322,7 +278,6 @@ runXbarDifferential(int inputs, int outputs, const XbarConfig &cfg,
         for (int in = 0; in < inputs; ++in) {
             const bool room = ref.canPush(in);
             ASSERT_EQ(dut.canPush(in), room);
-            ASSERT_EQ(sleeper.canPush(in), room);
             if (!room || !rng.chance(push_pct))
                 continue;
             MemRequest req;
@@ -330,9 +285,7 @@ runXbarDifferential(int inputs, int outputs, const XbarConfig &cfg,
             req.payload_bytes = 8 + rng.below(121);
             const int out = rng.skewed(outputs, hot_outs, 60);
             dut.push(in, out, req);
-            sleeper.push(in, out, req);
             ref.push(in, out, req);
-            touched = true;
         }
         pop_ready((now / 1100) % 2 == 0 ? 90 : 30);
         if (::testing::Test::HasFatalFailure())
@@ -341,7 +294,7 @@ runXbarDifferential(int inputs, int outputs, const XbarConfig &cfg,
         if (::testing::Test::HasFatalFailure())
             return;
     }
-    while (dut.busy() || ref.busy() || sleeper.busy()) {
+    while (dut.busy() || ref.busy()) {
         pop_ready(100);
         if (::testing::Test::HasFatalFailure())
             return;
@@ -351,7 +304,6 @@ runXbarDifferential(int inputs, int outputs, const XbarConfig &cfg,
         ASSERT_LT(now, cycles + 100000) << "drain did not finish";
     }
     EXPECT_EQ(delivered, next_id - 1);
-    EXPECT_GT(slept, 0u) << "the hinted copy never slept";
 }
 
 TEST(XbarDifferential, RequestDirectionMatchesPollingArbiter)

@@ -337,6 +337,33 @@ TEST_F(ProfTest, TickedOracleCyclesEveryComponentEveryClock)
     EXPECT_EQ(callsOf(prof::Comp::Loop, prof::Phase::Jump), 0u);
 }
 
+TEST_F(ProfTest, DefaultScheduleCyclesCrossbarsAndPartitionsEveryClock)
+{
+    // Only SMs sleep: in the default schedule both crossbars and every
+    // partition cycle on every clock, and only the SMs are caught up.
+    const std::string path = test::processTempDir() + "caba_prof_event.json";
+    ASSERT_EQ(::setenv("CABA_PROF", path.c_str(), 1), 0);
+    const GpuConfig ref;
+    const std::uint64_t parts =
+        static_cast<std::uint64_t>(ref.num_partitions);
+
+    const RunResult r = runSystem(DesignConfig::caba(), false);
+    ASSERT_GT(r.cycles, 0u);
+    EXPECT_EQ(callsOf(prof::Comp::XbarReq, prof::Phase::Cycle), r.cycles);
+    EXPECT_EQ(callsOf(prof::Comp::XbarReply, prof::Phase::Cycle), r.cycles);
+    EXPECT_EQ(callsOf(prof::Comp::Partition, prof::Phase::Cycle),
+              parts * r.cycles);
+    for (int c = 0; c < prof::kComps; ++c) {
+        const auto comp = static_cast<prof::Comp>(c);
+        if (comp != prof::Comp::Sm) {
+            EXPECT_EQ(callsOf(comp, prof::Phase::CatchUp), 0u)
+                << prof::compName(comp);
+        }
+    }
+    // The SMs still sleep, so the check above is not vacuous.
+    EXPECT_GT(callsOf(prof::Comp::Sm, prof::Phase::CatchUp), 0u);
+}
+
 // ---------------------------------------------------------- taxonomy
 
 std::uint64_t

@@ -170,24 +170,6 @@ TEST(SmCore, PrefetchingPopulatesL1)
     EXPECT_GT(r.stats.get("sm_prefetches_issued"), 0u);
 }
 
-TEST(SmCore, LrrSchedulerAlsoCompletes)
-{
-    AppDescriptor app = baseApp();
-    GpuConfig cfg;
-    cfg.num_sms = 1;
-    cfg.sm.gto = false;     // loose round-robin
-    Workload wl(app);
-    wl.bindGrid(8);
-    GpuSystem gpu(cfg, DesignConfig::base(), wl.lineGenerator());
-    gpu.launch(&wl, 8);
-    const RunResult r = gpu.run();
-    Workload ref(app);
-    const std::uint64_t expect =
-        static_cast<std::uint64_t>(ref.program().size() - 1) *
-            app.iterations + 1;
-    EXPECT_EQ(r.instructions, 8 * expect);
-}
-
 TEST(SmCore, StaleCompressionsAreKilled)
 {
     // Rewrite the same tiny output region repeatedly: newer stores to a

@@ -202,14 +202,14 @@ TEST_F(TraceTest, CounterTracksEmitOnTimelineCadence)
         ASSERT_NE(args->find("value"), nullptr);
         names.insert(ev.find("name")->string);
     }
-    EXPECT_TRUE(names.count("event_queue_depth"));
+    EXPECT_TRUE(names.count("scheduled_sms"));
     EXPECT_TRUE(names.count("issuable_warps"));
     EXPECT_TRUE(names.count("dram_read_queue"));
 }
 
-/** The event_queue_depth values a traced GpuSystem run emits. */
+/** The scheduled_sms values a traced GpuSystem run emits. */
 std::vector<double>
-queueDepths(bool ticked, const std::string &path)
+scheduledSms(bool ticked, const std::string &path)
 {
     GpuConfig cfg;
     cfg.ticked = ticked;
@@ -229,36 +229,37 @@ queueDepths(bool ticked, const std::string &path)
 
     json::Value doc;
     EXPECT_TRUE(json::parse(readFile(path), &doc));
-    std::vector<double> depths;
+    std::vector<double> counts;
     for (const json::Value &ev : doc.find("traceEvents")->array) {
         if (ev.find("ph")->string == "C" &&
-            ev.find("name")->string == "event_queue_depth")
-            depths.push_back(ev.find("args")->find("value")->number);
+            ev.find("name")->string == "scheduled_sms")
+            counts.push_back(ev.find("args")->find("value")->number);
     }
-    return depths;
+    return counts;
 }
 
 TEST_F(TraceTest, QueueDepthCountsComponentsWithAWakeTime)
 {
-    // The depth counts the components holding a wake time. The ticked
-    // oracle reschedules every component every cycle; the event-driven
-    // schedule parks the ones with no work in sight.
+    // The counter counts the SMs holding a wake time, the only
+    // components that sleep. The ticked oracle reschedules every SM
+    // every cycle; the event-driven schedule parks the ones with no
+    // work in sight.
     const GpuConfig ref;
-    const double components = ref.num_sms + 2 + ref.num_partitions;
+    const double sms = ref.num_sms;
     const std::string path =
         test::processTempDir() + "caba_depth_trace.json";
-    const std::vector<double> ticked = queueDepths(true, path);
+    const std::vector<double> ticked = scheduledSms(true, path);
     ASSERT_FALSE(ticked.empty());
-    for (const double d : ticked)
-        EXPECT_EQ(d, components);
-    const std::vector<double> event = queueDepths(false, path);
+    for (const double n : ticked)
+        EXPECT_EQ(n, sms);
+    const std::vector<double> event = scheduledSms(false, path);
     ASSERT_EQ(event.size(), ticked.size());
-    double fewest = components;
-    for (const double d : event) {
-        EXPECT_LE(d, components);
-        fewest = std::min(fewest, d);
+    double fewest = sms;
+    for (const double n : event) {
+        EXPECT_LE(n, sms);
+        fewest = std::min(fewest, n);
     }
-    EXPECT_LT(fewest, components);
+    EXPECT_LT(fewest, sms);
 }
 
 TEST_F(TraceTest, CategoryFilterDropsOtherCategories)

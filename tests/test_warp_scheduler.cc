@@ -72,21 +72,18 @@ refAnyDecodable(const WarpScheduler &sched, int max_warps,
 }
 
 /** Mirrors the historical pickAndIssue loop: predicts the exact visit
- *  sequence (greedy probe + rotated parity scan) from the scheduler's
- *  state plus its own greedy/rotation bookkeeping, which it updates
- *  under the same rules. */
+ *  sequence (greedy probe + parity scan from slot 0) from the
+ *  scheduler's state plus its own greedy bookkeeping, which it updates
+ *  under the same rule. */
 struct RefPicker
 {
     int max_warps;
     int schedulers;
-    bool gto;
     std::vector<int> greedy;
-    std::vector<int> lrr;
 
-    RefPicker(int mw, int sc, bool g)
-        : max_warps(mw), schedulers(sc), gto(g),
-          greedy(static_cast<std::size_t>(sc), kInvalidWarp),
-          lrr(static_cast<std::size_t>(sc), 0)
+    RefPicker(int mw, int sc)
+        : max_warps(mw), schedulers(sc),
+          greedy(static_cast<std::size_t>(sc), kInvalidWarp)
     {}
 
     /** Visit plan for scheduler @p s given the current warp state:
@@ -96,12 +93,11 @@ struct RefPicker
     {
         std::vector<int> visits;
         const int g = greedy[static_cast<std::size_t>(s)];
-        if (gto && g != kInvalidWarp && sched.warpReady(sched.warp(g)))
+        if (g != kInvalidWarp && sched.warpReady(sched.warp(g)))
             visits.push_back(g);
         const int slots = max_warps / schedulers;
-        const int start = gto ? 0 : lrr[static_cast<std::size_t>(s)];
         for (int k = 0; k < slots; ++k) {
-            const int w = ((start + k) % slots) * schedulers + s;
+            const int w = k * schedulers + s;
             const WarpScheduler::WarpState &ws = sched.warp(w);
             if (ws.exists && !ws.done && sched.warpReady(ws))
                 visits.push_back(w);
@@ -112,9 +108,7 @@ struct RefPicker
     void
     noteSuccess(int s, int w)
     {
-        const int slots = max_warps / schedulers;
         greedy[static_cast<std::size_t>(s)] = w;
-        lrr[static_cast<std::size_t>(s)] = (w / schedulers + 1) % slots;
     }
 };
 
@@ -124,13 +118,13 @@ struct RefPicker
  *  one the reference would have offered and seen refused: the pick
  *  must pass it over in its turn and report it instead. */
 void
-churnAndCheck(bool gto)
+churnAndCheck()
 {
     constexpr int kMaxWarps = 16;
     constexpr int kSchedulers = 2;
     constexpr int kIbufEntries = 2;
     WarpScheduler sched(kMaxWarps, kSchedulers, kIbufEntries,
-                        /*decode_width=*/2, gto);
+                        /*decode_width=*/2);
 
     // A real looped program gives the ibufs genuine register
     // dependences and an Exit to retire warps through.
@@ -142,7 +136,7 @@ churnAndCheck(bool gto)
 
     Lcg rng;
     std::vector<std::uint64_t> outstanding(kMaxWarps, 0);
-    RefPicker ref(kMaxWarps, kSchedulers, gto);
+    RefPicker ref(kMaxWarps, kSchedulers);
 
     for (int round = 0; round < 4000; ++round) {
         ASSERT_EQ(sched.issuableMask(), refIssuable(sched, kMaxWarps));
@@ -233,12 +227,7 @@ churnAndCheck(bool gto)
 
 TEST(WarpSchedulerBitsets, MatchesReferenceLoopsUnderChurnGto)
 {
-    churnAndCheck(/*gto=*/true);
-}
-
-TEST(WarpSchedulerBitsets, MatchesReferenceLoopsUnderChurnLrr)
-{
-    churnAndCheck(/*gto=*/false);
+    churnAndCheck();
 }
 
 } // namespace
