@@ -26,7 +26,6 @@ CABA_REGISTER_EXPERIMENT(ablation_memoization)
             const AppDescriptor &app = findApp(name);
             ExperimentOptions o = opts;
             o.extras.memoize = true;
-            o.extras.memo_hit_rate = app.memo_hit_rate;
             cells.push_back({app, "Base", DesignConfig::base(), opts});
             cells.push_back({app, "Base+memoize", DesignConfig::base(), o});
         }

@@ -81,7 +81,6 @@ main()
     const RunResult plain = runApp(sfu_app, DesignConfig::base(), opts);
     ExperimentOptions memo_opts = opts;
     memo_opts.extras.memoize = true;
-    memo_opts.extras.memo_hit_rate = sfu_app.memo_hit_rate;
     const RunResult memod = runApp(sfu_app, DesignConfig::base(), memo_opts);
     std::printf("Memoization on %s: %.2fx speedup (%lu LUT hits)\n",
                 sfu_app.name.c_str(),

@@ -150,8 +150,6 @@ main(int argc, char **argv)
     if (!known_app)
         usage("unknown --app '" + app_name + "' (--list to see all)");
     const AppDescriptor &app = findApp(app_name);
-    if (app.memo_hit_rate > 0.0 && opts.extras.memoize)
-        opts.extras.memo_hit_rate = app.memo_hit_rate;
 
     printSystemConfig(opts);
     std::printf("Running %s under %s...\n\n", app.name.c_str(),

@@ -42,7 +42,6 @@ struct AssistInstr
 struct AssistWarp
 {
     std::uint64_t id = 0;
-    int parent_warp = kInvalidWarp;
     AssistPriority priority = AssistPriority::High;
     AssistPurpose purpose = AssistPurpose::DecompressFill;
 

@@ -58,6 +58,16 @@ class Ring
         --size_;
     }
 
+    /** Removes and returns the front element; the ring must not be
+     *  empty. */
+    T
+    take()
+    {
+        T v = front();
+        pop_front();
+        return v;
+    }
+
     void
     clear()
     {

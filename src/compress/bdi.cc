@@ -201,11 +201,9 @@ BdiCodec::encode(const std::uint8_t *line, std::uint8_t *scratch) const
     }
 
     const int size =
-        preferred_ != BdiEncoding::Uncompressed
-            ? encodeAs(preferred_, line, scratch)
-            : firstFit<BdiEncoding::B8D1, BdiEncoding::B4D1,
-                       BdiEncoding::B8D2, BdiEncoding::B4D2,
-                       BdiEncoding::B2D1, BdiEncoding::B8D4>(line, scratch);
+        firstFit<BdiEncoding::B8D1, BdiEncoding::B4D1, BdiEncoding::B8D2,
+                 BdiEncoding::B4D2, BdiEncoding::B2D1, BdiEncoding::B8D4>(
+            line, scratch);
     if (size > 0)
         return {scratch, size, scratch[0]};
     return {line, kLineSize, static_cast<int>(BdiEncoding::Uncompressed)};

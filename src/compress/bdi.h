@@ -103,22 +103,13 @@ class BdiCodec final : public Codec
     SubroutineCost decompressCost(int encoding) const override;
     SubroutineCost compressCost() const override;
 
-    /**
-     * Restricts compression to one base-delta encoding plus Zeros/Repeat,
-     * modelling the paper's single-encoding fast path for homogeneous
-     * data (Section 4.1.2). Pass BdiEncoding::Uncompressed to disable.
-     */
-    void setPreferredEncoding(BdiEncoding enc) { preferred_ = enc; }
-
-    /** Attempts exactly one base-delta encoding; internal + test hook. */
+    /** Attempts exactly one base-delta encoding (differential tests
+     *  check each one against the reference codec). */
     bool tryEncode(const std::uint8_t *line, BdiEncoding enc,
                    CompressedLine *out) const;
 
     /** Bytes of scratch this codec's encode() writes. */
     static constexpr int kScratchBytes = kLineSize;
-
-  private:
-    BdiEncoding preferred_ = BdiEncoding::Uncompressed;
 };
 
 } // namespace caba

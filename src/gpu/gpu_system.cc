@@ -117,7 +117,7 @@ GpuSystem::runAudit(bool at_drain)
 }
 
 void
-GpuSystem::launch(const KernelInfo *kernel, int warps_per_sm)
+GpuSystem::launch(const Workload *kernel, int warps_per_sm)
 {
     // Blocks/warps distribute round-robin across SMs (hardware block
     // scheduler behaviour): SM i runs global warps i, i+N, i+2N, ...
@@ -187,7 +187,7 @@ GpuSystem::pumpWires()
     };
     for (std::size_t s = 0; s < sms_.size(); ++s) {
         const int port = static_cast<int>(s);
-        Channel<MemRequest> &out = sms_[s]->out();
+        Ring<MemRequest> &out = sms_[s]->out();
         if (out.empty() || !req_net_.canPush(port))
             continue;
         wake_sm(s);
@@ -261,10 +261,11 @@ GpuSystem::run()
         // desynchronize their cadence.
         Cycle until_sample = cfg_.sample_interval;
         Cycle until_audit = audit_.config().period;
+        // Safety valve against a wedged simulation.
+        constexpr Cycle kMaxCycles = 20'000'000;
         while (!done()) {
             step();
-            CABA_CHECK(now_ < cfg_.max_cycles,
-                       "simulation exceeded max_cycles");
+            CABA_CHECK(now_ < kMaxCycles, "simulation exceeded kMaxCycles");
             if (cfg_.sample_interval > 0 && --until_sample == 0) {
                 until_sample = cfg_.sample_interval;
                 timeline_.push_back(sampleNow());

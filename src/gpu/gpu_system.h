@@ -4,13 +4,15 @@
  * memory partitions (L2 slice + GDDR5 channel each), the shared
  * compression model, and the run loop that advances everything one core
  * cycle at a time and aggregates the statistics every figure needs.
+ * launch() hands every SM the same Workload, which the SMs read
+ * directly.
  *
  * One fixed topology joins the components, and the wire phase of each
- * cycle moves packets over its four links directly: SM out-queues into
- * the request crossbar (routed by partition interleave), request
- * crossbar outputs into the partitions, partition replies into the
- * reply crossbar (routed back to the requesting SM), and reply crossbar
- * outputs into the SMs. The run loop steps the clock one cycle at a
+ * cycle moves packets over its four links directly: SM out-queues (Ring
+ * FIFOs) into the request crossbar (routed by partition interleave),
+ * request crossbar outputs into the partitions, partition reply rings
+ * into the reply crossbar (routed back to the requesting SM), and reply
+ * crossbar outputs into the SMs. The run loop steps the clock one cycle at a
  * time (DESIGN.md section 10). The SMs are the only components that
  * sleep: each SM sleeps until its nextWork() hint or until the wire
  * phase moves traffic to or from it, while both crossbars and every
@@ -27,7 +29,6 @@
 
 #include "caba/aws.h"
 #include "common/audit.h"
-#include "common/component.h"
 #include "common/prof.h"
 #include "common/stats.h"
 #include "energy/energy_model.h"
@@ -68,9 +69,6 @@ struct GpuConfig
      * CABA_EVENT_DRIVEN=0 selects it too.
      */
     bool ticked = false;
-
-    /** Safety valve against a wedged simulation. */
-    Cycle max_cycles = 20'000'000;
 
     /** Cycles between timeline samples in RunResult (0 = no timeline). */
     Cycle sample_interval = 8192;
@@ -116,7 +114,7 @@ class GpuSystem
               LineGenerator gen);
 
     /** Launches @p warps_per_sm warps of @p kernel on every SM. */
-    void launch(const KernelInfo *kernel, int warps_per_sm);
+    void launch(const Workload *kernel, int warps_per_sm);
 
     /** Runs to completion (all warps retired, all queues drained). */
     RunResult run();

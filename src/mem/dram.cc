@@ -256,9 +256,7 @@ DramChannel::issueCas(CmdQueue &q, Pick at, Cycle now)
     // overlaps with earlier transfers. tWTR gates only read-after-write.
     const Cycle col = std::max(now, casReadyAt(at.bank, cmd.is_write));
     bank.col_ready = col + cfg_.tCCDL;
-    Cycle data_ready = col + cfg_.tCL;
-
-    data_ready += cmd.extra_latency;
+    const Cycle data_ready = col + cfg_.tCL;
 
     const int bursts = cmd.bursts + cmd.extra_bursts;
     const std::uint64_t start_q =

@@ -76,9 +76,6 @@ struct DramCmd
     bool is_write = false;
     int bursts = kBurstsPerLine;
 
-    /** Extra latency charged before data (MD-cache miss, Section 4.3.2). */
-    int extra_latency = 0;
-
     /** Extra bus bursts charged (page walk and/or metadata fetch). */
     int extra_bursts = 0;
 

@@ -50,7 +50,7 @@ MemoryPartition::payloadBytes(Addr line)
     return kLineSize;
 }
 
-std::pair<int, int>
+int
 MemoryPartition::metadataCost(Addr line, Cycle now, bool is_write)
 {
     // Page walk: a TLB miss costs one page-table burst in EVERY design
@@ -63,7 +63,7 @@ MemoryPartition::metadataCost(Addr line, Cycle now, bool is_write)
         bursts += 1;
     }
     if (!design_.mdOverhead())
-        return {0, bursts};
+        return bursts;
     ++n_.md_lookups;
     // A write changes the line's burst count, so the MD line is updated
     // (dirtied); a dirty MD victim is a metadata writeback that costs a
@@ -87,7 +87,7 @@ MemoryPartition::metadataCost(Addr line, Cycle now, bool is_write)
         ++n_.md_writebacks;
         bursts += cfg_.md_miss_bursts;
     }
-    return {cfg_.md_miss_latency, bursts};
+    return bursts;
 }
 
 void
@@ -108,16 +108,13 @@ MemoryPartition::issueDramRead(const MemRequest &req, Cycle now)
         ++n_.dram_stall_events;
         return;
     }
-    const auto [extra_lat, extra_bursts] =
-        metadataCost(req.line, now, false);
     DramCmd cmd;
+    cmd.extra_bursts = metadataCost(req.line, now, false);
     cmd.id = next_dram_id_++;
     cmd.line = req.line;
     cmd.is_write = false;
     cmd.bursts = design_.memCompressed() ? model_->bursts(req.line)
                                           : kBurstsPerLine;
-    cmd.extra_latency = extra_lat;
-    cmd.extra_bursts = extra_bursts;
     cmd.enqueued = now;
     dram_.enqueue(cmd);
     n_.transfer_bursts += static_cast<std::uint64_t>(cmd.bursts);
@@ -141,8 +138,8 @@ MemoryPartition::issueDramWrite(Addr line, Cycle now, bool partial_uncached)
         writeback_stalled_.push_back(line);
         return;
     }
-    const auto [extra_lat, extra_bursts] = metadataCost(line, now, true);
     DramCmd cmd;
+    cmd.extra_bursts = metadataCost(line, now, true);
     cmd.id = next_dram_id_++;
     cmd.line = line;
     cmd.is_write = true;
@@ -152,8 +149,6 @@ MemoryPartition::issueDramWrite(Addr line, Cycle now, bool partial_uncached)
         cmd.bursts = design_.memCompressed() ? model_->bursts(line)
                                               : kBurstsPerLine;
     }
-    cmd.extra_latency = extra_lat;
-    cmd.extra_bursts = extra_bursts;
     cmd.enqueued = now;
     dram_.enqueue(cmd);
     n_.transfer_bursts += static_cast<std::uint64_t>(cmd.bursts);
@@ -308,7 +303,7 @@ MemoryPartition::cycle(Cycle now)
 
     // Release replies whose MC-side latency elapsed.
     while (!reply_wait_.empty() && reply_wait_.front().first <= now) {
-        replies_.push(reply_wait_.front().second);
+        replies_.push_back(reply_wait_.front().second);
         reply_wait_.pop_front();
     }
 }

@@ -4,9 +4,10 @@
  * compression machinery that lives at the memory controller (burst-count
  * metadata + MD cache, Section 4.3.2; dedicated codec latency for the
  * HW-<algo>-Mem design). Requests arrive from the request crossbar
- * through accept(); read replies wait in replies() until GpuSystem moves
- * them into the reply crossbar. GpuSystem cycles every partition on
- * every clock, and each partition cycle cycles its DRAM channel.
+ * through accept(); read replies wait in the replies() ring, which is
+ * unbounded, until GpuSystem moves them into the reply crossbar.
+ * GpuSystem cycles every partition on every clock, and each partition
+ * cycle cycles its DRAM channel.
  */
 #ifndef CABA_MEM_PARTITION_H
 #define CABA_MEM_PARTITION_H
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "common/audit.h"
-#include "common/component.h"
 #include "common/flat_map.h"
 #include "common/ring.h"
 #include "common/stats.h"
@@ -37,12 +37,11 @@ struct PartitionConfig
     int md_assoc = 4;
 
     /**
-     * Cost of an MD-cache miss. The metadata fetch is a real DRAM
-     * access (one burst of bandwidth), but its latency overlaps with
-     * the data access's row activation and the TLB walk (paper
-     * Section 4.3.2, footnote 4), so the default adds no serial latency.
+     * Bursts an MD-cache miss (or a dirty MD victim) costs. The metadata
+     * fetch is a real DRAM access, but its latency overlaps with the
+     * data access's row activation and the TLB walk (paper Section
+     * 4.3.2, footnote 4), so it adds bandwidth and no serial latency.
      */
-    int md_miss_latency = 0;
     int md_miss_bursts = 1;
 
     /**
@@ -75,7 +74,7 @@ class MemoryPartition
     void cycle(Cycle now);
 
     /** Read replies ready for the reply crossbar (drained by GpuSystem). */
-    Channel<MemRequest> &replies() { return replies_; }
+    Ring<MemRequest> &replies() { return replies_; }
 
     /** True while any request, DRAM command or reply is in flight. */
     bool busy() const;
@@ -117,12 +116,12 @@ class MemoryPartition
     void handleDramCompletion(const DramCompletion &done, Cycle now);
 
     /**
-     * Applies TLB + MD-cache costs for one DRAM access; returns
-     * {extra_lat, extra_bursts} covering the page walk (all designs)
-     * and the metadata fetch (compressed designs, unless it piggybacks
-     * on a concurrent page walk).
+     * Applies TLB + MD-cache costs for one DRAM access; returns the
+     * extra bursts covering the page walk (all designs) and the
+     * metadata fetch (compressed designs, unless it piggybacks on a
+     * concurrent page walk).
      */
-    std::pair<int, int> metadataCost(Addr line, Cycle now, bool is_write);
+    int metadataCost(Addr line, Cycle now, bool is_write);
 
     int id_;
     PartitionConfig cfg_;
@@ -160,7 +159,7 @@ class MemoryPartition
     std::vector<DramCompletion> done_;
     std::vector<Eviction> evicted_;
 
-    Channel<MemRequest> replies_;
+    Ring<MemRequest> replies_;
     std::uint64_t next_dram_id_ = 1;
 
     /** Hot-path counters (assembled into a StatSet by stats()). */

@@ -10,12 +10,11 @@
 namespace caba {
 
 LdstUnit::LdstUnit(int sm_id, const SmConfig &cfg, const CacheConfig &l1_cfg,
-                   Hooks *hooks)
+                   SmCore *core)
     : sm_id_(sm_id), mshr_entries_(cfg.mshr_entries),
       out_queue_(cfg.out_queue), lines_per_cycle_(cfg.lines_per_cycle),
-      hooks_(hooks), l1_(l1_cfg), out_req_(cfg.out_queue)
+      core_(core), l1_(l1_cfg)
 {
-    CABA_CHECK(hooks_, "LDST unit needs core hooks");
     loads_.resize(static_cast<std::size_t>(cfg.max_warps) * 8);
     for (int i = static_cast<int>(loads_.size()) - 1; i >= 0; --i)
         free_load_slots_.push_back(i);
@@ -66,7 +65,7 @@ LdstUnit::loadLineDone(int slot)
     PendingLoad &pl = loads_[static_cast<std::size_t>(slot)];
     CABA_CHECK(pl.active, "completion for dead load");
     if (--pl.lines_left == 0) {
-        hooks_->clearPending(pl.warp, pl.regmask);
+        core_->clearPending(pl.warp, pl.regmask);
         if (fault_leak_load_slot_) {
             // Seeded fault: the warp proceeds but the slot is never
             // freed -- invisible to drained(). The audit must notice.
@@ -103,11 +102,11 @@ LdstUnit::issuePrefetch(Addr line, Cycle now)
         static_cast<int>(out_req_.size()) < out_queue_) {
         mshrs_.tryEmplace(line);    // fill with no waiters
         MemRequest req;
-        req.id = hooks_->allocReqId();
+        req.id = core_->allocReqId();
         req.line = line;
         req.src_sm = sm_id_;
         req.payload_bytes = 8;
-        out_req_.push(req);
+        out_req_.push_back(req);
         if (audit_)
             audit_->onInject(req, now);
         return true;
@@ -170,14 +169,14 @@ LdstUnit::drain(Cycle now)
                 ++l1_load_misses_;
                 mshr_waiters_.append(mshrs_[line], st_.load_slot);
                 MemRequest req;
-                req.id = hooks_->allocReqId();
+                req.id = core_->allocReqId();
                 req.line = line;
                 req.is_write = false;
                 req.src_sm = sm_id_;
                 req.warp = st_.warp;
                 req.created = now;
                 req.payload_bytes = 8;  // read request header
-                out_req_.push(req);
+                out_req_.push_back(req);
                 if (audit_)
                     audit_->onInject(req, now);
                 ++st_.cursor;
@@ -189,7 +188,7 @@ LdstUnit::drain(Cycle now)
                     trace::instant(trace::kCache, trace::kPidCache, sm_id_,
                                    "l1_hit", now, "line", line);
                 }
-                if (!hooks_->onLoadHit(line, st_.load_slot, now)) {
+                if (!core_->onLoadHit(line, st_.load_slot, now)) {
                     // AWT full: retry next cycle (the retry re-counts
                     // the hit).
                     return true;
@@ -203,11 +202,10 @@ LdstUnit::drain(Cycle now)
             if (static_cast<int>(out_req_.size()) >= out_queue_) {
                 return true;
             }
-            hooks_->commitStore(line);
+            core_->commitStore(line);
             // L1 is write-evict for global stores.
-            Eviction ev;
-            l1_.invalidate(line, &ev);
-            hooks_->routeStore(line, st_.access.full_line, st_.warp, now);
+            l1_.invalidate(line);
+            core_->routeStore(line, st_.access.full_line, now);
             ++st_.cursor;
         }
     }

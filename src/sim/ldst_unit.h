@@ -3,9 +3,10 @@
  * The coalescing LDST unit of one SM: L1 data cache, MSHRs, pending-load
  * slots, and the per-cycle drain that turns one coalesced access into
  * hits, merged misses, and outgoing requests. Everything CABA-specific
- * (compressed-hit decompression, store compression routing) is delegated
- * back to SmCore through the Hooks interface so the drain order of the
- * original monolithic core is preserved statement for statement.
+ * (compressed-hit decompression, store compression routing) is handed
+ * back to the owning SmCore through five private members it calls as a
+ * friend, so the drain order of the original monolithic core is
+ * preserved statement for statement.
  */
 #ifndef CABA_SIM_LDST_UNIT_H
 #define CABA_SIM_LDST_UNIT_H
@@ -14,48 +15,21 @@
 #include <vector>
 
 #include "common/audit.h"
-#include "common/component.h"
 #include "common/flat_map.h"
+#include "common/ring.h"
 #include "mem/cache.h"
 #include "mem/request.h"
-#include "workloads/kernel.h"
+#include "workloads/workload.h"
 
 namespace caba {
 
+class SmCore;
 struct SmConfig;
 
 /** L1 + MSHRs + coalescer drain for one SM. */
 class LdstUnit
 {
   public:
-    /** CABA/core services the drain path calls back into. */
-    class Hooks
-    {
-      public:
-        virtual ~Hooks() = default;
-
-        /** Next SM-wide request id (one sequence across all paths). */
-        virtual std::uint64_t allocReqId() = 0;
-
-        /**
-         * An L1 load hit: schedule its completion (plain hit latency,
-         * or a decompression assist warp for a compressed line).
-         * @return false when the hit must replay next cycle (AWT full).
-         */
-        virtual bool onLoadHit(Addr line, int load_slot, Cycle now) = 0;
-
-        /** Commits store data to the backing image. */
-        virtual void commitStore(Addr line) = 0;
-
-        /** Routes a committed store out (compressed or not). @p warp is
-         *  the storing warp (parent of a compress assist warp). */
-        virtual void routeStore(Addr line, bool full_line, int warp,
-                                Cycle now) = 0;
-
-        /** Register writeback for a fully-arrived load. */
-        virtual void clearPending(int warp, std::uint64_t mask) = 0;
-    };
-
     struct PendingLoad
     {
         bool active = false;
@@ -64,8 +38,9 @@ class LdstUnit
         int lines_left = 0;
     };
 
+    /** @p core owns this unit and serves its CABA/core calls. */
     LdstUnit(int sm_id, const SmConfig &cfg, const CacheConfig &l1_cfg,
-             Hooks *hooks);
+             SmCore *core);
 
     // -- issue-time interface (SmCore::tryIssueRegular) --
 
@@ -117,8 +92,10 @@ class LdstUnit
 
     // -- state queries --
 
-    Channel<MemRequest> &out() { return out_req_; }
-    const Channel<MemRequest> &out() const { return out_req_; }
+    /** Outgoing requests. drain() stops at SmConfig::out_queue of them;
+     *  a store released by a compression assist warp may exceed it. */
+    Ring<MemRequest> &out() { return out_req_; }
+    const Ring<MemRequest> &out() const { return out_req_; }
     const Cache &l1() const { return l1_; }
 
     bool
@@ -159,7 +136,7 @@ class LdstUnit
     int mshr_entries_;
     int out_queue_;
     int lines_per_cycle_;
-    Hooks *hooks_;
+    SmCore *core_;
 
     Cache l1_;
     std::vector<PendingLoad> loads_;
@@ -169,7 +146,7 @@ class LdstUnit
     FlatMap<ListPool<int>::List> mshrs_;
     ListPool<int> mshr_waiters_;
     State st_;
-    Channel<MemRequest> out_req_;
+    Ring<MemRequest> out_req_;
 
     std::uint64_t l1_load_hits_ = 0;
     std::uint64_t l1_load_misses_ = 0;

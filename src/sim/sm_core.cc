@@ -69,7 +69,7 @@ SmCore::SmCore(int id, const SmConfig &cfg, const DesignConfig &design,
 }
 
 void
-SmCore::launch(const KernelInfo *kernel, int num_warps, int warp_global_base,
+SmCore::launch(const Workload *kernel, int num_warps, int warp_global_base,
                int warp_global_stride)
 {
     sched_.launch(kernel, num_warps, warp_global_base, warp_global_stride);
@@ -163,7 +163,7 @@ SmCore::onLoadHit(Addr line, int load_slot, Cycle now)
 }
 
 void
-SmCore::routeStore(Addr line, bool full_line, int warp, Cycle now)
+SmCore::routeStore(Addr line, bool full_line, Cycle now)
 {
     if (design_.usesCaba()) {
         // A newer store to a line whose compression is still in flight
@@ -174,7 +174,7 @@ SmCore::routeStore(Addr line, bool full_line, int warp, Cycle now)
             trace::instant(trace::kAssistWarp, trace::kPidAssist, id_,
                            "kill_compress", now, "line", line);
             comp_stores_.erase(line);
-            stats_add_store_kill_ += 1;
+            ++n_.stale_compressions_killed;
         }
         if (static_cast<int>(comp_stores_.size()) <
                 awc_.config().store_buffer &&
@@ -182,7 +182,6 @@ SmCore::routeStore(Addr line, bool full_line, int warp, Cycle now)
             const std::uint64_t token = next_store_token_++;
             comp_stores_[line] = {token, full_line};
             AssistWarp aw;
-            aw.parent_warp = warp;
             aw.priority = awc_.config().compress_low_priority
                 ? AssistPriority::Low : AssistPriority::High;
             aw.purpose = AssistPurpose::Compress;
@@ -228,7 +227,7 @@ SmCore::emitStoreRequest(Addr line, bool full_line, bool compressed_ok,
         req.payload_bytes = kLineSize;
         ++n_.stores_sent_uncompressed;
     }
-    ldst_.out().push(req);
+    ldst_.out().push_back(req);
     if (audit_)
         audit_->onInject(req, now);
 }
@@ -239,7 +238,6 @@ SmCore::triggerDecompress(Addr line, AssistPurpose purpose,
 {
     const ImageSummary img = model_->lookup(line);
     AssistWarp aw;
-    aw.parent_warp = kInvalidWarp;
     aw.priority = awc_.config().decompress_high_priority
         ? AssistPriority::High : AssistPriority::Low;
     aw.purpose = purpose;
@@ -315,7 +313,6 @@ SmCore::reapAssistWarps(Cycle now)
             break;
           }
           case AssistPurpose::Memoize:
-
             break;
           case AssistPurpose::Prefetch:
             // Issue the prefetch if it is useful and resources allow.
@@ -430,9 +427,8 @@ SmCore::tryIssueRegular(int warp, Cycle now)
         // the shared-memory LUT and complete at shared-memory latency.
         bool memo_hit = false;
         if (extras_.memoize) {
-            memo_hit = rng_.chance(extras_.memo_hit_rate);
+            memo_hit = rng_.chance(kernel_->app().memo_hit_rate);
             AssistWarp aw;
-            aw.parent_warp = warp;
             aw.priority = AssistPriority::Low;
             aw.purpose = AssistPurpose::Memoize;
             aw.code = &aws_->memoizeRoutine();
@@ -727,7 +723,6 @@ SmCore::spawnProfileWarp(Cycle now)
         return;
     }
     AssistWarp aw;
-    aw.parent_warp = kInvalidWarp;
     aw.priority = AssistPriority::Low;
     aw.purpose = AssistPurpose::Profile;
     aw.code = &aws_->profileRoutine();
@@ -878,7 +873,7 @@ SmCore::stats() const
     s.setCounter("stores_sent_uncompressed", n_.stores_sent_uncompressed);
     s.setCounter("stores_buffered_for_compression", n_.stores_buffered);
     s.setCounter("store_buffer_overflows", n_.store_buffer_overflows);
-    s.setCounter("stale_compressions_killed", stats_add_store_kill_);
+    s.setCounter("stale_compressions_killed", n_.stale_compressions_killed);
     s.setCounter("memo_hits", n_.memo_hits);
     s.setCounter("memoize_warps", n_.memoize_warps);
     s.setCounter("prefetch_warps", n_.prefetch_warps);

@@ -9,11 +9,14 @@
  * Structurally the core is a thin conductor over two extracted units —
  * the WarpScheduler front-end (decode, scoreboard, GTO pick) and the
  * LdstUnit back-end (L1, MSHRs, coalescer drain) — plus the execution
- * pipelines and the CABA hooks that glue them together. The SM is the
- * one component GpuSystem's run loop lets sleep: nextWork() names the
- * next cycle it could act, and skipIdle() charges the stalled stretch
- * it slept through. Its crossbar face is two calls: GpuSystem takes
- * requests from out() and hands replies to deliver().
+ * pipelines and the CABA services that glue them together. Both units
+ * read the launched Workload directly, and the LDST unit calls back
+ * into the core through five private members (it is a friend). The SM
+ * is the one component GpuSystem's run loop lets sleep: nextWork()
+ * names the next cycle it could act (kNoWork: never on its own), and
+ * skipIdle() charges the stalled stretch it slept through. Its crossbar
+ * face is two calls: GpuSystem takes requests from out() and hands
+ * replies to deliver().
  *
  * The core's one cycle account is the exact slot taxonomy below: every
  * scheduler slot of every accounted cycle is charged to one
@@ -31,8 +34,8 @@
 
 #include "caba/awc.h"
 #include "caba/aws.h"
-#include "common/component.h"
 #include "common/flat_map.h"
+#include "common/ring.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "compress/design.h"
@@ -40,9 +43,9 @@
 #include "mem/cache.h"
 #include "mem/compression_model.h"
 #include "mem/request.h"
-#include "workloads/kernel.h"
 #include "sim/ldst_unit.h"
 #include "sim/warp_scheduler.h"
+#include "workloads/workload.h"
 
 namespace caba {
 
@@ -73,8 +76,7 @@ struct SmConfig
 /** Optional CABA applications beyond compression (Section 7). */
 struct ExtrasConfig
 {
-    bool memoize = false;
-    double memo_hit_rate = 0.0;     ///< Workload input-redundancy level.
+    bool memoize = false;           ///< Hits at the app's memo_hit_rate.
 
     bool prefetch = false;
     int prefetch_lookahead = 4;     ///< Lines ahead of the demand stream.
@@ -109,8 +111,12 @@ enum SlotCategory : int {
 /** Stable stat/trace names, indexed by SlotCategory. */
 extern const char *const kSlotCategoryNames[kNumSlotCategories];
 
+/** SmCore::nextWork() sentinel: the core will never act again on its
+ *  own (traffic the wire phase moves can still wake it). */
+inline constexpr Cycle kNoWork = ~Cycle{0};
+
 /** One streaming multiprocessor. */
-class SmCore : private LdstUnit::Hooks
+class SmCore
 {
   public:
     SmCore(int id, const SmConfig &cfg, const DesignConfig &design,
@@ -123,7 +129,7 @@ class SmCore : private LdstUnit::Hooks
      * ids are @p warp_global_base + k * @p warp_global_stride — thread
      * blocks distribute round-robin across SMs, so stride = num SMs.
      */
-    void launch(const KernelInfo *kernel, int num_warps,
+    void launch(const Workload *kernel, int num_warps,
                 int warp_global_base, int warp_global_stride = 1);
 
     /** Advances the core one cycle. */
@@ -157,7 +163,7 @@ class SmCore : private LdstUnit::Hooks
     // -- crossbar-facing interface --
 
     /** Outgoing requests, drained into the request crossbar. */
-    Channel<MemRequest> &out() { return ldst_.out(); }
+    Ring<MemRequest> &out() { return ldst_.out(); }
 
     /** Fill/reply delivery from the reply crossbar. An SM takes every
      *  reply (fills never back-pressure the crossbar). */
@@ -205,6 +211,8 @@ class SmCore : private LdstUnit::Hooks
     std::uint64_t instructionsIssued() const { return slotCount(kSlotIssued); }
 
   private:
+    friend class LdstUnit;
+
     using WarpState = WarpScheduler::WarpState;
     using DecodedInst = WarpScheduler::DecodedInst;
 
@@ -231,15 +239,27 @@ class SmCore : private LdstUnit::Hooks
         bool full_line = true;
     };
 
-    // LdstUnit::Hooks — the CABA/core services the drain path needs.
-    std::uint64_t allocReqId() override { return next_req_id_++; }
-    bool onLoadHit(Addr line, int load_slot, Cycle now) override;
-    void commitStore(Addr line) override;
-    void routeStore(Addr line, bool full_line, int warp,
-                    Cycle now) override;
+    // -- CABA/core services the LDST unit's drain path calls --
 
+    /** Next SM-wide request id (one sequence across all paths). */
+    std::uint64_t allocReqId() { return next_req_id_++; }
+
+    /**
+     * An L1 load hit: schedule its completion (plain hit latency, or a
+     * decompression assist warp for a compressed line).
+     * @return false when the hit must replay next cycle (AWT full).
+     */
+    bool onLoadHit(Addr line, int load_slot, Cycle now);
+
+    /** Commits store data to the backing image. */
+    void commitStore(Addr line);
+
+    /** Routes a committed store out (compressed or not). */
+    void routeStore(Addr line, bool full_line, Cycle now);
+
+    /** Register writeback for a fully-arrived load. */
     void
-    clearPending(int warp, std::uint64_t mask) override
+    clearPending(int warp, std::uint64_t mask)
     {
         sched_.clearPending(warp, mask);
     }
@@ -281,7 +301,7 @@ class SmCore : private LdstUnit::Hooks
     AssistWarpStore *aws_;
     CompressionModel *model_;
     BackingStore *backing_;
-    const KernelInfo *kernel_ = nullptr;
+    const Workload *kernel_ = nullptr;
 
     AssistWarpController awc_;
     Rng rng_;
@@ -364,6 +384,7 @@ class SmCore : private LdstUnit::Hooks
         std::uint64_t stores_sent_uncompressed = 0;
         std::uint64_t stores_buffered = 0;
         std::uint64_t store_buffer_overflows = 0;
+        std::uint64_t stale_compressions_killed = 0;
         std::uint64_t memo_hits = 0;
         std::uint64_t memoize_warps = 0;
         std::uint64_t prefetch_warps = 0;
@@ -374,7 +395,6 @@ class SmCore : private LdstUnit::Hooks
         std::uint64_t profile_drops = 0;
     };
     Counters n_;
-    std::uint64_t stats_add_store_kill_ = 0;
     Audit *audit_ = nullptr;
 };
 

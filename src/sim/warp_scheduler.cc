@@ -24,7 +24,7 @@ WarpScheduler::WarpScheduler(int max_warps, int schedulers,
 }
 
 void
-WarpScheduler::launch(const KernelInfo *kernel, int num_warps,
+WarpScheduler::launch(const Workload *kernel, int num_warps,
                       int warp_global_base, int warp_global_stride)
 {
     CABA_CHECK(kernel, "null kernel");

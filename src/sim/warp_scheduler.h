@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "workloads/kernel.h"
+#include "workloads/workload.h"
 
 namespace caba {
 
@@ -86,10 +86,10 @@ class WarpScheduler
                   int decode_width);
 
     /** Initializes warp state for a kernel launch (see SmCore::launch). */
-    void launch(const KernelInfo *kernel, int num_warps,
+    void launch(const Workload *kernel, int num_warps,
                 int warp_global_base, int warp_global_stride);
 
-    const KernelInfo *kernel() const { return kernel_; }
+    const Workload *kernel() const { return kernel_; }
 
     /** Decode stage: each scheduler picks one warp round-robin. */
     void decodeCycle();
@@ -265,7 +265,7 @@ class WarpScheduler
     int ibuffer_entries_;
     int decode_width_;
 
-    const KernelInfo *kernel_ = nullptr;
+    const Workload *kernel_ = nullptr;
     std::vector<WarpState> warps_;
     int live_warps_ = 0;
 

@@ -1,24 +1,38 @@
 /**
  * @file
  * Binds an AppDescriptor to everything a simulation needs: the kernel
- * program (KernelInfo), the coalesced address streams, the functional
- * data generator, and the occupancy numbers that decide how many warps
- * run per SM.
+ * program, the coalesced address streams, the functional data
+ * generator, and the occupancy numbers that decide how many warps run
+ * per SM. A Workload is the contract between a benchmark and the SIMT
+ * core: the SM reads its program, per-warp trip counts, coalesced line
+ * addresses, store data and memoization hit rate directly.
  */
 #ifndef CABA_WORKLOADS_WORKLOAD_H
 #define CABA_WORKLOADS_WORKLOAD_H
 
 #include <cstdint>
+#include <vector>
 
+#include "common/types.h"
+#include "isa/instruction.h"
 #include "mem/backing_store.h"
-#include "workloads/kernel.h"
 #include "workloads/app.h"
 #include "workloads/occupancy.h"
 
 namespace caba {
 
+/** Result of coalescing one warp-wide global access (Section 4.2). */
+struct MemAccess
+{
+    /** Deduplicated line addresses touched by the 32 lanes. */
+    std::vector<Addr> lines;
+
+    /** Stores: true when every touched line is fully overwritten. */
+    bool full_line = true;
+};
+
 /** A runnable instance of one application. */
-class Workload : public KernelInfo
+class Workload
 {
   public:
     /**
@@ -29,12 +43,24 @@ class Workload : public KernelInfo
     explicit Workload(AppDescriptor app, double scale = 1.0,
                       std::uint64_t seed = 0x5EEDull);
 
-    // KernelInfo
-    const Program &program() const override { return program_; }
-    int iterations(int warp_global) const override;
+    /** The static instruction sequence every warp executes. */
+    const Program &program() const { return program_; }
+
+    /** Loop trip count for global warp @p warp_global. */
+    int iterations(int warp_global) const;
+
+    /**
+     * Coalesces the access of @p stream by @p warp_global at iteration
+     * @p iter into distinct lines.
+     */
     void genLines(int stream, int warp_global, int iter,
-                  MemAccess *out) const override;
-    void outputLine(Addr line, std::uint8_t *out) const override;
+                  MemAccess *out) const;
+
+    /**
+     * Bytes a store writes to @p line (deterministic, so output data has
+     * a realistic compressibility profile rather than random noise).
+     */
+    void outputLine(Addr line, std::uint8_t *out) const;
 
     /** Generator for the pristine memory image (feeds BackingStore). */
     LineGenerator lineGenerator() const;

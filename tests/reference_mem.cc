@@ -204,9 +204,7 @@ DramChannel::issue(std::deque<DramCmd> &q, int idx, Cycle now)
     if (!cmd.is_write)
         col = std::max(col, bank.wtr_ready);
     bank.col_ready = col + cfg_.tCCDL;
-    Cycle data_ready = col + cfg_.tCL;
-
-    data_ready += cmd.extra_latency;
+    const Cycle data_ready = col + cfg_.tCL;
 
     const int bursts = cmd.bursts + cmd.extra_bursts;
     const std::uint64_t start_q =

@@ -141,19 +141,6 @@ TEST(Bdi, EveryEncodingRoundTripsWhenApplicable)
     }
 }
 
-TEST(Bdi, PreferredEncodingFastPath)
-{
-    BdiCodec codec;
-    codec.setPreferredEncoding(BdiEncoding::B8D1);
-    std::uint64_t vals[16];
-    for (int i = 0; i < 16; ++i)
-        vals[i] = 100 + static_cast<std::uint64_t>(i);
-    std::uint8_t line[kLineSize];
-    std::memcpy(line, vals, kLineSize);
-    const CompressedLine cl = codec.compress(line);
-    EXPECT_EQ(cl.encoding, static_cast<int>(BdiEncoding::B8D1));
-}
-
 TEST(Fpc, ZeroLineCollapsesToRuns)
 {
     std::uint8_t line[kLineSize] = {};

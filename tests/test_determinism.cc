@@ -162,7 +162,7 @@ extraConfigs()
     NamedConfig memo{"Memoize", DesignConfig::base(), pressured(),
                      tinyApp()};
     memo.cfg.extras.memoize = true;
-    memo.cfg.extras.memo_hit_rate = 0.5;
+    memo.app.memo_hit_rate = 0.5;
     memo.app.sfu = 3;
     out.push_back(memo);
     NamedConfig prof{"Profile-AW", DesignConfig::caba(), pressured(),
@@ -203,7 +203,7 @@ TEST(Determinism, ExtraConfigsExerciseTheirMechanisms)
     }
 }
 
-TEST(Determinism, FastForwardActuallySkipsCycles)
+TEST(Determinism, BaseDesignStallsMoreThanItIssues)
 {
     // Guard against the invariant passing vacuously: on a memory-bound
     // app the base design must spend most of its time stalled, which
@@ -285,7 +285,7 @@ TEST(Determinism, RandomSmallConfigsDrainCleanAndMatchTheOracle)
 {
     // Every legal configuration must drain with a clean audit, and the
     // event-driven schedule must match the ticked oracle on each. A
-    // panic (e.g. a wedge tripping max_cycles) aborts before any EXPECT
+    // panic (e.g. a wedge tripping kMaxCycles) aborts before any EXPECT
     // can report, so each case is printed before it runs.
     Rng rng(2015);
     for (int i = 0; i < 40; ++i) {

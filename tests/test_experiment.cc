@@ -489,8 +489,6 @@ TEST(RunPlanTest, CellsDifferingInAnySimulationInputAreDistinct)
         {"opts.verify", [](Cell &c) { c.opts.verify ^= true; }},
         {"opts.extras.memoize",
          [](Cell &c) { c.opts.extras.memoize ^= true; }},
-        {"opts.extras.memo_hit_rate",
-         [](Cell &c) { c.opts.extras.memo_hit_rate += 0.125; }},
         {"opts.extras.prefetch",
          [](Cell &c) { c.opts.extras.prefetch ^= true; }},
         {"opts.extras.prefetch_lookahead",

@@ -4,7 +4,8 @@
  * std::unordered_map (random insert / find / erase, forced collisions,
  * backward-shift erase across the wrap point, growth), FlatMap's
  * sorted-keys walk, ListPool's FIFO lists against std::vector, and Ring
- * against std::deque (including growth while the ring is wrapped).
+ * against std::deque (including take() and growth while the ring is
+ * wrapped).
  */
 #include <gtest/gtest.h>
 
@@ -246,7 +247,12 @@ TEST(Ring, MatchesDequeUnderRandomPushPop)
             ref.push_back(v);
         } else {
             ASSERT_EQ(ring.front(), ref.front()) << "op " << op;
-            ring.pop_front();
+            // Every other pop goes through take(), which returns the
+            // front it removes.
+            if (op % 2 == 0)
+                ASSERT_EQ(ring.take(), ref.front()) << "op " << op;
+            else
+                ring.pop_front();
             ref.pop_front();
         }
         ASSERT_EQ(ring.size(), ref.size());

@@ -117,7 +117,6 @@ runDramDifferential(const DramConfig &cfg, std::uint64_t seed,
                         rng.skewed(8, 2, 70), rng.below(chunks_per_col),
                         rng.below(2));
         c.bursts = 1 + rng.below(kBurstsPerLine);
-        c.extra_latency = rng.chance(20) ? 20 : 0;
         c.extra_bursts = rng.chance(20) ? 1 + rng.below(2) : 0;
         c.enqueued = now;
         dut.enqueue(c);

@@ -1,10 +1,13 @@
 /**
  * @file
- * Memory-partition tests: L2 hit/miss service, miss merging, write-back
- * behaviour, the partial-store worst case of Section 4.2.2, MD-cache
- * integration, and MC-side decompression latency for HW-<algo>-Mem.
+ * Memory-partition tests: L2 hit/miss service, miss merging, the
+ * unbounded reply ring, write-back behaviour, the partial-store worst
+ * case of Section 4.2.2, MD-cache integration, and MC-side
+ * decompression latency for HW-<algo>-Mem.
  */
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "mem/partition.h"
 #include "workloads/data_profile.h"
@@ -106,6 +109,37 @@ TEST(Partition, ConcurrentMissesMergeOnOneDramRead)
     EXPECT_EQ(h.part.dram().stats().get("reads"), 1u);
     EXPECT_EQ(h.part.stats().get("dram_read_merges"), 1u);
     EXPECT_EQ(h.part.stats().get("replies"), 2u);
+}
+
+TEST(Partition, RepliesQueueWithoutBoundUntilTaken)
+{
+    // The reply ring has no cap: with nobody moving replies into the
+    // reply crossbar, every read's reply waits in it, once each.
+    PartitionHarness h(DesignConfig::base());
+    constexpr int kLoads = 100;
+    for (int sent = 0; sent < kLoads; ++h.now) {
+        if (h.part.canAccept()) {
+            h.part.accept(
+                h.makeLoad(static_cast<Addr>(sent) * kLineSize), h.now);
+            ++sent;
+        }
+        h.part.cycle(h.now);
+    }
+    for (const Cycle end = h.now + 50000;
+         h.part.replies().size() < kLoads && h.now < end; ++h.now)
+        h.part.cycle(h.now);
+    ASSERT_EQ(h.part.replies().size(), static_cast<std::size_t>(kLoads));
+    EXPECT_EQ(h.part.stats().get("replies"),
+              static_cast<std::uint64_t>(kLoads));
+    std::vector<bool> seen(kLoads, false);
+    while (!h.part.replies().empty()) {
+        const MemRequest r = h.part.replies().take();
+        const auto i = static_cast<std::size_t>(r.line / kLineSize);
+        ASSERT_LT(i, seen.size());
+        EXPECT_FALSE(seen[i]) << "line " << r.line << " replied twice";
+        seen[i] = true;
+    }
+    EXPECT_FALSE(h.part.busy());
 }
 
 TEST(Partition, CompressedDesignMovesFewerBursts)

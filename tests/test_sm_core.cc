@@ -2,11 +2,12 @@
  * @file
  * SM-core behaviour tests on a single-SM GPU with controlled kernels:
  * scoreboard stalls, SFU structural behaviour, slot classification
- * (grouped into the Figure 1 bars), L1 locality, and assist-warp scheduling
- * integration.
+ * (grouped into the Figure 1 bars), L1 locality, assist-warp scheduling
+ * integration, and the core's sleep (nextWork, kNoWork, skipIdle).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -142,10 +143,10 @@ TEST(SmCore, MemoizationSkipsSfuWork)
 {
     AppDescriptor app = baseApp();
     app.sfu = 4;
+    app.memo_hit_rate = 0.5;
     GpuConfig cfg;
     cfg.num_sms = 1;
     cfg.extras.memoize = true;
-    cfg.extras.memo_hit_rate = 0.5;
     Workload wl(app);
     wl.bindGrid(8);
     GpuSystem gpu(cfg, DesignConfig::base(), wl.lineGenerator());
@@ -153,6 +154,33 @@ TEST(SmCore, MemoizationSkipsSfuWork)
     const RunResult r = gpu.run();
     EXPECT_GT(r.stats.get("sm_memo_hits"), 0u);
     EXPECT_LT(r.stats.get("sm_memo_hits"), r.stats.get("sm_issued_sfu"));
+}
+
+TEST(SmCore, MemoizationHitRateComesFromTheApp)
+{
+    // The SM draws LUT hits at the launched workload's rate: at 1 every
+    // SFU op hits, at 0 none does, though each op still spawns its
+    // lookup assist warp.
+    const auto run = [](double rate) {
+        AppDescriptor app = baseApp();
+        app.sfu = 4;
+        app.memo_hit_rate = rate;
+        GpuConfig cfg;
+        cfg.num_sms = 1;
+        cfg.extras.memoize = true;
+        Workload wl(app);
+        wl.bindGrid(8);
+        GpuSystem gpu(cfg, DesignConfig::base(), wl.lineGenerator());
+        gpu.launch(&wl, 8);
+        return gpu.run();
+    };
+    const RunResult all = run(1.0);
+    EXPECT_GT(all.stats.get("sm_issued_sfu"), 0u);
+    EXPECT_EQ(all.stats.get("sm_memo_hits"), all.stats.get("sm_issued_sfu"));
+    const RunResult none = run(0.0);
+    EXPECT_GT(none.stats.get("sm_issued_sfu"), 0u);
+    EXPECT_EQ(none.stats.get("sm_memo_hits"), 0u);
+    EXPECT_GT(none.stats.get("sm_memoize_warps"), 0u);
 }
 
 TEST(SmCore, PrefetchingPopulatesL1)
@@ -273,6 +301,12 @@ expectSameAccounting(SmCore &a, SmCore &b)
     EXPECT_EQ(a.awc().idleFraction(), b.awc().idleFraction());
 }
 
+TEST(NoWork, SentinelIsMaximal)
+{
+    EXPECT_EQ(kNoWork, ~Cycle{0});
+    EXPECT_GT(kNoWork, Cycle{1} << 62);
+}
+
 TEST(SmCoreSleep, ReplayStalledCoreWithOnlyGlobalHeadsSleeps)
 {
     // Nobody takes requests: four misses fill the out-queue and the
@@ -334,7 +368,7 @@ TEST(SmCoreSleep, ReadyAluHeadPinsAReplayStalledCore)
         if (r.warp == reqs.front().warp)
             h.fill(r);
     for (const MemRequest &r : reqs)
-        h.sm().out().push(r);
+        h.sm().out().push_back(r);
     EXPECT_EQ(h.sm().nextWork(h.now), h.now);
     // It stays pinned: the refused ALU issue changes nothing, but the
     // core may not assume so.
@@ -360,6 +394,31 @@ TEST(SmCoreSleep, LiveLowPriorityAssistWarpPinsAReplayStalledCore)
     // Without the prefetcher the same core sleeps within a few cycles.
     HandSm plain(loadApp(), smallOutQueue(), DesignConfig::base(), 8);
     EXPECT_TRUE(plain.runUntilAsleep(300));
+}
+
+TEST(SmCoreSleep, CompressedStoresMayOverfillTheOutQueue)
+{
+    // The LDST drain routes a store only while the out-queue has room,
+    // but a compression assist warp releases its store whenever it
+    // finishes. Nobody takes requests, so the finished compressions push
+    // the queue past its cap -- by at most the store buffer's depth.
+    AppDescriptor app = baseApp();
+    app.loads = 0;
+    app.stores = 1;
+    app.data = {DataProfile::SmallInt, DataProfile::SmallInt, 0.0, 0.0};
+    GpuConfig cfg = smallOutQueue();
+    HandSm h(app, cfg, DesignConfig::caba(), 8);
+    std::size_t peak = 0;
+    for (; h.now < 2000; ++h.now) {
+        h.sm().cycle(h.now);
+        peak = std::max(peak, h.sm().out().size());
+    }
+    EXPECT_GT(peak, static_cast<std::size_t>(cfg.sm.out_queue));
+    EXPECT_LE(peak, static_cast<std::size_t>(cfg.sm.out_queue +
+                                             cfg.caba.store_buffer));
+    EXPECT_GT(h.sm().stats().get("stores_sent_compressed"), 0u);
+    for (std::size_t i = 0; i < h.sm().out().size(); ++i)
+        EXPECT_TRUE(h.sm().out()[i].is_write) << "request " << i;
 }
 
 TEST(SmCoreSleep, AwtFullCompressedHitReplayPinsTheCore)

@@ -238,7 +238,7 @@ scheduledSms(bool ticked, const std::string &path)
     return counts;
 }
 
-TEST_F(TraceTest, QueueDepthCountsComponentsWithAWakeTime)
+TEST_F(TraceTest, ScheduledSmsCountsSmsWithAWakeTime)
 {
     // The counter counts the SMs holding a wake time, the only
     // components that sleep. The ticked oracle reschedules every SM
