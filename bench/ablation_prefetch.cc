@@ -1,7 +1,7 @@
 /**
  * @file
  * Section 7.2 use case: stride prefetching via assist warps deployed at
- * low priority (idle memory-pipeline slots only), with lookahead into
+ * low priority (idle memory-pipeline slots only), four lines ahead of
  * the demand stream. Latency-sensitive streaming apps gain; saturated
  * bandwidth-bound apps should not regress because the throttle defers
  * prefetch warps.
@@ -23,7 +23,6 @@ CABA_REGISTER_EXPERIMENT(ablation_prefetch)
     exp.cells = [](const ExperimentOptions &opts) {
         ExperimentOptions o = opts;
         o.extras.prefetch = true;
-        o.extras.prefetch_lookahead = 4;
         std::vector<Cell> cells;
         for (const char *name : {"hs", "bp", "lc", "CONS", "LPS", "PVC"}) {
             const AppDescriptor &app = findApp(name);

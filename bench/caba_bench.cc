@@ -56,7 +56,6 @@ usage(std::FILE *out)
         "positive\n"
         "                   (CABA_SCALE stacks on top)\n"
         "  --jobs N         cell worker threads (1 = serial)\n"
-        "  --warps N        cap resident warps per SM\n"
         "  --help-env       list environment variables and exit\n"
         "  -h, --help       this help\n");
 }

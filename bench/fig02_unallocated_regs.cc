@@ -27,7 +27,8 @@ CABA_REGISTER_EXPERIMENT(fig02_unallocated_regs)
         for (const AppDescriptor &app : allApps()) {
             Workload wl(app);
             const OccupancyResult occ = wl.occupancy(0);
-            const OccupancyResult with_assist = wl.occupancy(2);
+            const OccupancyResult with_assist =
+                wl.occupancy(kAssistRegsPerThread);
             fracs.push_back(occ.unallocated_reg_fraction);
             json.beginRow();
             json.field("app", app.name);

@@ -7,7 +7,7 @@
  * Usage:
  *   caba_sim [--app NAME] [--design base|hw-mem|hw|caba|ideal]
  *            [--algo bdi|fpc|cpack|best] [--bw SCALE] [--scale F]
- *            [--md-kb N] [--warps N] [--l1-tags N] [--l2-tags N]
+ *            [--md-kb N] [--l1-tags N] [--l2-tags N]
  *            [--verify] [--memoize] [--prefetch] [--stats] [--list]
  *
  * Numeric values parse strictly (common/parse.h): a malformed or
@@ -40,8 +40,6 @@ usage(const std::string &error = "")
         "  --bw F          off-chip bandwidth scale (default 1.0)\n"
         "  --scale F       loop-trip multiplier (default 1.0)\n"
         "  --md-kb N       MD cache capacity in KB (default 8)\n"
-        "  --warps N       cap resident warps per SM (default 0: "
-        "occupancy)\n"
         "  --l1-tags N     L1 compressed-cache tag factor, 1-16 "
         "(default 1)\n"
         "  --l2-tags N     L2 compressed-cache tag factor, 1-16 "
@@ -111,8 +109,6 @@ main(int argc, char **argv)
         else if (arg == "--scale") opts.scale = realFlag(arg, next());
         else if (arg == "--md-kb")
             opts.md_cache_kb = intFlag(arg, next(), 1, INT_MAX / 1024);
-        else if (arg == "--warps")
-            opts.max_warps = intFlag(arg, next(), 0, INT_MAX);
         else if (arg == "--l1-tags") l1_tags = intFlag(arg, next(), 1, 16);
         else if (arg == "--l2-tags") l2_tags = intFlag(arg, next(), 1, 16);
         else if (arg == "--verify") opts.verify = true;

@@ -21,8 +21,8 @@ constexpr std::array<Var, 7> kVars{{
      "Workload loop-trip multiplier, finite and positive, applied on top "
      "of any --scale flag."},
     {"CABA_JOBS", Type::Int, "hardware concurrency",
-     "Sweep and caba-lint worker threads, a positive integer (1 = "
-     "serial); a --jobs flag wins when given."},
+     "Sweep worker threads, a positive integer (1 = serial); a --jobs "
+     "flag wins when given."},
     {"CABA_AUDIT", Type::Str, "end",
      "Self-consistency audit level: off|end|full|<period-cycles>."},
     {"CABA_TRACE", Type::Str, "(unset: tracing off)",

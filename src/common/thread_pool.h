@@ -1,8 +1,7 @@
 /**
  * @file
- * The fan-out that runs independent simulations across host cores (the
- * experiment cells being the primary customer, caba-lint's per-file
- * passes the other): parallelFor starts min(jobs, n) threads that take
+ * The fan-out that runs independent simulations, the experiment cells,
+ * across host cores: parallelFor starts min(jobs, n) threads that take
  * indices from one shared counter, so indices are dispatched in order
  * and a thread that finishes early takes the next one. No futures, no
  * priorities, no work stealing — just enough for coarse-grained,

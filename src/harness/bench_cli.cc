@@ -97,14 +97,12 @@ parseBenchCli(const std::vector<std::string> &args, BenchCli *cli,
                 if (!parse::finitePositiveReal(v, &out.opts.scale))
                     return failed("--scale needs a finite positive "
                                   "number, got '" + v + "'");
-            } else if (flag == "--jobs" || flag == "--warps") {
+            } else if (flag == "--jobs") {
                 if (!valueOf(inline_val, &v))
-                    return failed("flag " + flag + " needs a value");
-                int n = 0;
-                if (!parse::intInRange(v, 0, &n))
-                    return failed(flag + " needs a non-negative integer "
+                    return failed("flag --jobs needs a value");
+                if (!parse::intInRange(v, 0, &out.jobs))
+                    return failed("--jobs needs a non-negative integer "
                                   "in int range, got '" + v + "'");
-                (flag == "--jobs" ? out.jobs : out.opts.max_warps) = n;
             } else {
                 return failed("unknown flag '" + arg + "'");
             }

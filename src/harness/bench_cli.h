@@ -12,8 +12,8 @@
  *    spelled `--json=PATH` only.
  *  - `--scale` requires a finite positive value: strtod parses
  *    "nan"/"inf" and a NaN defeats the old `<= 0` rejection.
- *  - `--jobs`/`--warps` are range-checked: strtol saturates huge input
- *    to LONG_MAX, which used to truncate silently through an int cast.
+ *  - `--jobs` is range-checked: strtol saturates huge input to
+ *    LONG_MAX, which used to truncate silently through an int cast.
  */
 #ifndef CABA_HARNESS_BENCH_CLI_H
 #define CABA_HARNESS_BENCH_CLI_H
@@ -41,7 +41,7 @@ struct BenchCli
     std::string json_path;      ///< From --json=PATH only; "" = default.
     std::vector<std::string> filters;  ///< --filter globs, in order.
     std::vector<std::string> names;    ///< Positional experiment names.
-    ExperimentOptions opts;     ///< --scale / --warps.
+    ExperimentOptions opts;     ///< --scale.
     int jobs = 0;  ///< --jobs: cell workers; 0 = CABA_JOBS, else all cores.
 };
 

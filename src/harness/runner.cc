@@ -47,10 +47,8 @@ runApp(const AppDescriptor &app, const DesignConfig &design,
         // Section 3.2.2: assist-warp registers are added to the
         // per-block requirement; occupancy may drop if they do not fit
         // the free pool.
-        const int assist = design.usesCaba() ? opts.assist_regs : 0;
+        const int assist = design.usesCaba() ? kAssistRegsPerThread : 0;
         warps = wl->warpsPerSm(assist, cfg.sm.max_warps);
-        if (opts.max_warps > 0 && warps > opts.max_warps)
-            warps = opts.max_warps;
         wl->bindGrid(warps * cfg.num_sms);
         gpu.emplace(cfg, design, wl->lineGenerator());
     }

@@ -30,11 +30,6 @@ struct ExperimentOptions
     /** Off-chip bandwidth relative to Table 1 (Figures 1 and 12). */
     double bw_scale = 1.0;
 
-    /** Per-thread registers reserved for assist warps (Section 3.2.2).
-     *  BDI subroutines are register-light; 2 per thread (64 per warp)
-     *  usually fits the unallocated pool of Figure 2. */
-    int assist_regs = 2;
-
     /** Functional round-trip verification of every compressed line. */
     bool verify = false;
 
@@ -46,12 +41,6 @@ struct ExperimentOptions
 
     /** MD cache capacity in KB (Section 4.3.2 study). */
     int md_cache_kb = 8;
-
-    /** Cap on resident warps per SM; 0 keeps the occupancy-derived
-     *  count. Occupancy studies (and sleep-sensitive runs, where low
-     *  occupancy opens long stall windows that SMs sleep through)
-     *  lower it. */
-    int max_warps = 0;
 
     bool operator==(const ExperimentOptions &) const = default;
 };

@@ -6,46 +6,6 @@
 
 namespace caba {
 
-namespace {
-
-const char *
-opName(Opcode op)
-{
-    switch (op) {
-      case Opcode::AluInt: return "alu.int";
-      case Opcode::AluFp: return "alu.fp";
-      case Opcode::Sfu: return "sfu";
-      case Opcode::Mov: return "mov";
-      case Opcode::LdGlobal: return "ld.global";
-      case Opcode::StGlobal: return "st.global";
-      case Opcode::LdShared: return "ld.shared";
-      case Opcode::StShared: return "st.shared";
-      case Opcode::Branch: return "bra";
-      case Opcode::Exit: return "exit";
-    }
-    return "?";
-}
-
-} // namespace
-
-std::string
-Instruction::toString() const
-{
-    std::string s = opName(op);
-    auto reg = [](int r) { return "r" + std::to_string(r); };
-    if (dst != kNoReg)
-        s += " " + reg(dst);
-    if (src0 != kNoReg)
-        s += (dst != kNoReg ? ", " : " ") + reg(src0);
-    if (src1 != kNoReg)
-        s += ", " + reg(src1);
-    if (stream >= 0)
-        s += " [stream " + std::to_string(stream) + "]";
-    if (op == Opcode::Branch)
-        s += " -> " + std::to_string(branch_target);
-    return s;
-}
-
 Program::Program(std::vector<Instruction> instrs)
     : instrs_(std::move(instrs))
 {

@@ -10,7 +10,6 @@
 #define CABA_ISA_INSTRUCTION_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -76,9 +75,6 @@ struct Instruction
 
     /** For Branch: index of the loop-head instruction. */
     int branch_target = -1;
-
-    /** Disassembly-style rendering for debugging and tests. */
-    std::string toString() const;
 };
 
 /**

@@ -111,7 +111,7 @@ SmCore::processEvents(Cycle now)
             ldst_.loadLineDone(ev.load_slot);
             break;
           case Event::Kind::FillDone:
-            completeFill(ev.line, now);
+            completeFill(ev.line);
             break;
         }
     }
@@ -258,11 +258,11 @@ SmCore::maybePrefetch(Addr line, int stream, Cycle now)
 {
     if (!extras_.prefetch || stream < 0)
         return;
-    // Stride assist warp (Section 7.2): computes the lookahead address
-    // and issues a prefetch, deployed at low priority so it only uses
-    // idle slots.
-    const Addr pf_line =
-        line + static_cast<Addr>(extras_.prefetch_lookahead) * kLineSize;
+    // Stride assist warp (Section 7.2): computes the address four lines
+    // ahead of the demand stream and issues a prefetch, deployed at low
+    // priority so it only uses idle slots.
+    constexpr Addr kLookaheadLines = 4;
+    const Addr pf_line = line + kLookaheadLines * kLineSize;
     AssistWarp aw;
     aw.priority = AssistPriority::Low;
     aw.purpose = AssistPurpose::Prefetch;
@@ -297,7 +297,7 @@ SmCore::reapAssistWarps(Cycle now)
         switch (aw.purpose) {
           case AssistPurpose::DecompressFill:
             ++n_.caba_decompressions;
-            completeFill(aw.line, now);
+            completeFill(aw.line);
             break;
           case AssistPurpose::DecompressHit:
             ++n_.caba_hit_decompressions;
@@ -344,9 +344,8 @@ SmCore::retryPendingFills(Cycle now)
 }
 
 void
-SmCore::completeFill(Addr line, Cycle now)
+SmCore::completeFill(Addr line)
 {
-    (void)now;
     const int bytes = design_.l1_tag_factor > 1
         ? model_->compressedSize(line) : kLineSize;
     ldst_.completeFill(line, bytes);
@@ -385,7 +384,7 @@ SmCore::deliver(const MemRequest &reply, Cycle now)
             break;
         }
     }
-    completeFill(reply.line, now);
+    completeFill(reply.line);
 }
 
 // ------------------------------------------------------------ issue

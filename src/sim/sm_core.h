@@ -78,8 +78,7 @@ struct ExtrasConfig
 {
     bool memoize = false;           ///< Hits at the app's memo_hit_rate.
 
-    bool prefetch = false;
-    int prefetch_lookahead = 4;     ///< Lines ahead of the demand stream.
+    bool prefetch = false;          ///< Stride prefetch assist warps.
 
     bool profile = false;           ///< Profiling assist warps (framework
                                     ///< paper generalization).
@@ -285,7 +284,7 @@ class SmCore
     bool tryIssueRegular(int warp, Cycle now);
     bool tryIssueAssist(AssistWarp &aw, Cycle now);
     void scheduleEvent(Cycle at, Event ev, Cycle now);
-    void completeFill(Addr line, Cycle now);
+    void completeFill(Addr line);
     void emitStoreRequest(Addr line, bool full_line, bool compressed_ok,
                           Cycle now);
     bool triggerDecompress(Addr line, AssistPurpose purpose,

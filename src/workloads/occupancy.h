@@ -12,6 +12,11 @@
 
 namespace caba {
 
+/** Per-thread registers reserved for assist warps under CABA (Section
+ *  3.2.2). BDI subroutines are register-light; 2 per thread (64 per
+ *  warp) usually fits the unallocated pool of Figure 2. */
+inline constexpr int kAssistRegsPerThread = 2;
+
 /** Inputs to the occupancy computation (Table 1 defaults). */
 struct OccupancyParams
 {

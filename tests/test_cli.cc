@@ -120,7 +120,6 @@ TEST(BenchCliJobsTest, RejectsValuesBeyondIntRange)
     // strtol saturates to LONG_MAX; the old int cast truncated it.
     mustFail({"--jobs", "99999999999999999999"});
     mustFail({"--jobs", std::to_string(static_cast<long long>(INT_MAX) + 1)});
-    mustFail({"--warps", "99999999999999999999"});
     mustFail({"--jobs", "-1"});
     mustFail({"--jobs", "4x"});
 }
@@ -129,7 +128,6 @@ TEST(BenchCliJobsTest, AcceptsBoundaryValues)
 {
     EXPECT_EQ(mustParse({"--jobs", "0"}).jobs, 0);
     EXPECT_EQ(mustParse({"--jobs", std::to_string(INT_MAX)}).jobs, INT_MAX);
-    EXPECT_EQ(mustParse({"--warps=24"}).opts.max_warps, 24);
 }
 
 // --- General grammar -------------------------------------------------------
@@ -153,6 +151,9 @@ TEST(BenchCliTest, UnknownFlagsAreHardErrors)
     mustFail({"--frobnicate"});
     mustFail({"-x"});
     mustFail({"--list=yes"});
+    // No flag caps resident warps per SM.
+    EXPECT_EQ(mustFail({"--warps", "24"}), "unknown flag '--warps'");
+    EXPECT_EQ(mustFail({"--warps=24"}), "unknown flag '--warps=24'");
 }
 
 // --- globMatch edge cases --------------------------------------------------

@@ -485,14 +485,11 @@ TEST(RunPlanTest, CellsDifferingInAnySimulationInputAreDistinct)
         {"design.l2_tag_factor", [](Cell &c) { ++c.design.l2_tag_factor; }},
         {"opts.scale", [](Cell &c) { c.opts.scale *= 2.0; }},
         {"opts.bw_scale", [](Cell &c) { c.opts.bw_scale *= 2.0; }},
-        {"opts.assist_regs", [](Cell &c) { ++c.opts.assist_regs; }},
         {"opts.verify", [](Cell &c) { c.opts.verify ^= true; }},
         {"opts.extras.memoize",
          [](Cell &c) { c.opts.extras.memoize ^= true; }},
         {"opts.extras.prefetch",
          [](Cell &c) { c.opts.extras.prefetch ^= true; }},
-        {"opts.extras.prefetch_lookahead",
-         [](Cell &c) { ++c.opts.extras.prefetch_lookahead; }},
         {"opts.extras.profile",
          [](Cell &c) { c.opts.extras.profile ^= true; }},
         {"opts.extras.profile_interval",
@@ -512,7 +509,6 @@ TEST(RunPlanTest, CellsDifferingInAnySimulationInputAreDistinct)
         {"opts.caba.compress_low_priority",
          [](Cell &c) { c.opts.caba.compress_low_priority ^= true; }},
         {"opts.md_cache_kb", [](Cell &c) { ++c.opts.md_cache_kb; }},
-        {"opts.max_warps", [](Cell &c) { ++c.opts.max_warps; }},
     };
     for (const auto &[field, change] : changes) {
         Cell other = base;

@@ -46,7 +46,7 @@ TEST(Integration, AllDesignsCompleteAndAgreeOnPerWarpWork)
         EXPECT_GT(r.cycles, 0u) << d.name;
         Workload wl(app, o.scale);
         const int warps =
-            wl.warpsPerSm(d.usesCaba() ? o.assist_regs : 0) * 15;
+            wl.warpsPerSm(d.usesCaba() ? kAssistRegsPerThread : 0) * 15;
         const std::uint64_t per_warp =
             r.instructions / static_cast<std::uint64_t>(warps);
         if (per_warp_base == 0)

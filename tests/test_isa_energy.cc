@@ -39,15 +39,6 @@ TEST(Isa, OpcodeClassification)
     EXPECT_FALSE(isMem(Opcode::Branch));
 }
 
-TEST(Isa, ToStringRendersOperands)
-{
-    Instruction inst;
-    inst.op = Opcode::LdGlobal;
-    inst.dst = 3;
-    inst.stream = 1;
-    EXPECT_EQ(inst.toString(), "ld.global r3 [stream 1]");
-}
-
 TEST(Isa, ValidationCatchesBadBranch)
 {
     std::vector<Instruction> code(2);

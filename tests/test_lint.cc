@@ -3,7 +3,7 @@
  * Tests for caba-lint (tools/lint): every rule must fire on its
  * fixture with the expected count, annotations and whitelists must
  * suppress, the JSON report must be well-formed, and the real source
- * tree must lint clean against the committed (empty) baseline.
+ * tree must lint clean.
  *
  * Fixture files live in tools/lint/fixtures/ and are linted under
  * fake src/ paths so the src-only rules (iteration-order,
@@ -260,7 +260,7 @@ TEST(Lint, JsonReportShape)
     EXPECT_EQ(by_rule["stat-hygiene"], 4);
     EXPECT_EQ(by_rule["experiment-registry"], 2);
 
-    const std::string json = caba::lint::toJson(findings, {});
+    const std::string json = caba::lint::toJson(findings);
     caba::json::Value doc;
     ASSERT_TRUE(caba::json::parse(json, &doc)) << json;
     ASSERT_TRUE(doc.isObject());
@@ -279,7 +279,6 @@ TEST(Lint, JsonReportShape)
     EXPECT_EQ(count_of("stat-hygiene"), 4);
     EXPECT_EQ(count_of("experiment-registry"), 2);
     EXPECT_EQ(count_of("total"), 22);
-    EXPECT_EQ(count_of("baselined"), 0);
     const caba::json::Value *arr = doc.find("findings");
     ASSERT_NE(arr, nullptr);
     ASSERT_TRUE(arr->isArray());
@@ -292,27 +291,7 @@ TEST(Lint, JsonReportShape)
         EXPECT_EQ(static_cast<int>(e.find("line")->number),
                   findings[i].line);
         EXPECT_EQ(e.find("message")->string, findings[i].message);
-        EXPECT_FALSE(e.find("baselined")->boolean);
     }
-}
-
-TEST(Lint, BaselineRoundTrip)
-{
-    auto findings = caba::lint::run({fixture("env_direct.cc")});
-    ASSERT_EQ(findings.size(), 2u);
-    // A report can be fed back as a baseline; all findings then match
-    // even if line numbers drift.
-    const std::string json = caba::lint::toJson(findings, {});
-    std::vector<Finding> baseline;
-    std::string err;
-    ASSERT_TRUE(caba::lint::parseBaseline(json, &baseline, &err)) << err;
-    ASSERT_EQ(baseline.size(), 2u);
-    for (Finding &f : baseline)
-        f.line += 100; // lines are not part of the match key
-    std::vector<Finding> fresh, matched;
-    caba::lint::applyBaseline(findings, baseline, &fresh, &matched);
-    EXPECT_TRUE(fresh.empty());
-    EXPECT_EQ(matched.size(), 2u);
 }
 
 TEST(Lint, RuleNamesCoverAllRules)
@@ -536,42 +515,13 @@ TEST(Lint, RuleFilterRestrictsOutput)
         EXPECT_EQ(f.rule, "determinism");
 }
 
-TEST(Lint, ParallelMatchesSerialByteForByte)
-{
-    std::vector<SourceFile> files;
-    std::string err;
-    ASSERT_TRUE(caba::lint::collectTree(CABA_LINT_SOURCE_ROOT, &files, &err))
-        << err;
-    caba::lint::Options opts;
-    opts.jobs = 1;
-    const std::string serial = caba::lint::toText(caba::lint::run(files, opts));
-    for (int jobs : {2, 3, 8}) {
-        opts.jobs = jobs;
-        EXPECT_EQ(serial, caba::lint::toText(caba::lint::run(files, opts)))
-            << "findings differ at jobs=" << jobs;
-    }
-}
-
 TEST(Lint, SourceTreeIsClean)
 {
     std::vector<Finding> findings;
     std::string err;
     ASSERT_TRUE(caba::lint::runTree(CABA_LINT_SOURCE_ROOT, &findings, &err))
         << err;
-
-    std::vector<Finding> baseline;
-    const std::string baseline_path =
-        std::string(CABA_LINT_SOURCE_ROOT) + "/tools/lint/baseline.json";
-    ASSERT_TRUE(
-        caba::lint::parseBaseline(slurp(baseline_path), &baseline, &err))
-        << err;
-    EXPECT_TRUE(baseline.empty())
-        << "the committed baseline should stay empty; fix findings "
-           "instead of baselining them";
-
-    std::vector<Finding> fresh, matched;
-    caba::lint::applyBaseline(findings, baseline, &fresh, &matched);
-    EXPECT_TRUE(fresh.empty()) << caba::lint::toText(fresh);
+    EXPECT_TRUE(findings.empty()) << caba::lint::toText(findings);
 }
 
 } // namespace

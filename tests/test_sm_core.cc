@@ -396,6 +396,30 @@ TEST(SmCoreSleep, LiveLowPriorityAssistWarpPinsAReplayStalledCore)
     EXPECT_TRUE(plain.runUntilAsleep(300));
 }
 
+TEST(SmCore, PrefetchAssistWarpFetchesFourLinesAhead)
+{
+    // One warp, one load feeding one ALU op, and no fill ever arrives:
+    // the warp issues a single load and stalls. Its stride prefetch
+    // assist warp (Section 7.2) must request the line four lines past
+    // the load's first line, which is the first request sent.
+    AppDescriptor app = loadApp();
+    app.loads = 1;
+    GpuConfig cfg;
+    cfg.extras.prefetch = true;
+    HandSm h(app, cfg, DesignConfig::base(), 1);
+    for (; h.now < 2000; ++h.now)
+        h.sm().cycle(h.now);
+    const StatSet s = h.sm().stats();
+    ASSERT_EQ(s.get("prefetch_warps"), 1u);
+    ASSERT_EQ(s.get("prefetches_issued"), 1u);
+    const Ring<MemRequest> &out = h.sm().out();
+    ASSERT_GE(out.size(), 2u);
+    EXPECT_NE(out[0].warp, kInvalidWarp);
+    const MemRequest &prefetch = out[out.size() - 1];
+    EXPECT_EQ(prefetch.warp, kInvalidWarp);
+    EXPECT_EQ(prefetch.line, out[0].line + 4 * kLineSize);
+}
+
 TEST(SmCoreSleep, CompressedStoresMayOverfillTheOutQueue)
 {
     // The LDST drain routes a store only while the out-queue has room,

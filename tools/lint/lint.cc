@@ -1,6 +1,6 @@
 /**
  * @file
- * Tree walking, report rendering and baseline handling for caba-lint.
+ * Tree walking and report rendering for caba-lint.
  * Everything here is deterministic: files are visited in sorted
  * repo-relative path order, findings are sorted, and the JSON report is
  * emitted with the same JsonWriter the benches use — two runs over the
@@ -9,11 +9,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "common/json.h"
-#include "common/json_parse.h"
 #include "lint.h"
 
 namespace caba {
@@ -49,14 +47,6 @@ readFile(const fs::path &p, std::string *out, std::string *error)
     ss << in.rdbuf();
     *out = ss.str();
     return true;
-}
-
-std::string
-baselineKey(const Finding &f)
-{
-    // Line numbers drift with unrelated edits; identity is
-    // rule + file + message.
-    return f.rule + "\n" + f.file + "\n" + f.message;
 }
 
 } // namespace
@@ -144,13 +134,8 @@ toText(const std::vector<Finding> &findings)
 }
 
 std::string
-toJson(const std::vector<Finding> &findings,
-       const std::vector<Finding> &baselined)
+toJson(const std::vector<Finding> &findings)
 {
-    std::multiset<std::string> matched;
-    for (const Finding &f : baselined)
-        matched.insert(baselineKey(f));
-
     JsonWriter w;
     w.beginObject();
     w.kv("schema", "caba-lint-v1");
@@ -163,81 +148,19 @@ toJson(const std::vector<Finding> &findings,
         w.kv(rule, n);
     }
     w.kv("total", static_cast<std::uint64_t>(findings.size()));
-    w.kv("baselined", static_cast<std::uint64_t>(baselined.size()));
     w.endObject();
     w.key("findings").beginArray();
     for (const Finding &f : findings) {
-        bool is_baselined = false;
-        auto it = matched.find(baselineKey(f));
-        if (it != matched.end()) {
-            matched.erase(it);
-            is_baselined = true;
-        }
         w.beginObject()
             .kv("rule", f.rule)
             .kv("file", f.file)
             .kv("line", static_cast<std::int64_t>(f.line))
             .kv("message", f.message)
-            .kv("baselined", is_baselined)
             .endObject();
     }
     w.endArray();
     w.endObject();
     return w.str() + "\n";
-}
-
-bool
-parseBaseline(const std::string &json_text, std::vector<Finding> *out,
-              std::string *error)
-{
-    json::Value doc;
-    if (!json::parse(json_text, &doc) || !doc.isObject()) {
-        *error = "baseline is not valid JSON";
-        return false;
-    }
-    const json::Value *findings = doc.find("findings");
-    if (!findings || !findings->isArray()) {
-        *error = "baseline lacks a \"findings\" array";
-        return false;
-    }
-    for (const json::Value &v : findings->array) {
-        const json::Value *rule = v.find("rule");
-        const json::Value *file = v.find("file");
-        const json::Value *message = v.find("message");
-        if (!rule || !rule->isString() || !file || !file->isString() ||
-            !message || !message->isString()) {
-            *error = "baseline entry lacks rule/file/message strings";
-            return false;
-        }
-        Finding f;
-        f.rule = rule->string;
-        f.file = file->string;
-        f.message = message->string;
-        const json::Value *line = v.find("line");
-        if (line && line->isNumber())
-            f.line = static_cast<int>(line->number);
-        out->push_back(std::move(f));
-    }
-    return true;
-}
-
-void
-applyBaseline(const std::vector<Finding> &findings,
-              const std::vector<Finding> &baseline,
-              std::vector<Finding> *fresh, std::vector<Finding> *matched)
-{
-    std::multiset<std::string> keys;
-    for (const Finding &b : baseline)
-        keys.insert(baselineKey(b));
-    for (const Finding &f : findings) {
-        auto it = keys.find(baselineKey(f));
-        if (it != keys.end()) {
-            keys.erase(it);
-            matched->push_back(f);
-        } else {
-            fresh->push_back(f);
-        }
-    }
 }
 
 } // namespace lint

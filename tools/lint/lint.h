@@ -6,8 +6,8 @@
  * rules it builds an include graph and a cross-TU identifier index over
  * the entire input set.
  *
- * Rules (rule ids are stable; they appear in findings, baselines and
- * the JSON report):
+ * Rules (rule ids are stable; they appear in findings and the JSON
+ * report):
  *
  *  - determinism      rand/srand, std::random_device, time(),
  *                     std::chrono::*_clock::now and pointer-value
@@ -74,14 +74,9 @@ struct SourceFile
     std::string text;
 };
 
-/** Driver options. The defaults reproduce a serial all-rules run. */
+/** Options for run(). The defaults run every rule. */
 struct Options
 {
-    /** Worker threads for lexing and the per-file rules. Findings are
-     *  merged in deterministic order, so output is byte-identical at
-     *  any job count; <= 1 runs inline on the calling thread. */
-    int jobs = 1;
-
     /** Rule ids to run; empty = all. Names must come from ruleNames(). */
     std::set<std::string> rules;
 
@@ -95,17 +90,16 @@ struct Options
 const std::vector<std::string> &ruleNames();
 
 /**
- * Lints @p files as one program: pass 1 lexes (parallel across
- * opts.jobs workers), pass 2 builds the cross-file structures (unordered
- * names, experiment registrations, include graph, identifier index),
- * pass 3 applies the per-file rules (parallel), pass 4 the
- * whole-program rules. Findings are sorted by (file, line, rule,
- * message) regardless of job count.
+ * Lints @p files as one program, in one serial pass: pass 1 lexes,
+ * pass 2 builds the cross-file structures (unordered names, experiment
+ * registrations, include graph, identifier index), pass 3 applies the
+ * per-file rules, pass 4 the whole-program rules. Findings are sorted
+ * by (file, line, rule, message).
  */
 std::vector<Finding> run(const std::vector<SourceFile> &files,
                          const Options &opts);
 
-/** run() with default options (serial, all rules). */
+/** run() with default options (all rules). */
 std::vector<Finding> run(const std::vector<SourceFile> &files);
 
 /**
@@ -133,28 +127,9 @@ std::string toText(const std::vector<Finding> &findings);
 
 /**
  * Deterministic JSON report (schema caba-lint-v1): per-rule counts and
- * the full finding list, with @p baselined entries marked.
+ * the full finding list.
  */
-std::string toJson(const std::vector<Finding> &findings,
-                   const std::vector<Finding> &baselined);
-
-/**
- * Parses a baseline document (same schema as toJson; only the rule,
- * file and message fields are consulted — line numbers may drift).
- * Returns false on malformed input.
- */
-bool parseBaseline(const std::string &json_text, std::vector<Finding> *out,
-                   std::string *error);
-
-/**
- * Splits @p findings into @p fresh and @p matched against @p baseline.
- * A finding matches a baseline entry with the same rule, file and
- * message, regardless of line.
- */
-void applyBaseline(const std::vector<Finding> &findings,
-                   const std::vector<Finding> &baseline,
-                   std::vector<Finding> *fresh,
-                   std::vector<Finding> *matched);
+std::string toJson(const std::vector<Finding> &findings);
 
 } // namespace lint
 } // namespace caba

@@ -1,25 +1,19 @@
 /**
  * @file
- * caba-lint CLI. Exit codes: 0 = clean (every finding baselined),
- * 1 = non-baselined findings, 2 = usage or I/O error. Unknown or
- * malformed flags are hard errors — a typoed --rule silently linting
- * nothing would defeat the gate.
+ * caba-lint CLI. Exit codes: 0 = no findings, 1 = any finding, 2 =
+ * usage or I/O error. Unknown or malformed flags are hard errors — a
+ * typoed --rule silently linting nothing would defeat the gate.
  *
- *   caba-lint --root . --baseline tools/lint/baseline.json --json=report.json
+ *   caba-lint --root . --json=report.json
  *   caba-lint --rule layering --rule include-cycle --dot=includes.dot
  */
 #include <algorithm>
-#include <climits>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/env.h"
-#include "common/parse.h"
-#include "common/thread_pool.h"
 #include "graph.h"
 #include "lint.h"
 
@@ -30,20 +24,15 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: caba-lint [--root DIR] [--baseline FILE] [--json[=PATH]]\n"
-        "                 [--rule NAME]... [--list-rules] [--jobs N]\n"
-        "                 [--dot PATH]\n"
+        "usage: caba-lint [--root DIR] [--json[=PATH]] [--rule NAME]...\n"
+        "                 [--list-rules] [--dot PATH]\n"
         "  --root DIR       repo root to scan (bench/, examples/, src/,\n"
         "                   tests/ and tools/; default .)\n"
-        "  --baseline FILE  accepted findings (default ROOT/tools/lint/\n"
-        "                   baseline.json when present)\n"
         "  --json[=PATH]    write the caba-lint-v1 JSON report to PATH\n"
         "                   (stdout when no PATH; suppresses text output)\n"
         "  --rule NAME      run only the named rule (repeatable; see\n"
         "                   --list-rules)\n"
         "  --list-rules     print every rule id and exit\n"
-        "  --jobs N         worker threads (default CABA_JOBS, else all\n"
-        "                   cores; output is identical at any N)\n"
         "  --dot PATH       also write the resolved include graph as\n"
         "                   GraphViz DOT to PATH\n");
     return 2;
@@ -67,20 +56,15 @@ int
 main(int argc, char **argv)
 {
     std::string root = ".";
-    std::string baseline_path;
     bool emit_json = false;
     std::string json_path;
     std::string dot_path;
     caba::lint::Options opts;
-    opts.jobs = caba::env::intOr("CABA_JOBS", 1, INT_MAX,
-                                 caba::defaultWorkers());
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--root" && i + 1 < argc) {
             root = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baseline_path = argv[++i];
         } else if (arg == "--json") {
             emit_json = true;
         } else if (arg.rfind("--json=", 0) == 0) {
@@ -100,15 +84,6 @@ main(int argc, char **argv)
                 return usage();
             }
             opts.rules.insert(name);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            int jobs = 0;
-            if (!caba::parse::intInRange(argv[++i], 1, &jobs)) {
-                std::fprintf(stderr,
-                             "caba-lint: --jobs wants a positive integer, "
-                             "got '%s'\n", argv[i]);
-                return usage();
-            }
-            opts.jobs = jobs;
         } else if (arg == "--dot" && i + 1 < argc) {
             dot_path = argv[++i];
         } else if (arg.rfind("--dot=", 0) == 0) {
@@ -144,32 +119,8 @@ main(int argc, char **argv)
     const std::vector<caba::lint::Finding> findings =
         caba::lint::run(files, opts);
 
-    std::vector<caba::lint::Finding> baseline;
-    if (baseline_path.empty()) {
-        const std::string candidate = root + "/tools/lint/baseline.json";
-        if (std::ifstream(candidate).good())
-            baseline_path = candidate;
-    }
-    if (!baseline_path.empty()) {
-        std::string text;
-        if (!readWholeFile(baseline_path, &text)) {
-            std::fprintf(stderr, "caba-lint: cannot read baseline %s\n",
-                         baseline_path.c_str());
-            return 2;
-        }
-        if (!caba::lint::parseBaseline(text, &baseline, &error)) {
-            std::fprintf(stderr, "caba-lint: %s: %s\n",
-                         baseline_path.c_str(), error.c_str());
-            return 2;
-        }
-    }
-
-    std::vector<caba::lint::Finding> fresh;
-    std::vector<caba::lint::Finding> matched;
-    caba::lint::applyBaseline(findings, baseline, &fresh, &matched);
-
     if (emit_json) {
-        const std::string doc = caba::lint::toJson(findings, matched);
+        const std::string doc = caba::lint::toJson(findings);
         if (json_path.empty()) {
             std::fputs(doc.c_str(), stdout);
         } else {
@@ -183,10 +134,9 @@ main(int argc, char **argv)
         }
     }
     if (!emit_json || !json_path.empty()) {
-        std::fputs(caba::lint::toText(fresh).c_str(), stdout);
-        std::fprintf(stdout,
-                     "caba-lint: %zu finding(s), %zu baselined, %zu new\n",
-                     findings.size(), matched.size(), fresh.size());
+        std::fputs(caba::lint::toText(findings).c_str(), stdout);
+        std::fprintf(stdout, "caba-lint: %zu finding(s)\n",
+                     findings.size());
     }
-    return fresh.empty() ? 0 : 1;
+    return findings.empty() ? 0 : 1;
 }

@@ -2,15 +2,13 @@
  * @file
  * The six caba-lint rules, pattern-matching over lexed token streams.
  * Each rule is deliberately narrow: it must fire on every seeded
- * violation in tools/lint/fixtures/ and stay silent on the real tree
- * (or the finding goes to tools/lint/baseline.json with a reason).
+ * violation in tools/lint/fixtures/ and stay silent on the real tree.
  */
 #include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>
 
-#include "common/thread_pool.h"
 #include "graph.h"
 #include "index.h"
 #include "lexer.h"
@@ -656,16 +654,13 @@ enabled(const Options &opts, const char *rule)
 std::vector<Finding>
 run(const std::vector<SourceFile> &files, const Options &opts)
 {
-    const int n = static_cast<int>(files.size());
+    // Pass 1: lex.
+    std::vector<LexedFile> lexed;
+    lexed.reserve(files.size());
+    for (const SourceFile &f : files)
+        lexed.push_back(lex(f.text));
 
-    // Pass 1: lex, embarrassingly parallel, results indexed by file so
-    // ordering cannot depend on scheduling.
-    std::vector<LexedFile> lexed(files.size());
-    parallelFor(n, opts.jobs,
-                [&](int i) { lexed[static_cast<std::size_t>(i)] =
-                                 lex(files[static_cast<std::size_t>(i)].text); });
-
-    // Pass 2 (serial): the cross-file structures every later pass reads.
+    // Pass 2: the cross-file structures every later pass reads.
     std::set<std::string> unordered_names;
     std::vector<ExperimentRegistration> registrations;
     for (std::size_t i = 0; i < files.size(); ++i) {
@@ -679,36 +674,28 @@ run(const std::vector<SourceFile> &files, const Options &opts)
     }
     const IdentIndex index = buildIndex(files, lexed);
 
-    // Pass 3: per-file rules, parallel into per-file slots merged in
-    // file order — output is independent of the job count.
-    std::vector<std::vector<Finding>> per_file(files.size());
-    parallelFor(n, opts.jobs, [&](int idx) {
-        const std::size_t i = static_cast<std::size_t>(idx);
+    // Pass 3: per-file rules.
+    std::vector<Finding> out;
+    for (std::size_t i = 0; i < files.size(); ++i) {
         const std::string &path = files[i].path;
         const LexedFile &lf = lexed[i];
-        std::vector<Finding> &slot = per_file[i];
         if (enabled(opts, "determinism"))
-            ruleDeterminism(lf, path, slot);
+            ruleDeterminism(lf, path, out);
         if (enabled(opts, "env-access"))
-            ruleEnvAccess(lf, path, slot);
+            ruleEnvAccess(lf, path, out);
         if (enabled(opts, "lock-discipline"))
-            ruleLockDiscipline(lf, path, index, slot);
+            ruleLockDiscipline(lf, path, index, out);
         if (inSrc(path)) {
             if (enabled(opts, "iteration-order"))
-                ruleIterationOrder(lf, path, unordered_names, slot);
+                ruleIterationOrder(lf, path, unordered_names, out);
             if (enabled(opts, "check-discipline"))
-                ruleCheckDiscipline(lf, path, slot);
+                ruleCheckDiscipline(lf, path, out);
             if (enabled(opts, "stat-hygiene"))
-                ruleStatHygiene(lf, path, slot);
+                ruleStatHygiene(lf, path, out);
         }
-    });
+    }
 
-    std::vector<Finding> out;
-    for (std::vector<Finding> &slot : per_file)
-        for (Finding &f : slot)
-            out.push_back(std::move(f));
-
-    // Pass 4 (serial): whole-program rules.
+    // Pass 4: whole-program rules.
     if (enabled(opts, "experiment-registry"))
         ruleExperimentRegistry(std::move(registrations), out);
     if (enabled(opts, "include-cycle") || enabled(opts, "layering")) {
